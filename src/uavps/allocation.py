@@ -3,7 +3,9 @@
 With budget B and per-user service cost c, choosing capacity k leaves T = B - ck
 hovering slots, so the planner solves max_k R_k(B - ck). The discrete search
 simply evaluates every feasible k (at most floor(B / (1 + c)) of them, since
-capacity beyond the hovering time is wasted). The continuous relaxation with
+capacity beyond the hovering time is wasted). The same search, with the
+capacity cost shared by a group of pooled vehicles, prices every group size
+of fleet deployment from one table per hotspot. The continuous relaxation with
 exponential valuations admits a threshold policy in the arrival rate a':
 
 * low regime, a' <= 2ce / (B - 2c)^2: a single unit (k* = 1) and maximum
@@ -19,6 +21,7 @@ regime label is a classification layer on top of an exhaustive search.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -66,16 +69,58 @@ def allocate_discrete(model: ValuationModel, alpha: float, budget: int,
             f"budget {budget} cannot cover one user plus one hovering slot"
         )
 
-    k_max = budget // (1 + service_cost)
-    # One table at (k_max, B - c) holds every R[k][B - ck] lookup needed.
-    _, table = build_pricing(model, alpha, k_max, budget - service_cost)
-    best_k, best_profit = 1, -math.inf
-    for k in range(1, k_max + 1):
-        profit = float(table.values[k, budget - service_cost * k])
-        if profit > best_profit:
-            best_k, best_profit = k, profit
-    return AllocationDecision(k_star=best_k, t_star=budget - service_cost * best_k,
-                              profit=best_profit, regime=Regime.NOT_APPLICABLE)
+    # A group of one reads every R[k][B - ck] from one table at
+    # (B // (1 + c), B - c).
+    return _pooled_decision(model, alpha, budget, service_cost, 1)
+
+
+# -- pooled search: the one "best capacity for a budget" loop ------------------
+
+# Absorbs float noise in the pooled floors when a group's share c * k / n or
+# the bound avail / (1 + c / n) lands on a whole number.
+_POOL_EPS = 1e-9
+
+
+def _pooled_decisions(model: ValuationModel, alpha: float, available: float,
+                      service_cost: float,
+                      groups: Sequence[int]) -> list[AllocationDecision]:
+    """Best (k, T) for each group size in ``groups``, all read from one table.
+
+    A group of n vehicles sharing ``available`` energy each can fund capacity
+    k in 1..floor(avail / (1 + c / n)) with T = floor(avail - c k / n)
+    hovering slots. Both bounds grow with n, and R[j][t] depends only on rows
+    <= j and columns <= t, so the table built for the largest group holds the
+    table of every smaller group bit for bit. Ties go to the smallest k.
+    A group that cannot fund one user gets a zero-profit decision with k = 0.
+    """
+    k_max = lambda n: math.floor(available / (1.0 + service_cost / n) + _POOL_EPS)
+    hover = lambda n, k: math.floor(available - service_cost * k / n + _POOL_EPS)
+    top = max(groups)
+    if k_max(top) >= 1:
+        _, table = build_pricing(model, alpha, k_max(top), hover(top, 1))
+        values = table.values
+    decisions = []
+    for n in groups:
+        if k_max(n) < 1:
+            decisions.append(AllocationDecision(k_star=0, t_star=0, profit=0.0,
+                                                regime=Regime.NOT_APPLICABLE))
+            continue
+        best_k, best_profit = 1, -math.inf
+        for k in range(1, k_max(n) + 1):
+            profit = float(values[k, hover(n, k)])
+            if profit > best_profit:
+                best_k, best_profit = k, profit
+        decisions.append(AllocationDecision(
+            k_star=best_k, t_star=hover(n, best_k),
+            profit=best_profit, regime=Regime.NOT_APPLICABLE))
+    return decisions
+
+
+def _pooled_decision(model: ValuationModel, alpha: float, available: float,
+                     service_cost: float, group: int) -> AllocationDecision:
+    """Best (k, T) for one group of ``group`` vehicles sharing ``available``
+    energy each, with hovering time floored to whole slots."""
+    return _pooled_decisions(model, alpha, available, service_cost, (group,))[0]
 
 
 def low_regime_threshold(budget: float, service_cost: float) -> float:

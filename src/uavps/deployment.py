@@ -7,10 +7,20 @@ n at the price of multiplying hovering energy, so the feasible capacity bound
 relaxes to floor((B0 - D) / (1 + c/n)) and the hovering time for capacity k
 is floor(B0 - D - c*k/n).
 
-The planner enumerates every composition of the fleet over the hotspots
-(unreachable ones pinned to zero), memoizing the per-(hotspot, group size)
-profit so the inner dynamic program runs at most M*N times. Two verification
-tools accompany the planner:
+The fleet profit is separable over hotspots, so the planner is the
+resource-allocation dynamic program over hotspots (Ibaraki & Katoh,
+*Resource Allocation Problems*, 1988): O(M * N^2) state updates instead of
+the C(N + M - 1, M - 1) compositions of the fleet. It takes the
+per-(hotspot, group size) decisions as input and serves both the discrete
+and the continuous profits. The discrete planner builds one pricing table
+per reachable hotspot, sized for the whole fleet, and reads every group
+size's decision from it. A plan's total is the left-to-right float sum of
+its served hotspots' profits, and exact ties go to the lexicographically
+greatest profile; the planner reproduces enumeration bit for bit, profile,
+decisions and total alike. ``compositions`` stays as the enumerator of
+``route_oracle`` and as the reference the planner is tested against.
+
+Two verification tools accompany the planner:
 
 * ``route_oracle`` exhaustively enumerates every ordered hotspot subset and
   every grid-aligned energy partition for a single vehicle. Its optimum is
@@ -26,13 +36,15 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .allocation import AllocationDecision, Regime
-from .pricing import build_pricing, capacity_series_sum
+from .allocation import (AllocationDecision, Regime, _pooled_decision,
+                         _pooled_decisions)
+from .pricing import capacity_series_sum
 from .valuations import ValuationModel
 
 _FLOOR_EPS = 1e-9
@@ -151,25 +163,6 @@ class ForkingCheck(NamedTuple):
 # -- discrete per-hotspot allocation ----------------------------------------
 
 
-def _pooled_decision(model: ValuationModel, alpha: float, available: float,
-                     service_cost: float, group: int) -> AllocationDecision:
-    """Best (k, T) for a group of ``group`` vehicles sharing ``available`` energy
-    each, with hovering time floored to whole slots."""
-    k_max = math.floor(available / (1.0 + service_cost / group) + _FLOOR_EPS)
-    if k_max < 1:
-        return AllocationDecision(k_star=0, t_star=0, profit=0.0,
-                                  regime=Regime.NOT_APPLICABLE)
-    t_of = lambda k: math.floor(available - service_cost * k / group + _FLOOR_EPS)
-    _, table = build_pricing(model, alpha, k_max, t_of(1))
-    best_k, best_profit = 1, -math.inf
-    for k in range(1, k_max + 1):
-        profit = float(table.values[k, t_of(k)])
-        if profit > best_profit:
-            best_k, best_profit = k, profit
-    return AllocationDecision(k_star=best_k, t_star=t_of(best_k),
-                              profit=best_profit, regime=Regime.NOT_APPLICABLE)
-
-
 def hotspot_profit(hotspot: Hotspot, uav_count: int,
                    fleet: FleetConfig) -> AllocationDecision:
     """Best energy split for ``uav_count`` pooled vehicles at one hotspot.
@@ -195,7 +188,11 @@ def hotspot_profit(hotspot: Hotspot, uav_count: int,
 
 def compositions(total: int, caps: list[int]):
     """Yield tuples of nonnegative parts summing to ``total`` with per-slot caps,
-    in lexicographic order."""
+    in lexicographic order.
+
+    Enumerates the energy partitions of ``route_oracle``; scoring every fleet
+    composition this way is the reference the fleet planner is tested against.
+    """
     m = len(caps)
 
     def rec(pos, remaining, prefix):
@@ -209,36 +206,151 @@ def compositions(total: int, caps: list[int]):
     yield from rec(0, total, ())
 
 
-def optimal_deployment(hotspots: list[Hotspot], fleet: FleetConfig) -> DeploymentPlan:
-    """Exhaustive search over fleet compositions with memoized hotspot profits.
+# Doubles in numeric order map to consecutive integers: nonnegative doubles
+# to their bit patterns, negative ones to minus the pattern of their
+# magnitude (-0.0 shares 0.0's key). The keys run from -inf to +inf.
+_DOUBLE = struct.Struct("<d")
+_BITS = struct.Struct("<Q")
+_SIGN = 1 << 63
 
-    Unreachable hotspots are pinned to zero vehicles. Ties prefer loading the
-    lower-indexed (better-ranked) hotspots: two identical hotspots and one
-    vehicle give the profile (1, 0).
+
+def _double_key(x: float) -> int:
+    bits = _BITS.unpack(_DOUBLE.pack(x))[0]
+    return bits if bits < _SIGN else _SIGN - bits
+
+
+def _key_double(key: int) -> float:
+    return _DOUBLE.unpack(_BITS.pack(key if key >= 0 else _SIGN - key))[0]
+
+
+_KEY_INF = _double_key(math.inf)
+
+
+def _least_prefix(addend: float, goal: float) -> float:
+    """Least double s with fl(s + addend) >= goal.
+
+    Rounded addition is monotone in s, so the qualifying doubles form an
+    up-set of the ordered keys. Gallop out from the key of goal - addend to a
+    bracket, then bisect: stepping one ulp at a time would never end when the
+    addend alone reaches the goal, and goal - addend is not finite when both
+    are infinite.
     """
-    m = len(hotspots)
-    reachable = [h.distance < fleet.initial_budget for h in hotspots]
-    if not any(reachable):
+    reaches = lambda key: _key_double(key) + addend >= goal
+    lo, hi = -_KEY_INF - 1, _KEY_INF  # reaches(hi); lo is below the up-set
+    guess = goal - addend
+    if math.isfinite(guess):
+        start, step = _double_key(guess), 1
+        if reaches(start):
+            hi = start
+            while hi - step > lo and reaches(hi - step):
+                hi, step = hi - step, 2 * step
+            lo = max(lo, hi - step)
+        else:
+            lo = start
+            while lo + step < hi and not reaches(lo + step):
+                lo, step = lo + step, 2 * step
+            hi = min(hi, lo + step)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
+    return _key_double(hi)
+
+
+def _plan_fleet(options: list[list[AllocationDecision] | None],
+                count: int) -> DeploymentPlan:
+    """Exact best profile for a fleet whose profit is separable over hotspots.
+
+    ``options[i][n - 1]`` is hotspot i's decision with n vehicles; None pins
+    hotspot i to zero. A profile's total is the left-to-right float sum of
+    its served hotspots' profits, and the profile returned is the
+    lexicographically greatest one whose total is the maximum, exactly the
+    result of scoring every composition in order with a ``>=`` comparison.
+
+    Rounded addition is monotone, so the best total over profiles is reached
+    through the best prefix sum of each (hotspot, vehicles used) state: a
+    forward pass finds it in O(M * N^2). Picking the largest count per
+    hotspot on that pass alone would break the tie rule, since two prefix
+    sums an ulp apart can reach the same total once later profits absorb
+    the gap. So a backward pass records, per state, the least prefix sum
+    from which the best total is still reachable, and a final forward walk
+    takes at each hotspot the largest count that keeps its state viable.
+    """
+    m = len(options)
+    plus = lambda s, i, n: s + options[i][n - 1].profit if n else s
+    room = lambda i, u: range(count - u + 1) if options[i] is not None else range(1)
+
+    # best[i][u]: greatest prefix sum over hotspots < i holding u vehicles
+    best = [[None] * (count + 1) for _ in range(m + 1)]
+    best[0][0] = 0.0
+    for i in range(m):
+        for u, s in enumerate(best[i]):
+            if s is None:
+                continue
+            for n in room(i, u):
+                v, cur = plus(s, i, n), best[i + 1][u + n]
+                if cur is None or v > cur:
+                    best[i + 1][u + n] = v
+    total = best[m][count]
+
+    # need[i][u]: least prefix sum at (i, u) from which a completion sums to
+    # the best total; None where no reachable completion seats the fleet
+    need = [[None] * (count + 1) for _ in range(m + 1)]
+    need[m][count] = total
+    for i in reversed(range(m)):
+        for u in range(count + 1):
+            if best[i][u] is None:
+                continue
+            lows = [_least_prefix(options[i][n - 1].profit, need[i + 1][u + n])
+                    if n else need[i + 1][u + n]
+                    for n in room(i, u) if need[i + 1][u + n] is not None]
+            need[i][u] = min(lows, default=None)
+
+    counts, s, u = [], 0.0, 0
+    for i in range(m):
+        for n in reversed(room(i, u)):
+            goal = need[i + 1][u + n]
+            if goal is not None and plus(s, i, n) >= goal:
+                break
+        counts.append(n)
+        s, u = plus(s, i, n), u + n
+
+    per = tuple(options[i][n - 1] if n else None for i, n in enumerate(counts))
+    return DeploymentPlan(profile=DeploymentProfile(tuple(counts)),
+                          per_hotspot=per, total_profit=s)
+
+
+def _reachable_available(hotspots: list[Hotspot],
+                         fleet: FleetConfig) -> list[float | None]:
+    """Energy left after the flight to each hotspot; None where it is unreachable."""
+    avail = [fleet.initial_budget - h.distance
+             if h.distance < fleet.initial_budget else None for h in hotspots]
+    if all(a is None for a in avail):
         raise ValueError("no hotspot is reachable on the fleet budget")
+    return avail
 
-    memo: dict[tuple[int, int], AllocationDecision] = {}
-    for i, h in enumerate(hotspots):
-        if reachable[i]:
-            for n in range(1, fleet.count + 1):
-                memo[i, n] = hotspot_profit(h, n, fleet)
 
-    caps = [fleet.count if reachable[i] else 0 for i in range(m)]
-    best_counts, best_total = None, -math.inf
-    for counts in compositions(fleet.count, caps):
-        total = sum(memo[i, n].profit for i, n in enumerate(counts) if n > 0)
-        # >= so exact ties end on the lexicographically greatest profile,
-        # which front-loads the lower-indexed hotspots
-        if total >= best_total:
-            best_counts, best_total = counts, total
+def optimal_deployment(hotspots: list[Hotspot], fleet: FleetConfig) -> DeploymentPlan:
+    """Best fleet assignment under the discrete pooled profits.
 
-    per = tuple(memo[i, n] if n > 0 else None for i, n in enumerate(best_counts))
-    return DeploymentPlan(profile=DeploymentProfile(best_counts),
-                          per_hotspot=per, total_profit=best_total)
+    Each reachable hotspot builds one pricing table, sized for the whole
+    fleet pooled there, and reads the decision of every group size 1..N from
+    it; the tables of smaller groups are its top-left corners, bit for bit.
+    The assignment itself comes from the exact dynamic program of
+    ``_plan_fleet`` in O(M * N^2): the total is the left-to-right float sum
+    of the served hotspots' profits, and exact ties go to the
+    lexicographically greatest profile, which front-loads the lower-indexed
+    hotspots. Two identical hotspots and one vehicle give (1, 0).
+    Unreachable hotspots are pinned to zero vehicles.
+    """
+    avail = _reachable_available(hotspots, fleet)
+    groups = range(1, fleet.count + 1)
+    options = [None if a is None else
+               _pooled_decisions(fleet.valuation, h.alpha, a, fleet.service_cost, groups)
+               for h, a in zip(hotspots, avail)]
+    return _plan_fleet(options, fleet.count)
 
 
 def best_single_hotspot(hotspots: list[Hotspot], fleet: FleetConfig) -> BestHotspot:
@@ -388,39 +500,31 @@ def forking_condition(hotspot1: Hotspot, hotspot2: Hotspot, fleet: FleetConfig,
 
 def optimal_deployment_continuous(hotspots: list[Hotspot], fleet: FleetConfig,
                                   lam: float) -> DeploymentPlan:
-    """Composition search under the continuous closed-form profits.
+    """Best fleet assignment under the continuous closed-form profits.
 
-    Mirrors ``optimal_deployment`` with Poisson arrivals and exponential
-    valuations of rate lam; used to verify the forking condition.
+    Poisson arrivals and exponential valuations of rate lam give a group of
+    n vehicles the profit log(max_k S_k) / lam of ``pooled_series_max``; the
+    assignment comes from the same planner, with the same summation order
+    and tie rule, as ``optimal_deployment``. Used to verify the forking
+    condition.
     """
     if lam <= 0:
         raise ValueError("valuation rate must be positive")
-    m = len(hotspots)
-    reachable = [h.distance < fleet.initial_budget for h in hotspots]
-    if not any(reachable):
-        raise ValueError("no hotspot is reachable on the fleet budget")
-
-    memo: dict[tuple[int, int], AllocationDecision] = {}
-    for i, h in enumerate(hotspots):
-        if not reachable[i]:
+    avail = _reachable_available(hotspots, fleet)
+    cost = fleet.service_cost
+    options = []
+    for h, a in zip(hotspots, avail):
+        if a is None:
+            options.append(None)
             continue
-        avail = fleet.initial_budget - h.distance
+        row = []
         for n in range(1, fleet.count + 1):
-            k, val = pooled_series_max(h.alpha, avail, fleet.service_cost, n)
-            memo[i, n] = AllocationDecision(
-                k_star=k, t_star=avail - fleet.service_cost * k / n,
-                profit=math.log(val) / lam, regime=Regime.NOT_APPLICABLE)
-
-    caps = [fleet.count if reachable[i] else 0 for i in range(m)]
-    best_counts, best_total = None, -math.inf
-    for counts in compositions(fleet.count, caps):
-        total = sum(memo[i, n].profit for i, n in enumerate(counts) if n > 0)
-        if total >= best_total:  # same tie rule as the discrete planner
-            best_counts, best_total = counts, total
-
-    per = tuple(memo[i, n] if n > 0 else None for i, n in enumerate(best_counts))
-    return DeploymentPlan(profile=DeploymentProfile(best_counts),
-                          per_hotspot=per, total_profit=best_total)
+            k, val = pooled_series_max(h.alpha, a, cost, n)
+            row.append(AllocationDecision(k_star=k, t_star=a - cost * k / n,
+                                          profit=math.log(val) / lam,
+                                          regime=Regime.NOT_APPLICABLE))
+        options.append(row)
+    return _plan_fleet(options, fleet.count)
 
 
 # -- file ingestion ------------------------------------------------------------

@@ -5,15 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uavps.allocation import allocate_discrete
-from uavps.deployment import (FleetConfig, Hotspot, RouteInstance,
+import uavps.allocation
+from uavps.allocation import (AllocationDecision, _pooled_decisions,
+                              allocate_discrete)
+from uavps.deployment import (FleetConfig, Hotspot, RouteInstance, _plan_fleet,
                               best_single_hotspot, compositions,
                               fleet_from_dict, forking_condition,
                               hotspot_profit, load_hotspots,
                               optimal_deployment,
                               optimal_deployment_continuous,
                               pooled_series_max, route_oracle)
+from uavps.pricing import build_pricing
 from uavps.valuations import ValuationModel
 
 EXP1 = ValuationModel.exponential(1.0)
@@ -132,6 +137,158 @@ def test_memoized_plan_matches_direct_recomputation():
                     best_total, best_counts = total, counts
             assert plan.profile.counts == best_counts
             assert plan.total_profit == pytest.approx(best_total, abs=1e-12)
+
+
+# -- planner vs composition enumeration -------------------------------------------
+
+
+def _enumerated(options, count):
+    """Reference planner: score every composition in lexicographic order.
+
+    The total is an explicit left fold from the int 0, the order the old
+    ``sum()`` used; from Python 3.12 on, ``sum()`` of floats compensates its
+    rounding and would no longer be that fold.
+    """
+    caps = [count if opt is not None else 0 for opt in options]
+    best_counts, best_total = None, -math.inf
+    for counts in compositions(count, caps):
+        total = 0
+        for i, n in enumerate(counts):
+            if n > 0:
+                total = total + options[i][n - 1].profit
+        if total >= best_total:
+            best_counts, best_total = counts, total
+    return best_counts, best_total
+
+
+def _assert_matches_enumeration(plan, options, count):
+    counts, total = _enumerated(options, count)
+    assert plan.profile.counts == counts
+    # dataclass == compares k_star, t_star and profit exactly, field by field
+    assert plan.per_hotspot == tuple(options[i][n - 1] if n else None
+                                     for i, n in enumerate(counts))
+    assert plan.total_profit == total
+
+
+def _continuous_options(spots, fleet, lam):
+    options = []
+    for h in spots:
+        avail = fleet.initial_budget - h.distance
+        if avail <= 0:
+            options.append(None)
+            continue
+        row = []
+        for n in range(1, fleet.count + 1):
+            k, val = pooled_series_max(h.alpha, avail, fleet.service_cost, n)
+            row.append(AllocationDecision(
+                k_star=k, t_star=avail - fleet.service_cost * k / n,
+                profit=math.log(val) / lam))
+        options.append(row)
+    return options
+
+
+# Budget 20: distance 19.5 leaves too little energy for one user (k = 0,
+# zero profit), 20 and 25 are unreachable.
+_DISTANCES = (1.0, 4.0, 6.0, 9.5, 14.0, 19.5, 20.0, 25.0)
+
+
+@st.composite
+def _hotspot_sets(draw):
+    """Up to five hotspots drawn with repeats from up to three distinct ones."""
+    pool = draw(st.lists(st.builds(Hotspot,
+                                   st.sampled_from((0.15, 0.3, 0.55, 0.8, 0.95)),
+                                   st.sampled_from(_DISTANCES)),
+                         min_size=1, max_size=3))
+    spots = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    if all(h.distance >= 20.0 for h in spots):
+        spots[0] = Hotspot(0.5, 4.0)
+    return spots
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hotspot_sets(), st.integers(1, 6), st.sampled_from((1.0, 2.0, 3.0)),
+       st.sampled_from((EXP1, ValuationModel.uniform(5.0, 15.0))))
+def test_discrete_plan_matches_enumeration(spots, count, cost, model):
+    fleet = _fleet(count=count, budget=20.0, cost=cost, model=model)
+    options = [[hotspot_profit(h, n, fleet) for n in range(1, count + 1)]
+               if h.distance < 20.0 else None for h in spots]
+    _assert_matches_enumeration(optimal_deployment(spots, fleet), options, count)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hotspot_sets(), st.integers(1, 6), st.sampled_from((1.0, 2.0, 3.0)),
+       st.sampled_from((0.5, 1.0, 2.0)))
+def test_continuous_plan_matches_enumeration(spots, count, cost, lam):
+    fleet = _fleet(count=count, budget=20.0, cost=cost)
+    _assert_matches_enumeration(optimal_deployment_continuous(spots, fleet, lam),
+                                _continuous_options(spots, fleet, lam), count)
+
+
+def test_continuous_tie_rule_with_prefixes_an_ulp_apart():
+    # The prefixes of (2, 2, 1, 1, 0) and (2, 1, 2, 1, 0) differ by an ulp and
+    # reach the same total: the greater profile must win, as under enumeration.
+    spots = [Hotspot(0.3, 6.0)] * 4 + [Hotspot(0.3, 14.0)]
+    fleet = FleetConfig(6, 15.0, 3.0, ValuationModel.exponential(math.e))
+    plan = optimal_deployment_continuous(spots, fleet, lam=1.0)
+    assert plan.profile.counts == (2, 2, 1, 1, 0)
+    _assert_matches_enumeration(plan, _continuous_options(spots, fleet, 1.0), 6)
+
+
+# Profits an ulp apart, ones a larger sum absorbs, and the infinite totals of
+# the overflowing capacity series.
+_PROFITS = (0.0, 0.1, 0.2, 0.3, math.nextafter(0.3, 1.0), 1.0,
+            math.nextafter(1.0, 0.0), 1e-17, 1e16, 1e16 + 2.0, math.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda count: st.tuples(
+    st.just(count),
+    st.lists(st.one_of(st.none(), st.lists(st.sampled_from(_PROFITS),
+                                           min_size=count, max_size=count)),
+             min_size=1, max_size=5))))
+def test_planner_exact_ties_and_infinite_totals(case):
+    count, rows = case
+    if all(r is None for r in rows):
+        rows[0] = [0.0] * count
+    options = [None if r is None else
+               [AllocationDecision(k_star=n, t_star=float(n), profit=p)
+                for n, p in enumerate(r, start=1)] for r in rows]
+    _assert_matches_enumeration(_plan_fleet(options, count), options, count)
+
+
+def _own_table_decision(model, alpha, avail, cost, n):
+    """Group n's best split read from a table built at its own size."""
+    k_max = math.floor(avail / (1.0 + cost / n) + 1e-9)
+    hover = lambda k: math.floor(avail - cost * k / n + 1e-9)
+    _, table = build_pricing(model, alpha, k_max, hover(1))
+    profits = [float(table.values[k, hover(k)]) for k in range(1, k_max + 1)]
+    k = 1 + profits.index(max(profits))
+    return AllocationDecision(k_star=k, t_star=hover(k), profit=profits[k - 1])
+
+
+def test_one_pricing_table_per_reachable_hotspot(monkeypatch):
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return build_pricing(*args, **kwargs)
+
+    monkeypatch.setattr(uavps.allocation, "build_pricing", counting)
+    model = ValuationModel.uniform(5.0, 15.0)
+    spots = [Hotspot(0.8, 5.0), Hotspot(0.4, 25.0), Hotspot(0.6, 9.5),
+             Hotspot(0.8, 5.0)]
+    fleet = _fleet(count=5, budget=20.0, cost=3.0, model=model)
+    plan = optimal_deployment(spots, fleet)
+    assert len(built) == 3
+
+    for h, n, dec in zip(spots, plan.profile.counts, plan.per_hotspot):
+        if n:
+            assert dec == _own_table_decision(model, h.alpha, 20.0 - h.distance,
+                                              3.0, n)
+    for h in (spots[0], spots[2]):
+        avail = 20.0 - h.distance
+        assert _pooled_decisions(model, h.alpha, avail, 3.0, range(1, 6)) == [
+            _own_table_decision(model, h.alpha, avail, 3.0, n) for n in range(1, 6)]
 
 
 def test_plan_serialization():
