@@ -11,8 +11,7 @@ expected-profit number is cross-checkable against the Monte-Carlo harness in
 from .allocation import (AllocationDecision, Regime, allocate_continuous,
                          allocate_discrete, capacity_argmax,
                          high_regime_threshold, low_regime_threshold)
-from .benchmark import (BenchmarkTable, complete_info_profit,
-                        profit_ratio_curve, variance_sweep)
+from .benchmark import complete_info_profit, profit_ratio_curve, variance_sweep
 from .deployment import (BestHotspot, DeploymentPlan, DeploymentProfile,
                          FleetConfig, ForkingCheck, Hotspot, RouteInstance,
                          RouteResult, best_single_hotspot, compositions,
@@ -20,10 +19,10 @@ from .deployment import (BestHotspot, DeploymentPlan, DeploymentProfile,
                          optimal_deployment, optimal_deployment_continuous,
                          pooled_series_max, route_oracle)
 from .pricing import (PriceSchedule, ProfitTable, build_pricing,
-                      capacity_series_sum, continuous_profit_numeric,
-                      evaluate_schedule, expected_profit_closed_form,
-                      log_capacity_series, price_closed_form,
-                      profit_step, schedule_csv_rows, solve_stage_price)
+                      continuous_profit_numeric, evaluate_schedule,
+                      expected_profit_closed_form, log_capacity_series,
+                      price_closed_form, profit_step, schedule_csv_rows,
+                      solve_stage_price)
 from .simulator import (RegretReport, SimulationReport, simulate_continuous,
                         simulate_discrete, simulate_policy_regret)
 from .valuations import ValuationModel, check_regularity
@@ -31,13 +30,13 @@ from .valuations import ValuationModel, check_regularity
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocationDecision", "BenchmarkTable", "BestHotspot", "DeploymentPlan",
-    "DeploymentProfile", "FleetConfig", "ForkingCheck", "Hotspot",
-    "PriceSchedule", "ProfitTable", "Regime", "RegretReport", "RouteInstance",
-    "RouteResult", "SimulationReport", "ValuationModel",
+    "AllocationDecision", "BestHotspot", "DeploymentPlan", "DeploymentProfile",
+    "FleetConfig", "ForkingCheck", "Hotspot", "PriceSchedule", "ProfitTable",
+    "Regime", "RegretReport", "RouteInstance", "RouteResult",
+    "SimulationReport", "ValuationModel",
     "allocate_continuous", "allocate_discrete", "best_single_hotspot",
-    "build_pricing", "capacity_argmax", "capacity_series_sum",
-    "check_regularity", "complete_info_profit", "compositions",
+    "build_pricing", "capacity_argmax", "check_regularity",
+    "complete_info_profit", "compositions",
     "continuous_profit_numeric", "evaluate_schedule",
     "expected_profit_closed_form", "forking_condition", "high_regime_threshold",
     "hotspot_profit", "load_hotspots", "log_capacity_series",

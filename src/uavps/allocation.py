@@ -15,7 +15,9 @@ exponential valuations admits a threshold policy in the arrival rate a':
 * in between, k* is the argmax of the capacity series S_k(a' (B - ck) / e).
 
 The argmax is evaluated over every feasible k regardless of regime, so the
-regime label is a classification layer on top of an exhaustive search.
+regime label is a classification layer on top of an exhaustive search. That
+search, ``_best_series_capacity``, also serves ``capacity_argmax`` and the
+continuous fleet planner, and scores every k with one log-space series call.
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
 from scipy.optimize import bisect
+from scipy.special import gammaln, logsumexp
 
-from .pricing import build_pricing, capacity_series_sum, expected_profit_closed_form
+from .pricing import _log_series, build_pricing
 from .valuations import ValuationModel
 
 # Absorbs float noise in floor(B / c) when B is an exact multiple of c.
@@ -71,10 +75,10 @@ def allocate_discrete(model: ValuationModel, alpha: float, budget: int,
 
     # A group of one reads every R[k][B - ck] from one table at
     # (B // (1 + c), B - c).
-    return _pooled_decision(model, alpha, budget, service_cost, 1)
+    return _pooled_decisions(model, alpha, budget, service_cost, (1,))[0]
 
 
-# -- pooled search: the one "best capacity for a budget" loop ------------------
+# -- "best capacity for a budget": one discrete and one continuous search -----
 
 # Absorbs float noise in the pooled floors when a group's share c * k / n or
 # the bound avail / (1 + c / n) lands on a whole number.
@@ -116,11 +120,15 @@ def _pooled_decisions(model: ValuationModel, alpha: float, available: float,
     return decisions
 
 
-def _pooled_decision(model: ValuationModel, alpha: float, available: float,
-                     service_cost: float, group: int) -> AllocationDecision:
-    """Best (k, T) for one group of ``group`` vehicles sharing ``available``
-    energy each, with hovering time floored to whole slots."""
-    return _pooled_decisions(model, alpha, available, service_cost, (group,))[0]
+def _best_series_capacity(arrival_rate: float, available: float, service_cost: float,
+                          group: int, k_top: int) -> tuple[int, float]:
+    """(k, log S_k(x_k)) maximizing log S_k(a' max(avail - c k / group, 0) / e)
+    over k in 1..max(k_top, 1), ties to the smallest k."""
+    k = np.arange(1, max(k_top, 1) + 1)
+    hover = np.maximum(available - service_cost * k / group, 0.0)
+    logs = _log_series(arrival_rate * hover / math.e, k)
+    best = int(np.argmax(logs))
+    return best + 1, float(logs[best])
 
 
 def low_regime_threshold(budget: float, service_cost: float) -> float:
@@ -136,16 +144,18 @@ def _saturation_gap(arrival_rate: float, budget: float, service_cost: float,
 
     Positive once the profit at k_top (capacity floor(B/c)) overtakes the
     profit at k_top - 1. Increasing in the arrival rate, so a sign change
-    brackets a unique root.
+    brackets a unique root. Taken as log(lead) - log(tail) to never overflow.
     """
     t_top = budget - service_cost * k_top
     t_next = budget - service_cost * (k_top - 1)
-    lead = (arrival_rate / (math.e * math.factorial(k_top))) * t_top ** k_top
-    tail = 0.0
-    for i in range(1, k_top):
-        tail += ((math.e / arrival_rate) ** (k_top - i - 1) / math.factorial(i)
-                 * (t_next ** i - t_top ** i))
-    return lead - tail
+    log_a = math.log(arrival_rate)
+    log_lead = log_a - 1.0 - math.lgamma(k_top + 1) + k_top * math.log(t_top)
+    i = np.arange(1, k_top)
+    # t_next^i - t_top^i = t_next^i * (1 - (t_top / t_next)^i)
+    log_tail = logsumexp((k_top - i - 1) * (1.0 - log_a) - gammaln(i + 1)
+                         + i * math.log(t_next)
+                         + np.log(-np.expm1(i * math.log(t_top / t_next))))
+    return log_lead - float(log_tail)
 
 
 def high_regime_threshold(budget: float, service_cost: float) -> float:
@@ -190,12 +200,8 @@ def allocate_continuous(lam: float, arrival_rate: float, budget: float,
         raise ValueError(f"budget {budget} cannot cover a single user")
 
     k_top = math.floor(budget / service_cost + _FLOOR_EPS)
-    best_k, best_profit = 1, -math.inf
-    for k in range(1, k_top + 1):
-        t = max(budget - service_cost * k, 0.0)
-        profit = expected_profit_closed_form(lam, arrival_rate, k, t)
-        if profit > best_profit:
-            best_k, best_profit = k, profit
+    best_k, log_series = _best_series_capacity(arrival_rate, budget,
+                                               service_cost, 1, k_top)
 
     if budget <= 2 * service_cost:
         regime = Regime.NOT_APPLICABLE
@@ -208,7 +214,7 @@ def allocate_continuous(lam: float, arrival_rate: float, budget: float,
 
     return AllocationDecision(k_star=best_k,
                               t_star=budget - service_cost * best_k,
-                              profit=best_profit, regime=regime)
+                              profit=log_series / lam, regime=regime)
 
 
 def capacity_argmax(arrival_rate: float, budget: float,
@@ -220,10 +226,4 @@ def capacity_argmax(arrival_rate: float, budget: float,
     labels classify.
     """
     k_top = math.floor(budget / service_cost + _FLOOR_EPS)
-    best_k, best_val = 1, -math.inf
-    for k in range(1, k_top + 1):
-        t = max(budget - service_cost * k, 0.0)
-        val = capacity_series_sum(arrival_rate * t / math.e, k)
-        if val > best_val:
-            best_k, best_val = k, val
-    return best_k
+    return _best_series_capacity(arrival_rate, budget, service_cost, 1, k_top)[0]

@@ -15,11 +15,9 @@ horizon grows, and profits as a function of valuation variance at fixed mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .pricing import build_pricing
+from .pricing import ProfitTable, build_pricing
 from .valuations import ValuationModel
 
 # Half-width standing in for a point mass when a zero-variance sweep entry is
@@ -27,21 +25,8 @@ from .valuations import ValuationModel
 DEGENERATE_HALF_WIDTH = 5e-7
 
 
-@dataclass(frozen=True)
-class BenchmarkTable:
-    """Expected-profit table of the observing, threshold-accepting seller."""
-
-    alpha: float
-    capacity: int
-    horizon: int
-    values: np.ndarray
-
-    def final(self) -> float:
-        return float(self.values[self.capacity, self.horizon])
-
-
 def complete_info_profit(model: ValuationModel, alpha: float, capacity: int,
-                         horizon: int) -> BenchmarkTable:
+                         horizon: int) -> ProfitTable:
     """Fill the benchmark table for a seller who observes each valuation.
 
     E[(v - theta)^+] is evaluated in closed form per family, so the fill is
@@ -60,7 +45,7 @@ def complete_info_profit(model: ValuationModel, alpha: float, capacity: int,
         for t in range(1, T + 1):
             theta = values[j, t - 1] - values[j - 1, t - 1]
             values[j, t] = values[j, t - 1] + alpha * model.expected_excess(theta)
-    return BenchmarkTable(alpha=alpha, capacity=k, horizon=T, values=values)
+    return ProfitTable(alpha=alpha, capacity=k, horizon=T, values=values)
 
 
 def profit_ratio_curve(model: ValuationModel, alpha: float, capacity: int,

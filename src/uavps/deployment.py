@@ -42,9 +42,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .allocation import (AllocationDecision, Regime, _pooled_decision,
+from .allocation import (AllocationDecision, Regime, _best_series_capacity,
                          _pooled_decisions)
-from .pricing import capacity_series_sum
+from .pricing import _log_series
 from .valuations import ValuationModel
 
 _FLOOR_EPS = 1e-9
@@ -179,8 +179,8 @@ def hotspot_profit(hotspot: Hotspot, uav_count: int,
             f"hotspot at distance {hotspot.distance} unreachable on budget "
             f"{fleet.initial_budget}"
         )
-    return _pooled_decision(fleet.valuation, hotspot.alpha, available,
-                            fleet.service_cost, uav_count)
+    return _pooled_decisions(fleet.valuation, hotspot.alpha, available,
+                             fleet.service_cost, (uav_count,))[0]
 
 
 # -- fleet-wide planning ------------------------------------------------------
@@ -399,8 +399,8 @@ def route_oracle(instance: RouteInstance, fleet: FleetConfig,
             if budget <= 0:
                 cache[key] = 0.0
             else:
-                cache[key] = _pooled_decision(model, instance.hotspots[idx].alpha,
-                                              budget, cost, 1).profit
+                cache[key] = _pooled_decisions(model, instance.hotspots[idx].alpha,
+                                               budget, cost, (1,))[0].profit
         return cache[key]
 
     best = RouteResult(route=(), budgets=(), profit=0.0)
@@ -440,17 +440,11 @@ def pooled_series_max(arrival_rate: float, available: float, service_cost: float
                       group: int) -> tuple[int, float]:
     """Max over k of the capacity series S_k(a' (avail - c k / group) / e).
 
-    Returns (best k, series value); the log of the value over lam is the
+    Returns (best k, log of the series value); that log over lam is the
     pooled group's expected profit. Ties go to the smallest k.
     """
     k_top = math.floor(group * available / service_cost + _FLOOR_EPS)
-    best_k, best_val = 1, -math.inf
-    for k in range(1, max(k_top, 1) + 1):
-        t = max(available - service_cost * k / group, 0.0)
-        val = capacity_series_sum(arrival_rate * t / math.e, k)
-        if val > best_val:
-            best_k, best_val = k, val
-    return best_k, best_val
+    return _best_series_capacity(arrival_rate, available, service_cost, group, k_top)
 
 
 def forking_condition(hotspot1: Hotspot, hotspot2: Hotspot, fleet: FleetConfig,
@@ -487,13 +481,17 @@ def forking_condition(hotspot1: Hotspot, hotspot2: Hotspot, fleet: FleetConfig,
     _, pooled_n = pooled_series_max(a1, avail1, cost, n)
     _, pooled_n1 = pooled_series_max(a1, avail1, cost, n - 1)
 
-    x2 = a1 * max(avail2 - cost * k2_star, 0.0) / math.e
-    tail2 = capacity_series_sum(x2, k2_star) - 1.0
-    denominator = pooled_n1 * tail2
-    if denominator <= 0.0:
+    log_s2 = float(_log_series(a1 * max(avail2 - cost * k2_star, 0.0) / math.e, k2_star))
+    if log_s2 <= 0.0:
         return ForkingCheck(holds=False, phi=math.inf, k2_star=k2_star)
 
-    phi = (pooled_n - pooled_n1) / denominator
+    # phi = (S_n - S_{n-1}) / (S_{n-1} (S_k2* - 1)) = expm1(gain) / expm1(log_s2),
+    # rearranged so that it overflows only when phi itself does.
+    gain = pooled_n - pooled_n1
+    try:
+        phi = math.exp(gain - log_s2) * math.expm1(-gain) / math.expm1(-log_s2)
+    except OverflowError:
+        phi = math.inf
     holds = a2 / a1 > max(phi ** (1.0 / k2_star), phi)
     return ForkingCheck(holds=holds, phi=phi, k2_star=k2_star)
 
@@ -503,7 +501,7 @@ def optimal_deployment_continuous(hotspots: list[Hotspot], fleet: FleetConfig,
     """Best fleet assignment under the continuous closed-form profits.
 
     Poisson arrivals and exponential valuations of rate lam give a group of
-    n vehicles the profit log(max_k S_k) / lam of ``pooled_series_max``; the
+    n vehicles the profit max_k log S_k / lam of ``pooled_series_max``; the
     assignment comes from the same planner, with the same summation order
     and tie rule, as ``optimal_deployment``. Used to verify the forking
     condition.
@@ -519,9 +517,9 @@ def optimal_deployment_continuous(hotspots: list[Hotspot], fleet: FleetConfig,
             continue
         row = []
         for n in range(1, fleet.count + 1):
-            k, val = pooled_series_max(h.alpha, a, cost, n)
+            k, log_series = pooled_series_max(h.alpha, a, cost, n)
             row.append(AllocationDecision(k_star=k, t_star=a - cost * k / n,
-                                          profit=math.log(val) / lam,
+                                          profit=log_series / lam,
                                           regime=Regime.NOT_APPLICABLE))
         options.append(row)
     return _plan_fleet(options, fleet.count)

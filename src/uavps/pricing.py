@@ -16,14 +16,16 @@ is defined.
 
 Continuous relaxation: buyers arrive as a Poisson stream with rate a'. For
 exponential valuations the expected profit and price have closed forms built
-from the truncated series S_k(x) = sum_{i<=k} x^i / i! at x = a' * t / e:
+from the truncated series S_k(x) = sum_{i<=k} x^i / i! at x = a' * t / e
+(Gallego & van Ryzin, Management Science 40(8), 1994):
 
     R_k(t) = log(S_k(x)) / lam
     p_k(t) = 1/lam + (log S_k(x) - log S_{k-1}(x)) / lam
 
-For any regular valuation family the profit solves an ODE system integrated
-here with fixed-step RK4, which serves as the general-distribution oracle for
-the closed forms.
+S_k overflows a double at large budgets, so every caller gets log S_k from
+one overflow-free kernel, ``_log_series``. For any regular valuation family
+the profit solves an ODE system integrated here with fixed-step RK4, which
+serves as the general-distribution oracle for the closed forms.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .valuations import ValuationModel
 
@@ -102,7 +103,8 @@ def build_pricing(model: ValuationModel, alpha: float, capacity: int,
     """Fill the optimal price schedule and profit table for (alpha, k, T).
 
     Runs in O(capacity * horizon) stage-price solves. Cells with t < j copy
-    R[t][t] and leave the price undefined.
+    R[t][t] and leave the price undefined. An option value in
+    [-1e-12 * R[j][t-1], 0) counts as zero; a lower one raises.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"occurrence probability must lie in [0, 1], got {alpha}")
@@ -121,7 +123,10 @@ def build_pricing(model: ValuationModel, alpha: float, capacity: int,
             else:
                 r_same = values[j, t - 1]
                 r_less = values[j - 1, t - 1]
-                p = solve_stage_price(model, r_same - r_less)
+                delta = r_same - r_less
+                if delta < 0.0 and delta >= -1e-12 * r_same:
+                    delta = 0.0  # round-off once the marginal unit is worth ~0
+                p = solve_stage_price(model, delta)
                 prices[j, t] = p
                 values[j, t] = profit_step(model, alpha, p, r_same, r_less)
     return (PriceSchedule(capacity=k, horizon=T, prices=prices),
@@ -153,25 +158,46 @@ def evaluate_schedule(model: ValuationModel, alpha: float, prices: np.ndarray,
 # -- continuous-time closed forms (exponential valuations) ------------------
 
 
-def capacity_series_sum(x: float, k: int) -> float:
-    """S_k(x) = sum_{i=0}^{k} x^i / i!, accumulated by term ratios."""
-    if x < 0:
-        raise ValueError(f"series argument must be nonnegative, got {x}")
-    total, term = 1.0, 1.0
-    for i in range(1, k + 1):
-        term *= x / i
-        total += term
-    return total
+# Every _SERIES_STRIDE terms, a partial sum past _SERIES_BOUND moves into its
+# log offset. A sum grows at most (1 + x)-fold per term, so for x <= 1e12 it
+# stays under 1e300 between checks.
+_SERIES_BOUND, _SERIES_STRIDE = 1e100, 16
+
+
+def _log_series(x, k) -> np.ndarray:
+    """log S_k(x) elementwise over broadcast arrays x in [0, 1e12], k >= 0.
+
+    Sums the terms x^i / i! by their ratios x / i in linear space, over the
+    entries sorted by decreasing k, so those still running are a prefix. The
+    i = 0 term enters through log1p unless the sum has moved to its offset.
+    Each entry's arithmetic is its own, so a vector call equals scalar calls.
+    """
+    x, k = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(k, dtype=np.int64))
+    order = np.argsort(-k, axis=None)
+    xs, ks = x.ravel()[order], k.ravel()[order]
+    running = np.searchsorted(-ks, -np.arange(1, ks.max(initial=0) + 1), side="right")
+    tail, offset, term = np.zeros(xs.size), np.zeros(xs.size), np.ones(xs.size)
+    for i, m in enumerate(running, start=1):
+        t, s = term[:m], tail[:m]
+        t *= xs[:m] / i
+        s += t
+        if i % _SERIES_STRIDE == 0:
+            scale = np.where(s > _SERIES_BOUND, s, 1.0)
+            offset[:m] += np.log(scale)
+            t /= scale
+            s /= scale
+    # A moved sum restarts at exactly 1 and only grows.
+    logs = np.where(offset > 0.0, offset + np.log(np.maximum(tail, 1.0)), np.log1p(tail))
+    out = np.empty_like(logs)
+    out[order] = logs
+    return out.reshape(x.shape)
 
 
 def log_capacity_series(x: float, k: int) -> float:
-    """log S_k(x), evaluated in log space so factorials never overflow."""
+    """log S_k(x) for one argument and one series length."""
     if x < 0:
         raise ValueError(f"series argument must be nonnegative, got {x}")
-    if x == 0.0 or k == 0:
-        return 0.0
-    i = np.arange(k + 1)
-    return float(logsumexp(i * math.log(x) - gammaln(i + 1)))
+    return float(_log_series(x, int(k)))
 
 
 def expected_profit_closed_form(lam: float, arrival_rate: float, capacity: int,

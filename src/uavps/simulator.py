@@ -2,7 +2,9 @@
 
 Trials replay the arrival-and-purchase process under a given price policy and
 report the realized mean profit with its standard error; the dynamic-program
-and closed-form values must sit within a few standard errors of it.
+and closed-form values must sit within a few standard errors of it. The
+continuous replay makes every draw up front, then quotes closed-form prices
+(from the one log-space series kernel) only to trials that can still sell.
 
 Randomness comes from numpy's PCG64 bit generator, recorded in each report.
 Trials run in fixed-size blocks of ``CHUNK_TRIALS``; block i derives its own
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pricing import PriceSchedule, build_pricing
+from .pricing import PriceSchedule, _log_series, build_pricing
 from .valuations import ValuationModel
 
 GENERATOR_ID = "numpy-pcg64"
@@ -153,19 +155,6 @@ def simulate_policy_regret(model: ValuationModel, alpha: float, capacity: int,
 # -- continuous-time simulation -------------------------------------------------
 
 
-def _log_series_levels(x: np.ndarray, capacity: int) -> np.ndarray:
-    """log S_k(x) for k = 0..capacity, stacked; matches the closed-form price."""
-    levels = np.empty((capacity + 1, x.size))
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    levels[0] = 0.0
-    for i in range(1, capacity + 1):
-        term = term * x / i
-        total = total + term
-        levels[i] = np.log(total)
-    return levels
-
-
 def simulate_continuous(lam: float, arrival_rate: float, capacity: int,
                         horizon: float, trials: int, seed: int) -> SimulationReport:
     """Estimate realized profit under the continuous closed-form prices.
@@ -194,27 +183,29 @@ def simulate_continuous(lam: float, arrival_rate: float, capacity: int,
         top = int(counts.max()) if size else 0
         gain = np.zeros(size)
         j = np.full(size, capacity, dtype=np.int64)
-        if top > 0:
-            cols = np.arange(top)
-            live = cols[None, :] < counts[:, None]
-            # Arrival instants of a Poisson stream on [0, T] are uniform, so
-            # remaining times are too; sorting descending plays them in order.
-            # Valuations are i.i.d. and independent of the times, so pairing
-            # column r of the draws with the r-th sorted time is sound.
-            t_rem = np.where(live, rng.random((size, top)) * horizon, -np.inf)
-            t_rem = -np.sort(-t_rem, axis=1)
-            v = -np.log1p(-rng.random((size, top))) / lam
-            rows = np.arange(size)
-            for r in range(top):
-                t = t_rem[:, r]
-                open_slot = (t > 0.0) & (j > 0)
-                x = np.where(open_slot, arrival_rate * np.maximum(t, 0.0) / math.e, 0.0)
-                levels = _log_series_levels(x, capacity)
-                jj = np.maximum(j, 1)
-                price = (1.0 + levels[jj, rows] - levels[jj - 1, rows]) / lam
-                sale = open_slot & (v[:, r] >= price)
-                gain = np.where(sale, gain + price, gain)
-                j = j - sale
+        live = np.arange(top) < counts[:, None]
+        # Arrival instants of a Poisson stream on [0, T] are uniform, so
+        # remaining times are too; sorting descending plays them in order.
+        # Valuations are i.i.d. and independent of the times, so pairing
+        # column r of the draws with the r-th sorted time is sound.
+        t_rem = np.where(live, rng.random((size, top)) * horizon, -np.inf)
+        t_rem = -np.sort(-t_rem, axis=1)
+        v = -np.log1p(-rng.random((size, top))) / lam
+        for r in range(top):
+            t = t_rem[:, r]
+            # Times fall along a row and capacity never grows, so once no row
+            # can sell in this column none can in a later one.
+            rows = np.flatnonzero((t > 0.0) & (j > 0))
+            if rows.size == 0:
+                break
+            left = j[rows]
+            logs = _log_series(arrival_rate * t[rows] / math.e,
+                               np.stack((left, left - 1)))
+            price = (1.0 + logs[0] - logs[1]) / lam
+            sale = v[rows, r] >= price
+            sold = rows[sale]
+            gain[sold] += price[sale]
+            j[sold] -= 1
         profits[pos:pos + size] = gain
         served[pos:pos + size] = capacity - j
         pos += size

@@ -3,10 +3,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavps.allocation import (Regime, allocate_continuous, allocate_discrete,
                               capacity_argmax, high_regime_threshold,
                               low_regime_threshold)
+from uavps.deployment import pooled_series_max
 from uavps.pricing import build_pricing, expected_profit_closed_form
 from uavps.valuations import ValuationModel
 
@@ -94,6 +97,40 @@ def test_high_threshold_root_and_flip():
     above_next = expected_profit_closed_form(1.0, root * 1.001, 4, t_next)
     assert below < below_next
     assert above >= above_next
+
+
+def test_high_threshold_does_not_overflow():
+    # The gap's factorials and powers overflowed a float at k_top = 40.
+    assert high_regime_threshold(40.3, 1.0) == math.inf
+
+
+@pytest.mark.parametrize("budget, cost, root", [
+    (15.5, 3.0, 65241.862685838576), (9.0, 2.5, 34.184131528059645),
+    (20.5, 2.0, 106182839.34433931)])
+def test_high_threshold_roots_unchanged(budget, cost, root):
+    # Roots of the linear-space gap, which is exact at these small k_top.
+    assert high_regime_threshold(budget, cost) == pytest.approx(root, rel=1e-12)
+
+
+def test_argmax_matches_split_at_large_budget():
+    # The linear-space series overflowed here and capacity_argmax said 154.
+    decision = allocate_continuous(1.0, 50.0, 400.0, 0.5)
+    assert capacity_argmax(50.0, 400.0, 0.5) == decision.k_star == 503
+    assert math.isfinite(decision.profit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.05, 200.0), st.integers(5, 800), st.integers(2, 32))
+def test_continuous_searches_agree_at_large_sizes(rate, quarter_budget, eighth_cost):
+    # Quarter and eighth steps keep B / c off the floors' epsilons.
+    budget, cost = quarter_budget / 4.0, eighth_cost / 8.0
+    if budget <= cost:
+        return
+    decision = allocate_continuous(1.0, rate, budget, cost)
+    k_pooled, log_series = pooled_series_max(rate, budget, cost, 1)
+    assert math.isfinite(decision.profit) and math.isfinite(decision.t_star)
+    assert capacity_argmax(rate, budget, cost) == decision.k_star == k_pooled
+    assert decision.profit == log_series
 
 
 def test_continuous_low_regime_example():

@@ -7,11 +7,17 @@ import pytest
 
 from uavps.benchmark import (complete_info_profit, profit_ratio_curve,
                              variance_sweep)
-from uavps.pricing import build_pricing
+from uavps.pricing import ProfitTable, build_pricing
 from uavps.valuations import ValuationModel
 
 EXP1 = ValuationModel.exponential(1.0)
 UNI = ValuationModel.uniform(5.0, 15.0)
+
+
+def test_benchmark_table_is_a_profit_table():
+    table = complete_info_profit(EXP1, 0.5, 2, 5)
+    assert isinstance(table, ProfitTable)
+    assert table.final() == table.values[2, 5]
 
 
 def test_trivial_cases():

@@ -179,10 +179,10 @@ def _continuous_options(spots, fleet, lam):
             continue
         row = []
         for n in range(1, fleet.count + 1):
-            k, val = pooled_series_max(h.alpha, avail, fleet.service_cost, n)
+            k, log_val = pooled_series_max(h.alpha, avail, fleet.service_cost, n)
             row.append(AllocationDecision(
                 k_star=k, t_star=avail - fleet.service_cost * k / n,
-                profit=math.log(val) / lam))
+                profit=log_val / lam))
         options.append(row)
     return options
 
@@ -355,8 +355,8 @@ def test_continuous_single_vehicle_dominance():
     import warnings
 
     def best_single(rate, avail):
-        _, val = pooled_series_max(rate, avail, 2.0, 1)
-        return math.log(val)
+        _, log_val = pooled_series_max(rate, avail, 2.0, 1)
+        return log_val
 
     rng = np.random.default_rng(313)
     for _ in range(12):
@@ -439,13 +439,58 @@ def test_forking_validation():
                           _fleet(count=2), 1.0)
 
 
+def test_forking_phi_matches_linear_series_formula():
+    fleet = _fleet(count=3)
+    check = forking_condition(Hotspot(0.9, 4.0), Hotspot(0.7, 6.0), fleet, 1.0)
+
+    def series(x, k):
+        return sum(x**i / math.factorial(i) for i in range(k + 1))
+
+    def pooled(avail, n):
+        k_top = math.floor(n * avail / 2.0 + 1e-9)
+        return max(series(0.9 * max(avail - 2.0 * k / n, 0.0) / math.e, k)
+                   for k in range(1, k_top + 1))
+
+    x2 = 0.9 * max(14.0 - 2.0 * check.k2_star, 0.0) / math.e
+    s_n, s_n1 = pooled(16.0, 3), pooled(16.0, 2)
+    phi = (s_n - s_n1) / (s_n1 * (series(x2, check.k2_star) - 1.0))
+    assert check.phi == pytest.approx(phi, rel=1e-9)
+
+
+def test_pooled_series_ties_go_to_smallest_capacity():
+    # No arrivals: every capacity earns log S_k(0) = 0.
+    assert pooled_series_max(0.0, 15.0, 2.0, 2) == (1, 0.0)
+
+
+def test_pooled_series_max_finite_at_large_group():
+    # The linear-space series returned (182, inf) here.
+    k, log_val = pooled_series_max(50.0, 199.0, 0.5, 6)
+    assert k == 1012 and math.isfinite(log_val)
+
+
+@pytest.mark.parametrize("budget", [200.0, 600.0])
+def test_continuous_plan_and_forking_finite_on_busy_fleet(budget):
+    # Rates high enough for the linear-space series to overflow: the plan
+    # total came out inf and phi inf or NaN. At budget 600 the logs of the
+    # series in phi also pass the range of exp.
+    fleet = FleetConfig(count=6, initial_budget=budget, service_cost=2.0,
+                        valuation=EXP1)
+    spots = [Hotspot(80.0, 0.0), Hotspot(65.0, budget * 0.4 / 3),
+             Hotspot(50.0, budget * 0.8 / 3)]
+    plan = optimal_deployment_continuous(spots, fleet, 1.0)
+    assert math.isfinite(plan.total_profit)
+    assert all(math.isfinite(d.profit) for d in plan.per_hotspot if d is not None)
+    check = forking_condition(spots[0], spots[1], fleet, 1.0)
+    assert math.isfinite(check.phi) and check.phi > 0.0 and check.holds
+
+
 def test_pooled_series_is_exhaustive():
-    k, val = pooled_series_max(0.8, 15.0, 2.0, 2)
+    k, log_val = pooled_series_max(0.8, 15.0, 2.0, 2)
     xs = [(kk, sum((0.8 * max(15.0 - 2.0 * kk / 2, 0.0) / math.e) ** i
                    / math.factorial(i) for i in range(kk + 1)))
           for kk in range(1, 16)]
     best = max(xs, key=lambda kv: kv[1])
-    assert val == pytest.approx(best[1], rel=1e-12)
+    assert math.exp(log_val) == pytest.approx(best[1], rel=1e-12)
     assert k == min(kk for kk, v in xs if v == best[1])
 
 

@@ -5,12 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln, logsumexp
 
-from uavps.pricing import (build_pricing, capacity_series_sum,
-                           continuous_profit_numeric, evaluate_schedule,
-                           expected_profit_closed_form, log_capacity_series,
-                           price_closed_form, profit_step, schedule_csv_rows,
-                           solve_stage_price)
+import uavps.pricing
+from uavps.pricing import (_log_series, build_pricing, continuous_profit_numeric,
+                           evaluate_schedule, expected_profit_closed_form,
+                           log_capacity_series, price_closed_form, profit_step,
+                           schedule_csv_rows, solve_stage_price)
 from uavps.valuations import ValuationModel
 
 EXP1 = ValuationModel.exponential(1.0)
@@ -52,6 +55,29 @@ def test_build_pricing_validation():
         build_pricing(EXP1, 1.2, 1, 5)
     with pytest.raises(ValueError):
         build_pricing(EXP1, 0.5, 0, 5)
+
+
+@pytest.mark.parametrize("alpha, k, T", [(0.2, 30, 300), (0.5, 50, 1000)])
+def test_build_pricing_absorbs_option_value_roundoff(alpha, k, T):
+    # Once the marginal unit is worth ~0, R[j][t-1] - R[j-1][t-1] came out
+    # at -2.2e-16 and -8.9e-16 here and the fill raised.
+    _, table = build_pricing(EXP1, alpha, k, T)
+    assert np.all(np.diff(table.values, axis=1) >= 0.0)
+    assert np.all(np.diff(table.values, axis=0) >= -1e-12 * table.values[1:])
+
+
+@pytest.mark.parametrize("dip, clamps", [(1e-14, True), (1e-11, False)])
+def test_build_pricing_clamps_only_roundoff(monkeypatch, dip, clamps):
+    # R[1][t] = 1 and R[2][2] = 1 - dip, so the option value at (2, 3) is -dip.
+    monkeypatch.setattr(uavps.pricing, "profit_step",
+                        lambda model, alpha, p, r_same, r_less:
+                        1.0 - dip if r_less else 1.0)
+    if clamps:
+        schedule, _ = build_pricing(EXP1, 0.5, 2, 3)
+        assert schedule.price(2, 3) == solve_stage_price(EXP1, 0.0)
+    else:
+        with pytest.raises(ValueError, match="nonnegative"):
+            build_pricing(EXP1, 0.5, 2, 3)
 
 
 def test_build_pricing_no_demand():
@@ -188,11 +214,59 @@ def test_evaluate_schedule_matches_build():
 # -- continuous closed forms ---------------------------------------------------
 
 
+def capacity_series_sum(x, k):
+    """Oracle: S_k(x) = sum_{i=0}^{k} x^i / i!, accumulated by term ratios."""
+    total, term = 1.0, 1.0
+    for i in range(1, k + 1):
+        term *= x / i
+        total += term
+    return total
+
+
 def test_capacity_series_against_log_form():
     for x in (0.0, 0.3, 1.0, 7.5):
         for k in (0, 1, 2, 5, 20):
             assert math.log(capacity_series_sum(x, k)) == pytest.approx(
                 log_capacity_series(x, k), abs=1e-12)
+
+
+def _log_series_oracle(x, k):
+    """Oracle: log S_k(x) as one logsumexp over log-space terms."""
+    if x == 0.0 or k == 0:
+        return 0.0
+    i = np.arange(k + 1)
+    return float(logsumexp(i * math.log(x) - gammaln(i + 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1e4, allow_subnormal=False), st.integers(0, 3000))
+def test_log_series_kernel_against_logsumexp(x, k):
+    assert log_capacity_series(x, k) == pytest.approx(_log_series_oracle(x, k),
+                                                      rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1e4), st.integers(0, 1500)),
+                min_size=1, max_size=12))
+def test_log_series_vector_call_equals_scalar_calls(pairs):
+    x, k = (np.array(col) for col in zip(*pairs))
+    assert _log_series(x, k).tolist() == [log_capacity_series(a, b) for a, b in pairs]
+    # broadcasting: every x against k and k + 1
+    both = _log_series(x, np.stack((k, k + 1)))
+    assert both.shape == (2, len(pairs))
+    assert both[1].tolist() == [log_capacity_series(a, b + 1) for a, b in pairs]
+
+
+def test_log_series_at_large_simulation_argument():
+    # Rate 200, k = 400, T = 20: the linear-space levels of the continuous
+    # simulator overflowed at this argument.
+    x = 200.0 * 20.0 / math.e
+    levels = _log_series(x, np.arange(401))
+    assert np.all(np.isfinite(levels)) and np.all(np.diff(levels) > 0.0)
+    for k in (1, 20, 400):
+        assert levels[k] == pytest.approx(_log_series_oracle(x, k), rel=1e-12, abs=0.0)
+        assert price_closed_form(1.0, 200.0, k, 20.0) == pytest.approx(
+            1.0 + levels[k] - levels[k - 1], rel=1e-12)
 
 
 def test_closed_form_profit_values():
