@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pricing import ProfitTable, build_pricing
+from .pricing import ProfitTable, _fill, build_pricing
 from .valuations import ValuationModel
 
 # Half-width standing in for a point mass when a zero-variance sweep entry is
@@ -30,22 +30,10 @@ def complete_info_profit(model: ValuationModel, alpha: float, capacity: int,
     """Fill the benchmark table for a seller who observes each valuation.
 
     E[(v - theta)^+] is evaluated in closed form per family, so the fill is
-    O(capacity * horizon) like the posted-price table.
+    the same column sweep as the posted-price table.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"occurrence probability must lie in [0, 1], got {alpha}")
-    if capacity < 1:
-        raise ValueError(f"capacity must be a positive integer, got {capacity}")
-    if horizon < 0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    k, T = int(capacity), int(horizon)
-
-    values = np.zeros((k + 1, T + 1))
-    for j in range(1, k + 1):
-        for t in range(1, T + 1):
-            theta = values[j, t - 1] - values[j - 1, t - 1]
-            values[j, t] = values[j, t - 1] + alpha * model.expected_excess(theta)
-    return ProfitTable(alpha=alpha, capacity=k, horizon=T, values=values)
+    return _fill(alpha, capacity, horizon, lambda _, r_same, r_less:
+                 r_same + alpha * model.expected_excess(r_same - r_less))[1]
 
 
 def profit_ratio_curve(model: ValuationModel, alpha: float, capacity: int,

@@ -327,14 +327,28 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--b", type=float, default=None, help="uniform upper bound")
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand parser that records the dest of each flag spelling."""
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        dests = vars(self).setdefault("dests", {})  # __init__ adds -h through here
+        for name in (action.dest, *action.option_strings):
+            dests[name.lstrip("-").replace("-", "_")] = action.dest
+        return action
+
+
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI parser. ``config`` maps flag spellings ("arrival-rate") or dests
+    ("lam") to subcommand defaults, which explicit flags still override."""
     parser = argparse.ArgumentParser(
         prog="uavps",
         description="Dynamic pricing, energy allocation and fleet deployment "
                     "for UAV-provided services.")
     parser.add_argument("--config", default=None,
                         help="JSON file of flag defaults (flags override)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
 
     p = sub.add_parser("price", help="build a dynamic price schedule")
     _add_model_flags(p)
@@ -404,13 +418,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variances", default=None, help="start:stop:step sweep")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_benchmark)
+
+    config = {key.replace("-", "_"): value for key, value in (config or {}).items()}
+    for p in sub.choices.values():
+        p.set_defaults(**{p.dests[k]: v for k, v in config.items() if k in p.dests})
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Seed parser defaults from --config, so explicit flags still override."""
-    if "--config" not in argv:
-        return
+def _read_config(argv: list[str]) -> dict:
+    """The JSON object named by --config, or no defaults without the flag."""
+    if "--config" not in argv[:-1]:  # a trailing --config is argparse's usage error
+        return {}
     path = argv[argv.index("--config") + 1]
     try:
         with open(path) as fh:
@@ -419,25 +437,13 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    mapped = {key.replace("-", "_"): value for key, value in data.items()}
-    mapped.pop("config", None)
-    for sub_action in parser._subparsers._group_actions:
-        for sp in sub_action.choices.values():
-            # accept both flag spellings (e.g. "lambda") and dests (e.g. "lam")
-            names = {}
-            for action in sp._actions:
-                names[action.dest] = action.dest
-                for opt in action.option_strings:
-                    names[opt.lstrip("-").replace("-", "_")] = action.dest
-            sp.set_defaults(**{names[k]: v for k, v in mapped.items()
-                               if k in names})
+    return data
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        _apply_config_file(parser, argv)
+        parser = build_parser(_read_config(argv))
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # argparse reports usage errors with code 2

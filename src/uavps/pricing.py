@@ -10,9 +10,10 @@ leftover capacity j and leftover time t:
 
 with R[0][t] = R[j][0] = 0. The profit-maximizing stage price solves
 phi(p) = delta where delta = R[j][t-1] - R[j-1][t-1] is the option value of
-keeping a unit, so the whole table fills in O(k*T) closed-form price solves.
-When t < j the extra capacity is dead weight: R[j][t] = R[t][t] and no price
-is defined.
+keeping a unit. Column t needs only column t-1, so one kernel sweeps t and
+runs a stage rule once per column, over all j: posted prices, a given price
+matrix, or the full-information threshold of ``uavps.benchmark``. When t < j
+the extra capacity is dead weight: R[j][t] = R[t][t] and no price is defined.
 
 Continuous relaxation: buyers arrive as a Poisson stream with rate a'. For
 exponential valuations the expected profit and price have closed forms built
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -64,47 +66,45 @@ class PriceSchedule:
     horizon: int
     prices: np.ndarray
 
-    def defined(self, j: int, t: int) -> bool:
-        return 1 <= j <= self.capacity and j <= t <= self.horizon
-
     def price(self, j: int, t: int) -> float | None:
-        if not self.defined(j, t):
+        if not (1 <= j <= self.capacity and j <= t <= self.horizon):
             return None
         return float(self.prices[j, t])
 
 
-def solve_stage_price(model: ValuationModel, delta: float) -> float:
+def solve_stage_price(model: ValuationModel, delta):
     """Price maximizing (p - delta) * (1 - F(p)) for a one-unit stage sale.
 
     Regularity makes the maximizer the unique root of phi(p) = delta
-    (clamped to the support when the root falls outside it).
+    (clamped to the support when the root falls outside it). Elementwise.
     """
-    if delta < 0:
-        raise ValueError(f"stage option value must be nonnegative, got {delta}")
+    if (np.asarray(delta) < 0).any():
+        raise ValueError(f"stage option value must be nonnegative, got {np.min(delta)}")
     return model.inverse_virtual_value(delta)
 
 
-def profit_step(model: ValuationModel, alpha: float, price: float,
-                r_same: float, r_less: float) -> float:
-    """One application of the profit recursion at a posted price.
+def profit_step(model: ValuationModel, alpha: float, price, r_same, r_less):
+    """One application of the profit recursion at a posted price, elementwise.
 
     r_same and r_less are the continuation profits with the same and with one
     fewer service unit. A price with zero sale probability (bounded support
     saturation) leaves the continuation value untouched.
     """
-    sell = 1.0 - model.cdf(price)
-    if sell <= 0.0:
-        return r_same
-    return alpha * (price + r_less) * sell + r_same * (1.0 - alpha * sell)
+    sell = 1.0 - np.asarray(model.cdf(price))
+    price = np.where(sell <= 0.0, 0.0, price)  # an unsellable price may be inf
+    out = np.where(sell <= 0.0, r_same,
+                   alpha * (price + r_less) * sell + r_same * (1.0 - alpha * sell))
+    return out if out.ndim else float(out)
 
 
-def build_pricing(model: ValuationModel, alpha: float, capacity: int,
-                  horizon: int) -> tuple[PriceSchedule, ProfitTable]:
-    """Fill the optimal price schedule and profit table for (alpha, k, T).
+def _fill(alpha: float, capacity: int, horizon: int, rule,
+          prices: np.ndarray | None = None) -> tuple[PriceSchedule, ProfitTable]:
+    """The one (j, t) sweep behind every discrete profit table.
 
-    Runs in O(capacity * horizon) stage-price solves. Cells with t < j copy
-    R[t][t] and leave the price undefined. An option value in
-    [-1e-12 * R[j][t-1], 0) counts as zero; a lower one raises.
+    Column t needs only column t-1: with m = min(t, capacity), ``rule(price,
+    r_same, r_less)`` maps the slices prices[1..m][t], R[1..m][t-1] and
+    R[0..m-1][t-1] to R[1..m][t], and rows past t copy R[t][t]. Without a
+    price matrix the rule may post into a NaN one.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"occurrence probability must lie in [0, 1], got {alpha}")
@@ -113,24 +113,36 @@ def build_pricing(model: ValuationModel, alpha: float, capacity: int,
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
     k, T = int(capacity), int(horizon)
+    if prices is None:
+        prices = np.full((k + 1, T + 1), np.nan)
+    elif prices.ndim != 2 or prices.shape[0] <= k or prices.shape[1] <= T:
+        raise ValueError(f"price matrix of shape {prices.shape} has no entry ({k}, {T})")
 
     values = np.zeros((k + 1, T + 1))
-    prices = np.full((k + 1, T + 1), np.nan)
-    for j in range(1, k + 1):
-        for t in range(1, T + 1):
-            if t <= j - 1:
-                values[j, t] = values[t, t]
-            else:
-                r_same = values[j, t - 1]
-                r_less = values[j - 1, t - 1]
-                delta = r_same - r_less
-                if delta < 0.0 and delta >= -1e-12 * r_same:
-                    delta = 0.0  # round-off once the marginal unit is worth ~0
-                p = solve_stage_price(model, delta)
-                prices[j, t] = p
-                values[j, t] = profit_step(model, alpha, p, r_same, r_less)
+    for t in range(1, T + 1):
+        m = min(t, k)
+        values[1:m + 1, t] = rule(prices[1:m + 1, t], values[1:m + 1, t - 1],
+                                  values[:m, t - 1])
+        values[m + 1:, t] = values[m, t]
     return (PriceSchedule(capacity=k, horizon=T, prices=prices),
             ProfitTable(alpha=alpha, capacity=k, horizon=T, values=values))
+
+
+def build_pricing(model: ValuationModel, alpha: float, capacity: int,
+                  horizon: int) -> tuple[PriceSchedule, ProfitTable]:
+    """Fill the optimal price schedule and profit table for (alpha, k, T).
+
+    One column sweep, each column's stage prices solved at once. Cells with
+    t < j copy R[t][t] and leave the price undefined. An option value in
+    [-1e-12 * R[j][t-1], 0) is round-off and counts as zero; a lower one raises.
+    """
+    def posted(price, r_same, r_less):
+        delta = r_same - r_less
+        delta = np.where((delta < 0.0) & (delta >= -1e-12 * r_same), 0.0, delta)
+        price[:] = solve_stage_price(model, delta)
+        return profit_step(model, alpha, price, r_same, r_less)
+
+    return _fill(alpha, capacity, horizon, posted)
 
 
 def evaluate_schedule(model: ValuationModel, alpha: float, prices: np.ndarray,
@@ -139,20 +151,10 @@ def evaluate_schedule(model: ValuationModel, alpha: float, prices: np.ndarray,
 
     Used to score non-optimal policies (perturbed or constant prices) against
     the optimal table. ``prices[j, t]`` is read for j in 1..capacity and
-    t in j..horizon; other entries are ignored.
+    t in j..horizon; the matrix must cover them, other entries are ignored.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"occurrence probability must lie in [0, 1], got {alpha}")
-    k, T = int(capacity), int(horizon)
-    values = np.zeros((k + 1, T + 1))
-    for j in range(1, k + 1):
-        for t in range(1, T + 1):
-            if t <= j - 1:
-                values[j, t] = values[t, t]
-            else:
-                values[j, t] = profit_step(model, alpha, float(prices[j, t]),
-                                           values[j, t - 1], values[j - 1, t - 1])
-    return ProfitTable(alpha=alpha, capacity=k, horizon=T, values=values)
+    return _fill(alpha, capacity, horizon, partial(profit_step, model, alpha),
+                 np.asarray(prices, dtype=float))[1]
 
 
 # -- continuous-time closed forms (exponential valuations) ------------------
@@ -298,5 +300,4 @@ def schedule_csv_rows(schedule: PriceSchedule, table: ProfitTable):
     """Yield (j, t, price-or-None, profit) rows ordered by (j, t)."""
     for j in range(table.capacity + 1):
         for t in range(table.horizon + 1):
-            price = schedule.price(j, t) if j >= 1 else None
-            yield j, t, price, float(table.values[j, t])
+            yield j, t, schedule.price(j, t), float(table.values[j, t])

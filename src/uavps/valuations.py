@@ -150,13 +150,18 @@ class ValuationModel:
 
     # -- expectations ------------------------------------------------------
 
-    def expected_excess(self, threshold: float) -> float:
-        """E[(V - threshold)^+], the mean surplus above an acceptance cutoff."""
-        t = float(threshold)
+    def expected_excess(self, threshold):
+        """E[(V - threshold)^+], the mean surplus above an acceptance cutoff.
+
+        One libm call per entry: numpy's SIMD exp and square can differ in the last bit.
+        """
+        t = np.asarray(threshold, dtype=float)
+        out = np.array([self._excess(v) for v in t.ravel().tolist()]).reshape(t.shape)
+        return out if out.ndim else float(out)
+
+    def _excess(self, t: float) -> float:
         if self.kind == EXPONENTIAL:
-            if t < 0.0:
-                return 1.0 / self.rate - t
-            return math.exp(-self.rate * t) / self.rate
+            return 1.0 / self.rate - t if t < 0.0 else math.exp(-self.rate * t) / self.rate
         a, b = self.lower, self.upper
         if t > b:
             return 0.0

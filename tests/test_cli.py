@@ -159,3 +159,9 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
 
     assert cli.main(["--config", str(tmp_path / "absent.json"), "price"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["--config"], ["price", "--config"]])
+def test_config_flag_without_a_path_is_a_usage_error(argv, capsys):
+    assert cli.main(argv) == 2
+    capsys.readouterr()

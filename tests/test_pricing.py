@@ -71,7 +71,7 @@ def test_build_pricing_clamps_only_roundoff(monkeypatch, dip, clamps):
     # R[1][t] = 1 and R[2][2] = 1 - dip, so the option value at (2, 3) is -dip.
     monkeypatch.setattr(uavps.pricing, "profit_step",
                         lambda model, alpha, p, r_same, r_less:
-                        1.0 - dip if r_less else 1.0)
+                        np.where(r_less > 0, 1.0 - dip, 1.0))
     if clamps:
         schedule, _ = build_pricing(EXP1, 0.5, 2, 3)
         assert schedule.price(2, 3) == solve_stage_price(EXP1, 0.0)

@@ -1,0 +1,178 @@
+"""The column-sweep table kernel against the scalar (j, t) loops it replaced.
+
+Each oracle below is the double loop that used to fill its table one cell at
+a time. The kernel must reproduce it bit for bit: the same IEEE operations
+run per cell, only many cells of a column share one numpy call.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from uavps.benchmark import complete_info_profit
+from uavps.pricing import build_pricing, evaluate_schedule, profit_step, solve_stage_price
+from uavps.valuations import ValuationModel
+
+EXP1 = ValuationModel.exponential(1.0)
+UNI = ValuationModel.uniform(5.0, 15.0)
+
+
+def posted_price_oracle(model, alpha, k, T):
+    """build_pricing as a scalar loop: (prices, values)."""
+    values = np.zeros((k + 1, T + 1))
+    prices = np.full((k + 1, T + 1), np.nan)
+    for j in range(1, k + 1):
+        for t in range(1, T + 1):
+            if t <= j - 1:
+                values[j, t] = values[t, t]
+            else:
+                r_same = values[j, t - 1]
+                r_less = values[j - 1, t - 1]
+                delta = r_same - r_less
+                if delta < 0.0 and delta >= -1e-12 * r_same:
+                    delta = 0.0
+                p = solve_stage_price(model, delta)
+                prices[j, t] = p
+                values[j, t] = profit_step(model, alpha, p, r_same, r_less)
+    return prices, values
+
+
+def given_price_oracle(model, alpha, prices, k, T):
+    """evaluate_schedule as a scalar loop."""
+    values = np.zeros((k + 1, T + 1))
+    for j in range(1, k + 1):
+        for t in range(1, T + 1):
+            if t <= j - 1:
+                values[j, t] = values[t, t]
+            else:
+                values[j, t] = profit_step(model, alpha, float(prices[j, t]),
+                                           values[j, t - 1], values[j - 1, t - 1])
+    return values
+
+
+def threshold_oracle(model, alpha, k, T):
+    """complete_info_profit as a scalar loop (it never copied dead capacity)."""
+    values = np.zeros((k + 1, T + 1))
+    for j in range(1, k + 1):
+        for t in range(1, T + 1):
+            theta = values[j, t - 1] - values[j - 1, t - 1]
+            values[j, t] = values[j, t - 1] + alpha * model.expected_excess(theta)
+    return values
+
+
+models = st.one_of(
+    st.floats(0.2, 5.0).map(ValuationModel.exponential),
+    st.tuples(st.floats(0.0, 10.0), st.floats(0.5, 10.0)).map(
+        lambda lw: ValuationModel.uniform(lw[0], lw[0] + lw[1])),
+)
+alphas = st.floats(0.0, 1.0)
+capacities = st.integers(1, 30)
+horizons = st.integers(0, 200)
+
+
+def _same(a, b):
+    return np.array_equal(a, b, equal_nan=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(models, alphas, capacities, horizons)
+@example(EXP1, 0.0, 30, 200)
+@example(UNI, 1.0, 30, 200)
+@example(EXP1, 1.0, 7, 3)
+def test_build_pricing_equals_scalar_loop(model, alpha, k, T):
+    schedule, table = build_pricing(model, alpha, k, T)
+    prices, values = posted_price_oracle(model, alpha, k, T)
+    assert _same(table.values, values)
+    assert _same(schedule.prices, prices)
+
+
+@pytest.mark.parametrize("alpha, k, T", [(0.2, 30, 300), (0.5, 50, 1000)])
+def test_build_pricing_equals_scalar_loop_through_roundoff_clamps(alpha, k, T):
+    schedule, table = build_pricing(EXP1, alpha, k, T)
+    prices, values = posted_price_oracle(EXP1, alpha, k, T)
+    assert _same(table.values, values)
+    assert _same(schedule.prices, prices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(models, alphas, capacities, horizons, st.integers(0, 2**32 - 1))
+@example(UNI, 0.0, 30, 200, 0)
+@example(UNI, 1.0, 30, 200, 1)
+def test_evaluate_schedule_equals_scalar_loop(model, alpha, k, T, seed):
+    # Uniform prices reach 1.2x the upper bound, so some never sell.
+    lo, hi = model.support()
+    top = 1.2 * hi if math.isfinite(hi) else model.sample(0.999)
+    prices = np.random.default_rng(seed).uniform(lo, top, (k + 1, T + 1))
+    table = evaluate_schedule(model, alpha, prices, k, T)
+    assert _same(table.values, given_price_oracle(model, alpha, prices, k, T))
+
+
+@pytest.mark.parametrize("price", [15.0, 16.0, math.inf])
+def test_evaluate_schedule_prices_that_never_sell(price):
+    prices = np.full((4, 9), price)
+    table = evaluate_schedule(UNI, 0.7, prices, 3, 8)
+    assert _same(table.values, given_price_oracle(UNI, 0.7, prices, 3, 8))
+    assert np.all(table.values == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(models, alphas, capacities, horizons)
+@example(EXP1, 0.0, 30, 200)
+@example(UNI, 1.0, 30, 200)
+@example(EXP1, 1.0, 7, 3)
+def test_complete_info_profit_equals_scalar_loop(model, alpha, k, T):
+    table = complete_info_profit(model, alpha, k, T)
+    assert _same(table.values, threshold_oracle(model, alpha, k, T))
+
+
+# -- one validation at the kernel entry ------------------------------------------
+
+
+@pytest.mark.parametrize("capacity, horizon, shape", [
+    (0, 5, (6, 6)),     # no capacity
+    (2, -1, (6, 6)),    # negative horizon
+    (3, 5, (3, 6)),     # price matrix one row short
+    (3, 5, (4, 5)),     # price matrix one column short
+], ids=["capacity-0", "horizon-negative", "rows-short", "columns-short"])
+def test_evaluate_schedule_rejects_bad_shapes(capacity, horizon, shape):
+    with pytest.raises(ValueError):
+        evaluate_schedule(EXP1, 0.5, np.ones(shape), capacity, horizon)
+
+
+@pytest.mark.parametrize("fill", [build_pricing, complete_info_profit])
+def test_tables_reject_negative_horizon_and_bad_alpha(fill):
+    with pytest.raises(ValueError, match="horizon"):
+        fill(EXP1, 0.5, 2, -1)
+    with pytest.raises(ValueError, match="occurrence probability"):
+        fill(EXP1, -0.1, 2, 5)
+
+
+# -- the stage functions the kernel calls --------------------------------------------
+
+
+stage_values = st.floats(0.0, 30.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(models, alphas, st.lists(st.tuples(stage_values, stage_values, stage_values),
+                                min_size=1, max_size=20))
+def test_profit_step_vector_call_equals_scalar_calls(model, alpha, rows):
+    price, r_same, r_less = (np.array(col) for col in zip(*rows))
+    assert (profit_step(model, alpha, price, r_same, r_less).tolist()
+            == [profit_step(model, alpha, *row) for row in rows])
+
+
+@settings(max_examples=80, deadline=None)
+@given(models, st.lists(stage_values, min_size=1, max_size=20))
+def test_solve_stage_price_vector_call_equals_scalar_calls(model, deltas):
+    assert (solve_stage_price(model, np.array(deltas)).tolist()
+            == [solve_stage_price(model, d) for d in deltas])
+
+
+@pytest.mark.parametrize("deltas", [[-1e-9], [0.5, -1e-9, 2.0], [0.0, 3.0, -4.0]])
+def test_solve_stage_price_raises_on_any_negative_entry(deltas):
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_stage_price(EXP1, np.array(deltas))
