@@ -426,10 +426,21 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
 
 def _read_config(argv: list[str]) -> dict:
-    """The JSON object named by --config, or no defaults without the flag."""
-    if "--config" not in argv[:-1]:  # a trailing --config is argparse's usage error
+    """The JSON object named by --config, or no defaults without the flag.
+
+    A pre-parser finds the path as the full parser will: "--config PATH",
+    "--config=PATH" or an abbreviation, before the subcommand only. Its usage
+    errors are left to the full parser.
+    """
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    pre.add_argument("rest", nargs=argparse.REMAINDER)
+    try:
+        path = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
         return {}
-    path = argv[argv.index("--config") + 1]
+    if path is None:
+        return {}
     try:
         with open(path) as fh:
             data = json.load(fh)

@@ -180,19 +180,56 @@ def _log_series(x, k) -> np.ndarray:
     running = np.searchsorted(-ks, -np.arange(1, ks.max(initial=0) + 1), side="right")
     tail, offset, term = np.zeros(xs.size), np.zeros(xs.size), np.ones(xs.size)
     for i, m in enumerate(running, start=1):
-        t, s = term[:m], tail[:m]
-        t *= xs[:m] / i
-        s += t
-        if i % _SERIES_STRIDE == 0:
-            scale = np.where(s > _SERIES_BOUND, s, 1.0)
-            offset[:m] += np.log(scale)
-            t /= scale
-            s /= scale
-    # A moved sum restarts at exactly 1 and only grows.
-    logs = np.where(offset > 0.0, offset + np.log(np.maximum(tail, 1.0)), np.log1p(tail))
-    out = np.empty_like(logs)
-    out[order] = logs
+        _add_series_term(xs, term, tail, offset, m, i)
+    out = np.empty(xs.size)
+    out[order] = _series_log(tail, offset)
     return out.reshape(x.shape)
+
+
+def _log_series_levels(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log S_k(x) and log S_{k-1}(x) for non-empty 1-d x in [0, 1e12], k >= 1.
+
+    One pass of ``_log_series``'s arithmetic. An entry's state after i terms
+    depends only on (x, i), so its state one term before its end is the
+    level-(k-1) state, and both logs equal what ``_log_series`` returns at k
+    and at k - 1, bit for bit.
+    """
+    order = np.argsort(-k)
+    xs, ks = x[order], k[order]
+    # bounds[i] counts the entries with k > i, so those with k == i sit at
+    # bounds[i]:bounds[i - 1] and the first bounds[i - 1] still add term i.
+    bounds = np.searchsorted(-ks, -np.arange(1, ks[0] + 2), side="right")
+    tail, offset, term = np.zeros(xs.size), np.zeros(xs.size), np.ones(xs.size)
+    prev_tail, prev_offset = np.empty(xs.size), np.empty(xs.size)
+    for i in range(1, ks[0] + 1):
+        lo, m = bounds[i], bounds[i - 1]
+        if lo < m:
+            prev_tail[lo:m] = tail[lo:m]
+            prev_offset[lo:m] = offset[lo:m]
+        _add_series_term(xs, term, tail, offset, m, i)
+    logs, prev = np.empty(xs.size), np.empty(xs.size)
+    logs[order] = _series_log(tail, offset)
+    prev[order] = _series_log(prev_tail, prev_offset)
+    return logs, prev
+
+
+def _add_series_term(x, term, tail, offset, m: int, i: int) -> None:
+    """Add term i, x^i / i!, to the first m running sums in place; every
+    stride, move a sum past the bound into its log offset."""
+    t, s = term[:m], tail[:m]
+    t *= x[:m] / i
+    s += t
+    if i % _SERIES_STRIDE == 0:
+        scale = np.where(s > _SERIES_BOUND, s, 1.0)
+        offset[:m] += np.log(scale)
+        t /= scale
+        s /= scale
+
+
+def _series_log(tail: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """The log of a running sum: offset + log(tail) once moved, else log1p(tail)."""
+    # A moved sum restarts at exactly 1 and only grows.
+    return np.where(offset > 0.0, offset + np.log(np.maximum(tail, 1.0)), np.log1p(tail))
 
 
 def log_capacity_series(x: float, k: int) -> float:
@@ -249,6 +286,12 @@ def continuous_profit_numeric(model: ValuationModel, arrival_rate: float,
     from R_j(0) = 0. Fixed-step RK4 with a Richardson step-halving check:
     the result at step/2 is returned and must agree with the full-step result
     to 1e-6, otherwise the step is too coarse for the requested horizon.
+
+    The stack is a list of Python floats, each stage gain one scalar libm
+    call (``ValuationModel._stage_gain``), and one sweep up j runs all four
+    RK4 stages. At the small k the oracles use, numpy's per-call overhead on
+    length-k arrays costs more than the arithmetic; past k of about 35 the
+    scalar sweep is the slower one.
     """
     if arrival_rate <= 0:
         raise ValueError("arrival rate must be positive")
@@ -261,28 +304,30 @@ def continuous_profit_numeric(model: ValuationModel, arrival_rate: float,
     if horizon == 0:
         return 0.0
 
-    k = int(capacity)
-
-    def deriv(r: np.ndarray) -> np.ndarray:
-        # r holds (R_0=0, R_1, ..., R_k); only the top k entries move.
-        delta = r[1:] - r[:-1]
-        p = np.asarray(model.inverse_virtual_value(delta))
-        gain = (p - delta) * (1.0 - np.asarray(model.cdf(p)))
-        out = np.zeros_like(r)
-        out[1:] = arrival_rate * gain
-        return out
+    k, rate, gain = int(capacity), float(arrival_rate), model._stage_gain
 
     def integrate(h: float) -> float:
         n = max(1, math.ceil(horizon / h))
-        dt = horizon / n
-        r = np.zeros(k + 1)
+        dt = float(horizon) / n
+        half, sixth = 0.5 * dt, dt / 6.0
+        r = [0.0] * k  # (R_1, ..., R_k); R_0 = 0 never moves
         for _ in range(n):
-            k1 = deriv(r)
-            k2 = deriv(r + 0.5 * dt * k1)
-            k3 = deriv(r + 0.5 * dt * k2)
-            k4 = deriv(r + dt * k3)
-            r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return float(r[k])
+            # Stage s of R_j reads stage s - 1 of R_j and R_{j-1} only, so one
+            # sweep up j runs all four stages; p1..p4 hold R_{j-1}'s inputs.
+            p1 = p2 = p3 = p4 = 0.0
+            nxt = []
+            for x in r:
+                d1 = rate * gain(x - p1)
+                s2 = x + half * d1
+                d2 = rate * gain(s2 - p2)
+                s3 = x + half * d2
+                d3 = rate * gain(s3 - p3)
+                s4 = x + dt * d3
+                d4 = rate * gain(s4 - p4)
+                nxt.append(x + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4))
+                p1, p2, p3, p4 = x, s2, s3, s4
+            r = nxt
+        return r[-1]
 
     coarse = integrate(step)
     fine = integrate(step / 2.0)

@@ -4,7 +4,8 @@ Trials replay the arrival-and-purchase process under a given price policy and
 report the realized mean profit with its standard error; the dynamic-program
 and closed-form values must sit within a few standard errors of it. The
 continuous replay makes every draw up front, then quotes closed-form prices
-(from the one log-space series kernel) only to trials that can still sell.
+only to trials that can still sell, both series levels of a price coming from
+one pass of the log-space series kernel.
 
 Randomness comes from numpy's PCG64 bit generator, recorded in each report.
 Trials run in fixed-size blocks of ``CHUNK_TRIALS``; block i derives its own
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pricing import PriceSchedule, _log_series, build_pricing
+from .pricing import PriceSchedule, _log_series_levels, build_pricing
 from .valuations import ValuationModel
 
 GENERATOR_ID = "numpy-pcg64"
@@ -164,6 +165,10 @@ def simulate_continuous(lam: float, arrival_rate: float, capacity: int,
     closed-form price at their remaining time and the current leftover
     capacity. An arrival with exactly zero time left is discarded: nothing
     can be priced in zero remaining time, and the event has measure zero.
+
+    All draws are made before play, so skipping trials changes no sale: each
+    arrival column quotes only the trials that can still sell, with log S_j
+    and log S_{j-1} from one series pass, and play stops once none can.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -180,29 +185,34 @@ def simulate_continuous(lam: float, arrival_rate: float, capacity: int,
     for idx, size in enumerate(_chunk_sizes(trials)):
         rng = _chunk_rng(seed, idx)
         counts = rng.poisson(arrival_rate * horizon, size)
-        top = int(counts.max()) if size else 0
+        top = int(counts.max())
         gain = np.zeros(size)
         j = np.full(size, capacity, dtype=np.int64)
-        live = np.arange(top) < counts[:, None]
         # Arrival instants of a Poisson stream on [0, T] are uniform, so
-        # remaining times are too; sorting descending plays them in order.
+        # remaining times are too; sorting their negations plays them in
+        # order, with the +inf padding past each row's count last.
         # Valuations are i.i.d. and independent of the times, so pairing
         # column r of the draws with the r-th sorted time is sound.
-        t_rem = np.where(live, rng.random((size, top)) * horizon, -np.inf)
-        t_rem = -np.sort(-t_rem, axis=1)
-        v = -np.log1p(-rng.random((size, top))) / lam
+        neg_t = rng.random((size, top))
+        neg_t *= -horizon
+        neg_t[np.arange(top) >= counts[:, None]] = np.inf
+        neg_t.sort(axis=1)
+        u = rng.random((size, top))
+        rows = np.arange(size)
         for r in range(top):
-            t = t_rem[:, r]
-            # Times fall along a row and capacity never grows, so once no row
-            # can sell in this column none can in a later one.
-            rows = np.flatnonzero((t > 0.0) & (j > 0))
+            # Times fall along a row and capacity never grows, so a row that
+            # cannot sell in this column cannot in a later one either.
+            t = -neg_t[rows, r]
+            keep = (t > 0.0) & (j[rows] > 0)
+            rows, t = rows[keep], t[keep]
             if rows.size == 0:
                 break
-            left = j[rows]
-            logs = _log_series(arrival_rate * t[rows] / math.e,
-                               np.stack((left, left - 1)))
-            price = (1.0 + logs[0] - logs[1]) / lam
-            sale = v[rows, r] >= price
+            log_k, log_less = _log_series_levels(arrival_rate * t / math.e, j[rows])
+            price = (1.0 + log_k - log_less) / lam
+            # Inverse-CDF valuations, drawn up front but transformed only
+            # when quoted: log1p is elementwise, so each quoted entry gets
+            # the bits a whole-array transform would give it.
+            sale = -np.log1p(-u[rows, r]) / lam >= price
             sold = rows[sale]
             gain[sold] += price[sale]
             j[sold] -= 1

@@ -169,6 +169,19 @@ class ValuationModel:
             return 0.5 * (a + b) - t
         return (b - t) ** 2 / (2.0 * (b - a))
 
+    def _stage_gain(self, delta: float) -> float:
+        """(p - delta) * (1 - F(p)) at p = inverse_virtual_value(delta), for one float.
+
+        Same clamps as the vector handles: the lower support bound, and for the
+        uniform family the upper bound, where the sale probability is zero.
+        """
+        if self.kind == EXPONENTIAL:
+            p = max(delta + 1.0 / self.rate, 0.0)
+            return (p - delta) * (1.0 + math.expm1(-self.rate * p))
+        a, b = self.lower, self.upper
+        p = min(max(0.5 * (delta + b), a), b)
+        return (p - delta) * (1.0 - (p - a) / (b - a))
+
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:

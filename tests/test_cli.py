@@ -161,6 +161,30 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("spelling", [
+    lambda path: ["--config", path],
+    lambda path: [f"--config={path}"],
+    lambda path: ["--conf", path],
+], ids=["separate", "equals", "abbreviated"])
+def test_config_path_in_every_argparse_spelling(spelling, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"model": "exp", "lambda": 1.0, "alpha": 0.5,
+                               "k": 1, "T": 2.0}))
+    assert cli.main([*spelling(str(cfg)), "price"]) == 0
+    _, table = build_pricing(EXP1, 0.5, 1, 2)
+    assert capsys.readouterr().out.strip() == f"{table.final():.6f}"
+
+    assert cli.main([*spelling(str(tmp_path / "absent.json")), "price"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_subcommand_flag_prefix_of_config_is_not_a_config_path(capsys):
+    # --c after the subcommand is allocate's cost flag, not an abbreviated --config
+    assert cli.main(["allocate", "--model", "exp", "--lambda", "1", "--B", "15",
+                     "--c", "3", "--alpha", "0.5"]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("argv", [["--config"], ["price", "--config"]])
 def test_config_flag_without_a_path_is_a_usage_error(argv, capsys):
     assert cli.main(argv) == 2

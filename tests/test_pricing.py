@@ -5,15 +5,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
 import uavps.pricing
-from uavps.pricing import (_log_series, build_pricing, continuous_profit_numeric,
-                           evaluate_schedule, expected_profit_closed_form,
-                           log_capacity_series, price_closed_form, profit_step,
-                           schedule_csv_rows, solve_stage_price)
+from uavps.pricing import (_log_series, _log_series_levels, build_pricing,
+                           continuous_profit_numeric, evaluate_schedule,
+                           expected_profit_closed_form, log_capacity_series,
+                           price_closed_form, profit_step, schedule_csv_rows,
+                           solve_stage_price)
 from uavps.valuations import ValuationModel
 
 EXP1 = ValuationModel.exponential(1.0)
@@ -257,6 +258,17 @@ def test_log_series_vector_call_equals_scalar_calls(pairs):
     assert both[1].tolist() == [log_capacity_series(a, b + 1) for a, b in pairs]
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1e4), st.integers(1, 200)),
+                min_size=1, max_size=12))
+@example([(1e4, 48), (1e4, 49), (1e4, 200), (5.0, 1), (0.0, 3)])  # offset moves at 48
+def test_log_series_levels_equal_two_kernel_calls(pairs):
+    x, k = (np.array(col) for col in zip(*pairs))
+    log_k, log_less = _log_series_levels(x, k)
+    assert np.array_equal(log_k, _log_series(x, k))
+    assert np.array_equal(log_less, _log_series(x, k - 1))
+
+
 def test_log_series_at_large_simulation_argument():
     # Rate 200, k = 400, T = 20: the linear-space levels of the continuous
     # simulator overflowed at this argument.
@@ -338,6 +350,59 @@ def test_continuous_numeric_works_for_uniform():
 def test_continuous_numeric_rejects_coarse_step():
     with pytest.raises(ValueError):
         continuous_profit_numeric(EXP1, 8.0, 1, 40.0, step=40.0)
+
+
+def _numeric_oracle(model, arrival_rate, capacity, horizon, step):
+    """The former numpy integrator: RK4 on the array (R_0, ..., R_k), the
+    stage gain from the vector handles, the same steps and Richardson check."""
+    k = int(capacity)
+
+    def deriv(r):
+        delta = r[1:] - r[:-1]
+        p = np.asarray(model.inverse_virtual_value(delta))
+        gain = (p - delta) * (1.0 - np.asarray(model.cdf(p)))
+        out = np.zeros_like(r)
+        out[1:] = arrival_rate * gain
+        return out
+
+    def integrate(h):
+        n = max(1, math.ceil(horizon / h))
+        dt = horizon / n
+        r = np.zeros(k + 1)
+        for _ in range(n):
+            k1 = deriv(r)
+            k2 = deriv(r + 0.5 * dt * k1)
+            k3 = deriv(r + 0.5 * dt * k2)
+            k4 = deriv(r + dt * k3)
+            r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return float(r[k])
+
+    coarse, fine = integrate(step), integrate(step / 2.0)
+    if abs(coarse - fine) >= 1e-6 * max(1.0, abs(fine)):
+        raise ValueError(f"step {step} too coarse")
+    return fine
+
+
+_ODE_MODELS = st.one_of(
+    st.floats(0.2, 5.0).map(ValuationModel.exponential),
+    st.tuples(st.floats(0.0, 10.0), st.floats(0.5, 10.0)).map(
+        lambda lw: ValuationModel.uniform(lw[0], lw[0] + lw[1])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ODE_MODELS, st.floats(0.1, 5.0), st.integers(1, 6),
+       st.floats(0.0, 2.0), st.sampled_from((1e-2, 5e-3)))
+def test_continuous_numeric_against_numpy_integrator(model, rate, k, T, step):
+    expected = _numeric_oracle(model, rate, k, T, step) if T > 0 else 0.0
+    got = continuous_profit_numeric(model, rate, k, T, step)
+    assert type(got) is float
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_continuous_numeric_against_numpy_integrator_at_k25():
+    for model, rate in ((EXP1, 2.0), (UNI, 1.5)):
+        assert continuous_profit_numeric(model, rate, 25, 2.0, 1e-2) == pytest.approx(
+            _numeric_oracle(model, rate, 25, 2.0, 1e-2), rel=1e-12, abs=0.0)
 
 
 def test_discrete_converges_to_continuous():

@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from uavps.pricing import build_pricing, expected_profit_closed_form
+from uavps import simulator
+from uavps.pricing import _log_series, build_pricing, expected_profit_closed_form
 from uavps.simulator import (simulate_continuous, simulate_discrete,
                              simulate_policy_regret)
 from uavps.valuations import ValuationModel
@@ -102,3 +104,53 @@ def test_regret_collapses_when_prices_coincide():
 def test_flat_pricing_never_beats_schedule(model, alpha, k, T, flat):
     rr = simulate_policy_regret(model, alpha, k, T, 10**5, 23, constant_price=flat)
     assert rr.fixed_price_mean <= rr.optimal_mean + 3 * rr.paired_std_error
+
+
+def _continuous_oracle(lam, arrival_rate, capacity, horizon, trials, seed):
+    """The former column loop: every row scanned in every column, the draws
+    transformed up front, and a separate series call for each level."""
+    profits = np.empty(trials)
+    served = np.empty(trials, dtype=np.int64)
+    pos = 0
+    for idx, size in enumerate(simulator._chunk_sizes(trials)):
+        rng = simulator._chunk_rng(seed, idx)
+        counts = rng.poisson(arrival_rate * horizon, size)
+        top = int(counts.max())
+        gain = np.zeros(size)
+        j = np.full(size, capacity, dtype=np.int64)
+        live = np.arange(top) < counts[:, None]
+        t_rem = np.where(live, rng.random((size, top)) * horizon, -np.inf)
+        t_rem = -np.sort(-t_rem, axis=1)
+        v = -np.log1p(-rng.random((size, top))) / lam
+        for r in range(top):
+            t = t_rem[:, r]
+            rows = np.flatnonzero((t > 0.0) & (j > 0))
+            if rows.size == 0:
+                break
+            left = j[rows]
+            logs = _log_series(arrival_rate * t[rows] / math.e,
+                               np.stack((left, left - 1)))
+            price = (1.0 + logs[0] - logs[1]) / lam
+            sale = v[rows, r] >= price
+            sold = rows[sale]
+            gain[sold] += price[sale]
+            j[sold] -= 1
+        profits[pos:pos + size] = gain
+        served[pos:pos + size] = capacity - j
+        pos += size
+    return simulator._report(profits, served, capacity, seed)
+
+
+@pytest.mark.parametrize("lam, rate, k, T, trials, seed", [
+    (1.0, 1.0, 1, math.e, 50_000, 1),
+    (2.0, 0.5, 1, 5.0, 20_000, 2),
+    (1.0, 2.0, 20, 5.0, 100_000, 3),
+    (1.0, 40.0, 40, 3.0, 5_000, 4),  # series past the 16- and 32-term rescale checks
+    (1.0, 200.0, 120, 5.0, 50, 8),  # sums past 1e100 move into the log offset
+    (0.5, 3.0, 4, 0.0, 1_000, 5),
+    (1.0, 0.5, 2, 1.0, simulator.CHUNK_TRIALS + 1_000, 6),
+    (1.0, 1.0, 3, 2.0, 1, 7),
+])
+def test_continuous_matches_column_oracle(lam, rate, k, T, trials, seed):
+    assert simulate_continuous(lam, rate, k, T, trials, seed) == _continuous_oracle(
+        lam, rate, k, T, trials, seed)

@@ -194,6 +194,35 @@ def test_expected_excess_vector_call_matches_libm_bit_for_bit(model):
     assert values[:50].tolist() == [model.expected_excess(t) for t in thresholds[:50]]
 
 
+@pytest.mark.parametrize("model", MODELS, ids=str)
+def test_stage_gain_matches_vector_handles(model):
+    # (p - delta)(1 - F(p)) at p = phi^{-1}(delta). numpy's SIMD expm1 may
+    # differ from libm's in the last bit, and 1 - F(p) absorbs that as an
+    # absolute error of an ulp of 1, so the bound is ulp-scale.
+    lo, hi = model.support()
+    if model.kind == "exponential":
+        clamps = [-1.0 / model.rate]  # p = 0 at and below
+        span = (-3.0 / model.rate, 40.0 / model.rate)
+    else:
+        clamps = [2.0 * lo - hi, hi]  # p = lower at and below, p = upper at and above
+        span = (2.0 * lo - hi - 3.0, hi + 3.0)
+    deltas = np.concatenate((
+        np.random.default_rng(11).uniform(*span, 5000), clamps,
+        [np.nextafter(c, -np.inf) for c in clamps],
+        [np.nextafter(c, np.inf) for c in clamps], [c - 1.0 for c in clamps],
+        [c + 1.0 for c in clamps], [0.0]))
+    p = np.asarray(model.inverse_virtual_value(deltas))
+    expected = (p - deltas) * (1.0 - np.asarray(model.cdf(p)))
+    for delta, price, want in zip(deltas.tolist(), p.tolist(), expected.tolist()):
+        got = model._stage_gain(delta)
+        assert type(got) is float
+        assert abs(got - want) <= 2 * math.ulp(want) + 2.3e-16 * abs(price - delta), delta
+    if model.kind == "uniform":  # the upper clamp sells nothing
+        assert model._stage_gain(hi) == 0.0 and model._stage_gain(hi + 1.0) == 0.0
+    else:  # below the lower clamp the price is 0 and always sells
+        assert model._stage_gain(clamps[0] - 1.0) == -(clamps[0] - 1.0)
+
+
 def test_serialization_round_trip():
     for model in MODELS:
         assert ValuationModel.from_dict(model.to_dict()) == model
