@@ -5,8 +5,8 @@ hovering slots, so the planner solves max_k R_k(B - ck). The discrete search
 simply evaluates every feasible k (at most floor(B / (1 + c)) of them, since
 capacity beyond the hovering time is wasted). The same search, with the
 capacity cost shared by a group of pooled vehicles, prices every group size
-of fleet deployment from one table per hotspot. The continuous relaxation with
-exponential valuations admits a threshold policy in the arrival rate a':
+at every hotspot from one batched table sweep. The continuous relaxation
+with exponential valuations admits a threshold policy in the arrival rate a':
 
 * low regime, a' <= 2ce / (B - 2c)^2: a single unit (k* = 1) and maximum
   hovering time beat everything;
@@ -17,7 +17,7 @@ exponential valuations admits a threshold policy in the arrival rate a':
 The argmax is evaluated over every feasible k regardless of regime, so the
 regime label is a classification layer on top of an exhaustive search. That
 search, ``_best_series_capacity``, also serves ``capacity_argmax`` and the
-continuous fleet planner, and scores every k with one log-space series call.
+continuous fleet planner, and scores every k of many searches in one call.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def allocate_discrete(model: ValuationModel, alpha: float, budget: int,
 
     # A group of one reads every R[k][B - ck] from one table at
     # (B // (1 + c), B - c).
-    return _pooled_decisions(model, alpha, budget, service_cost, (1,))[0]
+    return _pooled_decisions(model, (alpha,), (budget,), service_cost, (1,))[0][0]
 
 
 # -- "best capacity for a budget": one discrete and one continuous search -----
@@ -85,50 +85,59 @@ def allocate_discrete(model: ValuationModel, alpha: float, budget: int,
 _POOL_EPS = 1e-9
 
 
-def _pooled_decisions(model: ValuationModel, alpha: float, available: float,
-                      service_cost: float,
-                      groups: Sequence[int]) -> list[AllocationDecision]:
-    """Best (k, T) for each group size in ``groups``, all read from one table.
+def _pooled_decisions(model: ValuationModel, alphas: Sequence[float],
+                      availables: Sequence[float], service_cost: float,
+                      groups: Sequence[int]) -> list[list[AllocationDecision]]:
+    """Best (k, T) per hotspot (alpha, avail) and group size, from one sweep.
 
-    A group of n vehicles sharing ``available`` energy each can fund capacity
-    k in 1..floor(avail / (1 + c / n)) with T = floor(avail - c k / n)
-    hovering slots. Both bounds grow with n, and R[j][t] depends only on rows
-    <= j and columns <= t, so the table built for the largest group holds the
-    table of every smaller group bit for bit. Ties go to the smallest k.
-    A group that cannot fund one user gets a zero-profit decision with k = 0.
+    A group of n vehicles with ``avail`` energy each funds k in 1..floor(avail
+    / (1 + c / n)) with T = floor(avail - c k / n) slots. R[j][t] depends only
+    on rows <= j and columns <= t, so a table sized for the largest hotspot
+    and group holds every group's table in its top-left corner, bit for bit.
+    Ties go to the smallest k; a group that cannot fund one user gets a
+    zero-profit decision with k = 0.
     """
-    k_max = lambda n: math.floor(available / (1.0 + service_cost / n) + _POOL_EPS)
-    hover = lambda n, k: math.floor(available - service_cost * k / n + _POOL_EPS)
-    top = max(groups)
-    if k_max(top) >= 1:
-        _, table = build_pricing(model, alpha, k_max(top), hover(top, 1))
-        values = table.values
-    decisions = []
-    for n in groups:
-        if k_max(n) < 1:
-            decisions.append(AllocationDecision(k_star=0, t_star=0, profit=0.0,
-                                                regime=Regime.NOT_APPLICABLE))
-            continue
-        best_k, best_profit = 1, -math.inf
-        for k in range(1, k_max(n) + 1):
-            profit = float(values[k, hover(n, k)])
-            if profit > best_profit:
-                best_k, best_profit = k, profit
-        decisions.append(AllocationDecision(
-            k_star=best_k, t_star=hover(n, best_k),
-            profit=best_profit, regime=Regime.NOT_APPLICABLE))
-    return decisions
+    avail = np.array(availables, dtype=float).reshape(-1, 1, 1)
+    n = np.array(groups).reshape(-1, 1)
+    k_top = np.floor(avail / (1.0 + service_cost / n) + _POOL_EPS).astype(int)
+    k = np.arange(1, k_top.max() + 1)
+    if not k.size:
+        return [[AllocationDecision(k_star=0, t_star=0, profit=0.0)] * n.size] * avail.size
+    # Both bounds grow with n and avail, so the largest ones size the table;
+    # hover falls as k grows, so no hover index passes the table either.
+    hover = np.floor(avail - service_cost * k / n + _POOL_EPS).astype(int)
+    live = k <= k_top
+    funded = live[..., 0].any(axis=1)
+    batch = np.array(alphas, dtype=float)[funded]
+    # A lone hotspot gets a scalar table: per column it costs less than a batch of one.
+    _, table = build_pricing(model, batch if batch.size > 1 else batch[0], k[-1],
+                             hover[..., 0].max())
+    values = table.values.reshape(table.values.shape[:2] + (-1,))
+    column = np.cumsum(funded).reshape(-1, 1, 1) - 1
+    profits = np.where(live, values[k, np.maximum(hover, 0), column], -np.inf)
+    return [[AllocationDecision(k_star=b + 1, t_star=h[b], profit=p[b]) if p[b] > -math.inf
+             else AllocationDecision(k_star=0, t_star=0, profit=0.0)
+             for b, h, p in zip(*row)]  # argmax takes the first maximum: the smallest k
+            for row in zip(profits.argmax(axis=2).tolist(), hover.tolist(), profits.tolist())]
 
 
-def _best_series_capacity(arrival_rate: float, available: float, service_cost: float,
-                          group: int, k_top: int) -> tuple[int, float]:
+def _series_logs(rate, available, service_cost: float, group, k_top) -> np.ndarray:
+    """log S_k(a' max(avail - c k / group, 0) / e) with k = 1 + the last index,
+    for the searches the other arguments broadcast over on leading axes; -inf
+    past each k_top (at least 1). One kernel call; each log is a lone search's."""
+    k_top = np.maximum(k_top, 1)
+    k = np.arange(1, np.max(k_top) + 1)
+    live = k <= k_top
+    x = rate * np.maximum(available - service_cost * k / group, 0.0) / math.e
+    return np.where(live, _log_series(x, np.where(live, k, 0)), -np.inf)  # k = 0: no terms
+
+
+def _best_series_capacity(rate, available, service_cost: float, group, k_top):
     """(k, log S_k(x_k)) maximizing log S_k(a' max(avail - c k / group, 0) / e)
-    over k in 1..max(k_top, 1), ties to the smallest k."""
-    k = np.arange(1, max(k_top, 1) + 1)
-    hover = np.maximum(available - service_cost * k / group, 0.0)
-    logs = _log_series(arrival_rate * hover / math.e, k)
-    best = int(np.argmax(logs))
-    return best + 1, float(logs[best])
+    over k in 1..max(k_top, 1), ties to the smallest k, per search of
+    ``_series_logs``."""
+    logs = _series_logs(rate, available, service_cost, group, k_top)
+    return logs.argmax(axis=-1) + 1, logs.max(axis=-1)  # argmax: the first maximum
 
 
 def low_regime_threshold(budget: float, service_cost: float) -> float:
@@ -200,8 +209,8 @@ def allocate_continuous(lam: float, arrival_rate: float, budget: float,
         raise ValueError(f"budget {budget} cannot cover a single user")
 
     k_top = math.floor(budget / service_cost + _FLOOR_EPS)
-    best_k, log_series = _best_series_capacity(arrival_rate, budget,
-                                               service_cost, 1, k_top)
+    best_k, log_series = (v.item() for v in _best_series_capacity(
+        arrival_rate, budget, service_cost, 1, k_top))
 
     if budget <= 2 * service_cost:
         regime = Regime.NOT_APPLICABLE
@@ -226,4 +235,4 @@ def capacity_argmax(arrival_rate: float, budget: float,
     labels classify.
     """
     k_top = math.floor(budget / service_cost + _FLOOR_EPS)
-    return _best_series_capacity(arrival_rate, budget, service_cost, 1, k_top)[0]
+    return _best_series_capacity(arrival_rate, budget, service_cost, 1, k_top)[0].item()

@@ -25,12 +25,13 @@ from .valuations import ValuationModel
 DEGENERATE_HALF_WIDTH = 5e-7
 
 
-def complete_info_profit(model: ValuationModel, alpha: float, capacity: int,
+def complete_info_profit(model: ValuationModel, alpha, capacity: int,
                          horizon: int) -> ProfitTable:
     """Fill the benchmark table for a seller who observes each valuation.
 
     E[(v - theta)^+] is evaluated in closed form per family, so the fill is
-    the same column sweep as the posted-price table.
+    the same column sweep as the posted-price table, and a 1-d alpha fills
+    one table per entry on a trailing axis.
     """
     return _fill(alpha, capacity, horizon, lambda _, r_same, r_less:
                  r_same + alpha * model.expected_excess(r_same - r_less))[1]

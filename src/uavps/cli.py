@@ -72,13 +72,6 @@ def write_csv(path: str, header: list[str], rows, params: dict) -> None:
             writer.writerow([_fmt(x) for x in row])
 
 
-def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    """Read back a CSV written by :func:`write_csv`, skipping comments."""
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    return rows[0], rows[1:]
-
-
 def _model_from_args(args) -> ValuationModel:
     if args.model in ("exp", "exponential"):
         if args.lam is None:

@@ -12,12 +12,13 @@ resource-allocation dynamic program over hotspots (Ibaraki & Katoh,
 *Resource Allocation Problems*, 1988): O(M * N^2) state updates instead of
 the C(N + M - 1, M - 1) compositions of the fleet. It takes the
 per-(hotspot, group size) decisions as input and serves both the discrete
-and the continuous profits. The discrete planner builds one pricing table
-per reachable hotspot, sized for the whole fleet, and reads every group
-size's decision from it. A plan's total is the left-to-right float sum of
-its served hotspots' profits, and exact ties go to the lexicographically
-greatest profile; the planner reproduces enumeration bit for bit, profile,
-decisions and total alike. ``compositions`` stays as the enumerator of
+and the continuous profits. The discrete planner fills the tables of all
+hotspots in one batched sweep, padded to the largest hotspot's size, and
+the continuous one scores every (hotspot, group, capacity) in one series
+kernel call. A plan's total is the left-to-right float sum of its served
+hotspots' profits, and exact ties go to the lexicographically greatest
+profile; the planner reproduces enumeration bit for bit, profile, decisions
+and total alike. ``compositions`` stays as the enumerator of
 ``route_oracle`` and as the reference the planner is tested against.
 
 Two verification tools accompany the planner:
@@ -42,9 +43,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .allocation import (AllocationDecision, Regime, _best_series_capacity,
-                         _pooled_decisions)
-from .pricing import _log_series
+from .allocation import (AllocationDecision, _best_series_capacity,
+                         _pooled_decisions, _series_logs)
 from .valuations import ValuationModel
 
 _FLOOR_EPS = 1e-9
@@ -179,8 +179,8 @@ def hotspot_profit(hotspot: Hotspot, uav_count: int,
             f"hotspot at distance {hotspot.distance} unreachable on budget "
             f"{fleet.initial_budget}"
         )
-    return _pooled_decisions(fleet.valuation, hotspot.alpha, available,
-                             fleet.service_cost, (uav_count,))[0]
+    return _pooled_decisions(fleet.valuation, (hotspot.alpha,), (available,),
+                             fleet.service_cost, (uav_count,))[0][0]
 
 
 # -- fleet-wide planning ------------------------------------------------------
@@ -322,22 +322,21 @@ def _plan_fleet(options: list[list[AllocationDecision] | None],
                           per_hotspot=per, total_profit=s)
 
 
-def _reachable_available(hotspots: list[Hotspot],
-                         fleet: FleetConfig) -> list[float | None]:
-    """Energy left after the flight to each hotspot; None where it is unreachable."""
-    avail = [fleet.initial_budget - h.distance
-             if h.distance < fleet.initial_budget else None for h in hotspots]
-    if all(a is None for a in avail):
+def _reachable(hotspots: list[Hotspot], fleet: FleetConfig):
+    """Indices, rates and energy left after the flight of the reachable hotspots."""
+    reach = [i for i, h in enumerate(hotspots) if h.distance < fleet.initial_budget]
+    if not reach:
         raise ValueError("no hotspot is reachable on the fleet budget")
-    return avail
+    return (reach, [hotspots[i].alpha for i in reach],
+            [fleet.initial_budget - hotspots[i].distance for i in reach])
 
 
 def optimal_deployment(hotspots: list[Hotspot], fleet: FleetConfig) -> DeploymentPlan:
     """Best fleet assignment under the discrete pooled profits.
 
-    Each reachable hotspot builds one pricing table, sized for the whole
-    fleet pooled there, and reads the decision of every group size 1..N from
-    it; the tables of smaller groups are its top-left corners, bit for bit.
+    One batched sweep fills a pricing table per reachable hotspot, sized for
+    the largest one with the whole fleet pooled there; each hotspot reads
+    every group size's decision from a top-left corner of its table.
     The assignment itself comes from the exact dynamic program of
     ``_plan_fleet`` in O(M * N^2): the total is the left-to-right float sum
     of the served hotspots' profits, and exact ties go to the
@@ -345,12 +344,10 @@ def optimal_deployment(hotspots: list[Hotspot], fleet: FleetConfig) -> Deploymen
     hotspots. Two identical hotspots and one vehicle give (1, 0).
     Unreachable hotspots are pinned to zero vehicles.
     """
-    avail = _reachable_available(hotspots, fleet)
-    groups = range(1, fleet.count + 1)
-    options = [None if a is None else
-               _pooled_decisions(fleet.valuation, h.alpha, a, fleet.service_cost, groups)
-               for h, a in zip(hotspots, avail)]
-    return _plan_fleet(options, fleet.count)
+    reach, alphas, avails = _reachable(hotspots, fleet)
+    rows = dict(zip(reach, _pooled_decisions(fleet.valuation, alphas, avails,
+                                             fleet.service_cost, range(1, fleet.count + 1))))
+    return _plan_fleet([rows.get(i) for i in range(len(hotspots))], fleet.count)
 
 
 def best_single_hotspot(hotspots: list[Hotspot], fleet: FleetConfig) -> BestHotspot:
@@ -359,12 +356,9 @@ def best_single_hotspot(hotspots: list[Hotspot], fleet: FleetConfig) -> BestHots
     Ranking covers reachable hotspots ordered by achievable profit (ties to
     the lower index).
     """
-    decisions = {}
-    for i, h in enumerate(hotspots):
-        if h.distance < fleet.initial_budget:
-            decisions[i] = hotspot_profit(h, 1, fleet)
-    if not decisions:
-        raise ValueError("no hotspot is reachable on the fleet budget")
+    reach, alphas, avails = _reachable(hotspots, fleet)
+    rows = _pooled_decisions(fleet.valuation, alphas, avails, fleet.service_cost, (1,))
+    decisions = {i: row[0] for i, row in zip(reach, rows)}
     ranking = sorted(decisions, key=lambda i: (-decisions[i].profit, i))
     best = ranking[0]
     return BestHotspot(index=best, decision=decisions[best], ranking=ranking)
@@ -395,12 +389,9 @@ def route_oracle(instance: RouteInstance, fleet: FleetConfig,
 
     def spot_profit(idx: int, budget: float) -> float:
         key = (idx, round(budget, 9))
-        if key not in cache:
-            if budget <= 0:
-                cache[key] = 0.0
-            else:
-                cache[key] = _pooled_decisions(model, instance.hotspots[idx].alpha,
-                                               budget, cost, (1,))[0].profit
+        if key not in cache:  # no budget funds no unit: a zero-profit decision
+            cache[key] = _pooled_decisions(model, (instance.hotspots[idx].alpha,),
+                                           (budget,), cost, (1,))[0][0].profit
         return cache[key]
 
     best = RouteResult(route=(), budgets=(), profit=0.0)
@@ -443,8 +434,14 @@ def pooled_series_max(arrival_rate: float, available: float, service_cost: float
     Returns (best k, log of the series value); that log over lam is the
     pooled group's expected profit. Ties go to the smallest k.
     """
-    k_top = math.floor(group * available / service_cost + _FLOOR_EPS)
-    return _best_series_capacity(arrival_rate, available, service_cost, group, k_top)
+    k_top = _pooled_k_top(group, available, service_cost)
+    return tuple(v.item() for v in _best_series_capacity(
+        arrival_rate, available, service_cost, group, k_top))
+
+
+def _pooled_k_top(group, available, service_cost: float) -> np.ndarray:
+    """floor(group * avail / c), the pooled capacity bound, elementwise."""
+    return np.floor(np.multiply(group, available) / service_cost + _FLOOR_EPS).astype(int)
 
 
 def forking_condition(hotspot1: Hotspot, hotspot2: Hotspot, fleet: FleetConfig,
@@ -473,15 +470,18 @@ def forking_condition(hotspot1: Hotspot, hotspot2: Hotspot, fleet: FleetConfig,
     a1, a2 = hotspot1.alpha, hotspot2.alpha
     cost, n = fleet.service_cost, fleet.count
 
-    k2_star, best2 = pooled_series_max(a2, avail2, cost, 1)
-    _, best1 = pooled_series_max(a1, avail1, cost, 1)
+    # One kernel call: each hotspot alone, hotspot 1 pooling n and n - 1
+    # vehicles, and hotspot 2's capacities at rate a'_1 for the denominator.
+    groups = np.array([1, 1, n, n - 1, 1])[:, None]
+    avails = np.array([avail2, avail1, avail1, avail1, avail2])[:, None]
+    logs = _series_logs(np.array([a2, a1, a1, a1, a1])[:, None], avails, cost, groups,
+                        _pooled_k_top(groups, avails, cost))
+    k2_star = int(logs[0].argmax()) + 1
+    best2, best1, pooled_n, pooled_n1 = logs[:4].max(axis=1).tolist()
     if best1 < best2:
         raise ValueError("hotspot 1 must be the first best for a single vehicle")
 
-    _, pooled_n = pooled_series_max(a1, avail1, cost, n)
-    _, pooled_n1 = pooled_series_max(a1, avail1, cost, n - 1)
-
-    log_s2 = float(_log_series(a1 * max(avail2 - cost * k2_star, 0.0) / math.e, k2_star))
+    log_s2 = float(logs[4, k2_star - 1])
     if log_s2 <= 0.0:
         return ForkingCheck(holds=False, phi=math.inf, k2_star=k2_star)
 
@@ -503,26 +503,21 @@ def optimal_deployment_continuous(hotspots: list[Hotspot], fleet: FleetConfig,
     Poisson arrivals and exponential valuations of rate lam give a group of
     n vehicles the profit max_k log S_k / lam of ``pooled_series_max``; the
     assignment comes from the same planner, with the same summation order
-    and tie rule, as ``optimal_deployment``. Used to verify the forking
-    condition.
+    and tie rule, as ``optimal_deployment``. Every (hotspot, n, k) is scored
+    in one series kernel call. Used to verify the forking condition.
     """
     if lam <= 0:
         raise ValueError("valuation rate must be positive")
-    avail = _reachable_available(hotspots, fleet)
-    cost = fleet.service_cost
-    options = []
-    for h, a in zip(hotspots, avail):
-        if a is None:
-            options.append(None)
-            continue
-        row = []
-        for n in range(1, fleet.count + 1):
-            k, log_series = pooled_series_max(h.alpha, a, cost, n)
-            row.append(AllocationDecision(k_star=k, t_star=a - cost * k / n,
-                                          profit=log_series / lam,
-                                          regime=Regime.NOT_APPLICABLE))
-        options.append(row)
-    return _plan_fleet(options, fleet.count)
+    reach, alphas, avails = _reachable(hotspots, fleet)
+    cost, count = fleet.service_cost, fleet.count
+    groups = np.arange(1, count + 1)[:, None]  # searches on axes (hotspot, n)
+    avail, rate = np.array(avails)[:, None, None], np.array(alphas)[:, None, None]
+    ks, logs = _best_series_capacity(rate, avail, cost, groups,
+                                     _pooled_k_top(groups, avail, cost))
+    rows = {i: [AllocationDecision(k_star=k, t_star=a - cost * k / n, profit=log_series / lam)
+                for n, k, log_series in zip(range(1, count + 1), row_k, row_log)]
+            for i, a, row_k, row_log in zip(reach, avails, ks.tolist(), logs.tolist())}
+    return _plan_fleet([rows.get(i) for i in range(len(hotspots))], count)
 
 
 # -- file ingestion ------------------------------------------------------------
@@ -546,16 +541,3 @@ def load_hotspots(path: str) -> list[Hotspot]:
             raise ValueError(f"{path}: hotspot {i} missing key {exc}") from exc
     return spots
 
-
-def fleet_from_dict(data: dict) -> FleetConfig:
-    """Build a fleet from {"count", "budget", "service_cost", "valuation"}."""
-    unknown = set(data) - {"count", "budget", "service_cost", "valuation"}
-    if unknown:
-        raise ValueError(f"unknown fleet keys: {sorted(unknown)}")
-    try:
-        return FleetConfig(count=int(data["count"]),
-                           initial_budget=float(data["budget"]),
-                           service_cost=float(data["service_cost"]),
-                           valuation=ValuationModel.from_dict(data["valuation"]))
-    except KeyError as exc:
-        raise ValueError(f"fleet config missing key {exc}") from exc

@@ -97,28 +97,36 @@ def profit_step(model: ValuationModel, alpha: float, price, r_same, r_less):
     return out if out.ndim else float(out)
 
 
-def _fill(alpha: float, capacity: int, horizon: int, rule,
-          prices: np.ndarray | None = None) -> tuple[PriceSchedule, ProfitTable]:
-    """The one (j, t) sweep behind every discrete profit table.
-
-    Column t needs only column t-1: with m = min(t, capacity), ``rule(price,
-    r_same, r_less)`` maps the slices prices[1..m][t], R[1..m][t-1] and
-    R[0..m-1][t-1] to R[1..m][t], and rows past t copy R[t][t]. Without a
-    price matrix the rule may post into a NaN one.
-    """
-    if not 0.0 <= alpha <= 1.0:
+def _table_shape(alpha, capacity: int, horizon: int) -> tuple[int, ...]:
+    """(k + 1, T + 1) plus alpha's batch shape, once the arguments are valid."""
+    if not all(0.0 <= a <= 1.0 for a in np.ravel(alpha).tolist()):
         raise ValueError(f"occurrence probability must lie in [0, 1], got {alpha}")
     if capacity < 1:
         raise ValueError(f"capacity must be a positive integer, got {capacity}")
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    k, T = int(capacity), int(horizon)
-    if prices is None:
-        prices = np.full((k + 1, T + 1), np.nan)
-    elif prices.ndim != 2 or prices.shape[0] <= k or prices.shape[1] <= T:
-        raise ValueError(f"price matrix of shape {prices.shape} has no entry ({k}, {T})")
+    return (int(capacity) + 1, int(horizon) + 1) + np.shape(alpha)
 
-    values = np.zeros((k + 1, T + 1))
+
+def _fill(alpha, capacity: int, horizon: int, rule,
+          prices: np.ndarray | None = None) -> tuple[PriceSchedule, ProfitTable]:
+    """The one (j, t) sweep behind every discrete profit table.
+
+    Column t needs only column t-1: with m = min(t, capacity), ``rule(price,
+    r_same, r_less)`` maps the slices prices[1..m][t], R[1..m][t-1] and
+    R[0..m-1][t-1] to R[1..m][t], and rows past t copy R[t][t]. A 1-d alpha
+    adds a trailing batch axis, which a given price matrix must have too; the
+    rules are elementwise, so each table is the one its scalar alpha gives,
+    bit for bit. Without a price matrix the rule sees a read-only NaN view.
+    """
+    shape = _table_shape(alpha, capacity, horizon)
+    k, T = shape[0] - 1, shape[1] - 1
+    if prices is None:
+        prices = np.broadcast_to(np.nan, shape)
+    elif prices.ndim != len(shape) or prices[:k + 1, :T + 1].shape != shape:
+        raise ValueError(f"price matrix of shape {prices.shape} does not cover {shape}")
+
+    values = np.zeros(shape)
     for t in range(1, T + 1):
         m = min(t, k)
         values[1:m + 1, t] = rule(prices[1:m + 1, t], values[1:m + 1, t - 1],
@@ -128,13 +136,14 @@ def _fill(alpha: float, capacity: int, horizon: int, rule,
             ProfitTable(alpha=alpha, capacity=k, horizon=T, values=values))
 
 
-def build_pricing(model: ValuationModel, alpha: float, capacity: int,
+def build_pricing(model: ValuationModel, alpha, capacity: int,
                   horizon: int) -> tuple[PriceSchedule, ProfitTable]:
     """Fill the optimal price schedule and profit table for (alpha, k, T).
 
     One column sweep, each column's stage prices solved at once. Cells with
     t < j copy R[t][t] and leave the price undefined. An option value in
     [-1e-12 * R[j][t-1], 0) is round-off and counts as zero; a lower one raises.
+    A 1-d alpha fills one table per entry in the same sweep, on a trailing axis.
     """
     def posted(price, r_same, r_less):
         delta = r_same - r_less
@@ -142,16 +151,18 @@ def build_pricing(model: ValuationModel, alpha: float, capacity: int,
         price[:] = solve_stage_price(model, delta)
         return profit_step(model, alpha, price, r_same, r_less)
 
-    return _fill(alpha, capacity, horizon, posted)
+    prices = np.full(_table_shape(alpha, capacity, horizon), np.nan)
+    return _fill(alpha, capacity, horizon, posted, prices)
 
 
-def evaluate_schedule(model: ValuationModel, alpha: float, prices: np.ndarray,
+def evaluate_schedule(model: ValuationModel, alpha, prices: np.ndarray,
                       capacity: int, horizon: int) -> ProfitTable:
     """Propagate the profit recursion under an arbitrary price matrix.
 
     Used to score non-optimal policies (perturbed or constant prices) against
     the optimal table. ``prices[j, t]`` is read for j in 1..capacity and
     t in j..horizon; the matrix must cover them, other entries are ignored.
+    A 1-d alpha needs one price matrix per entry, on a trailing axis.
     """
     return _fill(alpha, capacity, horizon, partial(profit_step, model, alpha),
                  np.asarray(prices, dtype=float))[1]

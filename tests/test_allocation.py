@@ -40,7 +40,7 @@ def test_discrete_candidate_bound_and_budget_identity():
 
 
 def test_discrete_matches_exhaustive_rebuild():
-    for alpha in (0.15, 0.5, 0.9):
+    for alpha in (0.0, 0.15, 0.5, 0.9):  # alpha 0: every k ties at zero profit
         decision = allocate_discrete(UNI, alpha, 15, 3)
         per_k = []
         for k in range(1, 15 // 4 + 1):

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, CSV round trips, determinism."""
 
+import csv
 import json
 
 import pytest
@@ -11,6 +12,13 @@ from uavps.pricing import build_pricing
 from uavps.valuations import ValuationModel
 
 EXP1 = ValuationModel.exponential(1.0)
+
+
+def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
+    """Read back a CSV written by ``cli.write_csv``, skipping comments."""
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    return rows[0], rows[1:]
 
 
 def test_sweep_parser():
@@ -30,7 +38,7 @@ def test_price_discrete_stdout_and_csv(tmp_path, capsys):
     _, table = build_pricing(EXP1, 0.8, 3, 10)
     assert capsys.readouterr().out.strip() == f"{table.final():.6f}"
 
-    header, rows = cli.read_csv(str(out))
+    header, rows = read_csv(str(out))
     assert header == ["j", "t", "price", "profit"]
     assert len(rows) == 4 * 11
     # shortest round-trip formatting re-parses to the exact table values
@@ -63,7 +71,7 @@ def test_allocate_sweep_matches_library(tmp_path, capsys):
                      "--alpha-sweep", "0.1:0.9:0.2", "--out", str(out)])
     assert code == 0
     capsys.readouterr()
-    header, rows = cli.read_csv(str(out))
+    header, rows = read_csv(str(out))
     assert header == ["alpha", "k_star", "t_star", "profit", "regime"]
     uni = ValuationModel.uniform(5, 15)
     for row in rows:
@@ -83,7 +91,7 @@ def test_deploy_and_forking(tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert text.startswith("profile 1 1")
-    header, rows = cli.read_csv(str(out))
+    header, rows = read_csv(str(out))
     assert header == ["hotspot", "n", "k", "T", "profit"]
     assert len(rows) == 2
 
@@ -116,7 +124,7 @@ def test_benchmark_ratio_columns(tmp_path, capsys):
                      "--T-step", "3", "--out", str(out)])
     assert code == 0
     capsys.readouterr()
-    header, rows = cli.read_csv(str(out))
+    header, rows = read_csv(str(out))
     assert header == ["T", "ratio_k1", "ratio_k2", "ratio_k3"]
     for row in rows:
         assert float(row[1]) >= float(row[2]) >= float(row[3])
@@ -129,7 +137,7 @@ def test_benchmark_variance_roundtrip(tmp_path, capsys):
                      "--out", str(out)])
     assert code == 0
     capsys.readouterr()
-    header, rows = cli.read_csv(str(out))
+    header, rows = read_csv(str(out))
     assert header == ["variance", "incomplete", "complete"]
     expected = variance_sweep(10.0, [5.0, 10.0, 15.0], 0.8, 1, 3)
     for row, (var, inc, comp) in zip(rows, expected):

@@ -9,16 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uavps.allocation
+import uavps.deployment
 from uavps.allocation import (AllocationDecision, _pooled_decisions,
                               allocate_discrete)
 from uavps.deployment import (FleetConfig, Hotspot, RouteInstance, _plan_fleet,
                               best_single_hotspot, compositions,
-                              fleet_from_dict, forking_condition,
+                              forking_condition,
                               hotspot_profit, load_hotspots,
                               optimal_deployment,
                               optimal_deployment_continuous,
                               pooled_series_max, route_oracle)
-from uavps.pricing import build_pricing
+from uavps.pricing import _log_series, build_pricing
 from uavps.valuations import ValuationModel
 
 EXP1 = ValuationModel.exponential(1.0)
@@ -266,7 +267,7 @@ def _own_table_decision(model, alpha, avail, cost, n):
     return AllocationDecision(k_star=k, t_star=hover(k), profit=profits[k - 1])
 
 
-def test_one_pricing_table_per_reachable_hotspot(monkeypatch):
+def test_one_pricing_table_per_fleet_plan(monkeypatch):
     built = []
 
     def counting(*args, **kwargs):
@@ -279,16 +280,22 @@ def test_one_pricing_table_per_reachable_hotspot(monkeypatch):
              Hotspot(0.8, 5.0)]
     fleet = _fleet(count=5, budget=20.0, cost=3.0, model=model)
     plan = optimal_deployment(spots, fleet)
-    assert len(built) == 3
+    assert len(built) == 1
+    single = best_single_hotspot(spots, fleet)
+    assert len(built) == 2
+    assert single.decision == _own_table_decision(model, 0.8, 15.0, 3.0, 1)
 
     for h, n, dec in zip(spots, plan.profile.counts, plan.per_hotspot):
         if n:
             assert dec == _own_table_decision(model, h.alpha, 20.0 - h.distance,
                                               3.0, n)
-    for h in (spots[0], spots[2]):
+    reach = (spots[0], spots[2])
+    rows = _pooled_decisions(model, [h.alpha for h in reach],
+                             [20.0 - h.distance for h in reach], 3.0, range(1, 6))
+    for h, row in zip(reach, rows):
         avail = 20.0 - h.distance
-        assert _pooled_decisions(model, h.alpha, avail, 3.0, range(1, 6)) == [
-            _own_table_decision(model, h.alpha, avail, 3.0, n) for n in range(1, 6)]
+        assert row == [_own_table_decision(model, h.alpha, avail, 3.0, n)
+                       for n in range(1, 6)]
 
 
 def test_plan_serialization():
@@ -468,15 +475,81 @@ def test_pooled_series_max_finite_at_large_group():
     assert k == 1012 and math.isfinite(log_val)
 
 
+def _own_series_search(rate, avail, cost, group):
+    """One pooled capacity search scored by a kernel call of its own."""
+    k = np.arange(1, max(math.floor(group * avail / cost + 1e-9), 1) + 1)
+    logs = _log_series(rate * np.maximum(avail - cost * k / group, 0.0) / math.e, k)
+    best = int(np.argmax(logs))
+    return best + 1, float(logs[best])
+
+
+def _busy_fleet(budget):
+    spots = [Hotspot(80.0, 0.0), Hotspot(65.0, budget * 0.4 / 3),
+             Hotspot(50.0, budget * 0.8 / 3)]
+    return spots, FleetConfig(count=6, initial_budget=budget, service_cost=2.0,
+                              valuation=EXP1)
+
+
+_SEARCH_FLEETS = [
+    # unreachable (25) and barely reachable (19.5: no capacity fits) hotspots
+    ([Hotspot(2.0, 1.0), Hotspot(1.0, 25.0), Hotspot(0.5, 19.5), Hotspot(3.0, 6.0)],
+     _fleet(count=5)),
+    _busy_fleet(200.0),
+    _busy_fleet(600.0),
+]
+
+
+@pytest.mark.parametrize("spots, fleet", _SEARCH_FLEETS,
+                         ids=["unreachable", "busy-200", "busy-600"])
+def test_continuous_options_equal_one_search_per_group(monkeypatch, spots, fleet):
+    seen = []
+    plan_fleet = uavps.deployment._plan_fleet
+    monkeypatch.setattr(uavps.deployment, "_plan_fleet", lambda options, count:
+                        seen.append(options) or plan_fleet(options, count))
+    optimal_deployment_continuous(spots, fleet, 0.7)
+    assert seen[0] == _continuous_options(spots, fleet, 0.7)
+    for h, row in zip(spots, seen[0]):
+        avail = fleet.initial_budget - h.distance
+        for n, dec in enumerate(row or [], start=1):
+            k, log_val = _own_series_search(h.alpha, avail, fleet.service_cost, n)
+            assert (dec.k_star, dec.profit) == (k, log_val / 0.7)
+
+
+def _forking_oracle(h1, h2, fleet):
+    """forking_condition from five separate kernel calls."""
+    avail1 = fleet.initial_budget - h1.distance
+    avail2 = fleet.initial_budget - h2.distance
+    a1, a2, cost, n = h1.alpha, h2.alpha, fleet.service_cost, fleet.count
+    k2_star, _ = _own_series_search(a2, avail2, cost, 1)
+    gain = (_own_series_search(a1, avail1, cost, n)[1]
+            - _own_series_search(a1, avail1, cost, n - 1)[1])
+    log_s2 = float(_log_series(a1 * max(avail2 - cost * k2_star, 0.0) / math.e, k2_star))
+    if log_s2 <= 0.0:
+        return False, math.inf, k2_star
+    try:
+        phi = math.exp(gain - log_s2) * math.expm1(-gain) / math.expm1(-log_s2)
+    except OverflowError:
+        phi = math.inf
+    return a2 / a1 > max(phi ** (1.0 / k2_star), phi), phi, k2_star
+
+
+@pytest.mark.parametrize("spots, fleet", [
+    ([Hotspot(0.9, 4.0), Hotspot(0.7, 6.0)], _fleet(count=3)),
+    ([Hotspot(2.0, 1.0), Hotspot(1.0, 19.5)], _fleet(count=2)),  # hotspot 2 fits no unit
+    _busy_fleet(200.0),
+    _busy_fleet(600.0),
+], ids=["small", "empty-second", "busy-200", "busy-600"])
+def test_forking_equals_separate_searches(spots, fleet):
+    check = forking_condition(spots[0], spots[1], fleet, 1.0)
+    assert tuple(check) == _forking_oracle(spots[0], spots[1], fleet)
+
+
 @pytest.mark.parametrize("budget", [200.0, 600.0])
 def test_continuous_plan_and_forking_finite_on_busy_fleet(budget):
     # Rates high enough for the linear-space series to overflow: the plan
     # total came out inf and phi inf or NaN. At budget 600 the logs of the
     # series in phi also pass the range of exp.
-    fleet = FleetConfig(count=6, initial_budget=budget, service_cost=2.0,
-                        valuation=EXP1)
-    spots = [Hotspot(80.0, 0.0), Hotspot(65.0, budget * 0.4 / 3),
-             Hotspot(50.0, budget * 0.8 / 3)]
+    spots, fleet = _busy_fleet(budget)
     plan = optimal_deployment_continuous(spots, fleet, 1.0)
     assert math.isfinite(plan.total_profit)
     assert all(math.isfinite(d.profit) for d in plan.per_hotspot if d is not None)
@@ -497,7 +570,7 @@ def test_pooled_series_is_exhaustive():
 # -- ingestion ----------------------------------------------------------------------
 
 
-def test_load_hotspots_and_fleet(tmp_path):
+def test_load_hotspots(tmp_path):
     path = tmp_path / "spots.json"
     path.write_text(json.dumps([{"alpha": 0.4, "distance": 3.0},
                                 {"alpha": 0.9, "distance": 7.5}]))
@@ -510,11 +583,3 @@ def test_load_hotspots_and_fleet(tmp_path):
     path.write_text(json.dumps([]))
     with pytest.raises(ValueError):
         load_hotspots(str(path))
-
-    fleet = fleet_from_dict({"count": 3, "budget": 20.0, "service_cost": 2.0,
-                             "valuation": {"kind": "exponential", "rate": 1.0}})
-    assert fleet.count == 3 and fleet.valuation == EXP1
-    with pytest.raises(ValueError):
-        fleet_from_dict({"count": 3, "budget": 20.0, "service_cost": 2.0,
-                         "valuation": {"kind": "exponential", "rate": 1.0},
-                         "extra": True})

@@ -6,6 +6,7 @@ run per cell, only many cells of a column share one numpy call.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,64 @@ def test_evaluate_schedule_prices_that_never_sell(price):
 def test_complete_info_profit_equals_scalar_loop(model, alpha, k, T):
     table = complete_info_profit(model, alpha, k, T)
     assert _same(table.values, threshold_oracle(model, alpha, k, T))
+
+
+# -- a batch of alphas in one sweep ---------------------------------------------------
+
+
+def _assert_batch_equals_scalar_calls(model, alphas, k, T, seed):
+    """Batched tables against one scalar call per alpha, values and prices."""
+    batch = np.array(alphas)
+    schedule, table = build_pricing(model, batch, k, T)
+    bench = complete_info_profit(model, batch, k, T)
+    lo, hi = model.support()
+    top = 1.2 * hi if math.isfinite(hi) else model.sample(0.999)
+    prices = np.random.default_rng(seed).uniform(lo, top, (k + 1, T + 1, len(alphas)))
+    scored = evaluate_schedule(model, batch, prices, k, T)
+    for b, alpha in enumerate(alphas):
+        one_schedule, one_table = build_pricing(model, alpha, k, T)
+        assert _same(table.values[..., b], one_table.values)
+        assert _same(schedule.prices[..., b], one_schedule.prices)
+        assert _same(bench.values[..., b], complete_info_profit(model, alpha, k, T).values)
+        assert _same(scored.values[..., b],
+                     evaluate_schedule(model, alpha, prices[..., b], k, T).values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(models, st.lists(st.one_of(st.sampled_from((0.0, 1.0)), alphas),
+                        min_size=1, max_size=6),
+       st.integers(1, 20), st.integers(0, 120), st.integers(0, 2**32 - 1))
+@example(EXP1, [0.0, 1.0, 0.5], 20, 120, 0)
+@example(UNI, [1.0, 0.3, 0.0, 1.0, 0.7, 0.05], 20, 120, 1)
+@example(UNI, [0.4], 7, 3, 2)
+def test_batched_tables_equal_scalar_calls(model, alphas, k, T, seed):
+    _assert_batch_equals_scalar_calls(model, alphas, k, T, seed)
+
+
+@pytest.mark.parametrize("alphas, k, T", [([0.2, 0.0, 1.0, 0.5], 30, 300),
+                                          ([0.5, 0.2, 1.0], 50, 1000)])
+def test_batched_tables_equal_scalar_calls_through_roundoff_clamps(alphas, k, T):
+    _assert_batch_equals_scalar_calls(EXP1, alphas, k, T, 3)
+
+
+def test_batched_prices_must_cover_the_batch():
+    with pytest.raises(ValueError, match="cover"):
+        evaluate_schedule(EXP1, np.array([0.3, 0.6]), np.ones((4, 6)), 3, 5)
+    with pytest.raises(ValueError, match="cover"):
+        evaluate_schedule(EXP1, np.array([0.3, 0.6]), np.ones((4, 6, 3)), 3, 5)
+    with pytest.raises(ValueError, match="occurrence probability"):
+        build_pricing(EXP1, np.array([0.3, 1.5]), 3, 5)
+
+
+def test_complete_info_profit_allocates_no_price_matrix():
+    tracemalloc.start()
+    try:
+        table = complete_info_profit(EXP1, 0.9, 20, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The table itself plus column temporaries; a price matrix would double it.
+    assert peak < 1.5 * table.values.nbytes
 
 
 # -- one validation at the kernel entry ------------------------------------------
