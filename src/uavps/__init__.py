@@ -5,7 +5,9 @@ capacity-limited service over a hovering window (``pricing``), splitting one
 vehicle's energy between hovering time and service capacity (``allocation``),
 and assigning a fleet to heterogeneous hotspots (``deployment``). Every
 expected-profit number is cross-checkable against the Monte-Carlo harness in
-``simulator`` and the full-information benchmark in ``benchmark``.
+``simulator`` and the full-information benchmark in ``benchmark``. An
+argument outside a function's domain raises ``ParameterError``, a
+``ValueError``.
 """
 
 from .allocation import (AllocationDecision, Regime, allocate_continuous,
@@ -25,14 +27,14 @@ from .pricing import (PriceSchedule, ProfitTable, build_pricing,
                       solve_stage_price)
 from .simulator import (RegretReport, SimulationReport, simulate_continuous,
                         simulate_discrete, simulate_policy_regret)
-from .valuations import ValuationModel, check_regularity
+from .valuations import ParameterError, ValuationModel, check_regularity
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AllocationDecision", "BestHotspot", "DeploymentPlan", "DeploymentProfile",
-    "FleetConfig", "ForkingCheck", "Hotspot", "PriceSchedule", "ProfitTable",
-    "Regime", "RegretReport", "RouteInstance", "RouteResult",
+    "FleetConfig", "ForkingCheck", "Hotspot", "ParameterError", "PriceSchedule",
+    "ProfitTable", "Regime", "RegretReport", "RouteInstance", "RouteResult",
     "SimulationReport", "ValuationModel",
     "allocate_continuous", "allocate_discrete", "best_single_hotspot",
     "build_pricing", "capacity_argmax", "check_regularity",

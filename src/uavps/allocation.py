@@ -32,7 +32,7 @@ from scipy.optimize import bisect
 from scipy.special import gammaln, logsumexp
 
 from .pricing import _log_series, build_pricing
-from .valuations import ValuationModel
+from .valuations import ParameterError, ValuationModel
 
 # Absorbs float noise in floor(B / c) when B is an exact multiple of c.
 _FLOOR_EPS = 1e-12
@@ -63,13 +63,14 @@ def allocate_discrete(model: ValuationModel, alpha: float, budget: int,
     chosen split always uses the whole budget, T = B - ck. Ties go to the
     smallest capacity, preserving hovering flexibility.
     """
-    if budget != int(budget) or service_cost != int(service_cost):
-        raise ValueError("discrete allocation needs integer budget and service cost")
+    if not (float(budget).is_integer() and float(service_cost).is_integer()):
+        raise ParameterError("discrete allocation needs integer budget and service cost, "
+                             f"got {budget} and {service_cost}")
     budget, service_cost = int(budget), int(service_cost)
     if service_cost <= 0:
-        raise ValueError(f"service cost must be positive, got {service_cost}")
+        raise ParameterError(f"service cost must be positive, got {service_cost}")
     if budget < 1 + service_cost:
-        raise ValueError(
+        raise ParameterError(
             f"budget {budget} cannot cover one user plus one hovering slot"
         )
 
@@ -142,8 +143,8 @@ def _best_series_capacity(rate, available, service_cost: float, group, k_top):
 
 def low_regime_threshold(budget: float, service_cost: float) -> float:
     """Arrival rate below which a single service unit is optimal: 2ce/(B-2c)^2."""
-    if budget <= 2 * service_cost:
-        raise ValueError("low-regime threshold needs budget > 2 * service cost")
+    if not budget > 2 * service_cost:
+        raise ParameterError("low-regime threshold needs budget > 2 * service cost")
     return 2.0 * service_cost * math.e / (budget - 2.0 * service_cost) ** 2
 
 
@@ -173,8 +174,8 @@ def high_regime_threshold(budget: float, service_cost: float) -> float:
     Returns +inf when B / c is an integer: saturation then leaves zero
     hovering time and can never pay, so the high regime does not exist.
     """
-    if budget <= service_cost:
-        raise ValueError("need budget > service cost")
+    if not budget > service_cost:
+        raise ParameterError("need budget > service cost")
     k_top = math.floor(budget / service_cost + _FLOOR_EPS)
     if budget - service_cost * k_top <= _FLOOR_EPS * budget:
         return math.inf
@@ -201,12 +202,12 @@ def allocate_continuous(lam: float, arrival_rate: float, budget: float,
     over k in 1..floor(B / c) (ties to the smallest k); the regime label adds
     the threshold classification where its formulas apply (budget > 2c).
     """
-    if lam <= 0 or arrival_rate <= 0:
-        raise ValueError("rate parameters must be positive")
-    if service_cost <= 0:
-        raise ValueError(f"service cost must be positive, got {service_cost}")
-    if budget <= service_cost:
-        raise ValueError(f"budget {budget} cannot cover a single user")
+    if not (lam > 0 and arrival_rate > 0):
+        raise ParameterError(f"rate parameters must be positive, got {lam}, {arrival_rate}")
+    if not service_cost > 0:
+        raise ParameterError(f"service cost must be positive, got {service_cost}")
+    if not service_cost < budget < math.inf:
+        raise ParameterError(f"budget {budget} must be finite and cover a single user")
 
     k_top = math.floor(budget / service_cost + _FLOOR_EPS)
     best_k, log_series = (v.item() for v in _best_series_capacity(

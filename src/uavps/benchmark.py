@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .pricing import ProfitTable, _fill, build_pricing
-from .valuations import ValuationModel
+from .valuations import ParameterError, ValuationModel
 
 # Half-width standing in for a point mass when a zero-variance sweep entry is
 # requested (an exactly degenerate uniform is invalid).
@@ -45,11 +45,11 @@ def profit_ratio_curve(model: ValuationModel, alpha: float, capacity: int,
     reported as ratio 1 by convention.
     """
     if not horizons:
-        raise ValueError("need at least one horizon")
+        raise ParameterError("need at least one horizon")
     horizons = [int(t) for t in horizons]
     for t in horizons:
         if t < capacity:
-            raise ValueError(f"horizon {t} shorter than capacity {capacity}")
+            raise ParameterError(f"horizon {t} shorter than capacity {capacity}")
 
     t_max = max(horizons)
     _, table = build_pricing(model, alpha, capacity, t_max)
@@ -75,15 +75,15 @@ def variance_sweep(mean: float, variances: list[float], alpha: float,
         List of (variance, posted-price profit, benchmark profit).
     """
     if not variances:
-        raise ValueError("need at least one variance")
+        raise ParameterError("need at least one variance")
     out = []
     for var in variances:
-        if var < 0:
-            raise ValueError(f"variance must be nonnegative, got {var}")
+        if not var >= 0:
+            raise ParameterError(f"variance must be nonnegative, got {var}")
         half = np.sqrt(3.0 * var) if var > 0 else DEGENERATE_HALF_WIDTH
         lower = mean - half
         if lower < 0:
-            raise ValueError(
+            raise ParameterError(
                 f"variance {var} drives the lower support bound below zero"
             )
         model = ValuationModel.uniform(lower, mean + half)

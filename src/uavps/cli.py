@@ -1,11 +1,15 @@
 """Command-line surface: price, allocate, deploy, simulate, benchmark.
 
-Every command validates its parameters before dispatch (exit code 2 on a bad
-configuration, 1 on a runtime failure, 0 on success), prints headline numbers
-to stdout with six decimals, and can write CSV files carrying the full
-parameter set as ``#`` comment lines. CSV cells use shortest round-trip float
-formatting, so files re-parse to exactly the values the library returned, and
-identical configurations (including seeds) produce byte-identical files.
+The library validates every value: a bad one raises ``ParameterError``, which
+exits with code 2, as do the checks made here, which are only those the
+library cannot make: flags that must be present, the model family, sweep and
+list syntax, the whole-number horizons of the discrete mode, the pairing of
+study flags, and the hotspot and config files. Any other failure exits with 1
+and success with 0. Commands print headline numbers to stdout with six
+decimals and can write CSV files carrying the full parameter set as ``#``
+comment lines. CSV cells use shortest round-trip float formatting, so files
+re-parse to exactly the values the library returned, and identical
+configurations (including seeds) produce byte-identical files.
 
 Parameters may also come from a JSON config file via ``--config``; explicit
 flags override file values.
@@ -18,13 +22,10 @@ import csv
 import json
 import math
 import sys
+from functools import partial
 
 from . import allocation, benchmark, deployment, pricing, simulator
-from .valuations import ValuationModel
-
-
-class ConfigError(Exception):
-    """A parameter bundle that fails the target operation's preconditions."""
+from .valuations import ParameterError, ValuationModel
 
 
 # -- small parsers -------------------------------------------------------------
@@ -35,9 +36,10 @@ def parse_sweep(text: str) -> list[float]:
     try:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
-        raise ConfigError(f"bad sweep {text!r}, expected start:stop:step") from exc
-    if step <= 0 or stop < start:
-        raise ConfigError(f"bad sweep {text!r}: need step > 0 and stop >= start")
+        raise ParameterError(f"bad sweep {text!r}, expected start:stop:step") from exc
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
+        raise ParameterError(f"bad sweep {text!r}: need finite values, step > 0 "
+                             "and stop >= start")
     out, v = [], start
     while v <= stop + step / 2:
         out.append(round(v, 12))
@@ -48,7 +50,7 @@ def parse_int_list(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"bad integer list {text!r}") from exc
+        raise ParameterError(f"bad integer list {text!r}") from exc
 
 
 def _fmt(x) -> str:
@@ -72,59 +74,55 @@ def write_csv(path: str, header: list[str], rows, params: dict) -> None:
             writer.writerow([_fmt(x) for x in row])
 
 
+def _need(args, *dests: str) -> None:
+    """Fail unless every named flag has a value: the library cannot take None."""
+    missing = [d for d in dests if getattr(args, d) is None]
+    if missing:
+        raise ParameterError("missing " + ", ".join(
+            "--" + ("lambda" if d == "lam" else d.replace("_", "-")) for d in missing))
+
+
+def _slots(T: float) -> int:
+    """A discrete horizon: a whole number of slots."""
+    if not float(T).is_integer():
+        raise ParameterError(f"discrete mode needs an integer --T, got {T}")
+    return int(T)
+
+
 def _model_from_args(args) -> ValuationModel:
     if args.model in ("exp", "exponential"):
-        if args.lam is None:
-            raise ConfigError("exponential model needs --lambda")
+        _need(args, "lam")
         return ValuationModel.exponential(args.lam)
     if args.model == "uniform":
-        if args.a is None or args.b is None:
-            raise ConfigError("uniform model needs --a and --b")
-        if not 0 <= args.a < args.b:
-            raise ConfigError(f"need 0 <= a < b, got a={args.a} b={args.b}")
+        _need(args, "a", "b")
         return ValuationModel.uniform(args.a, args.b)
-    raise ConfigError(f"unknown model {args.model!r} (use exp or uniform)")
-
-
-def _check(cond: bool, message: str) -> None:
-    if not cond:
-        raise ConfigError(message)
+    raise ParameterError(f"unknown model {args.model!r} (use exp or uniform)")
 
 
 # -- commands -------------------------------------------------------------------
 
 
 def cmd_price(args) -> int:
-    _check(args.k is not None and args.k >= 1, "--k must be a positive integer")
-    _check(args.T is not None and args.T >= 0, "--T must be nonnegative")
+    _need(args, "k", "T")
     params = {"command": "price", "mode": args.mode, "model": args.model,
               "lambda": args.lam, "a": args.a, "b": args.b, "alpha": args.alpha,
               "arrival_rate": args.arrival_rate, "k": args.k, "T": args.T}
 
+    k = int(args.k)
     if args.mode == "continuous":
-        _check(args.lam is not None and args.lam > 0, "--lambda must be positive")
-        _check(args.arrival_rate is not None and args.arrival_rate > 0,
-               "--arrival-rate must be positive")
-        profit = pricing.expected_profit_closed_form(args.lam, args.arrival_rate,
-                                                     int(args.k), args.T)
-        print(f"{profit:.6f}")
+        _need(args, "lam", "arrival_rate")
+        profit = partial(pricing.expected_profit_closed_form, args.lam, args.arrival_rate, k)
+        price = partial(pricing.price_closed_form, args.lam, args.arrival_rate, k)
+        print(f"{profit(args.T):.6f}")
         if args.out:
             grid = [args.T * i / 100 for i in range(101)]
-            rows = [(int(args.k), t,
-                     pricing.price_closed_form(args.lam, args.arrival_rate,
-                                               int(args.k), t),
-                     pricing.expected_profit_closed_form(args.lam, args.arrival_rate,
-                                                         int(args.k), t))
-                    for t in grid]
-            write_csv(args.out, ["k", "t", "price", "profit"], rows, params)
+            write_csv(args.out, ["k", "t", "price", "profit"],
+                      [(k, t, price(t), profit(t)) for t in grid], params)
         return 0
 
     model = _model_from_args(args)
-    _check(args.alpha is not None and 0 <= args.alpha <= 1,
-           "--alpha must lie in [0, 1]")
-    _check(args.T == int(args.T), "discrete mode needs an integer --T")
-    schedule, table = pricing.build_pricing(model, args.alpha, int(args.k),
-                                            int(args.T))
+    _need(args, "alpha")
+    schedule, table = pricing.build_pricing(model, args.alpha, k, _slots(args.T))
     print(f"{table.final():.6f}")
     if args.out:
         write_csv(args.out, ["j", "t", "price", "profit"],
@@ -133,76 +131,55 @@ def cmd_price(args) -> int:
 
 
 def cmd_allocate(args) -> int:
-    _check(args.B is not None and args.c is not None, "--B and --c are required")
+    _need(args, "B", "c")
     params = {"command": "allocate", "mode": args.mode, "model": args.model,
               "lambda": args.lam, "a": args.a, "b": args.b, "B": args.B,
               "c": args.c, "alpha": args.alpha, "arrival_rate": args.arrival_rate,
               "alpha_sweep": args.alpha_sweep}
 
-    def emit(rows):
-        for alpha, dec in rows:
-            print(f"alpha={alpha:.6f} k={dec.k_star} T={dec.t_star:.6f} "
-                  f"profit={dec.profit:.6f} regime={dec.regime.value}")
-        if args.out:
-            write_csv(args.out, ["alpha", "k_star", "t_star", "profit", "regime"],
-                      [(a, d.k_star, d.t_star, d.profit, d.regime.value)
-                       for a, d in rows], params)
-
+    # The sweep runs over the arrival rate in continuous mode, else over alpha.
     if args.mode == "continuous":
-        _check(args.lam is not None and args.lam > 0, "--lambda must be positive")
-        _check(args.B > args.c > 0, "need B > c > 0")
-        rates = (parse_sweep(args.alpha_sweep) if args.alpha_sweep
-                 else [args.arrival_rate])
-        _check(all(r is not None and r > 0 for r in rates),
-               "--arrival-rate (or --alpha-sweep) must be positive")
-        emit([(r, allocation.allocate_continuous(args.lam, r, args.B, args.c))
-              for r in rates])
-        return 0
+        _need(args, "lam")
+        swept, decide = "arrival_rate", partial(allocation.allocate_continuous, args.lam)
+    else:
+        swept, decide = "alpha", partial(allocation.allocate_discrete,
+                                         _model_from_args(args))
+    if not args.alpha_sweep:
+        _need(args, swept)
+    points = parse_sweep(args.alpha_sweep) if args.alpha_sweep else [getattr(args, swept)]
+    rows = [(x, decide(x, args.B, args.c)) for x in points]
 
-    model = _model_from_args(args)
-    _check(args.c > 0, "--c must be positive")
-    _check(args.B == int(args.B) and args.c == int(args.c),
-           "discrete mode needs integer --B and --c")
-    _check(args.B >= 1 + args.c, f"budget {args.B} cannot cover one user "
-           f"plus one hovering slot at c={args.c}")
-    alphas = parse_sweep(args.alpha_sweep) if args.alpha_sweep else [args.alpha]
-    _check(all(a is not None and 0 <= a <= 1 for a in alphas),
-           "--alpha (or --alpha-sweep) must lie in [0, 1]")
-    emit([(a, allocation.allocate_discrete(model, a, int(args.B), int(args.c)))
-          for a in alphas])
+    for x, dec in rows:
+        print(f"alpha={x:.6f} k={dec.k_star} T={dec.t_star:.6f} "
+              f"profit={dec.profit:.6f} regime={dec.regime.value}")
+    if args.out:
+        write_csv(args.out, ["alpha", "k_star", "t_star", "profit", "regime"],
+                  [(x, d.k_star, d.t_star, d.profit, d.regime.value) for x, d in rows],
+                  params)
     return 0
 
 
 def cmd_deploy(args) -> int:
-    _check(args.hotspots is not None, "--hotspots file is required")
+    _need(args, "hotspots", "N", "B0", "c")
     try:
         spots = deployment.load_hotspots(args.hotspots)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        raise ConfigError(f"cannot load hotspots: {exc}") from exc
-    _check(args.N is not None and args.N >= 1, "--N must be a positive integer")
-    _check(args.B0 is not None and args.B0 > 0, "--B0 must be positive")
-    _check(args.c is not None and args.c > 0, "--c must be positive")
+    except (OSError, ValueError) as exc:
+        raise ParameterError(f"cannot load hotspots: {exc}") from exc
+    fleet = partial(deployment.FleetConfig, int(args.N), args.B0, args.c)
 
     if args.check_forking:
-        _check(args.lam is not None and args.lam > 0, "--lambda must be positive")
-        _check(len(spots) >= 2, "--check-forking needs at least two hotspots")
-        _check(args.N >= 2, "--check-forking needs at least two vehicles")
-        fleet = deployment.FleetConfig(count=int(args.N), initial_budget=args.B0,
-                                       service_cost=args.c,
-                                       valuation=ValuationModel.exponential(args.lam))
-        check = deployment.forking_condition(spots[0], spots[1], fleet, args.lam)
+        _need(args, "lam")
+        if len(spots) < 2:
+            raise ParameterError("--check-forking needs at least two hotspots")
+        check = deployment.forking_condition(
+            spots[0], spots[1], fleet(ValuationModel.exponential(args.lam)), args.lam)
         bound = max(check.phi ** (1.0 / check.k2_star), check.phi)
         print(f"phi={check.phi:.6f} threshold={bound:.6f} "
               f"ratio={spots[1].alpha / spots[0].alpha:.6f} k2_star={check.k2_star} "
               f"forking={'holds' if check.holds else 'fails'}")
         return 0
 
-    model = _model_from_args(args)
-    fleet = deployment.FleetConfig(count=int(args.N), initial_budget=args.B0,
-                                   service_cost=args.c, valuation=model)
-    _check(any(h.distance < fleet.initial_budget for h in spots),
-           "no hotspot is reachable on the fleet budget")
-    plan = deployment.optimal_deployment(spots, fleet)
+    plan = deployment.optimal_deployment(spots, fleet(_model_from_args(args)))
     print("profile " + " ".join(str(n) for n in plan.profile.counts))
     print(f"total_profit={plan.total_profit:.6f}")
     if args.out:
@@ -215,32 +192,25 @@ def cmd_deploy(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _check(args.k is not None and args.k >= 1, "--k must be a positive integer")
-    _check(args.T is not None and args.T >= 0, "--T must be nonnegative")
-    _check(args.trials >= 1, "--trials must be positive")
+    _need(args, "k", "T")
     params = {"command": "simulate", "mode": args.mode, "model": args.model,
               "lambda": args.lam, "a": args.a, "b": args.b, "alpha": args.alpha,
               "arrival_rate": args.arrival_rate, "k": args.k, "T": args.T,
               "trials": args.trials, "seed": args.seed}
 
+    k = int(args.k)
     if args.mode == "continuous":
-        _check(args.lam is not None and args.lam > 0, "--lambda must be positive")
-        _check(args.arrival_rate is not None and args.arrival_rate > 0,
-               "--arrival-rate must be positive")
-        report = simulator.simulate_continuous(args.lam, args.arrival_rate,
-                                               int(args.k), args.T,
+        _need(args, "lam", "arrival_rate")
+        report = simulator.simulate_continuous(args.lam, args.arrival_rate, k, args.T,
                                                args.trials, args.seed)
-        reference = pricing.expected_profit_closed_form(
-            args.lam, args.arrival_rate, int(args.k), args.T)
+        reference = pricing.expected_profit_closed_form(args.lam, args.arrival_rate,
+                                                        k, args.T)
     else:
         model = _model_from_args(args)
-        _check(args.alpha is not None and 0 <= args.alpha <= 1,
-               "--alpha must lie in [0, 1]")
-        _check(args.T == int(args.T), "discrete mode needs an integer --T")
-        schedule, table = pricing.build_pricing(model, args.alpha, int(args.k),
-                                                int(args.T))
-        report = simulator.simulate_discrete(model, args.alpha, schedule,
-                                             int(args.k), int(args.T),
+        _need(args, "alpha")
+        horizon = _slots(args.T)
+        schedule, table = pricing.build_pricing(model, args.alpha, k, horizon)
+        report = simulator.simulate_discrete(model, args.alpha, schedule, k, horizon,
                                              args.trials, args.seed)
         reference = table.final()
 
@@ -256,15 +226,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_benchmark(args) -> int:
     if args.ratio == args.variance:
-        raise ConfigError("pick exactly one of --ratio / --variance")
+        raise ParameterError("pick exactly one of --ratio / --variance")
     if args.ratio:
         model = _model_from_args(args)
-        _check(args.alpha is not None and 0 <= args.alpha <= 1,
-               "--alpha must lie in [0, 1]")
+        _need(args, "alpha", "T_max")
         ks = parse_int_list(args.k_list)
-        _check(all(k >= 1 for k in ks), "--k entries must be positive")
-        _check(args.T_max is not None and args.T_max >= max(ks),
-               "--T-max must cover the largest capacity")
+        if args.T_step < 1 or not math.isfinite(args.T_max):
+            raise ParameterError(f"need a finite --T-max and a positive --T-step, "
+                                 f"got {args.T_max} and {args.T_step}")
         horizons = list(range(max(ks), int(args.T_max) + 1, args.T_step))
         curves = {k: dict(benchmark.profit_ratio_curve(model, args.alpha, k,
                                                        horizons))
@@ -283,22 +252,16 @@ def cmd_benchmark(args) -> int:
             write_csv(args.out, header, rows, params)
         return 0
 
-    _check(args.mean is not None and args.mean > 0, "--mean must be positive")
-    _check(args.variances is not None, "--variances sweep is required")
+    _need(args, "mean", "variances", "T")
     variances = parse_sweep(args.variances)
-    _check(bool(variances), "--variances produced an empty grid")
     if args.alpha is None:
         args.alpha = 0.8  # default occurrence probability for the study
     if args.k is None:
         args.k = 1
-    _check(0 <= args.alpha <= 1, "--alpha must lie in [0, 1]")
-    _check(args.k >= 1, "--k must be a positive integer")
-    _check(args.T is not None and args.T >= 1 and args.T == int(args.T),
-           "--T must be a positive integer")
-    _check(all(args.mean - math.sqrt(3 * v) >= 0 for v in variances),
-           "a variance in the sweep drives the uniform lower bound below zero")
+    if not args.T >= 1:  # the library accepts T = 0; the study does not
+        raise ParameterError(f"--T must be a positive integer, got {args.T}")
     rows = benchmark.variance_sweep(args.mean, variances, args.alpha,
-                                    int(args.k), int(args.T))
+                                    int(args.k), _slots(args.T))
     for var, inc, comp in rows:
         print(f"{var:.6f} {inc:.6f} {comp:.6f}")
     if args.out:
@@ -438,9 +401,9 @@ def _read_config(argv: list[str]) -> dict:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ParameterError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+        raise ParameterError(f"config file {path} must hold a JSON object")
     return data
 
 
@@ -453,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:  # argparse reports usage errors with code 2
             return int(exc.code or 0)
         return args.func(args)
-    except ConfigError as exc:
+    except ParameterError as exc:
         print(f"uavps: config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

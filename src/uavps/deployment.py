@@ -45,7 +45,7 @@ import numpy as np
 
 from .allocation import (AllocationDecision, _best_series_capacity,
                          _pooled_decisions, _series_logs)
-from .valuations import ValuationModel
+from .valuations import ParameterError, ValuationModel
 
 _FLOOR_EPS = 1e-9
 
@@ -59,10 +59,10 @@ class Hotspot:
     distance: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"occurrence rate must be positive, got {self.alpha}")
-        if self.distance < 0:
-            raise ValueError(f"distance must be nonnegative, got {self.distance}")
+        if not self.alpha > 0:
+            raise ParameterError(f"occurrence rate must be positive, got {self.alpha}")
+        if not self.distance >= 0:
+            raise ParameterError(f"distance must be nonnegative, got {self.distance}")
 
 
 @dataclass(frozen=True)
@@ -73,12 +73,12 @@ class FleetConfig:
     valuation: ValuationModel
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"fleet needs at least one vehicle, got {self.count}")
-        if self.initial_budget <= 0:
-            raise ValueError("initial budget must be positive")
-        if self.service_cost <= 0:
-            raise ValueError("service cost must be positive")
+        if not self.count >= 1:
+            raise ParameterError(f"fleet needs at least one vehicle, got {self.count}")
+        if not self.initial_budget > 0:
+            raise ParameterError(f"initial budget must be positive, got {self.initial_budget}")
+        if not self.service_cost > 0:
+            raise ParameterError(f"service cost must be positive, got {self.service_cost}")
 
 
 @dataclass(frozen=True)
@@ -96,17 +96,6 @@ class DeploymentPlan:
     profile: DeploymentProfile
     per_hotspot: tuple[AllocationDecision | None, ...]
     total_profit: float
-
-    def to_dict(self) -> dict:
-        spots = []
-        for m, (n, dec) in enumerate(zip(self.profile.counts, self.per_hotspot)):
-            entry = {"hotspot": m, "n": n}
-            if dec is not None:
-                entry.update(k=dec.k_star, T=dec.t_star, profit=dec.profit)
-            spots.append(entry)
-        return {"profile": list(self.profile.counts),
-                "per_hotspot": spots,
-                "total": self.total_profit}
 
     def csv_rows(self):
         """Yield (hotspot, n, k, T, profit) rows; unserved hotspots blank."""
@@ -132,13 +121,13 @@ class RouteInstance:
         m = len(self.hotspots)
         d = np.asarray(self.pairwise, dtype=float)
         if d.shape != (m, m):
-            raise ValueError(f"pairwise matrix must be {m}x{m}, got {d.shape}")
+            raise ParameterError(f"pairwise matrix must be {m}x{m}, got {d.shape}")
         if np.any(d < 0):
-            raise ValueError("inter-hotspot distances must be nonnegative")
+            raise ParameterError("inter-hotspot distances must be nonnegative")
         if np.any(np.diag(d) != 0):
-            raise ValueError("pairwise matrix must have a zero diagonal")
+            raise ParameterError("pairwise matrix must have a zero diagonal")
         if not np.allclose(d, d.T, atol=1e-12):
-            raise ValueError("pairwise matrix must be symmetric")
+            raise ParameterError("pairwise matrix must be symmetric")
         object.__setattr__(self, "pairwise", d)
 
 
@@ -172,10 +161,10 @@ def hotspot_profit(hotspot: Hotspot, uav_count: int,
     when not even one user fits after the flight.
     """
     if uav_count < 1:
-        raise ValueError(f"need at least one vehicle, got {uav_count}")
+        raise ParameterError(f"need at least one vehicle, got {uav_count}")
     available = fleet.initial_budget - hotspot.distance
     if available <= 0:
-        raise ValueError(
+        raise ParameterError(
             f"hotspot at distance {hotspot.distance} unreachable on budget "
             f"{fleet.initial_budget}"
         )
@@ -326,7 +315,7 @@ def _reachable(hotspots: list[Hotspot], fleet: FleetConfig):
     """Indices, rates and energy left after the flight of the reachable hotspots."""
     reach = [i for i, h in enumerate(hotspots) if h.distance < fleet.initial_budget]
     if not reach:
-        raise ValueError("no hotspot is reachable on the fleet budget")
+        raise ParameterError("no hotspot is reachable on the fleet budget")
     return (reach, [hotspots[i].alpha for i in reach],
             [fleet.initial_budget - hotspots[i].distance for i in reach])
 
@@ -379,9 +368,9 @@ def route_oracle(instance: RouteInstance, fleet: FleetConfig,
     """
     m = len(instance.hotspots)
     if m > 3:
-        raise ValueError(f"route oracle enumerates at most 3 hotspots, got {m}")
+        raise ParameterError(f"route oracle enumerates at most 3 hotspots, got {m}")
     if energy_step < 1 or energy_step != int(energy_step):
-        raise ValueError(f"energy grid step must be a positive integer, got {energy_step}")
+        raise ParameterError(f"energy grid step must be a positive integer, got {energy_step}")
 
     model = fleet.valuation
     cost = fleet.service_cost
@@ -459,13 +448,13 @@ def forking_condition(hotspot1: Hotspot, hotspot2: Hotspot, fleet: FleetConfig,
     ratios below and above one.
     """
     if fleet.count < 2:
-        raise ValueError("forking needs at least two vehicles")
-    if lam <= 0:
-        raise ValueError("valuation rate must be positive")
+        raise ParameterError("forking needs at least two vehicles")
+    if not lam > 0:
+        raise ParameterError("valuation rate must be positive")
     avail1 = fleet.initial_budget - hotspot1.distance
     avail2 = fleet.initial_budget - hotspot2.distance
     if avail1 <= 0 or avail2 <= 0:
-        raise ValueError("both hotspots must be reachable")
+        raise ParameterError("both hotspots must be reachable")
 
     a1, a2 = hotspot1.alpha, hotspot2.alpha
     cost, n = fleet.service_cost, fleet.count
@@ -479,7 +468,7 @@ def forking_condition(hotspot1: Hotspot, hotspot2: Hotspot, fleet: FleetConfig,
     k2_star = int(logs[0].argmax()) + 1
     best2, best1, pooled_n, pooled_n1 = logs[:4].max(axis=1).tolist()
     if best1 < best2:
-        raise ValueError("hotspot 1 must be the first best for a single vehicle")
+        raise ParameterError("hotspot 1 must be the first best for a single vehicle")
 
     log_s2 = float(logs[4, k2_star - 1])
     if log_s2 <= 0.0:
@@ -506,8 +495,8 @@ def optimal_deployment_continuous(hotspots: list[Hotspot], fleet: FleetConfig,
     and tie rule, as ``optimal_deployment``. Every (hotspot, n, k) is scored
     in one series kernel call. Used to verify the forking condition.
     """
-    if lam <= 0:
-        raise ValueError("valuation rate must be positive")
+    if not lam > 0:
+        raise ParameterError("valuation rate must be positive")
     reach, alphas, avails = _reachable(hotspots, fleet)
     cost, count = fleet.service_cost, fleet.count
     groups = np.arange(1, count + 1)[:, None]  # searches on axes (hotspot, n)
@@ -528,16 +517,16 @@ def load_hotspots(path: str) -> list[Hotspot]:
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, list) or not raw:
-        raise ValueError(f"{path}: expected a nonempty JSON array of hotspots")
+        raise ParameterError(f"{path}: expected a nonempty JSON array of hotspots")
     spots = []
     for i, entry in enumerate(raw):
         unknown = set(entry) - {"alpha", "distance"}
         if unknown:
-            raise ValueError(f"{path}: hotspot {i} has unknown keys {sorted(unknown)}")
+            raise ParameterError(f"{path}: hotspot {i} has unknown keys {sorted(unknown)}")
         try:
             spots.append(Hotspot(alpha=float(entry["alpha"]),
                                  distance=float(entry["distance"])))
         except KeyError as exc:
-            raise ValueError(f"{path}: hotspot {i} missing key {exc}") from exc
+            raise ParameterError(f"{path}: hotspot {i} missing key {exc}") from exc
     return spots
 

@@ -37,7 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from .valuations import ValuationModel
+from .valuations import ParameterError, ValuationModel
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,9 @@ class ProfitTable:
     horizon: int
     values: np.ndarray
 
-    def final(self) -> float:
-        """R at full capacity and full horizon."""
-        return float(self.values[self.capacity, self.horizon])
+    def final(self) -> float | list[float]:
+        """R at full capacity and full horizon; one value per alpha of a batch."""
+        return self.values[self.capacity, self.horizon].tolist()
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,11 @@ class PriceSchedule:
     horizon: int
     prices: np.ndarray
 
-    def price(self, j: int, t: int) -> float | None:
+    def price(self, j: int, t: int) -> float | list[float] | None:
+        """p[j][t], one per alpha of a batch, or None where no price exists."""
         if not (1 <= j <= self.capacity and j <= t <= self.horizon):
             return None
-        return float(self.prices[j, t])
+        return self.prices[j, t, ...].tolist()  # a 0-d array lists faster than a scalar
 
 
 def solve_stage_price(model: ValuationModel, delta):
@@ -100,11 +101,11 @@ def profit_step(model: ValuationModel, alpha: float, price, r_same, r_less):
 def _table_shape(alpha, capacity: int, horizon: int) -> tuple[int, ...]:
     """(k + 1, T + 1) plus alpha's batch shape, once the arguments are valid."""
     if not all(0.0 <= a <= 1.0 for a in np.ravel(alpha).tolist()):
-        raise ValueError(f"occurrence probability must lie in [0, 1], got {alpha}")
-    if capacity < 1:
-        raise ValueError(f"capacity must be a positive integer, got {capacity}")
-    if horizon < 0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
+        raise ParameterError(f"occurrence probability must lie in [0, 1], got {alpha}")
+    if not capacity >= 1:
+        raise ParameterError(f"capacity must be a positive integer, got {capacity}")
+    if not horizon >= 0:
+        raise ParameterError(f"horizon must be nonnegative, got {horizon}")
     return (int(capacity) + 1, int(horizon) + 1) + np.shape(alpha)
 
 
@@ -124,7 +125,7 @@ def _fill(alpha, capacity: int, horizon: int, rule,
     if prices is None:
         prices = np.broadcast_to(np.nan, shape)
     elif prices.ndim != len(shape) or prices[:k + 1, :T + 1].shape != shape:
-        raise ValueError(f"price matrix of shape {prices.shape} does not cover {shape}")
+        raise ParameterError(f"price matrix of shape {prices.shape} does not cover {shape}")
 
     values = np.zeros(shape)
     for t in range(1, T + 1):
@@ -245,8 +246,8 @@ def _series_log(tail: np.ndarray, offset: np.ndarray) -> np.ndarray:
 
 def log_capacity_series(x: float, k: int) -> float:
     """log S_k(x) for one argument and one series length."""
-    if x < 0:
-        raise ValueError(f"series argument must be nonnegative, got {x}")
+    if not x >= 0:
+        raise ParameterError(f"series argument must be nonnegative, got {x}")
     return float(_log_series(x, int(k)))
 
 
@@ -256,12 +257,7 @@ def expected_profit_closed_form(lam: float, arrival_rate: float, capacity: int,
 
     Equals log(S_k(a' * T / e)) / lam. Horizon zero gives zero profit.
     """
-    if lam <= 0 or arrival_rate <= 0:
-        raise ValueError("rate parameters must be positive")
-    if capacity < 1:
-        raise ValueError(f"capacity must be a positive integer, got {capacity}")
-    if horizon < 0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
+    _check_closed_form(lam, arrival_rate, capacity, horizon)
     x = arrival_rate * horizon / math.e
     return log_capacity_series(x, int(capacity)) / lam
 
@@ -273,15 +269,21 @@ def price_closed_form(lam: float, arrival_rate: float, capacity: int,
     Equals 1/lam + R_k(t) - R_{k-1}(t): the mean valuation marked up by the
     marginal option value of the unit on offer.
     """
-    if lam <= 0 or arrival_rate <= 0:
-        raise ValueError("rate parameters must be positive")
-    if capacity < 1:
-        raise ValueError(f"capacity must be a positive integer, got {capacity}")
-    if time_left < 0:
-        raise ValueError(f"time left must be nonnegative, got {time_left}")
+    _check_closed_form(lam, arrival_rate, capacity, time_left)
     k = int(capacity)
     x = arrival_rate * time_left / math.e
     return (1.0 + log_capacity_series(x, k) - log_capacity_series(x, k - 1)) / lam
+
+
+def _check_closed_form(lam: float, arrival_rate: float, capacity: int,
+                       horizon: float) -> None:
+    """The domain of the exponential closed forms and their simulator."""
+    if not (lam > 0 and arrival_rate > 0):
+        raise ParameterError(f"rate parameters must be positive, got {lam}, {arrival_rate}")
+    if not capacity >= 1:
+        raise ParameterError(f"capacity must be a positive integer, got {capacity}")
+    if not horizon >= 0:
+        raise ParameterError(f"horizon must be nonnegative, got {horizon}")
 
 
 def continuous_profit_numeric(model: ValuationModel, arrival_rate: float,
@@ -304,14 +306,14 @@ def continuous_profit_numeric(model: ValuationModel, arrival_rate: float,
     length-k arrays costs more than the arithmetic; past k of about 35 the
     scalar sweep is the slower one.
     """
-    if arrival_rate <= 0:
-        raise ValueError("arrival rate must be positive")
-    if capacity < 1:
-        raise ValueError(f"capacity must be a positive integer, got {capacity}")
-    if horizon < 0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not arrival_rate > 0:
+        raise ParameterError(f"arrival rate must be positive, got {arrival_rate}")
+    if not capacity >= 1:
+        raise ParameterError(f"capacity must be a positive integer, got {capacity}")
+    if not horizon >= 0:
+        raise ParameterError(f"horizon must be nonnegative, got {horizon}")
+    if not step > 0:
+        raise ParameterError(f"step must be positive, got {step}")
     if horizon == 0:
         return 0.0
 
@@ -353,7 +355,9 @@ def continuous_profit_numeric(model: ValuationModel, arrival_rate: float,
 
 
 def schedule_csv_rows(schedule: PriceSchedule, table: ProfitTable):
-    """Yield (j, t, price-or-None, profit) rows ordered by (j, t)."""
+    """Yield (j, t, price-or-None, profit) rows ordered by (j, t); a batched
+    table gives one price and one profit per alpha."""
+    values = table.values.tolist()
     for j in range(table.capacity + 1):
         for t in range(table.horizon + 1):
-            yield j, t, schedule.price(j, t), float(table.values[j, t])
+            yield j, t, schedule.price(j, t), values[j][t]

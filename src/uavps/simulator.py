@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pricing import PriceSchedule, _log_series_levels, build_pricing
-from .valuations import ValuationModel
+from .pricing import PriceSchedule, _check_closed_form, _log_series_levels, build_pricing
+from .valuations import ParameterError, ValuationModel
 
 GENERATOR_ID = "numpy-pcg64"
 CHUNK_TRIALS = 250_000
@@ -120,11 +120,11 @@ def simulate_discrete(model: ValuationModel, alpha: float, schedule: PriceSchedu
     capacity. Deterministic given the seed.
     """
     if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+        raise ParameterError(f"need at least one trial, got {trials}")
     if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"occurrence probability must lie in [0, 1], got {alpha}")
+        raise ParameterError(f"occurrence probability must lie in [0, 1], got {alpha}")
     if schedule.capacity != capacity or schedule.horizon != horizon:
-        raise ValueError(
+        raise ParameterError(
             f"schedule built for (k={schedule.capacity}, T={schedule.horizon}), "
             f"asked to simulate (k={capacity}, T={horizon})"
         )
@@ -171,13 +171,8 @@ def simulate_continuous(lam: float, arrival_rate: float, capacity: int,
     and log S_{j-1} from one series pass, and play stops once none can.
     """
     if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    if lam <= 0 or arrival_rate <= 0:
-        raise ValueError("rate parameters must be positive")
-    if capacity < 1:
-        raise ValueError(f"capacity must be a positive integer, got {capacity}")
-    if horizon < 0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
+        raise ParameterError(f"need at least one trial, got {trials}")
+    _check_closed_form(lam, arrival_rate, capacity, horizon)
 
     profits = np.empty(trials)
     served = np.empty(trials, dtype=np.int64)

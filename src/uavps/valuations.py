@@ -27,6 +27,11 @@ EXPONENTIAL = "exponential"
 UNIFORM = "uniform"
 
 
+class ParameterError(ValueError):
+    """An argument outside the domain of the function it was given to; every
+    module raises it, and every module imports this one."""
+
+
 @dataclass(frozen=True)
 class ValuationModel:
     """A user service-valuation distribution.
@@ -43,22 +48,22 @@ class ValuationModel:
     def __post_init__(self):
         if self.kind == EXPONENTIAL:
             if self.rate is None or not self.rate > 0:
-                raise ValueError(f"exponential rate must be positive, got {self.rate}")
+                raise ParameterError(f"exponential rate must be positive, got {self.rate}")
             if self.lower is not None or self.upper is not None:
-                raise ValueError("exponential model takes no support bounds")
+                raise ParameterError("exponential model takes no support bounds")
         elif self.kind == UNIFORM:
             if self.lower is None or self.upper is None:
-                raise ValueError("uniform model needs lower and upper bounds")
-            if self.lower < 0:
-                raise ValueError(f"uniform lower bound must be >= 0, got {self.lower}")
+                raise ParameterError("uniform model needs lower and upper bounds")
+            if not self.lower >= 0:
+                raise ParameterError(f"uniform lower bound must be >= 0, got {self.lower}")
             if not self.lower < self.upper:
-                raise ValueError(
+                raise ParameterError(
                     f"uniform needs lower < upper, got [{self.lower}, {self.upper}]"
                 )
             if self.rate is not None:
-                raise ValueError("uniform model takes no rate")
+                raise ParameterError("uniform model takes no rate")
         else:
-            raise ValueError(f"unknown valuation family {self.kind!r}")
+            raise ParameterError(f"unknown valuation family {self.kind!r}")
 
     @classmethod
     def exponential(cls, rate: float) -> "ValuationModel":
@@ -108,11 +113,11 @@ class ValuationModel:
         the uniform family.
 
         Raises:
-            ValueError: if any v lies where f(v) = 0.
+            ParameterError: if any v lies where f(v) = 0.
         """
         arr = np.asarray(v, dtype=float)
         if np.any(np.asarray(self.pdf(arr)) <= 0.0):
-            raise ValueError(f"virtual value undefined outside the support: v={v}")
+            raise ParameterError(f"virtual value undefined outside the support: v={v}")
         if self.kind == EXPONENTIAL:
             out = arr - 1.0 / self.rate
         else:
@@ -141,7 +146,7 @@ class ValuationModel:
         """Inverse-CDF transform of a uniform draw in [0, 1)."""
         u = np.asarray(uniform_draw, dtype=float)
         if np.any(u < 0.0) or np.any(u >= 1.0):
-            raise ValueError("uniform draws must lie in [0, 1)")
+            raise ParameterError("uniform draws must lie in [0, 1)")
         if self.kind == EXPONENTIAL:
             out = -np.log1p(-u) / self.rate
         else:
@@ -197,13 +202,13 @@ class ValuationModel:
         elif kind == UNIFORM:
             expected = {"kind", "lower", "upper"}
         else:
-            raise ValueError(f"unknown valuation family {kind!r}")
+            raise ParameterError(f"unknown valuation family {kind!r}")
         unknown = set(data) - expected
         if unknown:
-            raise ValueError(f"unknown valuation keys: {sorted(unknown)}")
+            raise ParameterError(f"unknown valuation keys: {sorted(unknown)}")
         missing = expected - set(data)
         if missing:
-            raise ValueError(f"missing valuation keys: {sorted(missing)}")
+            raise ParameterError(f"missing valuation keys: {sorted(missing)}")
         if kind == EXPONENTIAL:
             return cls.exponential(data["rate"])
         return cls.uniform(data["lower"], data["upper"])
@@ -223,7 +228,7 @@ def check_regularity(model, grid_points: int) -> bool:
     irregular constructions.
     """
     if grid_points < 2:
-        raise ValueError("need at least two grid points")
+        raise ParameterError("need at least two grid points")
     lo, hi = model.support()
     if math.isinf(hi):
         hi = model.sample(REGULARITY_QUANTILE)

@@ -301,9 +301,6 @@ def test_one_pricing_table_per_fleet_plan(monkeypatch):
 def test_plan_serialization():
     spots = [Hotspot(0.8, 5.0), Hotspot(0.3, 18.0)]
     plan = optimal_deployment(spots, _fleet(count=2))
-    blob = plan.to_dict()
-    assert blob["profile"] == list(plan.profile.counts)
-    assert blob["total"] == plan.total_profit
     rows = list(plan.csv_rows())
     assert len(rows) == 2
     assert sum(r[1] for r in rows) == 2

@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavps.benchmark import complete_info_profit
-from uavps.pricing import build_pricing, evaluate_schedule, profit_step, solve_stage_price
+from uavps.pricing import (build_pricing, evaluate_schedule, profit_step,
+                           schedule_csv_rows, solve_stage_price)
 from uavps.valuations import ValuationModel
 
 EXP1 = ValuationModel.exponential(1.0)
@@ -165,6 +166,21 @@ def test_batched_tables_equal_scalar_calls(model, alphas, k, T, seed):
                                           ([0.5, 0.2, 1.0], 50, 1000)])
 def test_batched_tables_equal_scalar_calls_through_roundoff_clamps(alphas, k, T):
     _assert_batch_equals_scalar_calls(EXP1, alphas, k, T, 3)
+
+
+def test_batched_accessors_equal_scalar_calls():
+    alphas = [0.3, 0.0, 1.0]
+    schedule, table = build_pricing(EXP1, np.array(alphas), 3, 5)
+    singles = [build_pricing(EXP1, alpha, 3, 5) for alpha in alphas]
+    assert type(singles[0][1].final()) is float  # a lone table's cell stays a float
+    assert table.final() == [one.final() for _, one in singles]
+    assert schedule.price(2, 4) == [one.price(2, 4) for one, _ in singles]
+    assert schedule.price(3, 2) is None
+    for row, *lone in zip(schedule_csv_rows(schedule, table),
+                          *(schedule_csv_rows(*one) for one in singles)):
+        assert row[:2] == lone[0][:2]
+        assert row[3] == [r[3] for r in lone]
+        assert row[2] == (None if lone[0][2] is None else [r[2] for r in lone])
 
 
 def test_batched_prices_must_cover_the_batch():
