@@ -75,8 +75,9 @@ class FleetConfig:
     def __post_init__(self):
         if not self.count >= 1:
             raise ParameterError(f"fleet needs at least one vehicle, got {self.count}")
-        if not self.initial_budget > 0:
-            raise ParameterError(f"initial budget must be positive, got {self.initial_budget}")
+        if not 0 < self.initial_budget < math.inf:
+            raise ParameterError(
+                f"initial budget must be positive and finite, got {self.initial_budget}")
         if not self.service_cost > 0:
             raise ParameterError(f"service cost must be positive, got {self.service_cost}")
 

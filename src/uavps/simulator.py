@@ -3,14 +3,24 @@
 Trials replay the arrival-and-purchase process under a given price policy and
 report the realized mean profit with its standard error; the dynamic-program
 and closed-form values must sit within a few standard errors of it. The
-continuous replay makes every draw up front, then quotes closed-form prices
-only to trials that can still sell, both series levels of a price coming from
-one pass of the log-space series kernel.
+discrete replay plays every price policy it is given on one set of draws, so
+policies compared on one seed face identical buyers. The continuous replay
+quotes closed-form prices only to trials that can still sell, both series
+levels of a price coming from one pass of the log-space series kernel.
 
 Randomness comes from numpy's PCG64 bit generator, recorded in each report.
-Trials run in fixed-size blocks of ``CHUNK_TRIALS``; block i derives its own
+Trials run in fixed-size chunks of ``CHUNK_TRIALS``; chunk i derives its own
 child stream from (seed, i), so results are reproducible bit for bit and a
-harness may farm blocks out to workers without changing the outcome.
+harness may farm chunks out to workers without changing the outcome.
+
+Within a chunk, the continuous replay draws the Poisson counts first, then a
+(size, top) matrix of arrival times and one of valuations, where top is the
+chunk's largest count. It plays them in row blocks of ``BLOCK_ROWS`` trials:
+the time matrix is the stream's next size * top doubles, read block by block
+in order, and a copy of the generator advanced past it (PCG's jump-ahead)
+reads the valuation matrix the same way. Each block gets the bits the whole
+matrices would give it, so reports do not depend on the block height, and a
+replay holds O(``BLOCK_ROWS`` * top) draws at a time however many trials run.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ from .valuations import ParameterError, ValuationModel
 
 GENERATOR_ID = "numpy-pcg64"
 CHUNK_TRIALS = 250_000
+BLOCK_ROWS = 16_384
 
 
 @dataclass(frozen=True)
@@ -75,36 +86,42 @@ def _report(profits: np.ndarray, served: np.ndarray, capacity: int,
 # -- discrete-time simulation --------------------------------------------------
 
 
-def _run_discrete(model: ValuationModel, alpha: float, price_lookup: np.ndarray,
+def _run_discrete(model: ValuationModel, alpha: float, price_lookups: list[np.ndarray],
                   capacity: int, horizon: int, trials: int, seed: int):
-    """Play the slot-by-slot process; returns per-trial profits and served counts.
+    """Play the slot-by-slot process under each price policy on one draw stream.
 
-    ``price_lookup[j, t]`` must be finite wherever a sale is possible; row 0 is
-    forced unsellable. Arrival and valuation draws are consumed for every
-    trial in every slot, so two policies simulated from the same seed face
-    identical buyers (common random numbers).
+    Returns (policies, trials) arrays of profits and served counts.
+    ``price_lookups[i][j, t]`` must be finite wherever a sale is possible; row
+    0 is forced unsellable. Arrival and valuation draws are consumed for every
+    trial in every slot, whatever the policies sell, so the draws, and each
+    policy's result, do not depend on which other policies are played
+    alongside (common random numbers).
     """
-    profits = np.empty(trials)
-    served = np.empty(trials, dtype=np.int64)
-    lookup = price_lookup.copy()
-    lookup[0, :] = np.inf  # exhausted capacity never sells
-    lookup[np.isnan(lookup)] = np.inf
+    lookups = []
+    for prices in price_lookups:
+        lookup = prices.copy()
+        lookup[0, :] = np.inf  # exhausted capacity never sells
+        lookup[np.isnan(lookup)] = np.inf
+        lookups.append(lookup)
 
+    profits = np.empty((len(lookups), trials))
+    served = np.empty((len(lookups), trials), dtype=np.int64)
     pos = 0
     for idx, size in enumerate(_chunk_sizes(trials)):
         rng = _chunk_rng(seed, idx)
-        j = np.full(size, capacity, dtype=np.int64)
-        gain = np.zeros(size)
+        j = [np.full(size, capacity, dtype=np.int64) for _ in lookups]
+        gain = [np.zeros(size) for _ in lookups]
         for t in range(horizon, 0, -1):
             arrive = rng.random(size) < alpha
             v = model.sample(rng.random(size))
-            jj = np.minimum(j, t)  # spare units beyond the time left are dead
-            price = lookup[jj, t]
-            sale = arrive & (jj > 0) & (v >= price)
-            gain = np.where(sale, gain + price, gain)
-            j = j - sale
-        profits[pos:pos + size] = gain
-        served[pos:pos + size] = capacity - j
+            for i, lookup in enumerate(lookups):
+                jj = np.minimum(j[i], t)  # spare units beyond the time left are dead
+                price = lookup[jj, t]
+                sale = arrive & (jj > 0) & (v >= price)
+                gain[i] = np.where(sale, gain[i] + price, gain[i])
+                j[i] = j[i] - sale
+        profits[:, pos:pos + size] = gain
+        served[:, pos:pos + size] = capacity - np.array(j)
         pos += size
     return profits, served
 
@@ -128,8 +145,8 @@ def simulate_discrete(model: ValuationModel, alpha: float, schedule: PriceSchedu
             f"schedule built for (k={schedule.capacity}, T={schedule.horizon}), "
             f"asked to simulate (k={capacity}, T={horizon})"
         )
-    profits, served = _run_discrete(model, alpha, schedule.prices, capacity,
-                                    horizon, trials, seed)
+    (profits,), (served,) = _run_discrete(model, alpha, [schedule.prices],
+                                          capacity, horizon, trials, seed)
     return _report(profits, served, capacity, seed)
 
 
@@ -138,14 +155,17 @@ def simulate_policy_regret(model: ValuationModel, alpha: float, capacity: int,
                            constant_price: float) -> RegretReport:
     """Optimal schedule versus one flat price on common random numbers.
 
-    Both policies see the same arrival and valuation stream, so the paired
-    standard error reflects only the policy difference.
+    Both policies are played on the same arrival and valuation draws, so the
+    paired standard error reflects only the policy difference.
     """
+    if trials < 1:
+        raise ParameterError(f"need at least one trial, got {trials}")
+    if math.isnan(constant_price):
+        raise ParameterError("constant price must be a number, got nan")
     schedule, _ = build_pricing(model, alpha, capacity, horizon)
     flat = np.full_like(schedule.prices, float(constant_price))
-    opt, _ = _run_discrete(model, alpha, schedule.prices, capacity, horizon,
-                           trials, seed)
-    fixed, _ = _run_discrete(model, alpha, flat, capacity, horizon, trials, seed)
+    (opt, fixed), _ = _run_discrete(model, alpha, [schedule.prices, flat],
+                                    capacity, horizon, trials, seed)
     diff = opt - fixed
     paired_se = float(diff.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return RegretReport(optimal_mean=float(opt.mean()),
@@ -154,6 +174,46 @@ def simulate_policy_regret(model: ValuationModel, alpha: float, capacity: int,
 
 
 # -- continuous-time simulation -------------------------------------------------
+
+
+def _play_block(lam: float, arrival_rate: float, capacity: int, horizon: float,
+                counts: np.ndarray, neg_t: np.ndarray, u: np.ndarray):
+    """Play one row block of a chunk; returns its profits and units left.
+
+    ``neg_t`` holds the block's uniform time draws and ``u`` its valuation
+    draws, row i for a trial with ``counts[i]`` arrivals; ``neg_t`` is
+    overwritten.
+    """
+    # Arrival instants of a Poisson stream on [0, T] are uniform, so
+    # remaining times are too; sorting their negations plays them in
+    # order, with the +inf padding past each row's count last.
+    # Valuations are i.i.d. and independent of the times, so pairing
+    # column r of the draws with the r-th sorted time is sound.
+    top = neg_t.shape[1]
+    neg_t *= -horizon
+    neg_t[np.arange(top) >= counts[:, None]] = np.inf
+    neg_t.sort(axis=1)
+    gain = np.zeros(counts.size)
+    j = np.full(counts.size, capacity, dtype=np.int64)
+    rows = np.arange(counts.size)
+    for r in range(top):
+        # Times fall along a row and capacity never grows, so a row that
+        # cannot sell in this column cannot in a later one either.
+        t = -neg_t[rows, r]
+        keep = (t > 0.0) & (j[rows] > 0)
+        rows, t = rows[keep], t[keep]
+        if rows.size == 0:
+            break
+        log_k, log_less = _log_series_levels(arrival_rate * t / math.e, j[rows])
+        price = (1.0 + log_k - log_less) / lam
+        # Inverse-CDF valuations, drawn up front but transformed only
+        # when quoted: log1p is elementwise, so each quoted entry gets
+        # the bits a whole-array transform would give it.
+        sale = -np.log1p(-u[rows, r]) / lam >= price
+        sold = rows[sale]
+        gain[sold] += price[sale]
+        j[sold] -= 1
+    return gain, j
 
 
 def simulate_continuous(lam: float, arrival_rate: float, capacity: int,
@@ -166,52 +226,45 @@ def simulate_continuous(lam: float, arrival_rate: float, capacity: int,
     capacity. An arrival with exactly zero time left is discarded: nothing
     can be priced in zero remaining time, and the event has measure zero.
 
-    All draws are made before play, so skipping trials changes no sale: each
-    arrival column quotes only the trials that can still sell, with log S_j
-    and log S_{j-1} from one series pass, and play stops once none can.
+    All draws are made before a block is played, so skipping trials changes
+    no sale: each arrival column quotes only the trials that can still sell,
+    with log S_j and log S_{j-1} from one series pass, and play stops once
+    none can. The mean arrival count ``arrival_rate * horizon`` must be finite
+    and within numpy's Poisson range (about 9.2e18).
     """
     if trials < 1:
         raise ParameterError(f"need at least one trial, got {trials}")
     _check_closed_form(lam, arrival_rate, capacity, horizon)
+    mean_count = arrival_rate * horizon
+    int64_max = np.iinfo(np.int64).max
+    if not mean_count <= int64_max - 10 * math.sqrt(int64_max):
+        raise ParameterError(
+            f"mean arrival count arrival_rate * horizon must be finite and at "
+            f"most about 9.2e18, got {mean_count}")
 
     profits = np.empty(trials)
     served = np.empty(trials, dtype=np.int64)
     pos = 0
     for idx, size in enumerate(_chunk_sizes(trials)):
         rng = _chunk_rng(seed, idx)
-        counts = rng.poisson(arrival_rate * horizon, size)
+        counts = rng.poisson(mean_count, size)
         top = int(counts.max())
-        gain = np.zeros(size)
-        j = np.full(size, capacity, dtype=np.int64)
-        # Arrival instants of a Poisson stream on [0, T] are uniform, so
-        # remaining times are too; sorting their negations plays them in
-        # order, with the +inf padding past each row's count last.
-        # Valuations are i.i.d. and independent of the times, so pairing
-        # column r of the draws with the r-th sorted time is sound.
-        neg_t = rng.random((size, top))
-        neg_t *= -horizon
-        neg_t[np.arange(top) >= counts[:, None]] = np.inf
-        neg_t.sort(axis=1)
-        u = rng.random((size, top))
-        rows = np.arange(size)
-        for r in range(top):
-            # Times fall along a row and capacity never grows, so a row that
-            # cannot sell in this column cannot in a later one either.
-            t = -neg_t[rows, r]
-            keep = (t > 0.0) & (j[rows] > 0)
-            rows, t = rows[keep], t[keep]
-            if rows.size == 0:
-                break
-            log_k, log_less = _log_series_levels(arrival_rate * t / math.e, j[rows])
-            price = (1.0 + log_k - log_less) / lam
-            # Inverse-CDF valuations, drawn up front but transformed only
-            # when quoted: log1p is elementwise, so each quoted entry gets
-            # the bits a whole-array transform would give it.
-            sale = -np.log1p(-u[rows, r]) / lam >= price
-            sold = rows[sale]
-            gain[sold] += price[sale]
-            j[sold] -= 1
-        profits[pos:pos + size] = gain
-        served[pos:pos + size] = capacity - j
+        # One double per 64-bit output: the time matrix is the stream's next
+        # size * top doubles in row order, and the valuation matrix the
+        # size * top after those.
+        jumped = np.random.PCG64()
+        jumped.state = rng.bit_generator.state
+        val_rng = np.random.Generator(jumped.advance(size * top))
+        height = min(BLOCK_ROWS, size)
+        time_buf, val_buf = np.empty((height, top)), np.empty((height, top))
+        for a in range(0, size, BLOCK_ROWS):
+            b = min(a + BLOCK_ROWS, size)
+            neg_t, u = time_buf[:b - a], val_buf[:b - a]
+            rng.random(out=neg_t)
+            val_rng.random(out=u)
+            gain, j = _play_block(lam, arrival_rate, capacity, horizon,
+                                  counts[a:b], neg_t, u)
+            profits[pos + a:pos + b] = gain
+            served[pos + a:pos + b] = capacity - j
         pos += size
     return _report(profits, served, capacity, seed)

@@ -368,6 +368,10 @@ MOVED_TO_2 = [
     ("variance-tiny-mean", _set(VAR, "--mean", "1e-7", "--variances", "0:0:1")),
     # Wrote a NaN time and NaN prices with exit 0: the first grid point is inf * 0.
     ("price-c-T-inf-out", _set(PRICE_C, "--T", "inf") + ["--out", "{out}"]),
+    # Exited 1 with numpy's "lam value too large": no Poisson count past ~9.2e18.
+    ("simulate-c-T-inf", _set(SIM_C, "--T", "inf")),
+    # Exited 0 with a zero plan: floor(inf) cast to int inside the planner.
+    ("deploy-B0-inf", _set(DEPLOY, "--B0", "inf")),
 ]
 
 

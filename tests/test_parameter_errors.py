@@ -12,7 +12,7 @@ from uavps import (FleetConfig, Hotspot, ParameterError, ValuationModel,
                    allocate_continuous, allocate_discrete, build_pricing,
                    continuous_profit_numeric, expected_profit_closed_form,
                    forking_condition, profit_ratio_curve, simulate_continuous,
-                   solve_stage_price, variance_sweep)
+                   simulate_policy_regret, solve_stage_price, variance_sweep)
 
 EXP1 = ValuationModel.exponential(1.0)
 FLEET = FleetConfig(count=2, initial_budget=20.0, service_cost=2.0, valuation=EXP1)
@@ -31,7 +31,12 @@ RUNTIME_FAILURES = {("pricing.py", "solve_stage_price"),
     lambda: allocate_continuous(1.0, 1.0, math.inf, 3.0),
     lambda: expected_profit_closed_form(1.0, math.nan, 3, 5.0),
     lambda: simulate_continuous(1.0, 1.0, 3, math.nan, 10, 0),
+    lambda: simulate_continuous(1.0, 2.0, 3, math.inf, 10, 1),
+    lambda: simulate_continuous(1.0, 1e30, 3, 1.0, 10, 1),
+    lambda: simulate_policy_regret(EXP1, 0.5, 2, 5, 0, 1, constant_price=1.0),
+    lambda: simulate_policy_regret(EXP1, 0.5, 2, 5, 100, 1, constant_price=math.nan),
     lambda: FleetConfig(count=2, initial_budget=math.nan, service_cost=2.0, valuation=EXP1),
+    lambda: FleetConfig(count=2, initial_budget=math.inf, service_cost=2.0, valuation=EXP1),
     lambda: Hotspot(math.nan, 5.0),
     lambda: forking_condition(Hotspot(0.8, 5.0), Hotspot(0.5, 50.0), FLEET, 1.0),
     lambda: forking_condition(Hotspot(0.2, 5.0), Hotspot(0.8, 5.0), FLEET, 1.0),

@@ -129,6 +129,14 @@ def test_monotonicities_at_reference_point():
         assert all(np.diff(path) >= -TOL)
 
 
+def test_profit_monotone_in_capacity():
+    # Round-off dents the order by up to 2.7e-15 at (0.2, 30, 300).
+    for model, alpha, k, T in [(EXP1, 0.2, 30, 300), (UNI, 0.8, 10, 60)]:
+        _, table = build_pricing(model, alpha, k, T)
+        r = table.values
+        assert np.all(np.diff(r, axis=0) >= -1e-12 * np.abs(r[1:]))
+
+
 def test_price_monotone_in_alpha():
     _, _ = build_pricing(EXP1, 0.3, 1, 12)
     s1, _ = build_pricing(EXP1, 0.3, 1, 12)

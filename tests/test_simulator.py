@@ -1,13 +1,14 @@
 """Monte-Carlo harness: determinism, capacity bookkeeping, oracle agreement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from uavps import simulator
 from uavps.pricing import _log_series, build_pricing, expected_profit_closed_form
-from uavps.simulator import (simulate_continuous, simulate_discrete,
+from uavps.simulator import (RegretReport, simulate_continuous, simulate_discrete,
                              simulate_policy_regret)
 from uavps.valuations import ValuationModel
 
@@ -45,7 +46,7 @@ def test_determinism_bit_for_bit():
 
 
 def test_chunking_is_transparent():
-    # crossing the block boundary must not disturb earlier trials' draws
+    # crossing the chunk boundary must not disturb earlier trials' draws
     from uavps import simulator
 
     schedule, _ = build_pricing(EXP1, 0.5, 1, 4)
@@ -106,6 +107,56 @@ def test_flat_pricing_never_beats_schedule(model, alpha, k, T, flat):
     assert rr.fixed_price_mean <= rr.optimal_mean + 3 * rr.paired_std_error
 
 
+def _discrete_oracle(model, alpha, price_lookup, capacity, horizon, trials, seed):
+    """The former single-policy slot loop: one replay of the seed per policy."""
+    profits = np.empty(trials)
+    served = np.empty(trials, dtype=np.int64)
+    lookup = price_lookup.copy()
+    lookup[0, :] = np.inf
+    lookup[np.isnan(lookup)] = np.inf
+
+    pos = 0
+    for idx, size in enumerate(simulator._chunk_sizes(trials)):
+        rng = simulator._chunk_rng(seed, idx)
+        j = np.full(size, capacity, dtype=np.int64)
+        gain = np.zeros(size)
+        for t in range(horizon, 0, -1):
+            arrive = rng.random(size) < alpha
+            v = model.sample(rng.random(size))
+            jj = np.minimum(j, t)
+            price = lookup[jj, t]
+            sale = arrive & (jj > 0) & (v >= price)
+            gain = np.where(sale, gain + price, gain)
+            j = j - sale
+        profits[pos:pos + size] = gain
+        served[pos:pos + size] = capacity - j
+        pos += size
+    return profits, served
+
+
+@pytest.mark.parametrize("model, alpha, k, T, trials, seed, flat", [
+    (EXP1, 0.8, 2, 10, 30_000, 23, 1.0),
+    (UNI, 0.5, 1, 5, 20_000, 23, 7.5),
+    (EXP1, 0.7, 3, 2, 5_000, 8, 0.5),  # capacity beyond the horizon
+    (UNI, 0.9, 4, 12, 2, 3, math.inf),  # the flat policy never sells
+    (EXP1, 0.3, 2, 7, 1, 3, 0.0),
+    (EXP1, 0.5, 1, 3, simulator.CHUNK_TRIALS + 17, 5, 1.2),
+])
+def test_discrete_replays_match_slot_oracle(model, alpha, k, T, trials, seed, flat):
+    schedule, _ = build_pricing(model, alpha, k, T)
+    opt, served = _discrete_oracle(model, alpha, schedule.prices, k, T, trials, seed)
+    assert simulate_discrete(model, alpha, schedule, k, T, trials, seed) == simulator._report(
+        opt, served, k, seed)
+
+    fixed, _ = _discrete_oracle(model, alpha, np.full_like(schedule.prices, flat), k, T,
+                                trials, seed)
+    diff = opt - fixed
+    assert simulate_policy_regret(model, alpha, k, T, trials, seed, flat) == RegretReport(
+        optimal_mean=float(opt.mean()), fixed_price_mean=float(fixed.mean()),
+        paired_std_error=float(diff.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0,
+        trials=trials, seed=seed)
+
+
 def _continuous_oracle(lam, arrival_rate, capacity, horizon, trials, seed):
     """The former column loop: every row scanned in every column, the draws
     transformed up front, and a separate series call for each level."""
@@ -150,7 +201,35 @@ def _continuous_oracle(lam, arrival_rate, capacity, horizon, trials, seed):
     (0.5, 3.0, 4, 0.0, 1_000, 5),
     (1.0, 0.5, 2, 1.0, simulator.CHUNK_TRIALS + 1_000, 6),
     (1.0, 1.0, 3, 2.0, 1, 7),
+    (1.0, 2.0, 20, 5.0, 2 * simulator.BLOCK_ROWS + 17, 9),
+    # the last block of each chunk is partial
+    (1.0, 0.5, 3, 1.0, simulator.CHUNK_TRIALS + simulator.BLOCK_ROWS + 3, 10),
 ])
 def test_continuous_matches_column_oracle(lam, rate, k, T, trials, seed):
     assert simulate_continuous(lam, rate, k, T, trials, seed) == _continuous_oracle(
         lam, rate, k, T, trials, seed)
+
+
+@pytest.mark.parametrize("lam, rate, k, T, trials, seed", [
+    (1.0, 1.0, 1, math.e, 1_000, 1),
+    (1.0, 2.0, 20, 5.0, 703, 3),
+    (1.0, 40.0, 40, 3.0, 60, 4),
+    (0.5, 3.0, 4, 0.0, 100, 5),
+    (1.0, 1.0, 3, 2.0, 1, 7),
+])
+def test_continuous_block_height_is_invisible(monkeypatch, lam, rate, k, T, trials, seed):
+    monkeypatch.setattr(simulator, "BLOCK_ROWS", 7)
+    assert simulate_continuous(lam, rate, k, T, trials, seed) == _continuous_oracle(
+        lam, rate, k, T, trials, seed)
+
+
+def test_continuous_replay_memory_is_bounded():
+    # rate * T = 100 over one full chunk: the whole (trials, top) draw
+    # matrices took about 628 MiB, one block of them takes a few tens.
+    tracemalloc.start()
+    try:
+        simulate_continuous(1.0, 20.0, 1, 5.0, 250_000, seed=31)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
