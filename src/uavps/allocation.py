@@ -3,7 +3,8 @@
 With budget B and per-user service cost c, choosing capacity k leaves T = B - ck
 hovering slots, so the planner solves max_k R_k(B - ck). The discrete search
 simply evaluates every feasible k (at most floor(B / (1 + c)) of them, since
-capacity beyond the hovering time is wasted). The same search, with the
+capacity beyond the hovering time is wasted), for a whole alpha sweep from one
+table sweep. The same search, with the
 capacity cost shared by a group of pooled vehicles, prices every group size
 at every hotspot from one batched table sweep. The continuous relaxation
 with exponential valuations admits a threshold policy in the arrival rate a':
@@ -55,13 +56,15 @@ class AllocationDecision:
     regime: Regime = Regime.NOT_APPLICABLE
 
 
-def allocate_discrete(model: ValuationModel, alpha: float, budget: int,
-                      service_cost: int) -> AllocationDecision:
+def allocate_discrete(model: ValuationModel, alpha, budget: int,
+                      service_cost: int) -> AllocationDecision | list[AllocationDecision]:
     """Exhaustive discrete search over k in 1..floor(B / (1 + c)).
 
     Budget and service cost must be integers (slot-quantized energy); the
     chosen split always uses the whole budget, T = B - ck. Ties go to the
-    smallest capacity, preserving hovering flexibility.
+    smallest capacity, preserving hovering flexibility. A 1-d alpha returns
+    one decision per entry, each the one its scalar alpha gives, from one
+    table sweep (a one-entry batch gets a scalar table).
     """
     if not (float(budget).is_integer() and float(service_cost).is_integer()):
         raise ParameterError("discrete allocation needs integer budget and service cost, "
@@ -73,10 +76,15 @@ def allocate_discrete(model: ValuationModel, alpha: float, budget: int,
         raise ParameterError(
             f"budget {budget} cannot cover one user plus one hovering slot"
         )
+    if np.ndim(alpha) > 1:
+        raise ParameterError(f"alpha must be a scalar or 1-d, got shape {np.shape(alpha)}")
 
-    # A group of one reads every R[k][B - ck] from one table at
-    # (B // (1 + c), B - c).
-    return _pooled_decisions(model, (alpha,), (budget,), service_cost, (1,))[0][0]
+    # Each alpha is a hotspot with the whole budget and a group of one, which
+    # reads every R[k][B - ck] from one table at (B // (1 + c), B - c).
+    alphas = np.ravel(alpha)
+    decisions = [row[0] for row in _pooled_decisions(
+        model, alphas, [budget] * alphas.size, service_cost, (1,))]
+    return decisions if np.ndim(alpha) else decisions[0]
 
 
 # -- "best capacity for a budget": one discrete and one continuous search -----
@@ -101,7 +109,7 @@ def _pooled_decisions(model: ValuationModel, alphas: Sequence[float],
     avail = np.array(availables, dtype=float).reshape(-1, 1, 1)
     n = np.array(groups).reshape(-1, 1)
     k_top = np.floor(avail / (1.0 + service_cost / n) + _POOL_EPS).astype(int)
-    k = np.arange(1, k_top.max() + 1)
+    k = np.arange(1, k_top.max(initial=0) + 1)
     if not k.size:
         return [[AllocationDecision(k_star=0, t_star=0, profit=0.0)] * n.size] * avail.size
     # Both bounds grow with n and avail, so the largest ones size the table;

@@ -11,13 +11,15 @@ the one-step recursion
 which upper-bounds the posted-price table cell by cell: more information
 never hurts. Two studies are built on top: the profit ratio as the hovering
 horizon grows, and profits as a function of valuation variance at fixed mean.
+The ratio study reads the curves of a whole list of capacities from one
+posted-price and one benchmark table, sized for the largest capacity.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .pricing import ProfitTable, _fill, build_pricing
+from .pricing import ProfitTable, _fill, _table_shape, build_pricing
 from .valuations import ParameterError, ValuationModel
 
 # Half-width standing in for a point mass when a zero-variance sweep entry is
@@ -37,29 +39,40 @@ def complete_info_profit(model: ValuationModel, alpha, capacity: int,
                  r_same + alpha * model.expected_excess(r_same - r_less))[1]
 
 
-def profit_ratio_curve(model: ValuationModel, alpha: float, capacity: int,
-                       horizons: list[int]) -> list[tuple[int, float]]:
+def profit_ratio_curve(model: ValuationModel, alpha: float, capacity: int | list[int],
+                       horizons: list[int]
+                       ) -> list[tuple[int, float]] | list[list[tuple[int, float]]]:
     """Posted-price profit over benchmark profit at each horizon.
 
-    The ratio lies in (0, 1]; a zero benchmark (alpha or horizon zero) is
-    reported as ratio 1 by convention.
+    Returns a list of (T, ratio). The ratio lies in (0, 1]; a zero benchmark
+    (alpha or horizon zero) is reported as ratio 1 by convention. A 1-d
+    ``capacity`` gives one such list per entry, in order, duplicates included.
+
+    Both tables are filled once, at the largest capacity: R[j][t] depends only
+    on rows <= j, so row k of that table is the capacity-k table's row k, bit
+    for bit. Every capacity is checked against every horizon before a row is read.
     """
     if not horizons:
         raise ParameterError("need at least one horizon")
+    capacities = np.ravel(capacity).tolist()
+    if not capacities:
+        raise ParameterError("need at least one capacity")
     horizons = [int(t) for t in horizons]
-    for t in horizons:
-        if t < capacity:
-            raise ParameterError(f"horizon {t} shorter than capacity {capacity}")
-
     t_max = max(horizons)
-    _, table = build_pricing(model, alpha, capacity, t_max)
-    bench = complete_info_profit(model, alpha, capacity, t_max)
-    out = []
-    for t in horizons:
-        top = float(table.values[capacity, t])
-        bottom = float(bench.values[capacity, t])
-        out.append((t, top / bottom if bottom > 0.0 else 1.0))
-    return out
+    for k in capacities:
+        _table_shape(alpha, k, t_max)
+        if min(horizons) < k:
+            raise ParameterError(f"horizon {min(horizons)} shorter than capacity {k}")
+
+    _, table = build_pricing(model, alpha, max(capacities), t_max)
+    bench = complete_info_profit(model, alpha, max(capacities), t_max)
+    curves = []
+    for k in capacities:
+        tops = table.values[int(k), horizons].tolist()
+        bottoms = bench.values[int(k), horizons].tolist()
+        curves.append([(t, top / bottom if bottom > 0.0 else 1.0)
+                       for t, top, bottom in zip(horizons, tops, bottoms)])
+    return curves if np.ndim(capacity) else curves[0]
 
 
 def variance_sweep(mean: float, variances: list[float], alpha: float,

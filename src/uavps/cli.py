@@ -54,7 +54,8 @@ def parse_int_list(text: str) -> list[int]:
 
 
 def _fmt(x) -> str:
-    """Shortest round-trip representation; empty cell for missing values."""
+    """A parameter value for a comment line: shortest round-trip floats, empty
+    for a missing value."""
     if x is None:
         return ""
     if isinstance(x, float):
@@ -63,15 +64,20 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: str, header: list[str], rows, params: dict) -> None:
-    """Write rows with a provenance comment block (no timestamps: determinism)."""
+    """Write rows with a provenance comment block (no timestamps: determinism).
+
+    ``csv.writer`` takes the rows as they are: None becomes an empty cell, a
+    float its shortest round-trip repr and anything else its ``str``. A numpy
+    float64 cell is a float to the writer, so it is written in shortest form
+    (``1.5``), where a per-cell ``repr`` would write ``np.float64(1.5)``.
+    """
     with open(path, "w", newline="") as fh:
         fh.write("# uavps\n")
         for key in sorted(params):
             fh.write(f"# {key}: {_fmt(params[key])}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        writer.writerows(rows)
 
 
 def _need(args, *dests: str) -> None:
@@ -137,23 +143,25 @@ def cmd_allocate(args) -> int:
               "c": args.c, "alpha": args.alpha, "arrival_rate": args.arrival_rate,
               "alpha_sweep": args.alpha_sweep}
 
-    # The sweep runs over the arrival rate in continuous mode, else over alpha.
+    # The sweep runs over the arrival rate in continuous mode, a decision per
+    # point, else over alpha, whose decisions share one table sweep.
     if args.mode == "continuous":
         _need(args, "lam")
-        swept, decide = "arrival_rate", partial(allocation.allocate_continuous, args.lam)
+        swept, decide = "arrival_rate", lambda xs: [
+            allocation.allocate_continuous(args.lam, x, args.B, args.c) for x in xs]
     else:
-        swept, decide = "alpha", partial(allocation.allocate_discrete,
-                                         _model_from_args(args))
+        swept, decide = "alpha", partial(allocation.allocate_discrete, _model_from_args(args),
+                                         budget=args.B, service_cost=args.c)
     if not args.alpha_sweep:
         _need(args, swept)
     points = parse_sweep(args.alpha_sweep) if args.alpha_sweep else [getattr(args, swept)]
-    rows = [(x, decide(x, args.B, args.c)) for x in points]
+    rows = list(zip(points, decide(points)))
 
     for x, dec in rows:
-        print(f"alpha={x:.6f} k={dec.k_star} T={dec.t_star:.6f} "
+        print(f"{swept}={x:.6f} k={dec.k_star} T={dec.t_star:.6f} "
               f"profit={dec.profit:.6f} regime={dec.regime.value}")
     if args.out:
-        write_csv(args.out, ["alpha", "k_star", "t_star", "profit", "regime"],
+        write_csv(args.out, [swept, "k_star", "t_star", "profit", "regime"],
                   [(x, d.k_star, d.t_star, d.profit, d.regime.value) for x, d in rows],
                   params)
     return 0
@@ -235,12 +243,11 @@ def cmd_benchmark(args) -> int:
             raise ParameterError(f"need a finite --T-max and a positive --T-step, "
                                  f"got {args.T_max} and {args.T_step}")
         horizons = list(range(max(ks), int(args.T_max) + 1, args.T_step))
-        curves = {k: dict(benchmark.profit_ratio_curve(model, args.alpha, k,
-                                                       horizons))
-                  for k in ks}
+        # One table pair at max(ks) gives every curve, in list order.
+        curves = benchmark.profit_ratio_curve(model, args.alpha, ks, horizons)
         header = (["T", "ratio"] if len(ks) == 1
                   else ["T"] + [f"ratio_k{k}" for k in ks])
-        rows = [[t] + [curves[k][t] for k in ks] for t in horizons]
+        rows = list(zip(horizons, *([r for _, r in curve] for curve in curves)))
         for row in rows:
             print(" ".join(f"{x:.6f}" if isinstance(x, float) else str(x)
                            for x in row))

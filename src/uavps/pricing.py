@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -99,13 +100,17 @@ def profit_step(model: ValuationModel, alpha: float, price, r_same, r_less):
 
 
 def _table_shape(alpha, capacity: int, horizon: int) -> tuple[int, ...]:
-    """(k + 1, T + 1) plus alpha's batch shape, once the arguments are valid."""
-    if not all(0.0 <= a <= 1.0 for a in np.ravel(alpha).tolist()):
-        raise ParameterError(f"occurrence probability must lie in [0, 1], got {alpha}")
-    if not capacity >= 1:
+    """(k + 1, T + 1) plus alpha's batch shape, once the arguments are valid.
+
+    k and T must be finite whole numbers: ints, numpy ints or floats such as 6.0.
+    """
+    bad = [a for a in np.ravel(alpha).tolist() if not 0.0 <= a <= 1.0]
+    if bad:
+        raise ParameterError(f"occurrence probability must lie in [0, 1], got {bad[0]}")
+    if not (float(capacity).is_integer() and capacity >= 1):
         raise ParameterError(f"capacity must be a positive integer, got {capacity}")
-    if not horizon >= 0:
-        raise ParameterError(f"horizon must be nonnegative, got {horizon}")
+    if not (float(horizon).is_integer() and horizon >= 0):
+        raise ParameterError(f"horizon must be a nonnegative integer, got {horizon}")
     return (int(capacity) + 1, int(horizon) + 1) + np.shape(alpha)
 
 
@@ -356,8 +361,13 @@ def continuous_profit_numeric(model: ValuationModel, arrival_rate: float,
 
 def schedule_csv_rows(schedule: PriceSchedule, table: ProfitTable):
     """Yield (j, t, price-or-None, profit) rows ordered by (j, t); a batched
-    table gives one price and one profit per alpha."""
-    values = table.values.tolist()
+    table gives one price and one profit per alpha.
+
+    Each array is listed once; the price is None where ``PriceSchedule.price``
+    gives None, that is for j < 1 or t < j.
+    """
+    prices, values, slots = schedule.prices.tolist(), table.values.tolist(), table.horizon + 1
     for j in range(table.capacity + 1):
-        for t in range(table.horizon + 1):
-            yield j, t, schedule.price(j, t), values[j][t]
+        priced = prices[j][j:slots] if j else []
+        yield from zip(repeat(j), range(slots), [None] * (slots - len(priced)) + priced,
+                       values[j])

@@ -2,16 +2,18 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uavps import allocation
 from uavps.allocation import (Regime, allocate_continuous, allocate_discrete,
                               capacity_argmax, high_regime_threshold,
                               low_regime_threshold)
 from uavps.deployment import pooled_series_max
 from uavps.pricing import build_pricing, expected_profit_closed_form
-from uavps.valuations import ValuationModel
+from uavps.valuations import ParameterError, ValuationModel
 
 EXP1 = ValuationModel.exponential(1.0)
 UNI = ValuationModel.uniform(5.0, 15.0)
@@ -55,6 +57,47 @@ def test_discrete_matches_exhaustive_rebuild():
 def test_discrete_regime_extremes():
     assert allocate_discrete(UNI, 0.02, 15, 3).k_star == 1
     assert allocate_discrete(UNI, 0.98, 15, 3).k_star == 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([EXP1, UNI]),
+       st.lists(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
+                min_size=1, max_size=6),
+       st.integers(2, 40), st.integers(1, 4))
+@example(UNI, [0.0], 15, 3)  # every k ties at zero profit: k* = 1
+@example(EXP1, [0.9, 0.0, 1.0, 0.0], 30, 2)
+@example(UNI, [0.5], 4, 3)  # one candidate capacity
+def test_batched_discrete_equals_one_call_per_alpha(model, alphas, budget, cost):
+    budget = max(budget, 1 + cost)
+    batched = allocate_discrete(model, alphas, budget, cost)
+    assert batched == [allocate_discrete(model, a, budget, cost) for a in alphas]
+    assert all(d.k_star == 1 for a, d in zip(alphas, batched) if a == 0.0)
+
+
+def test_discrete_sweep_is_one_table_and_a_lone_alpha_a_scalar_one(monkeypatch):
+    shapes = []
+
+    def recorded(model, alpha, capacity, horizon):
+        shapes.append(np.shape(alpha))
+        return build_pricing(model, alpha, capacity, horizon)
+
+    monkeypatch.setattr(allocation, "build_pricing", recorded)
+    allocate_discrete(UNI, [0.1, 0.5, 0.9], 15, 3)
+    allocate_discrete(UNI, [0.4], 15, 3)
+    allocate_discrete(UNI, 0.4, 15, 3)
+    assert shapes == [(3,), (), ()]
+    assert allocate_discrete(UNI, [], 15, 3) == []
+
+
+def test_discrete_batch_keeps_the_checks():
+    with pytest.raises(ParameterError):
+        allocate_discrete(UNI, [0.5, 1.5], 15, 3)
+    with pytest.raises(ParameterError):
+        allocate_discrete(UNI, [0.5, math.nan], 15, 3)
+    with pytest.raises(ParameterError):
+        allocate_discrete(UNI, [0.5], 3, 3)
+    with pytest.raises(ParameterError):
+        allocate_discrete(UNI, [[0.5]], 15, 3)
 
 
 def test_discrete_validation():

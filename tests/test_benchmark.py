@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from uavps import benchmark
 from uavps.benchmark import (complete_info_profit, profit_ratio_curve,
                              variance_sweep)
 from uavps.pricing import ProfitTable, build_pricing
-from uavps.valuations import ValuationModel
+from uavps.valuations import ParameterError, ValuationModel
 
 EXP1 = ValuationModel.exponential(1.0)
 UNI = ValuationModel.uniform(5.0, 15.0)
@@ -95,6 +98,64 @@ def test_ratio_curve_trivial_and_trends():
         profit_ratio_curve(EXP1, 0.5, 3, [2])
     with pytest.raises(ValueError):
         profit_ratio_curve(EXP1, 0.5, 1, [])
+
+
+def ratio_curve_per_capacity(model, alpha, capacity, horizons):
+    """The former ``profit_ratio_curve`` body: one table pair per capacity."""
+    if not horizons:
+        raise ValueError("need at least one horizon")
+    horizons = [int(t) for t in horizons]
+    for t in horizons:
+        if t < capacity:
+            raise ValueError(f"horizon {t} shorter than capacity {capacity}")
+
+    t_max = max(horizons)
+    _, table = build_pricing(model, alpha, capacity, t_max)
+    bench = complete_info_profit(model, alpha, capacity, t_max)
+    out = []
+    for t in horizons:
+        top = float(table.values[capacity, t])
+        bottom = float(bench.values[capacity, t])
+        out.append((t, top / bottom if bottom > 0.0 else 1.0))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([EXP1, UNI]), st.floats(0.0, 1.0),
+       st.lists(st.integers(1, 8), min_size=1, max_size=5),
+       st.lists(st.integers(0, 40), min_size=1, max_size=6))
+@example(EXP1, 0.0, [3, 1, 3], [0, 12, 5])
+@example(UNI, 1.0, [2, 2], [7, 0])
+@example(UNI, 0.45, [8, 1, 5, 1], [40, 3, 17])
+def test_ratio_curves_over_capacities_equal_one_curve_per_capacity(
+        model, alpha, ks, offsets):
+    # Every horizon covers every capacity; duplicates and any order stay put.
+    horizons = [max(ks) + d for d in offsets]
+    curves = profit_ratio_curve(model, alpha, ks, horizons)
+    assert curves == [ratio_curve_per_capacity(model, alpha, k, horizons) for k in ks]
+    assert profit_ratio_curve(model, alpha, ks[0], horizons) == curves[0]
+
+
+def test_ratio_curves_share_one_table_pair(monkeypatch):
+    sizes = []
+
+    def recorded(fill):
+        def call(model, alpha, capacity, horizon):
+            sizes.append((fill.__name__, capacity, horizon))
+            return fill(model, alpha, capacity, horizon)
+        return call
+
+    for name in ("build_pricing", "complete_info_profit"):
+        monkeypatch.setattr(benchmark, name, recorded(getattr(benchmark, name)))
+    profit_ratio_curve(EXP1, 0.5, [2, 3, 1], [3, 9, 6])
+    assert sizes == [("build_pricing", 3, 9), ("complete_info_profit", 3, 9)]
+
+
+@pytest.mark.parametrize("ks, horizons", [([1, -1], [5]), ([1, 0], [5]),
+                                          ([1, 2.5], [5]), ([3, 1], [2, 5]), ([], [5])])
+def test_every_capacity_is_checked_before_a_row_is_read(ks, horizons):
+    with pytest.raises(ParameterError):
+        profit_ratio_curve(EXP1, 0.5, ks, horizons)
 
 
 def test_variance_sweep_degenerate_limit():

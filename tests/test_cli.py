@@ -2,12 +2,14 @@
 
 import csv
 import json
+import math
 
+import numpy as np
 import pytest
 
 from uavps import cli
-from uavps.allocation import allocate_discrete
-from uavps.benchmark import variance_sweep
+from uavps.allocation import allocate_continuous, allocate_discrete
+from uavps.benchmark import profit_ratio_curve, variance_sweep
 from uavps.pricing import build_pricing
 from uavps.valuations import ParameterError, ValuationModel
 
@@ -19,6 +21,18 @@ def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
     return rows[0], rows[1:]
+
+
+def write_csv_per_cell(path: str, header: list[str], rows, params: dict) -> None:
+    """The former ``cli.write_csv``, every cell mapped through ``cli._fmt``."""
+    with open(path, "w", newline="") as fh:
+        fh.write("# uavps\n")
+        for key in sorted(params):
+            fh.write(f"# {key}: {cli._fmt(params[key])}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cli._fmt(x) for x in row])
 
 
 def test_sweep_parser():
@@ -397,3 +411,81 @@ def test_fractional_T_max_truncates(capsys):
     whole = capsys.readouterr().out
     assert cli.main(_set(RATIO, "--T-max", "6.5")) == 0
     assert capsys.readouterr().out == whole
+
+
+# -- CSV writer ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    PRICE_D, PRICE_C, _uniform(PRICE_D),
+    _set(ALLOC_D, "--alpha-sweep", "0:1:0.25"), _set(ALLOC_C, "--alpha-sweep", "0.5:2:0.5"),
+    DEPLOY, SIM_D, SIM_C, RATIO, _set(RATIO, "--k-list", "3,1"),
+    _set(RATIO, "--k-list", "2,2"), VAR,
+], ids=["price-d", "price-c", "price-d-uniform", "allocate-d-sweep", "allocate-c-sweep",
+        "deploy", "simulate-d", "simulate-c", "ratio", "ratio-3,1", "ratio-2,2", "variance"])
+def test_csv_bytes_equal_the_per_cell_writer(argv, tmp_path, monkeypatch, capsys):
+    spots = tmp_path / "two.json"
+    spots.write_text(json.dumps(SPOT_FILES["two"]))
+    oracle, out = tmp_path / "oracle.csv", tmp_path / "out.csv"
+    write = cli.write_csv
+
+    def both(path, header, rows, params):
+        rows = list(rows)
+        write_csv_per_cell(str(oracle), header, rows, params)
+        write(path, header, rows, params)
+
+    monkeypatch.setattr(cli, "write_csv", both)
+    assert cli.main([a.format(two=str(spots)) for a in argv] + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == oracle.read_bytes()
+
+
+def test_write_csv_cells(tmp_path):
+    rows = [(None, 0.1 + 0.2, math.inf, 7), (1, 2.5e-300, -math.inf, None)]
+    params = {"b": None, "a": 0.1 + 0.2}
+    ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+    cli.write_csv(str(ours), ["w", "x", "y", "z"], iter(rows), params)
+    write_csv_per_cell(str(oracle), ["w", "x", "y", "z"], rows, params)
+    assert ours.read_bytes() == oracle.read_bytes() == (
+        b"# uavps\n# a: 0.30000000000000004\n# b: \n"
+        b"w,x,y,z\r\n,0.30000000000000004,inf,7\r\n1,2.5e-300,-inf,\r\n")
+    # A numpy float64 cell is written in shortest form, where _fmt gave its repr.
+    cli.write_csv(str(ours), ["x"], [(np.float64(1.5),)], {})
+    assert ours.read_bytes().endswith(b"x\r\n1.5\r\n")
+
+
+# -- batched studies through the command line --------------------------------------
+
+
+def test_continuous_allocate_sweep_is_labelled_arrival_rate(tmp_path, capsys):
+    out = tmp_path / "alloc.csv"
+    assert cli.main(_set(ALLOC_C, "--alpha-sweep", "0.5:1:0.5") + ["--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["arrival_rate=0.500000",
+                                                   "arrival_rate=1.000000"]
+    header, rows = read_csv(str(out))
+    assert header == ["arrival_rate", "k_star", "t_star", "profit", "regime"]
+    for row in rows:
+        decision = allocate_continuous(1.0, float(row[0]), 15.0, 3.0)
+        assert (int(row[1]), float(row[3])) == (decision.k_star, decision.profit)
+
+    # The discrete sweep runs over alpha and keeps its label.
+    assert cli.main(_set(ALLOC_D, "--alpha-sweep", "0.5:1:0.5") + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("alpha=0.500000 ")
+    assert read_csv(str(out))[0][0] == "alpha"
+
+
+@pytest.mark.parametrize("k_list", ["3,1", "2,2", "1,2,3", "2"])
+def test_ratio_columns_follow_the_k_list(k_list, tmp_path, capsys):
+    out = tmp_path / "ratio.csv"
+    ks = [int(k) for k in k_list.split(",")]
+    argv = _set(RATIO, "--k-list", k_list, "--T-max", "20", "--T-step", "4")
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    header, rows = read_csv(str(out))
+    assert header == (["T", "ratio"] if len(ks) == 1 else ["T"] + [f"ratio_k{k}" for k in ks])
+    horizons = list(range(max(ks), 21, 4))
+    assert [int(row[0]) for row in rows] == horizons
+    for column, k in enumerate(ks, start=1):
+        curve = profit_ratio_curve(EXP1, 0.5, k, horizons)
+        assert [float(row[column]) for row in rows] == [r for _, r in curve]

@@ -5,12 +5,14 @@ import ast
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
 import uavps
 from uavps import (FleetConfig, Hotspot, ParameterError, ValuationModel,
                    allocate_continuous, allocate_discrete, build_pricing,
-                   continuous_profit_numeric, expected_profit_closed_form,
+                   complete_info_profit, continuous_profit_numeric,
+                   evaluate_schedule, expected_profit_closed_form,
                    forking_condition, profit_ratio_curve, simulate_continuous,
                    simulate_policy_regret, solve_stage_price, variance_sweep)
 
@@ -42,10 +44,26 @@ RUNTIME_FAILURES = {("pricing.py", "solve_stage_price"),
     lambda: forking_condition(Hotspot(0.2, 5.0), Hotspot(0.8, 5.0), FLEET, 1.0),
     lambda: variance_sweep(10.0, [-1.0], 0.5, 1, 3),
     lambda: profit_ratio_curve(EXP1, 0.5, 3, []),
+    # Table sizes that are not finite whole numbers, through each table
+    # function. Before the shape check took only whole numbers, the first
+    # three built a k = 2, T = 6 table, raised IndexError and OverflowError.
+    lambda: build_pricing(EXP1, 0.5, 2.5, 6.7),
+    lambda: profit_ratio_curve(EXP1, 0.5, 2.5, [5, 6]),
+    lambda: build_pricing(EXP1, 0.5, 3, math.inf),
+    lambda: complete_info_profit(EXP1, 0.5, 3, math.nan),
+    lambda: evaluate_schedule(EXP1, 0.5, np.zeros((4, 7)), 3.0, 5.5),
 ])
 def test_preconditions_raise_parameter_error(call):
     with pytest.raises(ParameterError):
         call()
+
+
+def test_whole_float_and_numpy_int_sizes_still_build_tables():
+    _, table = build_pricing(EXP1, 0.5, 2, 6)
+    for k, T in ((np.int64(2), np.int64(6)), (2.0, 6.0), (np.float64(2.0), 6)):
+        _, same = build_pricing(EXP1, 0.5, k, T)
+        assert (same.capacity, same.horizon) == (2, 6)
+        assert np.array_equal(same.values, table.values)
 
 
 def test_runtime_failures_are_plain_value_errors():

@@ -438,3 +438,20 @@ def test_schedule_csv_rows_layout():
     j, t, price, profit = rows[4 + 1]  # (j=1, t=1)
     assert (j, t) == (1, 1) and price == pytest.approx(1.0)
     assert rows[2 * 4 + 1][2] is None  # (j=2, t=1) has no price
+
+
+def schedule_csv_rows_per_cell(schedule, table):
+    """The former ``schedule_csv_rows``: one ``PriceSchedule.price`` call per cell."""
+    values = table.values.tolist()
+    for j in range(table.capacity + 1):
+        for t in range(table.horizon + 1):
+            yield j, t, schedule.price(j, t), values[j][t]
+
+
+@pytest.mark.parametrize("model, alpha, k, T", [
+    (EXP1, 0.5, 3, 10), (UNI, 0.8, 5, 3), (EXP1, 1.0, 1, 0), (EXP1, 0.0, 4, 4),
+    (UNI, [0.2, 0.0, 0.9], 4, 7), (EXP1, [0.6], 6, 2)])
+def test_schedule_csv_rows_equal_one_price_call_per_cell(model, alpha, k, T):
+    schedule, table = build_pricing(model, alpha, k, T)
+    assert (list(schedule_csv_rows(schedule, table))
+            == list(schedule_csv_rows_per_cell(schedule, table)))
