@@ -17,9 +17,8 @@ from .benchmark import complete_info_profit, profit_ratio_curve, variance_sweep
 from .deployment import (BestHotspot, DeploymentPlan, DeploymentProfile,
                          FleetConfig, ForkingCheck, Hotspot, RouteInstance,
                          RouteResult, best_single_hotspot, compositions,
-                         forking_condition, hotspot_profit, load_hotspots,
-                         optimal_deployment, optimal_deployment_continuous,
-                         pooled_series_max, route_oracle)
+                         forking_condition, load_hotspots, optimal_deployment,
+                         optimal_deployment_continuous, route_oracle)
 from .pricing import (PriceSchedule, ProfitTable, build_pricing,
                       continuous_profit_numeric, evaluate_schedule,
                       expected_profit_closed_form, log_capacity_series,
@@ -41,9 +40,8 @@ __all__ = [
     "complete_info_profit", "compositions",
     "continuous_profit_numeric", "evaluate_schedule",
     "expected_profit_closed_form", "forking_condition", "high_regime_threshold",
-    "hotspot_profit", "load_hotspots", "log_capacity_series",
-    "low_regime_threshold", "optimal_deployment",
-    "optimal_deployment_continuous", "pooled_series_max", "price_closed_form",
+    "load_hotspots", "log_capacity_series", "low_regime_threshold",
+    "optimal_deployment", "optimal_deployment_continuous", "price_closed_form",
     "profit_ratio_curve", "profit_step", "route_oracle", "schedule_csv_rows",
     "simulate_continuous", "simulate_discrete", "simulate_policy_regret",
     "solve_stage_price", "variance_sweep",

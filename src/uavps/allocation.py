@@ -17,8 +17,9 @@ with exponential valuations admits a threshold policy in the arrival rate a':
 
 The argmax is evaluated over every feasible k regardless of regime, so the
 regime label is a classification layer on top of an exhaustive search. That
-search, ``_best_series_capacity``, also serves ``capacity_argmax`` and the
-continuous fleet planner, and scores every k of many searches in one call.
+search, ``_best_series_capacity``, also serves ``capacity_argmax``, the
+continuous fleet planner and the forking check; it bounds each search's
+capacity itself and scores every k of many searches in one call.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from scipy.special import gammaln, logsumexp
 from .pricing import _log_series, build_pricing
 from .valuations import ParameterError, ValuationModel
 
-# Absorbs float noise in floor(B / c) when B is an exact multiple of c.
+# Absorbs float noise in high_regime_threshold's floor(B / c) at exact multiples.
 _FLOOR_EPS = 1e-12
 
 
@@ -89,8 +90,8 @@ def allocate_discrete(model: ValuationModel, alpha, budget: int,
 
 # -- "best capacity for a budget": one discrete and one continuous search -----
 
-# Absorbs float noise in the pooled floors when a group's share c * k / n or
-# the bound avail / (1 + c / n) lands on a whole number.
+# Absorbs float noise where c * k / n, avail / (1 + c / n), n * avail / c or
+# route_oracle's residual / energy step lands on a whole number before a floor.
 _POOL_EPS = 1e-9
 
 
@@ -130,22 +131,24 @@ def _pooled_decisions(model: ValuationModel, alphas: Sequence[float],
             for row in zip(profits.argmax(axis=2).tolist(), hover.tolist(), profits.tolist())]
 
 
-def _series_logs(rate, available, service_cost: float, group, k_top) -> np.ndarray:
+def _series_logs(rate, available, service_cost: float, group) -> np.ndarray:
     """log S_k(a' max(avail - c k / group, 0) / e) with k = 1 + the last index,
     for the searches the other arguments broadcast over on leading axes; -inf
-    past each k_top (at least 1). One kernel call; each log is a lone search's."""
-    k_top = np.maximum(k_top, 1)
-    k = np.arange(1, np.max(k_top) + 1)
-    live = k <= k_top
+    past max(floor(group * avail / c), 1). Each log is a lone search's."""
+    bound = np.maximum(np.floor(np.multiply(group, available) / service_cost + _POOL_EPS), 1)
+    if not np.max(bound) < 2.0 ** 62:  # an int cast would wrap, not fail
+        raise ParameterError(f"capacity bound {np.max(bound)} is too large to search")
+    k = np.arange(1, int(np.max(bound)) + 1)
+    live = k <= bound
     x = rate * np.maximum(available - service_cost * k / group, 0.0) / math.e
     return np.where(live, _log_series(x, np.where(live, k, 0)), -np.inf)  # k = 0: no terms
 
 
-def _best_series_capacity(rate, available, service_cost: float, group, k_top):
+def _best_series_capacity(rate, available, service_cost: float, group):
     """(k, log S_k(x_k)) maximizing log S_k(a' max(avail - c k / group, 0) / e)
-    over k in 1..max(k_top, 1), ties to the smallest k, per search of
-    ``_series_logs``."""
-    logs = _series_logs(rate, available, service_cost, group, k_top)
+    over k in 1..max(floor(group * avail / c), 1), ties to the smallest k, per
+    search of ``_series_logs``."""
+    logs = _series_logs(rate, available, service_cost, group)
     return logs.argmax(axis=-1) + 1, logs.max(axis=-1)  # argmax: the first maximum
 
 
@@ -217,9 +220,8 @@ def allocate_continuous(lam: float, arrival_rate: float, budget: float,
     if not service_cost < budget < math.inf:
         raise ParameterError(f"budget {budget} must be finite and cover a single user")
 
-    k_top = math.floor(budget / service_cost + _FLOOR_EPS)
     best_k, log_series = (v.item() for v in _best_series_capacity(
-        arrival_rate, budget, service_cost, 1, k_top))
+        arrival_rate, budget, service_cost, 1))
 
     if budget <= 2 * service_cost:
         regime = Regime.NOT_APPLICABLE
@@ -243,5 +245,6 @@ def capacity_argmax(arrival_rate: float, budget: float,
     this matches ``allocate_continuous`` and is the raw search the regime
     labels classify.
     """
-    k_top = math.floor(budget / service_cost + _FLOOR_EPS)
-    return _best_series_capacity(arrival_rate, budget, service_cost, 1, k_top)[0].item()
+    if not (service_cost > 0 and math.isfinite(budget)):
+        raise ParameterError(f"need cost > 0 and a finite budget, got {service_cost}, {budget}")
+    return _best_series_capacity(arrival_rate, budget, service_cost, 1)[0].item()

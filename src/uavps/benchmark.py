@@ -57,6 +57,8 @@ def profit_ratio_curve(model: ValuationModel, alpha: float, capacity: int | list
     capacities = np.ravel(capacity).tolist()
     if not capacities:
         raise ParameterError("need at least one capacity")
+    if not all(float(t).is_integer() for t in horizons):
+        raise ParameterError(f"horizons must be finite whole numbers, got {horizons}")
     horizons = [int(t) for t in horizons]
     t_max = max(horizons)
     for k in capacities:

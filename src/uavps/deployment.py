@@ -14,12 +14,13 @@ the C(N + M - 1, M - 1) compositions of the fleet. It takes the
 per-(hotspot, group size) decisions as input and serves both the discrete
 and the continuous profits. The discrete planner fills the tables of all
 hotspots in one batched sweep, padded to the largest hotspot's size, and
-the continuous one scores every (hotspot, group, capacity) in one series
-kernel call. A plan's total is the left-to-right float sum of its served
-hotspots' profits, and exact ties go to the lexicographically greatest
-profile; the planner reproduces enumeration bit for bit, profile, decisions
-and total alike. ``compositions`` stays as the enumerator of
-``route_oracle`` and as the reference the planner is tested against.
+the continuous one scores every (hotspot, group, capacity) in one call of
+``allocation``'s capacity search, which bounds each group's capacity itself.
+A plan's total is the left-to-right float sum of its served hotspots'
+profits, and exact ties go to the lexicographically greatest profile; the
+planner reproduces enumeration bit for bit, profile, decisions and total
+alike. ``compositions`` stays as the enumerator of ``route_oracle`` and as
+the reference the planner is tested against.
 
 Two verification tools accompany the planner:
 
@@ -43,11 +44,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .allocation import (AllocationDecision, _best_series_capacity,
+from .allocation import (_POOL_EPS, AllocationDecision, _best_series_capacity,
                          _pooled_decisions, _series_logs)
 from .valuations import ParameterError, ValuationModel
-
-_FLOOR_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -148,29 +147,6 @@ class ForkingCheck(NamedTuple):
     holds: bool
     phi: float
     k2_star: int
-
-
-# -- discrete per-hotspot allocation ----------------------------------------
-
-
-def hotspot_profit(hotspot: Hotspot, uav_count: int,
-                   fleet: FleetConfig) -> AllocationDecision:
-    """Best energy split for ``uav_count`` pooled vehicles at one hotspot.
-
-    With a single vehicle this reduces exactly to the one-UAV discrete
-    allocation at budget B0 - D. Returns a zero-profit decision with k = 0
-    when not even one user fits after the flight.
-    """
-    if uav_count < 1:
-        raise ParameterError(f"need at least one vehicle, got {uav_count}")
-    available = fleet.initial_budget - hotspot.distance
-    if available <= 0:
-        raise ParameterError(
-            f"hotspot at distance {hotspot.distance} unreachable on budget "
-            f"{fleet.initial_budget}"
-        )
-    return _pooled_decisions(fleet.valuation, (hotspot.alpha,), (available,),
-                             fleet.service_cost, (uav_count,))[0][0]
 
 
 # -- fleet-wide planning ------------------------------------------------------
@@ -393,11 +369,11 @@ def route_oracle(instance: RouteInstance, fleet: FleetConfig,
             residual = fleet.initial_budget - dist
             if residual < 0:
                 continue
-            units = int(residual // energy_step + _FLOOR_EPS)
+            units = int(residual // energy_step + _POOL_EPS)
             remainder = residual - units * energy_step
             for parts in compositions(units, [units] * size):
                 base = [p * energy_step for p in parts]
-                if remainder > _FLOOR_EPS:
+                if remainder > _POOL_EPS:
                     variants = []
                     for q in range(size):
                         bumped = list(base)
@@ -415,23 +391,6 @@ def route_oracle(instance: RouteInstance, fleet: FleetConfig,
 
 
 # -- continuous relaxation: pooling and forking ------------------------------
-
-
-def pooled_series_max(arrival_rate: float, available: float, service_cost: float,
-                      group: int) -> tuple[int, float]:
-    """Max over k of the capacity series S_k(a' (avail - c k / group) / e).
-
-    Returns (best k, log of the series value); that log over lam is the
-    pooled group's expected profit. Ties go to the smallest k.
-    """
-    k_top = _pooled_k_top(group, available, service_cost)
-    return tuple(v.item() for v in _best_series_capacity(
-        arrival_rate, available, service_cost, group, k_top))
-
-
-def _pooled_k_top(group, available, service_cost: float) -> np.ndarray:
-    """floor(group * avail / c), the pooled capacity bound, elementwise."""
-    return np.floor(np.multiply(group, available) / service_cost + _FLOOR_EPS).astype(int)
 
 
 def forking_condition(hotspot1: Hotspot, hotspot2: Hotspot, fleet: FleetConfig,
@@ -464,8 +423,7 @@ def forking_condition(hotspot1: Hotspot, hotspot2: Hotspot, fleet: FleetConfig,
     # vehicles, and hotspot 2's capacities at rate a'_1 for the denominator.
     groups = np.array([1, 1, n, n - 1, 1])[:, None]
     avails = np.array([avail2, avail1, avail1, avail1, avail2])[:, None]
-    logs = _series_logs(np.array([a2, a1, a1, a1, a1])[:, None], avails, cost, groups,
-                        _pooled_k_top(groups, avails, cost))
+    logs = _series_logs(np.array([a2, a1, a1, a1, a1])[:, None], avails, cost, groups)
     k2_star = int(logs[0].argmax()) + 1
     best2, best1, pooled_n, pooled_n1 = logs[:4].max(axis=1).tolist()
     if best1 < best2:
@@ -491,10 +449,11 @@ def optimal_deployment_continuous(hotspots: list[Hotspot], fleet: FleetConfig,
     """Best fleet assignment under the continuous closed-form profits.
 
     Poisson arrivals and exponential valuations of rate lam give a group of
-    n vehicles the profit max_k log S_k / lam of ``pooled_series_max``; the
-    assignment comes from the same planner, with the same summation order
-    and tie rule, as ``optimal_deployment``. Every (hotspot, n, k) is scored
-    in one series kernel call. Used to verify the forking condition.
+    n vehicles the profit max_k log S_k / lam, k in 1..floor(n * avail / c),
+    from the capacity search of ``allocate_continuous``; the assignment comes
+    from the same planner, with the same summation order and tie rule, as
+    ``optimal_deployment``. Every (hotspot, n, k) is scored in one series
+    kernel call. Used to verify the forking condition.
     """
     if not lam > 0:
         raise ParameterError("valuation rate must be positive")
@@ -502,8 +461,7 @@ def optimal_deployment_continuous(hotspots: list[Hotspot], fleet: FleetConfig,
     cost, count = fleet.service_cost, fleet.count
     groups = np.arange(1, count + 1)[:, None]  # searches on axes (hotspot, n)
     avail, rate = np.array(avails)[:, None, None], np.array(alphas)[:, None, None]
-    ks, logs = _best_series_capacity(rate, avail, cost, groups,
-                                     _pooled_k_top(groups, avail, cost))
+    ks, logs = _best_series_capacity(rate, avail, cost, groups)
     rows = {i: [AllocationDecision(k_star=k, t_star=a - cost * k / n, profit=log_series / lam)
                 for n, k, log_series in zip(range(1, count + 1), row_k, row_log)]
             for i, a, row_k, row_log in zip(reach, avails, ks.tolist(), logs.tolist())}

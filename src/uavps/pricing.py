@@ -183,51 +183,39 @@ def evaluate_schedule(model: ValuationModel, alpha, prices: np.ndarray,
 _SERIES_BOUND, _SERIES_STRIDE = 1e100, 16
 
 
-def _log_series(x, k) -> np.ndarray:
-    """log S_k(x) elementwise over broadcast arrays x in [0, 1e12], k >= 0.
+def _log_series(x, k, below: bool = False):
+    """log S_k(x) elementwise over broadcast arrays x in [0, 1e12], k >= 0;
+    with ``below``, also log S_{k-1}(x), which needs every k >= 1.
 
     Sums the terms x^i / i! by their ratios x / i in linear space, over the
     entries sorted by decreasing k, so those still running are a prefix. The
     i = 0 term enters through log1p unless the sum has moved to its offset.
-    Each entry's arithmetic is its own, so a vector call equals scalar calls.
+    Each entry's arithmetic is its own, so a vector call equals scalar calls,
+    and its state one term before its end is its level-(k-1) state: the
+    ``below`` logs equal a call at k - 1, bit for bit.
     """
     x, k = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(k, dtype=np.int64))
     order = np.argsort(-k, axis=None)
     xs, ks = x.ravel()[order], k.ravel()[order]
-    running = np.searchsorted(-ks, -np.arange(1, ks.max(initial=0) + 1), side="right")
-    tail, offset, term = np.zeros(xs.size), np.zeros(xs.size), np.ones(xs.size)
-    for i, m in enumerate(running, start=1):
-        _add_series_term(xs, term, tail, offset, m, i)
-    out = np.empty(xs.size)
-    out[order] = _series_log(tail, offset)
-    return out.reshape(x.shape)
-
-
-def _log_series_levels(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log S_k(x) and log S_{k-1}(x) for non-empty 1-d x in [0, 1e12], k >= 1.
-
-    One pass of ``_log_series``'s arithmetic. An entry's state after i terms
-    depends only on (x, i), so its state one term before its end is the
-    level-(k-1) state, and both logs equal what ``_log_series`` returns at k
-    and at k - 1, bit for bit.
-    """
-    order = np.argsort(-k)
-    xs, ks = x[order], k[order]
     # bounds[i] counts the entries with k > i, so those with k == i sit at
     # bounds[i]:bounds[i - 1] and the first bounds[i - 1] still add term i.
-    bounds = np.searchsorted(-ks, -np.arange(1, ks[0] + 2), side="right")
+    bounds = np.searchsorted(-ks, -np.arange(1, ks.max(initial=0) + 2), side="right").tolist()
     tail, offset, term = np.zeros(xs.size), np.zeros(xs.size), np.ones(xs.size)
-    prev_tail, prev_offset = np.empty(xs.size), np.empty(xs.size)
-    for i in range(1, ks[0] + 1):
+    if below:
+        prev_tail, prev_offset = np.empty(xs.size), np.empty(xs.size)
+    for i in range(1, len(bounds)):
         lo, m = bounds[i], bounds[i - 1]
-        if lo < m:
+        if below and lo < m:
             prev_tail[lo:m] = tail[lo:m]
             prev_offset[lo:m] = offset[lo:m]
         _add_series_term(xs, term, tail, offset, m, i)
-    logs, prev = np.empty(xs.size), np.empty(xs.size)
-    logs[order] = _series_log(tail, offset)
-    prev[order] = _series_log(prev_tail, prev_offset)
-    return logs, prev
+    out = np.empty(xs.size)
+    out[order] = _series_log(tail, offset)
+    if not below:
+        return out.reshape(x.shape)
+    less = np.empty(xs.size)
+    less[order] = _series_log(prev_tail, prev_offset)
+    return out.reshape(x.shape), less.reshape(x.shape)
 
 
 def _add_series_term(x, term, tail, offset, m: int, i: int) -> None:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pricing import PriceSchedule, _check_closed_form, _log_series_levels, build_pricing
+from .pricing import PriceSchedule, _check_closed_form, _log_series, build_pricing
 from .valuations import ParameterError, ValuationModel
 
 GENERATOR_ID = "numpy-pcg64"
@@ -118,8 +118,8 @@ def _run_discrete(model: ValuationModel, alpha: float, price_lookups: list[np.nd
                 jj = np.minimum(j[i], t)  # spare units beyond the time left are dead
                 price = lookup[jj, t]
                 sale = arrive & (jj > 0) & (v >= price)
-                gain[i] = np.where(sale, gain[i] + price, gain[i])
-                j[i] = j[i] - sale
+                np.add(gain[i], price, out=gain[i], where=sale)
+                j[i] -= sale
         profits[:, pos:pos + size] = gain
         served[:, pos:pos + size] = capacity - np.array(j)
         pos += size
@@ -204,7 +204,7 @@ def _play_block(lam: float, arrival_rate: float, capacity: int, horizon: float,
         rows, t = rows[keep], t[keep]
         if rows.size == 0:
             break
-        log_k, log_less = _log_series_levels(arrival_rate * t / math.e, j[rows])
+        log_k, log_less = _log_series(arrival_rate * t / math.e, j[rows], below=True)
         price = (1.0 + log_k - log_less) / lam
         # Inverse-CDF valuations, drawn up front but transformed only
         # when quoted: log1p is elementwise, so each quoted entry gets

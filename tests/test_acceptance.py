@@ -12,6 +12,7 @@ logarithmically; that sub-test states the requirement faithfully and fails.
 import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,8 +22,8 @@ from uavps.allocation import (allocate_continuous, allocate_discrete,
 from uavps.benchmark import complete_info_profit, variance_sweep
 from uavps.deployment import (FleetConfig, Hotspot, RouteInstance,
                               best_single_hotspot, compositions,
-                              forking_condition, hotspot_profit,
-                              optimal_deployment, route_oracle)
+                              forking_condition, optimal_deployment,
+                              route_oracle)
 from uavps.pricing import (build_pricing, continuous_profit_numeric,
                            expected_profit_closed_form, price_closed_form)
 from uavps.simulator import simulate_continuous, simulate_discrete
@@ -415,7 +416,9 @@ def test_criterion_10_determinism_and_memoization(tmp_path):
                 if any(c > 0 and spots[i].distance >= 20.0
                        for i, c in enumerate(counts)):
                     continue
-                total = sum(hotspot_profit(spots[i], c, fleet).profit
+                # a plan for hotspot i alone seats c vehicles there
+                total = sum(optimal_deployment([spots[i]], replace(fleet, count=c))
+                            .per_hotspot[0].profit
                             for i, c in enumerate(counts) if c > 0)
                 if total >= best_total:
                     best_total, best_counts = total, counts

@@ -11,8 +11,8 @@ from uavps import allocation
 from uavps.allocation import (Regime, allocate_continuous, allocate_discrete,
                               capacity_argmax, high_regime_threshold,
                               low_regime_threshold)
-from uavps.deployment import pooled_series_max
-from uavps.pricing import build_pricing, expected_profit_closed_form
+from uavps.deployment import FleetConfig, Hotspot, optimal_deployment_continuous
+from uavps.pricing import _log_series, build_pricing, expected_profit_closed_form
 from uavps.valuations import ParameterError, ValuationModel
 
 EXP1 = ValuationModel.exponential(1.0)
@@ -170,10 +170,62 @@ def test_continuous_searches_agree_at_large_sizes(rate, quarter_budget, eighth_c
     if budget <= cost:
         return
     decision = allocate_continuous(1.0, rate, budget, cost)
-    k_pooled, log_series = pooled_series_max(rate, budget, cost, 1)
+    pooled = _lone_hotspot_plan(rate, budget, cost, 1)
     assert math.isfinite(decision.profit) and math.isfinite(decision.t_star)
-    assert capacity_argmax(rate, budget, cost) == decision.k_star == k_pooled
-    assert decision.profit == log_series
+    assert capacity_argmax(rate, budget, cost) == decision.k_star == pooled.k_star
+    assert decision.profit == pooled.profit
+
+
+def _lone_hotspot_plan(rate, budget, cost, group):
+    """The continuous planner's decision for ``group`` vehicles on one hotspot
+    at the station; its profit at lam = 1 is the log of the series maximum."""
+    fleet = FleetConfig(count=group, initial_budget=budget, service_cost=cost, valuation=EXP1)
+    return optimal_deployment_continuous([Hotspot(rate, 0.0)], fleet, 1.0).per_hotspot[0]
+
+
+def _oracle_search(rate, available, cost, group, k_top):
+    """(k, log S_k) of the continuous search as it stood while every caller
+    worked out the capacity bound k_top itself."""
+    k_top = np.maximum(k_top, 1)
+    k = np.arange(1, np.max(k_top) + 1)
+    live = k <= k_top
+    x = rate * np.maximum(available - cost * k / group, 0.0) / math.e
+    logs = np.where(live, _log_series(x, np.where(live, k, 0)), -np.inf)
+    return int(logs.argmax()) + 1, float(logs.max())
+
+
+# Offsets of B / c from a whole number, in units of c: on it, within float
+# noise of it on either side, within the pooled floor's 1e-9 below it, and
+# clear of it.
+_WHOLE_OFFSETS = (0.0, 1e-13, -1e-13, 5e-11, -5e-11, 1e-10, -5e-10, -1e-9, 0.25, -0.25, 0.5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_WHOLE_OFFSETS), st.one_of(st.integers(2, 6), st.integers(7, 300)),
+       st.sampled_from((0.1, 0.5, 2.0, 3.0, 7.3)), st.sampled_from((0.0, 0.05, 0.8, 5.0, 60.0)))
+@example(0.25, 2, 7.3, 60.0)  # the saturating capacity floor(B / c) wins
+@example(0.5, 3, 3.0, 60.0)
+@example(-1e-9, 3000, 0.5, 50.0)
+@example(-5e-10, 3000, 0.1, 0.0)
+@example(-1e-9, 2, 3.0, 0.8)  # B just above c: one capacity after the floor
+def test_continuous_searches_equal_caller_bound_oracle(offset, whole, cost, rate):
+    # The search now works out its own bound, floor(group * B / c + 1e-9); the
+    # single-vehicle callers used floor(B / c + 1e-12). The extra capacity the
+    # wider floor admits below a whole number hovers for no time, so it never wins.
+    budget = cost * whole + offset * cost
+    want = _oracle_search(rate, budget, cost, 1, math.floor(budget / cost + 1e-12))
+    assert capacity_argmax(rate, budget, cost) == want[0]
+    for group in (1, 2):
+        bound = math.floor(group * budget / cost + 1e-9)
+        k, log_s = (v.item() for v in allocation._best_series_capacity(rate, budget, cost, group))
+        assert (k, log_s) == _oracle_search(rate, budget, cost, group, bound)
+        if rate > 0:
+            pooled = _lone_hotspot_plan(rate, budget, cost, group)
+            assert (pooled.k_star, pooled.profit) == (k, log_s)
+    if rate > 0:
+        decision = allocate_continuous(1.0, rate, budget, cost)
+        assert (decision.k_star, decision.profit) == want
+        assert decision.t_star == budget - cost * want[0]
 
 
 def test_continuous_low_regime_example():

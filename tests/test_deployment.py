@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,15 +11,13 @@ from hypothesis import strategies as st
 
 import uavps.allocation
 import uavps.deployment
-from uavps.allocation import (AllocationDecision, _pooled_decisions,
-                              allocate_discrete)
+from uavps.allocation import (AllocationDecision, _best_series_capacity,
+                              _pooled_decisions, allocate_discrete)
 from uavps.deployment import (FleetConfig, Hotspot, RouteInstance, _plan_fleet,
                               best_single_hotspot, compositions,
-                              forking_condition,
-                              hotspot_profit, load_hotspots,
+                              forking_condition, load_hotspots,
                               optimal_deployment,
-                              optimal_deployment_continuous,
-                              pooled_series_max, route_oracle)
+                              optimal_deployment_continuous, route_oracle)
 from uavps.pricing import _log_series, build_pricing
 from uavps.valuations import ValuationModel
 
@@ -45,17 +44,28 @@ def _triangle_instance(rng, m, budget_range=(14, 22)):
     return RouteInstance(tuple(spots), pair), spots, fleet
 
 
-# -- hotspot_profit -------------------------------------------------------------
+# -- one pooled group on one hotspot --------------------------------------------
+
+
+def _pooled(hotspot, n, fleet):
+    """The discrete decision of n pooled vehicles at one hotspot: a plan for
+    that hotspot alone seats a fleet of n there."""
+    return optimal_deployment([hotspot], replace(fleet, count=n)).per_hotspot[0]
+
+
+def _series_max(rate, avail, cost, group):
+    """(best k, log of the series maximum) of one continuous pooled search."""
+    return tuple(v.item() for v in _best_series_capacity(rate, avail, cost, group))
 
 
 def test_unreachable_hotspot_rejected():
     with pytest.raises(ValueError):
-        hotspot_profit(Hotspot(0.5, 20.0), 1, _fleet(budget=20.0))
+        _pooled(Hotspot(0.5, 20.0), 1, _fleet(budget=20.0))
 
 
 def test_single_vehicle_reduces_to_discrete_allocation():
     spot = Hotspot(0.7, 5.0)
-    pooled = hotspot_profit(spot, 1, _fleet(budget=20.0, cost=2.0))
+    pooled = _pooled(spot, 1, _fleet(budget=20.0, cost=2.0))
     direct = allocate_discrete(EXP1, 0.7, 15, 2)
     assert pooled.k_star == direct.k_star
     assert pooled.t_star == direct.t_star
@@ -66,7 +76,7 @@ def test_pooled_capacity_range_and_exhaustiveness():
     from uavps.pricing import build_pricing
 
     spot = Hotspot(0.8, 5.0)
-    decision = hotspot_profit(spot, 2, _fleet(count=2))
+    decision = _pooled(spot, 2, _fleet(count=2))
     # two pooled vehicles at 15 residual each: k up to floor(15 / 2) = 7
     per_k = {}
     for k in range(1, 8):
@@ -81,13 +91,13 @@ def test_pooled_capacity_range_and_exhaustiveness():
 
 def test_pooling_never_hurts():
     spot = Hotspot(0.9, 8.0)
-    profits = [hotspot_profit(spot, n, _fleet(count=n)).profit
+    profits = [_pooled(spot, n, _fleet(count=n)).profit
                for n in range(1, 7)]
     assert all(a <= b + 1e-12 for a, b in zip(profits, profits[1:]))
 
 
 def test_zero_capacity_when_budget_too_tight():
-    decision = hotspot_profit(Hotspot(0.5, 19.5), 1, _fleet())
+    decision = _pooled(Hotspot(0.5, 19.5), 1, _fleet())
     assert decision.k_star == 0 and decision.profit == 0.0
 
 
@@ -132,7 +142,7 @@ def test_memoized_plan_matches_direct_recomputation():
                 if any(c > 0 and spots[i].distance >= fleet.initial_budget
                        for i, c in enumerate(counts)):
                     continue
-                total = sum(hotspot_profit(spots[i], c, fleet).profit
+                total = sum(_pooled(spots[i], c, fleet).profit
                             for i, c in enumerate(counts) if c > 0)
                 if total >= best_total:  # same tie rule as the planner
                     best_total, best_counts = total, counts
@@ -180,7 +190,7 @@ def _continuous_options(spots, fleet, lam):
             continue
         row = []
         for n in range(1, fleet.count + 1):
-            k, log_val = pooled_series_max(h.alpha, avail, fleet.service_cost, n)
+            k, log_val = _series_max(h.alpha, avail, fleet.service_cost, n)
             row.append(AllocationDecision(
                 k_star=k, t_star=avail - fleet.service_cost * k / n,
                 profit=log_val / lam))
@@ -211,7 +221,7 @@ def _hotspot_sets(draw):
        st.sampled_from((EXP1, ValuationModel.uniform(5.0, 15.0))))
 def test_discrete_plan_matches_enumeration(spots, count, cost, model):
     fleet = _fleet(count=count, budget=20.0, cost=cost, model=model)
-    options = [[hotspot_profit(h, n, fleet) for n in range(1, count + 1)]
+    options = [[_pooled(h, n, fleet) for n in range(1, count + 1)]
                if h.distance < 20.0 else None for h in spots]
     _assert_matches_enumeration(optimal_deployment(spots, fleet), options, count)
 
@@ -359,8 +369,7 @@ def test_continuous_single_vehicle_dominance():
     import warnings
 
     def best_single(rate, avail):
-        _, log_val = pooled_series_max(rate, avail, 2.0, 1)
-        return log_val
+        return _series_max(rate, avail, 2.0, 1)[1]
 
     rng = np.random.default_rng(313)
     for _ in range(12):
@@ -373,8 +382,8 @@ def test_continuous_single_vehicle_dominance():
         # chosen capacity grows with energy and with the occurrence rate,
         # and hovering time grows with energy wherever capacity is flat
         grid = np.arange(2.0, 19.0, 0.5)
-        k_by_energy = [pooled_series_max(a2, avail, 2.0, 1)[0] for avail in grid]
-        k_by_rate = [pooled_series_max(rate, 15.0, 2.0, 1)[0]
+        k_by_energy = [_series_max(a2, avail, 2.0, 1)[0] for avail in grid]
+        k_by_rate = [_series_max(rate, 15.0, 2.0, 1)[0]
                      for rate in np.arange(0.2, 2.0, 0.1)]
         if np.any(np.diff(k_by_energy) < 0) or np.any(np.diff(k_by_rate) < 0):
             warnings.warn("closed-form split violates the working assumptions")
@@ -463,13 +472,15 @@ def test_forking_phi_matches_linear_series_formula():
 
 def test_pooled_series_ties_go_to_smallest_capacity():
     # No arrivals: every capacity earns log S_k(0) = 0.
-    assert pooled_series_max(0.0, 15.0, 2.0, 2) == (1, 0.0)
+    assert _series_max(0.0, 15.0, 2.0, 2) == (1, 0.0)
 
 
-def test_pooled_series_max_finite_at_large_group():
+def test_pooled_series_finite_at_large_group():
     # The linear-space series returned (182, inf) here.
-    k, log_val = pooled_series_max(50.0, 199.0, 0.5, 6)
-    assert k == 1012 and math.isfinite(log_val)
+    pooled = optimal_deployment_continuous([Hotspot(50.0, 0.0)],
+                                           _fleet(count=6, budget=199.0, cost=0.5),
+                                           1.0).per_hotspot[0]
+    assert pooled.k_star == 1012 and math.isfinite(pooled.profit)
 
 
 def _own_series_search(rate, avail, cost, group):
@@ -555,7 +566,9 @@ def test_continuous_plan_and_forking_finite_on_busy_fleet(budget):
 
 
 def test_pooled_series_is_exhaustive():
-    k, log_val = pooled_series_max(0.8, 15.0, 2.0, 2)
+    pooled = optimal_deployment_continuous([Hotspot(0.8, 0.0)],
+                                           _fleet(count=2, budget=15.0), 1.0).per_hotspot[0]
+    k, log_val = pooled.k_star, pooled.profit
     xs = [(kk, sum((0.8 * max(15.0 - 2.0 * kk / 2, 0.0) / math.e) ** i
                    / math.factorial(i) for i in range(kk + 1)))
           for kk in range(1, 16)]

@@ -11,9 +11,10 @@ import pytest
 import uavps
 from uavps import (FleetConfig, Hotspot, ParameterError, ValuationModel,
                    allocate_continuous, allocate_discrete, build_pricing,
-                   complete_info_profit, continuous_profit_numeric,
-                   evaluate_schedule, expected_profit_closed_form,
-                   forking_condition, profit_ratio_curve, simulate_continuous,
+                   capacity_argmax, complete_info_profit,
+                   continuous_profit_numeric, evaluate_schedule,
+                   expected_profit_closed_form, forking_condition,
+                   profit_ratio_curve, simulate_continuous,
                    simulate_policy_regret, solve_stage_price, variance_sweep)
 
 EXP1 = ValuationModel.exponential(1.0)
@@ -31,6 +32,13 @@ RUNTIME_FAILURES = {("pricing.py", "solve_stage_price"),
     lambda: allocate_discrete(EXP1, 0.5, math.inf, 3),
     lambda: allocate_discrete(EXP1, 0.5, 15, math.nan),
     lambda: allocate_continuous(1.0, 1.0, math.inf, 3.0),
+    # capacity_argmax raised ZeroDivisionError and OverflowError here
+    lambda: capacity_argmax(1.0, 10.0, 0.0),
+    lambda: capacity_argmax(1.0, math.inf, 2.0),
+    # B / c past int64: the capacity bound's cast wrapped and the search
+    # quietly returned k = 1.
+    lambda: capacity_argmax(1.0, 1e30, 1.0),
+    lambda: allocate_continuous(1.0, 1.0, 1e30, 1.0),
     lambda: expected_profit_closed_form(1.0, math.nan, 3, 5.0),
     lambda: simulate_continuous(1.0, 1.0, 3, math.nan, 10, 0),
     lambda: simulate_continuous(1.0, 2.0, 3, math.inf, 10, 1),
@@ -44,6 +52,10 @@ RUNTIME_FAILURES = {("pricing.py", "solve_stage_price"),
     lambda: forking_condition(Hotspot(0.2, 5.0), Hotspot(0.8, 5.0), FLEET, 1.0),
     lambda: variance_sweep(10.0, [-1.0], 0.5, 1, 3),
     lambda: profit_ratio_curve(EXP1, 0.5, 3, []),
+    # Horizons that are not finite whole numbers: the first returned the
+    # T = 5 curve, the second raised a bare ValueError from int(nan).
+    lambda: profit_ratio_curve(EXP1, 0.5, 1, [5.7, 6]),
+    lambda: profit_ratio_curve(EXP1, 0.5, 1, [math.nan, 6]),
     # Table sizes that are not finite whole numbers, through each table
     # function. Before the shape check took only whole numbers, the first
     # three built a k = 2, T = 6 table, raised IndexError and OverflowError.

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
 import uavps.pricing
-from uavps.pricing import (_log_series, _log_series_levels, build_pricing,
+from uavps.pricing import (_add_series_term, _log_series, _series_log, build_pricing,
                            continuous_profit_numeric, evaluate_schedule,
                            expected_profit_closed_form, log_capacity_series,
                            price_closed_form, profit_step, schedule_csv_rows,
@@ -272,9 +272,81 @@ def test_log_series_vector_call_equals_scalar_calls(pairs):
 @example([(1e4, 48), (1e4, 49), (1e4, 200), (5.0, 1), (0.0, 3)])  # offset moves at 48
 def test_log_series_levels_equal_two_kernel_calls(pairs):
     x, k = (np.array(col) for col in zip(*pairs))
-    log_k, log_less = _log_series_levels(x, k)
+    log_k, log_less = _log_series(x, k, below=True)
     assert np.array_equal(log_k, _log_series(x, k))
     assert np.array_equal(log_less, _log_series(x, k - 1))
+
+
+def _one_level_oracle(x, k):
+    """The single-level series pass as it stood before the two-level one was
+    folded into it: one term loop over the running prefix."""
+    x, k = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(k, dtype=np.int64))
+    order = np.argsort(-k, axis=None)
+    xs, ks = x.ravel()[order], k.ravel()[order]
+    running = np.searchsorted(-ks, -np.arange(1, ks.max(initial=0) + 1), side="right")
+    tail, offset, term = np.zeros(xs.size), np.zeros(xs.size), np.ones(xs.size)
+    for i, m in enumerate(running, start=1):
+        _add_series_term(xs, term, tail, offset, m, i)
+    out = np.empty(xs.size)
+    out[order] = _series_log(tail, offset)
+    return out.reshape(x.shape)
+
+
+def _two_level_oracle(x, k):
+    """The separate two-level pass for 1-d x and k >= 1, as it stood before
+    the fold: log S_k and log S_{k-1} from snapshots one term before the end."""
+    order = np.argsort(-k)
+    xs, ks = x[order], k[order]
+    bounds = np.searchsorted(-ks, -np.arange(1, ks[0] + 2), side="right")
+    tail, offset, term = np.zeros(xs.size), np.zeros(xs.size), np.ones(xs.size)
+    prev_tail, prev_offset = np.empty(xs.size), np.empty(xs.size)
+    for i in range(1, ks[0] + 1):
+        lo, m = bounds[i], bounds[i - 1]
+        if lo < m:
+            prev_tail[lo:m] = tail[lo:m]
+            prev_offset[lo:m] = offset[lo:m]
+        _add_series_term(xs, term, tail, offset, m, i)
+    logs, prev = np.empty(xs.size), np.empty(xs.size)
+    logs[order] = _series_log(tail, offset)
+    prev[order] = _series_log(prev_tail, prev_offset)
+    return logs, prev
+
+
+_SERIES_PAIRS = st.lists(st.tuples(st.floats(0.0, 1e4), st.integers(0, 200)),
+                         min_size=1, max_size=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_SERIES_PAIRS, st.sampled_from(["flat", "rows", "columns", "grid"]))
+@example([(1e4, 48), (1e4, 49), (1e4, 200), (5.0, 1), (0.0, 3), (7.0, 0)], "flat")
+@example([(1e4, 48), (1e4, 49), (1e4, 200), (5.0, 1)], "grid")  # offset moves at 48
+def test_single_level_series_equals_its_oracle(pairs, layout):
+    x, k = (np.array(col) for col in zip(*pairs))  # k = 0 entries included
+    x, k = {"flat": (x, k),
+            "rows": (x, np.stack((k, k + 1))),  # x against k and k + 1
+            "columns": (x[:, None], np.stack((k, k + 1), axis=1)),
+            "grid": (x, k[:, None])}[layout]  # every x against every k
+    got, want = _log_series(x, k), _one_level_oracle(x, k)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_SERIES_PAIRS)
+@example([(1e4, 48), (1e4, 49), (1e4, 200), (5.0, 1), (0.0, 3)])  # offset moves at 48
+def test_two_level_series_equals_its_oracle(pairs):
+    x, k = (np.array(col) for col in zip(*pairs))
+    k = k + 1  # log S_{k-1} needs k >= 1
+    log_k, log_less = _log_series(x, k, below=True)
+    want_k, want_less = _two_level_oracle(x, k)
+    assert np.array_equal(log_k, want_k) and np.array_equal(log_less, want_less)
+    # nd: the same entries as a column and as a grid against a second x
+    col_k, col_less = _log_series(x[:, None], k[:, None], below=True)
+    assert np.array_equal(col_k[:, 0], want_k) and np.array_equal(col_less[:, 0], want_less)
+    grid_k, grid_less = _log_series(np.stack((x, x[::-1])), k, below=True)
+    assert grid_k.shape == grid_less.shape == (2, x.size)
+    for row, xr in zip(zip(grid_k, grid_less), (x, x[::-1])):
+        want = _two_level_oracle(xr, k)
+        assert np.array_equal(row[0], want[0]) and np.array_equal(row[1], want[1])
 
 
 def test_log_series_at_large_simulation_argument():
