@@ -15,11 +15,13 @@ with exponential valuations admits a threshold policy in the arrival rate a':
   at floor(B / c);
 * in between, k* is the argmax of the capacity series S_k(a' (B - ck) / e).
 
-The argmax is evaluated over every feasible k regardless of regime, so the
-regime label is a classification layer on top of an exhaustive search. That
-search, ``_best_series_capacity``, also serves ``capacity_argmax``, the
-continuous fleet planner and the forking check; it bounds each search's
-capacity itself and scores every k of many searches in one call.
+The argmax is taken over every feasible k regardless of regime, so the
+regime label is a classification layer on top of the search. That search,
+``_best_series_capacity``, also serves ``capacity_argmax``, the continuous
+fleet planner and the forking check; it bounds each search's capacity
+itself and scores the k of many searches in one call. It skips, exactly,
+every k that cannot win: log S_k(x) <= x, x_k falls as k grows, and the
+largest term of any feasible k's series bounds the maximum from below.
 """
 
 from __future__ import annotations
@@ -131,24 +133,37 @@ def _pooled_decisions(model: ValuationModel, alphas: Sequence[float],
             for row in zip(profits.argmax(axis=2).tolist(), hover.tolist(), profits.tolist())]
 
 
-def _series_logs(rate, available, service_cost: float, group) -> np.ndarray:
-    """log S_k(a' max(avail - c k / group, 0) / e) with k = 1 + the last index,
-    for the searches the other arguments broadcast over on leading axes; -inf
-    past max(floor(group * avail / c), 1). Each log is a lone search's."""
+def _best_series_capacity(rate, available, service_cost: float, group):
+    """(k, log S_k(x_k)) maximizing log S_k(x_k), x_k = a' max(avail - c k /
+    group, 0) / e, over k in 1..max(floor(group * avail / c), 1), ties to the
+    smallest k, for the searches the arguments broadcast over on leading axes.
+
+    Exact cut: log S_k(x) <= x, and the largest term of S_k(x), at i = min(k,
+    floor(x)), bounds a search's maximum from below by L. An entry with x_k <
+    L can neither win nor tie, so it gets k = 0, which the kernel skips, and
+    -inf. Kept entries keep their bits: the kernel is elementwise.
+    """
     bound = np.maximum(np.floor(np.multiply(group, available) / service_cost + _POOL_EPS), 1)
     if not np.max(bound) < 2.0 ** 62:  # an int cast would wrap, not fail
         raise ParameterError(f"capacity bound {np.max(bound)} is too large to search")
     k = np.arange(1, int(np.max(bound)) + 1)
+    with np.errstate(invalid="ignore"):  # an infinite rate times 0 hovering: NaN, raised below
+        x = rate * np.maximum(available - service_cost * k / group, 0.0) / math.e
+    if not np.max(x) <= 1e12:
+        raise ParameterError(f"series argument {np.max(x)} is outside the search's [0, 1e12]")
     live = k <= bound
-    x = rate * np.maximum(available - service_cost * k / group, 0.0) / math.e
-    return np.where(live, _log_series(x, np.where(live, k, 0)), -np.inf)  # k = 0: no terms
-
-
-def _best_series_capacity(rate, available, service_cost: float, group):
-    """(k, log S_k(x_k)) maximizing log S_k(a' max(avail - c k / group, 0) / e)
-    over k in 1..max(floor(group * avail / c), 1), ties to the smallest k, per
-    search of ``_series_logs``."""
-    logs = _series_logs(rate, available, service_cost, group)
+    i = np.minimum(k, np.floor(x))
+    largest = np.where(live, i * np.log(np.maximum(x, 1.0)) - gammaln(i + 1), 0.0)
+    # Round-off, to first order in u = 2^-53: a term step rounds the term
+    # twice and the sum once, and a move to the offset (at most one per 16
+    # terms) rounds the term and the offset once each, so a computed
+    # log S_k(x) is within a relative (3.3 k + 5) u of the exact one, and
+    # the computed L within a few hundred u. The margin exceeds both, so a
+    # cut entry's computed log stays below the computed maximum. At rate 0,
+    # L = 0 and nothing is cut.
+    margin = 1e-9 + 2.0 ** -51 * k[-1]
+    keep = live & (x * (1.0 + margin) >= largest.max(axis=-1, keepdims=True) * (1.0 - margin))
+    logs = np.where(keep, _log_series(x, np.where(keep, k, 0)), -np.inf)
     return logs.argmax(axis=-1) + 1, logs.max(axis=-1)  # argmax: the first maximum
 
 
@@ -209,9 +224,12 @@ def allocate_continuous(lam: float, arrival_rate: float, budget: float,
                         service_cost: float) -> AllocationDecision:
     """Threshold-classified energy split in the continuous-time relaxation.
 
-    k_star always comes from the exhaustive argmax of the closed-form profit
-    over k in 1..floor(B / c) (ties to the smallest k); the regime label adds
-    the threshold classification where its formulas apply (budget > 2c).
+    k_star always comes from the argmax of the closed-form profit over k in
+    1..floor(B / c) (ties to the smallest k), which skips only the k whose
+    series argument is below the log of another k's largest series term, as
+    log S_k(x) <= x; the regime label adds the threshold classification
+    where its formulas apply (budget > 2c). The largest series argument,
+    a' (B - c) / e, must be at most 1e12.
     """
     if not (lam > 0 and arrival_rate > 0):
         raise ParameterError(f"rate parameters must be positive, got {lam}, {arrival_rate}")
@@ -245,6 +263,7 @@ def capacity_argmax(arrival_rate: float, budget: float,
     this matches ``allocate_continuous`` and is the raw search the regime
     labels classify.
     """
-    if not (service_cost > 0 and math.isfinite(budget)):
-        raise ParameterError(f"need cost > 0 and a finite budget, got {service_cost}, {budget}")
+    if not (service_cost > 0 and math.isfinite(budget) and arrival_rate >= 0):
+        raise ParameterError("need cost > 0, a finite budget and a nonnegative rate, "
+                             f"got {service_cost}, {budget}, {arrival_rate}")
     return _best_series_capacity(arrival_rate, budget, service_cost, 1)[0].item()

@@ -14,7 +14,7 @@ the C(N + M - 1, M - 1) compositions of the fleet. It takes the
 per-(hotspot, group size) decisions as input and serves both the discrete
 and the continuous profits. The discrete planner fills the tables of all
 hotspots in one batched sweep, padded to the largest hotspot's size, and
-the continuous one scores every (hotspot, group, capacity) in one call of
+the continuous one runs every (hotspot, group) search in one call of
 ``allocation``'s capacity search, which bounds each group's capacity itself.
 A plan's total is the left-to-right float sum of its served hotspots'
 profits, and exact ties go to the lexicographically greatest profile; the
@@ -45,7 +45,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .allocation import (_POOL_EPS, AllocationDecision, _best_series_capacity,
-                         _pooled_decisions, _series_logs)
+                         _pooled_decisions)
+from .pricing import _log_series
 from .valuations import ParameterError, ValuationModel
 
 
@@ -419,17 +420,17 @@ def forking_condition(hotspot1: Hotspot, hotspot2: Hotspot, fleet: FleetConfig,
     a1, a2 = hotspot1.alpha, hotspot2.alpha
     cost, n = fleet.service_cost, fleet.count
 
-    # One kernel call: each hotspot alone, hotspot 1 pooling n and n - 1
-    # vehicles, and hotspot 2's capacities at rate a'_1 for the denominator.
-    groups = np.array([1, 1, n, n - 1, 1])[:, None]
-    avails = np.array([avail2, avail1, avail1, avail1, avail2])[:, None]
-    logs = _series_logs(np.array([a2, a1, a1, a1, a1])[:, None], avails, cost, groups)
-    k2_star = int(logs[0].argmax()) + 1
-    best2, best1, pooled_n, pooled_n1 = logs[:4].max(axis=1).tolist()
+    # One search call: each hotspot alone and hotspot 1 pooling n and n - 1
+    # vehicles; the denominator reads hotspot 2's series at k2* and rate a'_1.
+    groups = np.array([1, 1, n, n - 1])[:, None]
+    avails = np.array([avail2, avail1, avail1, avail1])[:, None]
+    ks, logs = _best_series_capacity(np.array([a2, a1, a1, a1])[:, None], avails, cost, groups)
+    k2_star = ks[0].item()
+    best2, best1, pooled_n, pooled_n1 = logs.tolist()
     if best1 < best2:
         raise ParameterError("hotspot 1 must be the first best for a single vehicle")
 
-    log_s2 = float(logs[4, k2_star - 1])
+    log_s2 = float(_log_series(a1 * max(avail2 - cost * k2_star, 0.0) / math.e, k2_star))
     if log_s2 <= 0.0:
         return ForkingCheck(holds=False, phi=math.inf, k2_star=k2_star)
 
@@ -452,7 +453,7 @@ def optimal_deployment_continuous(hotspots: list[Hotspot], fleet: FleetConfig,
     n vehicles the profit max_k log S_k / lam, k in 1..floor(n * avail / c),
     from the capacity search of ``allocate_continuous``; the assignment comes
     from the same planner, with the same summation order and tie rule, as
-    ``optimal_deployment``. Every (hotspot, n, k) is scored in one series
+    ``optimal_deployment``. Every (hotspot, n) search runs in one series
     kernel call. Used to verify the forking condition.
     """
     if not lam > 0:

@@ -195,7 +195,11 @@ def _log_series(x, k, below: bool = False):
     ``below`` logs equal a call at k - 1, bit for bit.
     """
     x, k = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(k, dtype=np.int64))
-    order = np.argsort(-k, axis=None)
+    # Entries are independent, so any order of equal k will do.
+    if k.max(initial=0) < 2 ** 15:  # numpy radix-sorts 16-bit keys
+        order = np.argsort(-k.astype(np.int16), axis=None, kind="stable")
+    else:
+        order = np.argsort(-k, axis=None)
     xs, ks = x.ravel()[order], k.ravel()[order]
     # bounds[i] counts the entries with k > i, so those with k == i sit at
     # bounds[i]:bounds[i - 1] and the first bounds[i - 1] still add term i.
@@ -234,6 +238,8 @@ def _add_series_term(x, term, tail, offset, m: int, i: int) -> None:
 def _series_log(tail: np.ndarray, offset: np.ndarray) -> np.ndarray:
     """The log of a running sum: offset + log(tail) once moved, else log1p(tail)."""
     # A moved sum restarts at exactly 1 and only grows.
+    if not offset.any():
+        return np.log1p(tail)
     return np.where(offset > 0.0, offset + np.log(np.maximum(tail, 1.0)), np.log1p(tail))
 
 

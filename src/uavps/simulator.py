@@ -99,8 +99,8 @@ def _run_discrete(model: ValuationModel, alpha: float, price_lookups: list[np.nd
     """
     lookups = []
     for prices in price_lookups:
-        lookup = prices.copy()
-        lookup[0, :] = np.inf  # exhausted capacity never sells
+        lookup = prices.T.copy()  # row t is one slot's prices, contiguous
+        lookup[:, 0] = np.inf  # exhausted capacity never sells
         lookup[np.isnan(lookup)] = np.inf
         lookups.append(lookup)
 
@@ -116,7 +116,7 @@ def _run_discrete(model: ValuationModel, alpha: float, price_lookups: list[np.nd
             v = model.sample(rng.random(size))
             for i, lookup in enumerate(lookups):
                 jj = np.minimum(j[i], t)  # spare units beyond the time left are dead
-                price = lookup[jj, t]
+                price = lookup[t].take(jj)
                 sale = arrive & (jj > 0) & (v >= price)
                 np.add(gain[i], price, out=gain[i], where=sale)
                 j[i] -= sale
@@ -196,6 +196,13 @@ def _play_block(lam: float, arrival_rate: float, capacity: int, horizon: float,
     gain = np.zeros(counts.size)
     j = np.full(counts.size, capacity, dtype=np.int64)
     rows = np.arange(counts.size)
+    # Every price is at least 1/lam, as log S_j >= log S_{j-1}. The kernel
+    # takes both logs from one running sum, log S_{j-1} from its state a
+    # term earlier, so their computed difference is short of 0 by a few ulp
+    # of x = a' t / e at most, and the price's three roundings add as much.
+    # So a computed price is above (1 - 1e-9 - 1e-12 x) / lam, 1e-12 x being
+    # about 4 500 ulp of x, and a buyer valued below that is not quoted.
+    price_floor = (1.0 - 1e-9 - 1e-12 * arrival_rate * horizon / math.e) / lam
     for r in range(top):
         # Times fall along a row and capacity never grows, so a row that
         # cannot sell in this column cannot in a later one either.
@@ -204,13 +211,16 @@ def _play_block(lam: float, arrival_rate: float, capacity: int, horizon: float,
         rows, t = rows[keep], t[keep]
         if rows.size == 0:
             break
-        log_k, log_less = _log_series(arrival_rate * t / math.e, j[rows], below=True)
-        price = (1.0 + log_k - log_less) / lam
         # Inverse-CDF valuations, drawn up front but transformed only
-        # when quoted: log1p is elementwise, so each quoted entry gets
-        # the bits a whole-array transform would give it.
-        sale = -np.log1p(-u[rows, r]) / lam >= price
-        sold = rows[sale]
+        # for live rows: log1p is elementwise, so each entry gets the bits
+        # a whole-array transform would give it.
+        v = -np.log1p(-u[rows, r]) / lam
+        ask = v >= price_floor
+        asked = rows[ask]
+        log_k, log_less = _log_series(arrival_rate * t[ask] / math.e, j[asked], below=True)
+        price = (1.0 + log_k - log_less) / lam
+        sale = v[ask] >= price
+        sold = asked[sale]
         gain[sold] += price[sale]
         j[sold] -= 1
     return gain, j

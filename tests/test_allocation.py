@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uavps import allocation
+from uavps import allocation, pricing
 from uavps.allocation import (Regime, allocate_continuous, allocate_discrete,
                               capacity_argmax, high_regime_threshold,
                               low_regime_threshold)
@@ -184,8 +184,8 @@ def _lone_hotspot_plan(rate, budget, cost, group):
 
 
 def _oracle_search(rate, available, cost, group, k_top):
-    """(k, log S_k) of the continuous search as it stood while every caller
-    worked out the capacity bound k_top itself."""
+    """(k, log S_k) of the full continuous search: the kernel scores every k
+    in 1..max(k_top, 1), with no cut."""
     k_top = np.maximum(k_top, 1)
     k = np.arange(1, np.max(k_top) + 1)
     live = k <= k_top
@@ -226,6 +226,44 @@ def test_continuous_searches_equal_caller_bound_oracle(offset, whole, cost, rate
         decision = allocate_continuous(1.0, rate, budget, cost)
         assert (decision.k_star, decision.profit) == want
         assert decision.t_star == budget - cost * want[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_WHOLE_OFFSETS), st.one_of(st.integers(1, 40), st.integers(41, 3000)),
+       st.sampled_from((0.1, 0.5, 2.0, 7.3)), st.one_of(st.just(0.0), st.floats(0.01, 200.0)))
+@example(-1e-9, 3000, 0.5, 50.0)
+@example(0.0, 3000, 2.0, 0.0)
+@example(1e-13, 2000, 0.1, 0.01)
+@example(0.5, 1, 7.3, 200.0)
+def test_cut_search_equals_full_search(offset, whole, cost, rate):
+    # Groups 1-3 one call each and in one batched call, against the full search.
+    budget = cost * whole + offset * cost
+    groups = np.arange(1, 4)
+    bounds = [math.floor(n * budget / cost + 1e-9) for n in groups]
+    want = [_oracle_search(rate, budget, cost, n, b) for n, b in zip(groups, bounds)]
+    for n, w in zip(groups, want):
+        k, log_s = allocation._best_series_capacity(rate, budget, cost, n)
+        assert (k.item(), log_s.item()) == w
+    ks, logs = allocation._best_series_capacity(rate, budget, cost, groups[:, None])
+    assert list(zip(ks.tolist(), logs.tolist())) == want
+
+
+def test_cut_keeps_under_half_the_term_work(monkeypatch):
+    # Entries each pass of the series kernel advances, in the cut search and
+    # in the full one; without the cut the two would be equal.
+    work = []
+    add_term = pricing._add_series_term
+
+    def counted(x, term, tail, offset, m, i):
+        work[-1] += m
+        add_term(x, term, tail, offset, m, i)
+
+    monkeypatch.setattr(pricing, "_add_series_term", counted)
+    work.append(0)
+    k = capacity_argmax(1.0, 8000.0, 1.0)
+    work.append(0)
+    assert k == _oracle_search(1.0, 8000.0, 1.0, 1, 8000)[0]
+    assert 0 < work[0] < work[1] / 2
 
 
 def test_continuous_low_regime_example():

@@ -304,6 +304,8 @@ def _cases():
                             ("--arrival-rate", None), ("--arrival-rate", "0"),
                             ("--arrival-rate", "-1"), ("--arrival-rate", "nan"),
                             ("--alpha-sweep", "0:1:0.5"), ("--B", "nan"))]
+    bad.append(("allocate-c-rate-1e13",
+                _set(ALLOC_C, "--arrival-rate", "1e13", "--B", "100", "--c", "1")))
     bad += [(f"allocate-d-{flag}-{v}", _set(ALLOC_D, flag, v))
             for flag, v in (("--B", "15.5"), ("--c", "1.5"), ("--B", "3.0"),
                             ("--alpha", None), ("--alpha", "2"), ("--alpha", "-0.5"),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 import uavps.allocation
 import uavps.deployment
@@ -549,6 +550,24 @@ def _forking_oracle(h1, h2, fleet):
 ], ids=["small", "empty-second", "busy-200", "busy-600"])
 def test_forking_equals_separate_searches(spots, fleet):
     check = forking_condition(spots[0], spots[1], fleet, 1.0)
+    assert tuple(check) == _forking_oracle(spots[0], spots[1], fleet)
+
+
+@pytest.mark.parametrize("spots, fleet", [
+    ([Hotspot(5.0, 0.0), Hotspot(100.0, 15.0)], _fleet(count=2, cost=1.0)),
+    ([Hotspot(2.0, 0.0), Hotspot(20.0, 15.0)], _fleet(count=2)),
+], ids=["fails", "holds"])
+def test_forking_reads_denominator_past_the_search_cut(spots, fleet):
+    # At rate a'_1, hotspot 2's series argument at k2* is below the largest
+    # term of another capacity's series: a search would cut k2*, but the
+    # denominator is read there, not searched.
+    avail2, cost, a1 = fleet.initial_budget - spots[1].distance, fleet.service_cost, spots[0].alpha
+    check = forking_condition(spots[0], spots[1], fleet, 1.0)
+    k = np.arange(1, math.floor(avail2 / cost) + 1)
+    x = a1 * np.maximum(avail2 - cost * k, 0.0) / math.e
+    i = np.minimum(k, np.floor(x))
+    largest_term = np.max(i * np.log(np.maximum(x, 1.0)) - gammaln(i + 1))
+    assert x[check.k2_star - 1] < largest_term
     assert tuple(check) == _forking_oracle(spots[0], spots[1], fleet)
 
 

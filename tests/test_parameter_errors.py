@@ -14,6 +14,7 @@ from uavps import (FleetConfig, Hotspot, ParameterError, ValuationModel,
                    capacity_argmax, complete_info_profit,
                    continuous_profit_numeric, evaluate_schedule,
                    expected_profit_closed_form, forking_condition,
+                   optimal_deployment_continuous,
                    profit_ratio_curve, simulate_continuous,
                    simulate_policy_regret, solve_stage_price, variance_sweep)
 
@@ -39,6 +40,14 @@ RUNTIME_FAILURES = {("pricing.py", "solve_stage_price"),
     # quietly returned k = 1.
     lambda: capacity_argmax(1.0, 1e30, 1.0),
     lambda: allocate_continuous(1.0, 1.0, 1e30, 1.0),
+    # The first raised RuntimeWarning in log1p, the second returned k = 1.
+    lambda: capacity_argmax(-1.0, 10.0, 2.0),
+    lambda: capacity_argmax(math.nan, 10.0, 2.0),
+    # Series argument about 3.7e14, past the kernel's domain: returned k = 96.
+    lambda: allocate_continuous(1.0, 1e13, 100.0, 1.0),
+    # An infinite rate where B / c is whole: RuntimeWarning from inf * 0.
+    lambda: allocate_continuous(1.0, math.inf, 10.0, 2.0),
+    lambda: optimal_deployment_continuous([Hotspot(math.inf, 0.0)], FLEET, 1.0),
     lambda: expected_profit_closed_form(1.0, math.nan, 3, 5.0),
     lambda: simulate_continuous(1.0, 1.0, 3, math.nan, 10, 0),
     lambda: simulate_continuous(1.0, 2.0, 3, math.inf, 10, 1),

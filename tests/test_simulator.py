@@ -223,6 +223,51 @@ def test_continuous_block_height_is_invisible(monkeypatch, lam, rate, k, T, tria
         lam, rate, k, T, trials, seed)
 
 
+def _quote_every_block_row(lam, rate, capacity, horizon, counts, neg_t, u):
+    """One row block played with every live row quoted, whatever its valuation."""
+    top = neg_t.shape[1]
+    t_rem = -np.sort(-np.where(np.arange(top) < counts[:, None], neg_t * horizon, -np.inf), axis=1)
+    gain, j = np.zeros(counts.size), np.full(counts.size, capacity, dtype=np.int64)
+    for r in range(top):
+        rows = np.flatnonzero((t_rem[:, r] > 0.0) & (j > 0))
+        log_k, log_less = _log_series(rate * t_rem[rows, r] / math.e, j[rows], below=True)
+        price = (1.0 + log_k - log_less) / lam
+        sale = -np.log1p(-u[rows, r]) / lam >= price
+        gain[rows[sale]] += price[sale]
+        j[rows[sale]] -= 1
+    return gain, j
+
+
+def _nearest_draws(lam, value):
+    """The valuation draws whose valuations are nearest below and nearest at
+    or above ``value``."""
+    u0 = -math.expm1(-value * lam)
+    u = u0 + np.arange(-300, 300) * np.spacing(u0)
+    v = -np.log1p(-u) / lam
+    return u[v < value].max(), u[v >= value].min()
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+def test_continuous_sales_unchanged_at_the_quote_floor(lam):
+    # Valuations next to the quote floor (1 - m) / lam and next to 1/lam. At
+    # capacity 30 and x = a' t / e < 0.2, x^j / j! vanishes against 1 and the
+    # price is 1/lam exactly, so a buyer valued 1/lam buys and the one below
+    # does not.
+    rate, capacity, horizon = 0.5, 30, 1.0
+    quote_floor = (1.0 - 1e-9 - 1e-12 * rate * horizon / math.e) / lam
+    draws = _nearest_draws(lam, quote_floor) + _nearest_draws(lam, 1.0 / lam)
+    below, above = (-np.log1p(-np.array(draws[:2])) / lam).tolist()
+    assert below < quote_floor <= above and above - below <= 4 * np.spacing(quote_floor)
+    rng = np.random.default_rng(3)
+    u = rng.choice(draws, (64, 6))
+    counts = rng.integers(0, 7, 64)
+    neg_t = rng.random((64, 6))
+    want = _quote_every_block_row(lam, rate, capacity, horizon, counts, neg_t, u)
+    got = simulator._play_block(lam, rate, capacity, horizon, counts, neg_t.copy(), u)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert 0 < np.count_nonzero(want[0]) < np.count_nonzero(counts)
+
+
 def test_continuous_replay_memory_is_bounded():
     # rate * T = 100 over one full chunk: the whole (trials, top) draw
     # matrices took about 628 MiB, one block of them takes a few tens.
