@@ -15,9 +15,13 @@ with exponential valuations admits a threshold policy in the arrival rate a':
   at floor(B / c);
 * in between, k* is the argmax of the capacity series S_k(a' (B - ck) / e).
 
-The argmax is taken over every feasible k regardless of regime, so the
-regime label is a classification layer on top of the search. That search,
-``_best_series_capacity``, also serves ``capacity_argmax``, the continuous
+Each threshold is the rate where two capacities tie: 2ce / (B - 2c)^2 is
+where S_1(x_1) = S_2(x_2), and the high root is where S_{k_top}(x_top) =
+S_{k_top - 1}(x_next). So the regime is read off the k* of the search over
+every feasible k, with no threshold evaluated: k* = 1 is low and k* =
+floor(B / c) is high. The thresholds stay public as the paper's closed
+forms. The search, ``_best_series_capacity``, also serves
+``capacity_argmax``, the continuous
 fleet planner and the forking check; it bounds each search's capacity
 itself and scores the k of many searches in one call. It skips, exactly,
 every k that cannot win: log S_k(x) <= x, x_k falls as k grows, and the
@@ -32,13 +36,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import bisect
 from scipy.special import gammaln, logsumexp
 
-from .pricing import _log_series, build_pricing
+from .pricing import _SERIES_MAX_ARG, _log_series, build_pricing
 from .valuations import ParameterError, ValuationModel
 
-# Absorbs float noise in high_regime_threshold's floor(B / c) at exact multiples.
+# Absorbs float noise in the saturating capacity floor(B / c) at exact
+# multiples, for the high regime's label and its threshold alike.
 _FLOOR_EPS = 1e-12
 
 
@@ -149,8 +153,9 @@ def _best_series_capacity(rate, available, service_cost: float, group):
     k = np.arange(1, int(np.max(bound)) + 1)
     with np.errstate(invalid="ignore"):  # an infinite rate times 0 hovering: NaN, raised below
         x = rate * np.maximum(available - service_cost * k / group, 0.0) / math.e
-    if not np.max(x) <= 1e12:
-        raise ParameterError(f"series argument {np.max(x)} is outside the search's [0, 1e12]")
+    if not np.max(x) <= _SERIES_MAX_ARG:
+        raise ParameterError(f"series argument {np.max(x)} is outside the search's "
+                             f"[0, {_SERIES_MAX_ARG:g}]")
     live = k <= bound
     i = np.minimum(k, np.floor(x))
     largest = np.where(live, i * np.log(np.maximum(x, 1.0)) - gammaln(i + 1), 0.0)
@@ -194,20 +199,28 @@ def _saturation_gap(arrival_rate: float, budget: float, service_cost: float,
     return log_lead - float(log_tail)
 
 
+def _saturating_capacity(budget: float, service_cost: float) -> int:
+    """floor(B / c), or 0 when B / c is a whole number: saturation then
+    leaves zero hovering time and can never pay."""
+    k_top = math.floor(budget / service_cost + _FLOOR_EPS)
+    return k_top if budget - service_cost * k_top > _FLOOR_EPS * budget else 0
+
+
 def high_regime_threshold(budget: float, service_cost: float) -> float:
     """Arrival rate above which saturating capacity at floor(B / c) is optimal.
 
-    Returns +inf when B / c is an integer: saturation then leaves zero
-    hovering time and can never pay, so the high regime does not exist.
+    Returns +inf when B / c is an integer: the high regime does not exist.
     """
     if not budget > service_cost:
         raise ParameterError("need budget > service cost")
-    k_top = math.floor(budget / service_cost + _FLOOR_EPS)
-    if budget - service_cost * k_top <= _FLOOR_EPS * budget:
+    k_top = _saturating_capacity(budget, service_cost)
+    if not k_top:
         return math.inf
     if k_top == 1:
         # Single feasible capacity; saturation holds for every arrival rate.
         return 0.0
+    # Imported on use: scipy.optimize is most of a cold `import uavps`.
+    from scipy.optimize import bisect
 
     gap = lambda a: _saturation_gap(a, budget, service_cost, k_top)
     lo, hi = 1e-9, 1e6
@@ -222,14 +235,17 @@ def high_regime_threshold(budget: float, service_cost: float) -> float:
 
 def allocate_continuous(lam: float, arrival_rate: float, budget: float,
                         service_cost: float) -> AllocationDecision:
-    """Threshold-classified energy split in the continuous-time relaxation.
+    """Energy split in the continuous-time relaxation, with its regime.
 
-    k_star always comes from the argmax of the closed-form profit over k in
+    k_star comes from the argmax of the closed-form profit over k in
     1..floor(B / c) (ties to the smallest k), which skips only the k whose
     series argument is below the log of another k's largest series term, as
-    log S_k(x) <= x; the regime label adds the threshold classification
-    where its formulas apply (budget > 2c). The largest series argument,
-    a' (B - c) / e, must be at most 1e12.
+    log S_k(x) <= x. Where the thresholds apply (budget > 2c), the regime is
+    read off k_star, since each threshold is a rate where two capacities
+    tie: k_star = 1 is low, k_star = floor(B / c) with hovering time left is
+    high. Exactly at the high root the tie goes to the smaller capacity, so
+    the label there is medium. The largest series argument, a' (B - c) / e,
+    must be at most 1e12.
     """
     if not (lam > 0 and arrival_rate > 0):
         raise ParameterError(f"rate parameters must be positive, got {lam}, {arrival_rate}")
@@ -243,9 +259,9 @@ def allocate_continuous(lam: float, arrival_rate: float, budget: float,
 
     if budget <= 2 * service_cost:
         regime = Regime.NOT_APPLICABLE
-    elif arrival_rate <= low_regime_threshold(budget, service_cost):
+    elif best_k == 1:
         regime = Regime.LOW
-    elif arrival_rate >= high_regime_threshold(budget, service_cost):
+    elif best_k == _saturating_capacity(budget, service_cost):
         regime = Regime.HIGH
     else:
         regime = Regime.MEDIUM
@@ -260,8 +276,8 @@ def capacity_argmax(arrival_rate: float, budget: float,
     """Argmax of S_k(a' (B - ck) / e) over feasible k, ties to the smallest.
 
     The capacity series is a monotone transform of the closed-form profit, so
-    this matches ``allocate_continuous`` and is the raw search the regime
-    labels classify.
+    this matches ``allocate_continuous``, whose regime label is read off the
+    same k.
     """
     if not (service_cost > 0 and math.isfinite(budget) and arrival_rate >= 0):
         raise ParameterError("need cost > 0, a finite budget and a nonnegative rate, "

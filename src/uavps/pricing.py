@@ -178,9 +178,10 @@ def evaluate_schedule(model: ValuationModel, alpha, prices: np.ndarray,
 
 
 # Every _SERIES_STRIDE terms, a partial sum past _SERIES_BOUND moves into its
-# log offset. A sum grows at most (1 + x)-fold per term, so for x <= 1e12 it
-# stays under 1e300 between checks.
-_SERIES_BOUND, _SERIES_STRIDE = 1e100, 16
+# log offset. A sum grows at most (1 + x)-fold per term, so for x up to
+# _SERIES_MAX_ARG it stays under 1e300 between checks: the kernel's domain,
+# which the closed forms, their replay and the capacity search enforce.
+_SERIES_BOUND, _SERIES_STRIDE, _SERIES_MAX_ARG = 1e100, 16, 1e12
 
 
 def _log_series(x, k, below: bool = False):
@@ -244,9 +245,9 @@ def _series_log(tail: np.ndarray, offset: np.ndarray) -> np.ndarray:
 
 
 def log_capacity_series(x: float, k: int) -> float:
-    """log S_k(x) for one argument and one series length."""
-    if not x >= 0:
-        raise ParameterError(f"series argument must be nonnegative, got {x}")
+    """log S_k(x) for one argument x in [0, 1e12] and one series length."""
+    if not 0 <= x <= _SERIES_MAX_ARG:
+        raise ParameterError(f"series argument {x} is outside [0, {_SERIES_MAX_ARG:g}]")
     return float(_log_series(x, int(k)))
 
 
@@ -269,9 +270,8 @@ def price_closed_form(lam: float, arrival_rate: float, capacity: int,
     marginal option value of the unit on offer.
     """
     _check_closed_form(lam, arrival_rate, capacity, time_left)
-    k = int(capacity)
-    x = arrival_rate * time_left / math.e
-    return (1.0 + log_capacity_series(x, k) - log_capacity_series(x, k - 1)) / lam
+    log_k, log_less = _log_series(arrival_rate * time_left / math.e, int(capacity), below=True)
+    return (1.0 + float(log_k) - float(log_less)) / lam
 
 
 def _check_closed_form(lam: float, arrival_rate: float, capacity: int,
@@ -283,6 +283,10 @@ def _check_closed_form(lam: float, arrival_rate: float, capacity: int,
         raise ParameterError(f"capacity must be a positive integer, got {capacity}")
     if not horizon >= 0:
         raise ParameterError(f"horizon must be nonnegative, got {horizon}")
+    x = arrival_rate * horizon / math.e
+    if not x <= _SERIES_MAX_ARG:  # also an infinite rate over zero time: NaN
+        raise ParameterError(f"series argument a' t / e = {x} is outside the "
+                             f"closed forms' [0, {_SERIES_MAX_ARG:g}]")
 
 
 def continuous_profit_numeric(model: ValuationModel, arrival_rate: float,

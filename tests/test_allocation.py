@@ -303,6 +303,62 @@ def test_continuous_regime_consistency_grid():
                 assert 2 <= decision.k_star <= k_top - 1
 
 
+def _threshold_regime(rate, budget, cost):
+    """The regime from the paper's two closed-form thresholds, as
+    ``allocate_continuous`` once classified it: the oracle for the label it
+    now reads off k*."""
+    if budget <= 2 * cost:
+        return Regime.NOT_APPLICABLE
+    if rate <= low_regime_threshold(budget, cost):
+        return Regime.LOW
+    if rate >= high_regime_threshold(budget, cost):
+        return Regime.HIGH
+    return Regime.MEDIUM
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(-4.0, 6.0).map(lambda e: 10.0 ** e), st.floats(1e-4, 1e6)),
+       st.sampled_from(_WHOLE_OFFSETS), st.one_of(st.integers(1, 6), st.integers(7, 300)),
+       st.sampled_from((0.1, 0.5, 2.0, 3.0, 7.3)))
+@example(1e-4, 0.0, 5, 3.0)
+@example(1e6, 0.5, 300, 7.3)
+@example(66000.0, 1.0 / 6.0, 5, 3.0)  # B = 15.5, c = 3, just above the high root
+@example(34.2, 0.6, 3, 2.5)  # B = 9, c = 2.5: k_top = 3, just above the high root
+@example(1e5, 1e-13, 3, 2.0)  # B / c a hair above 3: saturation hovers ~0
+@example(70.5, -5e-10, 6, 3.0)  # B / c just under 6: k_top = 5 saturates above rate 69.6
+def test_regime_read_off_k_star_equals_threshold_oracle(rate, offset, whole, cost):
+    budget = cost * whole + offset * cost
+    if not budget > cost:
+        return
+    decision = allocate_continuous(1.0, rate, budget, cost)
+    assert decision.regime is _threshold_regime(rate, budget, cost)
+
+
+def test_regime_equals_threshold_oracle_on_the_rate_grids():
+    # Criterion 6's grid, then the four budgets of the consistency grid.
+    grids = [(15.0, 3.0, [i / 100 for i in range(1, 301)])]
+    grids += [(budget, cost, [i * 0.05 for i in range(1, 61)])
+              for budget, cost in ((15.0, 3.0), (15.5, 3.0), (20.0, 2.0), (9.0, 2.5))]
+    for budget, cost, rates in grids:
+        for rate in rates:
+            decision = allocate_continuous(1.0, rate, budget, cost)
+            assert decision.regime is _threshold_regime(rate, budget, cost), (rate, budget)
+
+
+def test_continuous_split_evaluates_no_threshold(monkeypatch):
+    cases = [(rate, budget, cost) for rate in (0.05, 0.5, 3.0, 1e5)
+             for budget, cost in ((15.0, 3.0), (15.5, 3.0), (9.0, 2.5), (5.0, 3.0))]
+    want = [allocate_continuous(1.0, *case) for case in cases]
+    assert {d.regime for d in want} == set(Regime)
+
+    def refuse(*args):
+        raise AssertionError("a regime threshold was evaluated")
+
+    monkeypatch.setattr(allocation, "low_regime_threshold", refuse)
+    monkeypatch.setattr(allocation, "high_regime_threshold", refuse)
+    assert [allocate_continuous(1.0, *case) for case in cases] == want
+
+
 def test_continuous_monotone_in_budget():
     for rate in (0.3, 0.8, 1.5):
         ks = [allocate_continuous(1.0, rate, b, 3.0).k_star

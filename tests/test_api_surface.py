@@ -5,6 +5,9 @@ fail, and one imported but left out would be missing from it.
 """
 
 import inspect
+import os
+import subprocess
+import sys
 
 import uavps
 
@@ -22,3 +25,12 @@ def test_exports_equal_the_public_names_bound_in_the_package():
     bound = {name for name, value in vars(uavps).items()
              if not name.startswith("_") and not inspect.ismodule(value)}
     assert set(uavps.__all__) == bound
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is most of a cold import; only high_regime_threshold needs it.
+    src = os.path.dirname(os.path.dirname(uavps.__file__))
+    check = "import sys, uavps; assert 'scipy.optimize' not in sys.modules"
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", check], env={**os.environ, "PYTHONPATH": path},
+                   check=True, timeout=60)

@@ -15,7 +15,7 @@ from uavps.pricing import (_add_series_term, _log_series, _series_log, build_pri
                            expected_profit_closed_form, log_capacity_series,
                            price_closed_form, profit_step, schedule_csv_rows,
                            solve_stage_price)
-from uavps.valuations import ValuationModel
+from uavps.valuations import ParameterError, ValuationModel
 
 EXP1 = ValuationModel.exponential(1.0)
 UNI = ValuationModel.uniform(5.0, 15.0)
@@ -380,6 +380,50 @@ def test_price_closed_form_values():
     assert price_closed_form(2.0, 1.0, 3, 0.0) == pytest.approx(0.5, abs=1e-12)
     assert price_closed_form(1.0, 1.0, 1, math.e) == pytest.approx(
         1.0 + math.log(2.0), abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, 1e3), st.floats(1e-3, 500.0), st.integers(1, 300),
+       st.one_of(st.just(0.0), st.floats(1e-3, 100.0)))
+@example(1.0, 1.0, 1, math.e)
+@example(0.5, 200.0, 400, 20.0)  # the series moves to its log offset
+def test_price_closed_form_equals_two_series_calls(lam, rate, k, t):
+    # One kernel pass with ``below`` reads both levels of the price.
+    x = rate * t / math.e
+    want = (1.0 + log_capacity_series(x, k) - log_capacity_series(x, k - 1)) / lam
+    assert price_closed_form(lam, rate, k, t) == want
+
+
+def _largest_rate_in_domain(t):
+    """The largest rate whose series argument rate * t / e is at most 1e12."""
+    rate = 1e12 * math.e / t
+    while rate * t / math.e > 1e12:
+        rate = math.nextafter(rate, 0.0)
+    while math.nextafter(rate, math.inf) * t / math.e <= 1e12:
+        rate = math.nextafter(rate, math.inf)
+    return rate
+
+
+@pytest.mark.parametrize("t", [1.0, 10.0, 0.3])
+def test_closed_forms_take_series_arguments_up_to_1e12(t):
+    # RuntimeWarning is an error here: the edge stays finite, one ulp past it raises.
+    rate = _largest_rate_in_domain(t)
+    assert math.isfinite(expected_profit_closed_form(1.0, rate, 200, t))
+    assert math.isfinite(price_closed_form(1.0, rate, 200, t))
+    assert math.isfinite(log_capacity_series(rate * t / math.e, 200))
+    for f in (expected_profit_closed_form, price_closed_form):
+        with pytest.raises(ParameterError, match="series argument"):
+            f(1.0, math.nextafter(rate, math.inf), 200, t)
+
+
+@pytest.mark.parametrize("rate, t", [(1e20, 10.0), (1e13, 1.0), (1.0, math.inf),
+                                     (math.inf, 0.0), (math.inf, 1.0)])
+def test_closed_forms_reject_series_arguments_past_1e12(rate, t):
+    for f in (expected_profit_closed_form, price_closed_form):
+        with pytest.raises(ParameterError, match="series argument"):
+            f(1.0, rate, 200, t)
+    with pytest.raises(ParameterError, match="series argument"):
+        log_capacity_series(rate * t / math.e, 200)
 
 
 def test_price_equals_mean_plus_marginal_profit():

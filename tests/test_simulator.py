@@ -10,7 +10,7 @@ from uavps import simulator
 from uavps.pricing import _log_series, build_pricing, expected_profit_closed_form
 from uavps.simulator import (RegretReport, simulate_continuous, simulate_discrete,
                              simulate_policy_regret)
-from uavps.valuations import ValuationModel
+from uavps.valuations import ParameterError, ValuationModel
 
 EXP1 = ValuationModel.exponential(1.0)
 UNI = ValuationModel.uniform(5.0, 15.0)
@@ -30,6 +30,13 @@ def test_dimension_mismatch_rejected():
         simulate_discrete(EXP1, 0.5, schedule, 3, 5, 100, seed=1)
     with pytest.raises(ValueError):
         simulate_discrete(EXP1, 0.5, schedule, 2, 5, 0, seed=1)
+
+
+@pytest.mark.parametrize("rate, horizon", [(1e13, 1.0), (1.0, math.inf), (math.inf, 0.0)])
+def test_continuous_replay_rejects_series_arguments_past_1e12(rate, horizon):
+    # Rate 1e13 used to ask numpy for 728 TiB of draws and raise MemoryError.
+    with pytest.raises(ParameterError, match="series argument"):
+        simulate_continuous(1.0, rate, 2, horizon, 10, 1)
 
 
 def test_determinism_bit_for_bit():
