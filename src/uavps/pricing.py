@@ -90,12 +90,18 @@ def profit_step(model: ValuationModel, alpha: float, price, r_same, r_less):
 
     r_same and r_less are the continuation profits with the same and with one
     fewer service unit. A price with zero sale probability (bounded support
-    saturation) leaves the continuation value untouched.
+    saturation) leaves the continuation value untouched. Only a call that
+    holds such a price pays for the two masks; the others run the formula
+    alone.
     """
     sell = 1.0 - np.asarray(model.cdf(price))
-    price = np.where(sell <= 0.0, 0.0, price)  # an unsellable price may be inf
-    out = np.where(sell <= 0.0, r_same,
-                   alpha * (price + r_less) * sell + r_same * (1.0 - alpha * sell))
+    unsold = sell <= 0.0
+    masked = unsold.any()
+    if masked:
+        price = np.where(unsold, 0.0, price)  # an unsellable price may be inf
+    out = alpha * (price + r_less) * sell + r_same * (1.0 - alpha * sell)
+    if masked:
+        out = np.where(unsold, r_same, out)
     return out if out.ndim else float(out)
 
 
@@ -124,6 +130,10 @@ def _fill(alpha, capacity: int, horizon: int, rule,
     adds a trailing batch axis, which a given price matrix must have too; the
     rules are elementwise, so each table is the one its scalar alpha gives,
     bit for bit. Without a price matrix the rule sees a read-only NaN view.
+
+    A column holds at most k cells, so its cost is the count of numpy calls,
+    not the arithmetic: the rules mask and clamp only the columns that need
+    it, and the dead-row copy runs only while t < k.
     """
     shape = _table_shape(alpha, capacity, horizon)
     k, T = shape[0] - 1, shape[1] - 1
@@ -137,7 +147,8 @@ def _fill(alpha, capacity: int, horizon: int, rule,
         m = min(t, k)
         values[1:m + 1, t] = rule(prices[1:m + 1, t], values[1:m + 1, t - 1],
                                   values[:m, t - 1])
-        values[m + 1:, t] = values[m, t]
+        if m < k:
+            values[m + 1:, t] = values[m, t]
     return (PriceSchedule(capacity=k, horizon=T, prices=prices),
             ProfitTable(alpha=alpha, capacity=k, horizon=T, values=values))
 
@@ -153,8 +164,11 @@ def build_pricing(model: ValuationModel, alpha, capacity: int,
     """
     def posted(price, r_same, r_less):
         delta = r_same - r_less
-        delta = np.where((delta < 0.0) & (delta >= -1e-12 * r_same), 0.0, delta)
-        price[:] = solve_stage_price(model, delta)
+        if delta.min(initial=0.0) < 0.0:  # rare: clamp round-off, raise on the rest
+            delta = np.where((delta < 0.0) & (delta >= -1e-12 * r_same), 0.0, delta)
+            price[:] = solve_stage_price(model, delta)
+        else:
+            price[:] = model.inverse_virtual_value(delta)
         return profit_step(model, alpha, price, r_same, r_less)
 
     prices = np.full(_table_shape(alpha, capacity, horizon), np.nan)

@@ -81,6 +81,31 @@ def test_build_pricing_clamps_only_roundoff(monkeypatch, dip, clamps):
             build_pricing(EXP1, 0.5, 2, 3)
 
 
+@pytest.mark.parametrize("model, alpha, k, T, clamped", [
+    (EXP1, 0.5, 10, 60, False),
+    (UNI, 0.8, 10, 60, False),
+    (EXP1, 0.2, 30, 300, True),  # option values of -2.2e-16 here
+])
+def test_build_pricing_solves_through_the_clamp_only_on_negative_option_values(
+        monkeypatch, model, alpha, k, T, clamped):
+    schedule, table = build_pricing(model, alpha, k, T)
+    r = table.values
+    negative = any((r[1:m + 1, t - 1] - r[:m, t - 1] < 0.0).any()
+                   for t in range(1, T + 1) for m in [min(t, k)])
+    assert negative == clamped
+    calls = []
+
+    def counted(model, delta):
+        calls.append(delta)
+        return solve_stage_price(model, delta)
+
+    monkeypatch.setattr(uavps.pricing, "solve_stage_price", counted)
+    again = build_pricing(model, alpha, k, T)
+    assert (len(calls) >= 1) == clamped
+    assert again[0].prices.tobytes() == schedule.prices.tobytes()
+    assert again[1].values.tobytes() == table.values.tobytes()
+
+
 def test_build_pricing_no_demand():
     schedule, table = build_pricing(UNI, 0.0, 3, 6)
     assert np.all(table.values == 0.0)

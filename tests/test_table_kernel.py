@@ -55,6 +55,16 @@ def given_price_oracle(model, alpha, prices, k, T):
     return values
 
 
+def profit_step_oracle(model, alpha, price, r_same, r_less):
+    """profit_step with both masks on every call: the oracle for taking them
+    only on calls that hold a price that cannot sell."""
+    sell = 1.0 - np.asarray(model.cdf(price))
+    price = np.where(sell <= 0.0, 0.0, price)
+    out = np.where(sell <= 0.0, r_same,
+                   alpha * (price + r_less) * sell + r_same * (1.0 - alpha * sell))
+    return out if out.ndim else float(out)
+
+
 def threshold_oracle(model, alpha, k, T):
     """complete_info_profit as a scalar loop (it never copied dead capacity)."""
     values = np.zeros((k + 1, T + 1))
@@ -192,6 +202,17 @@ def test_batched_prices_must_cover_the_batch():
         build_pricing(EXP1, np.array([0.3, 1.5]), 3, 5)
 
 
+def test_empty_alpha_batch_gives_empty_tables():
+    k, T, empty = 4, 9, np.array([])
+    schedule, table = build_pricing(EXP1, empty, k, T)
+    assert schedule.prices.shape == table.values.shape == (k + 1, T + 1, 0)
+    assert table.final() == [] and schedule.price(2, 5) == []
+    for model in (EXP1, UNI):
+        assert complete_info_profit(model, empty, k, T).values.shape == (k + 1, T + 1, 0)
+        scored = evaluate_schedule(model, empty, np.ones((k + 1, T + 1, 0)), k, T)
+        assert scored.values.shape == (k + 1, T + 1, 0)
+
+
 def test_complete_info_profit_allocates_no_price_matrix():
     tracemalloc.start()
     try:
@@ -251,3 +272,67 @@ def test_solve_stage_price_vector_call_equals_scalar_calls(model, deltas):
 def test_solve_stage_price_raises_on_any_negative_entry(deltas):
     with pytest.raises(ValueError, match="nonnegative"):
         solve_stage_price(EXP1, np.array(deltas))
+
+
+# -- the replaced stage body as an oracle ---------------------------------------------
+
+
+def _bits(x):
+    """The bytes of a float or an array, so that -0.0 and +0.0 differ."""
+    return type(x), np.asarray(x, dtype=float).tobytes()
+
+
+def _assert_step_equals_oracle(model, alpha, price, r_same, r_less):
+    with np.errstate(all="ignore"):  # inf and NaN prices are part of the domain
+        got = profit_step(model, alpha, price, r_same, r_less)
+        want = profit_step_oracle(model, alpha, price, r_same, r_less)
+    assert _bits(got) == _bits(want)
+
+
+@st.composite
+def stage_prices(draw, model):
+    """Prices that sell, prices that cannot (at or past a bounded top, +inf), NaN."""
+    lo, hi = model.support()
+    special = [math.inf, -math.inf, math.nan, -0.0, 0.0, -1.0]
+    if math.isfinite(hi):
+        special += [hi, hi + 1.0, np.nextafter(hi, 0.0)]
+    return draw(st.one_of(st.floats(lo - 1.0, hi if math.isfinite(hi) else 40.0),
+                          st.sampled_from(special)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(models, alphas, st.data())
+def test_profit_step_equals_replaced_body_on_scalars(model, alpha, data):
+    price = data.draw(stage_prices(model))
+    _assert_step_equals_oracle(model, alpha, price, data.draw(stage_values),
+                               data.draw(stage_values))
+
+
+@settings(max_examples=150, deadline=None)
+@given(models, st.integers(1, 20), st.integers(0, 4), st.integers(0, 2**32 - 1), st.data())
+def test_profit_step_equals_replaced_body_on_arrays(model, m, batch, seed, data):
+    # batch 0 is a scalar alpha over a column; otherwise a 1-d alpha batch.
+    shape = (m, batch) if batch else (m,)
+    alpha = (np.array(data.draw(st.lists(alphas, min_size=batch, max_size=batch)))
+             if batch else data.draw(alphas))
+    rng = np.random.default_rng(seed)
+    lo, hi = model.support()
+    price = rng.uniform(lo, hi if math.isfinite(hi) else 10.0, shape)
+    mixed = rng.random(shape) < data.draw(st.sampled_from((0.0, 0.2, 1.0)))
+    price[mixed] = data.draw(stage_prices(model))
+    r_less = rng.uniform(0.0, 30.0, shape)
+    r_same = r_less + rng.uniform(0.0, 5.0, shape)
+    _assert_step_equals_oracle(model, alpha, price, r_same, r_less)
+
+
+@pytest.mark.parametrize("model", [EXP1, UNI], ids=["exp", "uniform"])
+@pytest.mark.parametrize("bad", [15.0, 16.0, math.inf, math.nan])
+def test_profit_step_equals_replaced_body_with_one_unsellable_alpha(model, bad):
+    # Three alphas share a column and only the middle one's prices differ.
+    # Under the uniform law on [5, 15], 15 and 16 cannot sell, so the masks
+    # run over the whole call. A NaN price gives NaN cells, masked or not.
+    price = np.full((5, 3), 8.0)
+    price[:, 1] = bad
+    r_less = np.linspace(0.0, 2.0, 5)[:, None] * np.ones(3)
+    _assert_step_equals_oracle(model, np.array([0.3, 0.6, 1.0]), price, r_less + 0.5, r_less)
+    _assert_step_equals_oracle(model, 0.6, price, r_less + 0.5, r_less)

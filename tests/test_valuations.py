@@ -38,7 +38,44 @@ def test_cdf_trivial_points():
     assert EXP1.cdf(0.0) == 0.0
     assert UNI.cdf(10.0) == 0.5
     assert UNI.cdf(4.0) == 0.0 and UNI.cdf(16.0) == 1.0
-    assert EXP1.cdf(-3.0) == 0.0
+    assert EXP1.cdf(-3.0) == 0.0 and math.copysign(1.0, EXP1.cdf(-3.0)) == 1.0
+
+
+def _cdf_oracle(model, v):
+    """ValuationModel.cdf with the exponential branch's np.where guard, which
+    ``np.maximum(v, 0.0)`` makes redundant: the oracle for dropping it."""
+    v = np.asarray(v, dtype=float)
+    if model.kind == "exponential":
+        out = np.where(v < 0.0, 0.0, -np.expm1(-model.rate * np.maximum(v, 0.0)))
+    else:
+        out = np.clip((v - model.lower) / (model.upper - model.lower), 0.0, 1.0)
+    return out if out.ndim else float(out)
+
+
+def _bits(x):
+    """The bytes of a float or an array, so that -0.0 and +0.0 differ."""
+    return type(x), np.asarray(x, dtype=float).tobytes()
+
+
+EDGE_VALUATIONS = [-1.0, -0.0, 0.0, math.nan, math.inf, -math.inf, 5.0, 15.0, 1e-300]
+
+
+@pytest.mark.parametrize("model", MODELS, ids=str)
+def test_cdf_equals_its_oracle_on_edge_values(model):
+    for v in EDGE_VALUATIONS:
+        assert _bits(model.cdf(v)) == _bits(_cdf_oracle(model, v)), v
+    for edges in (np.array(EDGE_VALUATIONS), np.array(EDGE_VALUATIONS).reshape(3, 3)):
+        assert _bits(model.cdf(edges)) == _bits(_cdf_oracle(model, edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(MODELS),
+       st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                          st.sampled_from(EDGE_VALUATIONS)), max_size=30))
+def test_cdf_equals_its_oracle_bit_for_bit(model, values):
+    assert _bits(model.cdf(np.array(values))) == _bits(_cdf_oracle(model, np.array(values)))
+    for v in values[:5]:
+        assert _bits(model.cdf(v)) == _bits(_cdf_oracle(model, v))
 
 
 def test_cdf_exponential_against_empirical():
