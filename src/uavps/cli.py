@@ -114,7 +114,7 @@ def cmd_price(args) -> int:
               "lambda": args.lam, "a": args.a, "b": args.b, "alpha": args.alpha,
               "arrival_rate": args.arrival_rate, "k": args.k, "T": args.T}
 
-    k = int(args.k)
+    k = args.k  # the library checks it is whole; a config file skips type=int
     if args.mode == "continuous":
         _need(args, "lam", "arrival_rate")
         profit = partial(pricing.expected_profit_closed_form, args.lam, args.arrival_rate, k)
@@ -173,7 +173,7 @@ def cmd_deploy(args) -> int:
         spots = deployment.load_hotspots(args.hotspots)
     except (OSError, ValueError) as exc:
         raise ParameterError(f"cannot load hotspots: {exc}") from exc
-    fleet = partial(deployment.FleetConfig, int(args.N), args.B0, args.c)
+    fleet = partial(deployment.FleetConfig, args.N, args.B0, args.c)
 
     if args.check_forking:
         _need(args, "lam")
@@ -206,7 +206,7 @@ def cmd_simulate(args) -> int:
               "arrival_rate": args.arrival_rate, "k": args.k, "T": args.T,
               "trials": args.trials, "seed": args.seed}
 
-    k = int(args.k)
+    k = args.k
     if args.mode == "continuous":
         _need(args, "lam", "arrival_rate")
         report = simulator.simulate_continuous(args.lam, args.arrival_rate, k, args.T,
@@ -268,7 +268,7 @@ def cmd_benchmark(args) -> int:
     if not args.T >= 1:  # the library accepts T = 0; the study does not
         raise ParameterError(f"--T must be a positive integer, got {args.T}")
     rows = benchmark.variance_sweep(args.mean, variances, args.alpha,
-                                    int(args.k), _slots(args.T))
+                                    args.k, _slots(args.T))
     for var, inc, comp in rows:
         print(f"{var:.6f} {inc:.6f} {comp:.6f}")
     if args.out:

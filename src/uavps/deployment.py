@@ -9,10 +9,13 @@ is floor(B0 - D - c*k/n).
 
 The fleet profit is separable over hotspots, so the planner is the
 resource-allocation dynamic program over hotspots (Ibaraki & Katoh,
-*Resource Allocation Problems*, 1988): O(M * N^2) state updates instead of
-the C(N + M - 1, M - 1) compositions of the fleet. It takes the
-per-(hotspot, group size) decisions as input and serves both the discrete
-and the continuous profits. The discrete planner fills the tables of all
+*Resource Allocation Problems*, 1988) in the dominance-list form of
+Nemhauser & Ullmann (*Management Science* 15(9), 1969): one forward pass of
+O(M * N^2 * F) entry updates, F the longest list of prefixes kept for one
+count of vehicles placed (1 unless prefix sums nearly tie), instead of the
+C(N + M - 1, M - 1) compositions of the fleet. It takes the per-(hotspot,
+group size) decisions as input and serves both the discrete and the
+continuous profits. The discrete planner fills the tables of all
 hotspots in one batched sweep, padded to the largest hotspot's size, and
 the continuous one runs every (hotspot, group) search in one call of
 ``allocation``'s capacity search, which bounds each group's capacity itself.
@@ -38,7 +41,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -73,8 +75,9 @@ class FleetConfig:
     valuation: ValuationModel
 
     def __post_init__(self):
-        if not self.count >= 1:
-            raise ParameterError(f"fleet needs at least one vehicle, got {self.count}")
+        if not (float(self.count).is_integer() and self.count >= 1):
+            raise ParameterError(f"fleet size must be a positive integer, got {self.count}")
+        object.__setattr__(self, "count", int(self.count))  # 2.0 and numpy ints too
         if not 0 < self.initial_budget < math.inf:
             raise ParameterError(
                 f"initial budget must be positive and finite, got {self.initial_budget}")
@@ -173,59 +176,6 @@ def compositions(total: int, caps: list[int]):
     yield from rec(0, total, ())
 
 
-# Doubles in numeric order map to consecutive integers: nonnegative doubles
-# to their bit patterns, negative ones to minus the pattern of their
-# magnitude (-0.0 shares 0.0's key). The keys run from -inf to +inf.
-_DOUBLE = struct.Struct("<d")
-_BITS = struct.Struct("<Q")
-_SIGN = 1 << 63
-
-
-def _double_key(x: float) -> int:
-    bits = _BITS.unpack(_DOUBLE.pack(x))[0]
-    return bits if bits < _SIGN else _SIGN - bits
-
-
-def _key_double(key: int) -> float:
-    return _DOUBLE.unpack(_BITS.pack(key if key >= 0 else _SIGN - key))[0]
-
-
-_KEY_INF = _double_key(math.inf)
-
-
-def _least_prefix(addend: float, goal: float) -> float:
-    """Least double s with fl(s + addend) >= goal.
-
-    Rounded addition is monotone in s, so the qualifying doubles form an
-    up-set of the ordered keys. Gallop out from the key of goal - addend to a
-    bracket, then bisect: stepping one ulp at a time would never end when the
-    addend alone reaches the goal, and goal - addend is not finite when both
-    are infinite.
-    """
-    reaches = lambda key: _key_double(key) + addend >= goal
-    lo, hi = -_KEY_INF - 1, _KEY_INF  # reaches(hi); lo is below the up-set
-    guess = goal - addend
-    if math.isfinite(guess):
-        start, step = _double_key(guess), 1
-        if reaches(start):
-            hi = start
-            while hi - step > lo and reaches(hi - step):
-                hi, step = hi - step, 2 * step
-            lo = max(lo, hi - step)
-        else:
-            lo = start
-            while lo + step < hi and not reaches(lo + step):
-                lo, step = lo + step, 2 * step
-            hi = min(hi, lo + step)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if reaches(mid):
-            hi = mid
-        else:
-            lo = mid
-    return _key_double(hi)
-
-
 def _plan_fleet(options: list[list[AllocationDecision] | None],
                 count: int) -> DeploymentPlan:
     """Exact best profile for a fleet whose profit is separable over hotspots.
@@ -236,57 +186,55 @@ def _plan_fleet(options: list[list[AllocationDecision] | None],
     lexicographically greatest one whose total is the maximum, exactly the
     result of scoring every composition in order with a ``>=`` comparison.
 
-    Rounded addition is monotone, so the best total over profiles is reached
-    through the best prefix sum of each (hotspot, vehicles used) state: a
-    forward pass finds it in O(M * N^2). Picking the largest count per
-    hotspot on that pass alone would break the tie rule, since two prefix
-    sums an ulp apart can reach the same total once later profits absorb
-    the gap. So a backward pass records, per state, the least prefix sum
-    from which the best total is still reachable, and a final forward walk
-    takes at each hotspot the largest count that keeps its state viable.
+    One forward pass keeps, per count of vehicles placed, a short list of
+    (counts, prefix sum) entries in decreasing counts order with strictly
+    rising sums. An entry drops out when a greater profile's prefix matches
+    or beats its sum: rounded addition is monotone, so under every
+    completion that profile ends at least as high and ranks first. It
+    also drops out when it is too far below its state's top sum to ever tie
+    it (see ``margin`` below). Keeping the greatest prefix sum alone would
+    break the tie rule, since two prefix sums an ulp apart can reach the
+    same total once later profits absorb the gap. With F the longest list
+    kept, the pass costs O(M * N^2 * F).
     """
-    m = len(options)
-    plus = lambda s, i, n: s + options[i][n - 1].profit if n else s
-    room = lambda i, u: range(count - u + 1) if options[i] is not None else range(1)
+    # cap bounds every prefix sum: |fl(s + p)| <= fl(|s| + max |p|), as
+    # rounding is monotone, so no prefix sum outgrows this left fold.
+    cap = 0.0
+    for row in options:
+        if row is not None:
+            cap += max(abs(d.profit) for d in row)
+    # A sum of magnitude at most cap rounds by at most ulp(cap) / 2, so adding
+    # one profit to two prefix sums a gap g apart leaves them at least
+    # g - ulp(cap) apart, and adding nothing leaves g. With `left` hotspots to
+    # come, an entry more than left * ulp(cap) below its list's top sum ends
+    # strictly below the top under any completion the two share, so it can
+    # neither win nor tie. left * ulp(cap) is exact (or inf, which prunes nothing), so
+    # the rounded test `top - s > margin` holds only when the exact gap
+    # exceeds margin. The last hotspot takes margin 0, as 0 * inf is NaN.
+    ulp = math.ulp(cap)
+    lists = [[((), 0.0)]] + [[] for _ in range(count)]
+    for i, row in enumerate(options):
+        left = len(options) - 1 - i
+        margin = left * ulp if left else 0.0
+        grown = [[(counts + (0,), s) for counts, s in entries] for entries in lists]
+        if row is not None:
+            for u, entries in enumerate(lists):
+                for n, decision in enumerate(row[:count - u], start=1):
+                    grown[u + n] += [(counts + (n,), s + decision.profit)
+                                     for counts, s in entries]
+        lists = []
+        for entries in grown:
+            entries.sort(reverse=True)
+            kept = []
+            for entry in entries:
+                if not kept or entry[1] > kept[-1][1]:
+                    kept.append(entry)
+            lists.append([e for e in kept if not kept[-1][1] - e[1] > margin])
 
-    # best[i][u]: greatest prefix sum over hotspots < i holding u vehicles
-    best = [[None] * (count + 1) for _ in range(m + 1)]
-    best[0][0] = 0.0
-    for i in range(m):
-        for u, s in enumerate(best[i]):
-            if s is None:
-                continue
-            for n in room(i, u):
-                v, cur = plus(s, i, n), best[i + 1][u + n]
-                if cur is None or v > cur:
-                    best[i + 1][u + n] = v
-    total = best[m][count]
-
-    # need[i][u]: least prefix sum at (i, u) from which a completion sums to
-    # the best total; None where no reachable completion seats the fleet
-    need = [[None] * (count + 1) for _ in range(m + 1)]
-    need[m][count] = total
-    for i in reversed(range(m)):
-        for u in range(count + 1):
-            if best[i][u] is None:
-                continue
-            lows = [_least_prefix(options[i][n - 1].profit, need[i + 1][u + n])
-                    if n else need[i + 1][u + n]
-                    for n in room(i, u) if need[i + 1][u + n] is not None]
-            need[i][u] = min(lows, default=None)
-
-    counts, s, u = [], 0.0, 0
-    for i in range(m):
-        for n in reversed(room(i, u)):
-            goal = need[i + 1][u + n]
-            if goal is not None and plus(s, i, n) >= goal:
-                break
-        counts.append(n)
-        s, u = plus(s, i, n), u + n
-
+    counts, total = lists[count][-1]
     per = tuple(options[i][n - 1] if n else None for i, n in enumerate(counts))
-    return DeploymentPlan(profile=DeploymentProfile(tuple(counts)),
-                          per_hotspot=per, total_profit=s)
+    return DeploymentPlan(profile=DeploymentProfile(counts),
+                          per_hotspot=per, total_profit=total)
 
 
 def _reachable(hotspots: list[Hotspot], fleet: FleetConfig):
@@ -304,9 +252,9 @@ def optimal_deployment(hotspots: list[Hotspot], fleet: FleetConfig) -> Deploymen
     One batched sweep fills a pricing table per reachable hotspot, sized for
     the largest one with the whole fleet pooled there; each hotspot reads
     every group size's decision from a top-left corner of its table.
-    The assignment itself comes from the exact dynamic program of
-    ``_plan_fleet`` in O(M * N^2): the total is the left-to-right float sum
-    of the served hotspots' profits, and exact ties go to the
+    The assignment itself comes from the one forward pass of ``_plan_fleet``,
+    exact like scoring every composition: the total is the left-to-right
+    float sum of the served hotspots' profits, and exact ties go to the
     lexicographically greatest profile, which front-loads the lower-indexed
     hotspots. Two identical hotspots and one vehicle give (1, 0).
     Unreachable hotspots are pinned to zero vehicles.

@@ -105,6 +105,14 @@ def profit_step(model: ValuationModel, alpha: float, price, r_same, r_less):
     return out if out.ndim else float(out)
 
 
+def _whole_capacity(capacity) -> int:
+    """k as an int, once it is a finite whole number of at least one: an int,
+    a numpy int or a float such as 6.0."""
+    if not (float(capacity).is_integer() and capacity >= 1):
+        raise ParameterError(f"capacity must be a positive integer, got {capacity}")
+    return int(capacity)
+
+
 def _table_shape(alpha, capacity: int, horizon: int) -> tuple[int, ...]:
     """(k + 1, T + 1) plus alpha's batch shape, once the arguments are valid.
 
@@ -113,11 +121,10 @@ def _table_shape(alpha, capacity: int, horizon: int) -> tuple[int, ...]:
     bad = [a for a in np.ravel(alpha).tolist() if not 0.0 <= a <= 1.0]
     if bad:
         raise ParameterError(f"occurrence probability must lie in [0, 1], got {bad[0]}")
-    if not (float(capacity).is_integer() and capacity >= 1):
-        raise ParameterError(f"capacity must be a positive integer, got {capacity}")
+    k = _whole_capacity(capacity)
     if not (float(horizon).is_integer() and horizon >= 0):
         raise ParameterError(f"horizon must be a nonnegative integer, got {horizon}")
-    return (int(capacity) + 1, int(horizon) + 1) + np.shape(alpha)
+    return (k + 1, int(horizon) + 1) + np.shape(alpha)
 
 
 def _fill(alpha, capacity: int, horizon: int, rule,
@@ -139,8 +146,6 @@ def _fill(alpha, capacity: int, horizon: int, rule,
     k, T = shape[0] - 1, shape[1] - 1
     if prices is None:
         prices = np.broadcast_to(np.nan, shape)
-    elif prices.ndim != len(shape) or prices[:k + 1, :T + 1].shape != shape:
-        raise ParameterError(f"price matrix of shape {prices.shape} does not cover {shape}")
 
     values = np.zeros(shape)
     for t in range(1, T + 1):
@@ -182,10 +187,20 @@ def evaluate_schedule(model: ValuationModel, alpha, prices: np.ndarray,
     Used to score non-optimal policies (perturbed or constant prices) against
     the optimal table. ``prices[j, t]`` is read for j in 1..capacity and
     t in j..horizon; the matrix must cover them, other entries are ignored.
-    A 1-d alpha needs one price matrix per entry, on a trailing axis.
+    A price read may be +inf, one that never sells, but not NaN or -inf,
+    which would spread through the table. A 1-d alpha needs one price matrix
+    per entry, on a trailing axis.
     """
-    return _fill(alpha, capacity, horizon, partial(profit_step, model, alpha),
-                 np.asarray(prices, dtype=float))[1]
+    shape = _table_shape(alpha, capacity, horizon)
+    k, T = shape[0] - 1, shape[1] - 1
+    prices = np.asarray(prices, dtype=float)
+    if prices.ndim != len(shape) or prices[:k + 1, :T + 1].shape != shape:
+        raise ParameterError(f"price matrix of shape {prices.shape} does not cover {shape}")
+    read = prices[1:k + 1, 1:T + 1][np.arange(T) >= np.arange(k)[:, None]]
+    if not (read > -np.inf).all():  # NaN fails the comparison too
+        raise ParameterError("prices read at 1 <= j <= k, j <= t <= T must be "
+                             "numbers above -inf")
+    return _fill(alpha, capacity, horizon, partial(profit_step, model, alpha), prices)[1]
 
 
 # -- continuous-time closed forms (exponential valuations) ------------------
@@ -271,9 +286,8 @@ def expected_profit_closed_form(lam: float, arrival_rate: float, capacity: int,
 
     Equals log(S_k(a' * T / e)) / lam. Horizon zero gives zero profit.
     """
-    _check_closed_form(lam, arrival_rate, capacity, horizon)
-    x = arrival_rate * horizon / math.e
-    return log_capacity_series(x, int(capacity)) / lam
+    k = _check_closed_form(lam, arrival_rate, capacity, horizon)
+    return log_capacity_series(arrival_rate * horizon / math.e, k) / lam
 
 
 def price_closed_form(lam: float, arrival_rate: float, capacity: int,
@@ -283,24 +297,25 @@ def price_closed_form(lam: float, arrival_rate: float, capacity: int,
     Equals 1/lam + R_k(t) - R_{k-1}(t): the mean valuation marked up by the
     marginal option value of the unit on offer.
     """
-    _check_closed_form(lam, arrival_rate, capacity, time_left)
-    log_k, log_less = _log_series(arrival_rate * time_left / math.e, int(capacity), below=True)
+    k = _check_closed_form(lam, arrival_rate, capacity, time_left)
+    log_k, log_less = _log_series(arrival_rate * time_left / math.e, k, below=True)
     return (1.0 + float(log_k) - float(log_less)) / lam
 
 
 def _check_closed_form(lam: float, arrival_rate: float, capacity: int,
-                       horizon: float) -> None:
-    """The domain of the exponential closed forms and their simulator."""
+                       horizon: float) -> int:
+    """The domain of the exponential closed forms and their simulator; returns
+    the capacity as an int."""
     if not (lam > 0 and arrival_rate > 0):
         raise ParameterError(f"rate parameters must be positive, got {lam}, {arrival_rate}")
-    if not capacity >= 1:
-        raise ParameterError(f"capacity must be a positive integer, got {capacity}")
+    k = _whole_capacity(capacity)
     if not horizon >= 0:
         raise ParameterError(f"horizon must be nonnegative, got {horizon}")
     x = arrival_rate * horizon / math.e
     if not x <= _SERIES_MAX_ARG:  # also an infinite rate over zero time: NaN
         raise ParameterError(f"series argument a' t / e = {x} is outside the "
                              f"closed forms' [0, {_SERIES_MAX_ARG:g}]")
+    return k
 
 
 def continuous_profit_numeric(model: ValuationModel, arrival_rate: float,
@@ -325,8 +340,7 @@ def continuous_profit_numeric(model: ValuationModel, arrival_rate: float,
     """
     if not arrival_rate > 0:
         raise ParameterError(f"arrival rate must be positive, got {arrival_rate}")
-    if not capacity >= 1:
-        raise ParameterError(f"capacity must be a positive integer, got {capacity}")
+    k = _whole_capacity(capacity)
     if not horizon >= 0:
         raise ParameterError(f"horizon must be nonnegative, got {horizon}")
     if not step > 0:
@@ -334,7 +348,7 @@ def continuous_profit_numeric(model: ValuationModel, arrival_rate: float,
     if horizon == 0:
         return 0.0
 
-    k, rate, gain = int(capacity), float(arrival_rate), model._stage_gain
+    rate, gain = float(arrival_rate), model._stage_gain
 
     def integrate(h: float) -> float:
         n = max(1, math.ceil(horizon / h))

@@ -145,9 +145,9 @@ def simulate_discrete(model: ValuationModel, alpha: float, schedule: PriceSchedu
             f"schedule built for (k={schedule.capacity}, T={schedule.horizon}), "
             f"asked to simulate (k={capacity}, T={horizon})"
         )
-    (profits,), (served,) = _run_discrete(model, alpha, [schedule.prices],
-                                          capacity, horizon, trials, seed)
-    return _report(profits, served, capacity, seed)
+    (profits,), (served,) = _run_discrete(model, alpha, [schedule.prices], schedule.capacity,
+                                          schedule.horizon, trials, seed)
+    return _report(profits, served, schedule.capacity, seed)
 
 
 def simulate_policy_regret(model: ValuationModel, alpha: float, capacity: int,
@@ -165,7 +165,7 @@ def simulate_policy_regret(model: ValuationModel, alpha: float, capacity: int,
     schedule, _ = build_pricing(model, alpha, capacity, horizon)
     flat = np.full_like(schedule.prices, float(constant_price))
     (opt, fixed), _ = _run_discrete(model, alpha, [schedule.prices, flat],
-                                    capacity, horizon, trials, seed)
+                                    schedule.capacity, schedule.horizon, trials, seed)
     diff = opt - fixed
     paired_se = float(diff.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return RegretReport(optimal_mean=float(opt.mean()),
@@ -245,7 +245,7 @@ def simulate_continuous(lam: float, arrival_rate: float, capacity: int,
     """
     if trials < 1:
         raise ParameterError(f"need at least one trial, got {trials}")
-    _check_closed_form(lam, arrival_rate, capacity, horizon)
+    capacity = _check_closed_form(lam, arrival_rate, capacity, horizon)
     mean_count = arrival_rate * horizon
 
     profits = np.empty(trials)

@@ -262,6 +262,15 @@ SPOT_FILES = {
     "nan_alpha": [{"alpha": float("nan"), "distance": 5.0}],
 }
 
+# A --config value skips argparse's type=int: a whole float must still work,
+# and a fractional one is the library's to reject.
+CONFIG_FILES = {"k_frac": {"k": 2.5}, "k_whole": {"k": 2.0},
+                "N_frac": {"N": 2.5}, "N_whole": {"N": 2.0}}
+
+
+def _configured(name, base, flag):
+    return ["--config", "{%s}" % name, *_set(base, flag, None)]
+
 
 def _cases():
     ok, bad = [], []
@@ -353,6 +362,13 @@ def _cases():
                             ("--variances", "bad"), ("--variances", "nan:nan:1"),
                             ("--variances", "50:60:10"), ("--alpha", "2"), ("--k", "0"),
                             ("--T", None), ("--T", "0"), ("--T", "2.5"))]
+    for name, base in (("price-d", PRICE_D), ("price-c", PRICE_C), ("simulate-d", SIM_D),
+                       ("simulate-c", SIM_C), ("variance", VAR)):
+        ok.append((f"config-{name}-k-2.0", _configured("k_whole", base, "--k")))
+        bad.append((f"config-{name}-k-2.5", _configured("k_frac", base, "--k")))
+    for name, base in (("deploy", DEPLOY), ("forking", FORK)):
+        ok.append((f"config-{name}-N-2.0", _configured("N_whole", base, "--N")))
+        bad.append((f"config-{name}-N-2.5", _configured("N_frac", base, "--N")))
     return [pytest.param(argv, 0, id=name) for name, argv in ok] + \
            [pytest.param(argv, 2, id=name) for name, argv in bad]
 
@@ -399,9 +415,9 @@ def test_exit_codes(argv, code, tmp_path, capsys):
     paths = {"missing": str(tmp_path / "absent.json"), "out": str(tmp_path / "out.csv"),
              "bad_json": str(tmp_path / "bad.json")}
     (tmp_path / "bad.json").write_text("{")
-    for name, spots in SPOT_FILES.items():
+    for name, content in {**SPOT_FILES, **CONFIG_FILES}.items():
         paths[name] = str(tmp_path / f"{name}.json")
-        (tmp_path / f"{name}.json").write_text(json.dumps(spots))
+        (tmp_path / f"{name}.json").write_text(json.dumps(content))
     assert cli.main([a.format(**paths) for a in argv]) == code
     err = capsys.readouterr().err
     if code == 0:

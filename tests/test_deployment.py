@@ -2,11 +2,12 @@
 
 import json
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -14,7 +15,8 @@ import uavps.allocation
 import uavps.deployment
 from uavps.allocation import (AllocationDecision, _best_series_capacity,
                               _pooled_decisions, allocate_discrete)
-from uavps.deployment import (FleetConfig, Hotspot, RouteInstance, _plan_fleet,
+from uavps.deployment import (DeploymentPlan, DeploymentProfile, FleetConfig,
+                              Hotspot, RouteInstance, _plan_fleet,
                               best_single_hotspot, compositions,
                               forking_condition, load_hotspots,
                               optimal_deployment,
@@ -266,6 +268,151 @@ def test_planner_exact_ties_and_infinite_totals(case):
                [AllocationDecision(k_star=n, t_star=float(n), profit=p)
                 for n, p in enumerate(r, start=1)] for r in rows]
     _assert_matches_enumeration(_plan_fleet(options, count), options, count)
+
+
+# -- planner vs the three-pass planner it replaced ---------------------------------
+#
+# Past a few hotspots enumeration is too slow, so the planner is checked
+# against its predecessor: a forward pass for the best prefix sums, a backward
+# pass for the least prefix sum from which the best total stays reachable
+# (inverting rounded addition over the ordered bit patterns of doubles), and a
+# forward walk taking each hotspot's largest viable count.
+
+# Doubles in numeric order map to consecutive integers: nonnegative doubles
+# to their bit patterns, negative ones to minus the pattern of their
+# magnitude (-0.0 shares 0.0's key). The keys run from -inf to +inf.
+_DOUBLE = struct.Struct("<d")
+_BITS = struct.Struct("<Q")
+_SIGN = 1 << 63
+
+
+def _double_key(x):
+    bits = _BITS.unpack(_DOUBLE.pack(x))[0]
+    return bits if bits < _SIGN else _SIGN - bits
+
+
+def _key_double(key):
+    return _DOUBLE.unpack(_BITS.pack(key if key >= 0 else _SIGN - key))[0]
+
+
+_KEY_INF = _double_key(math.inf)
+
+
+def _least_prefix(addend, goal):
+    """Least double s with fl(s + addend) >= goal: gallop out from the key of
+    goal - addend to a bracket, then bisect."""
+    reaches = lambda key: _key_double(key) + addend >= goal
+    lo, hi = -_KEY_INF - 1, _KEY_INF  # reaches(hi); lo is below the up-set
+    guess = goal - addend
+    if math.isfinite(guess):
+        start, step = _double_key(guess), 1
+        if reaches(start):
+            hi = start
+            while hi - step > lo and reaches(hi - step):
+                hi, step = hi - step, 2 * step
+            lo = max(lo, hi - step)
+        else:
+            lo = start
+            while lo + step < hi and not reaches(lo + step):
+                lo, step = lo + step, 2 * step
+            hi = min(hi, lo + step)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
+    return _key_double(hi)
+
+
+def _plan_fleet_oracle(options, count):
+    m = len(options)
+    plus = lambda s, i, n: s + options[i][n - 1].profit if n else s
+    room = lambda i, u: range(count - u + 1) if options[i] is not None else range(1)
+
+    # best[i][u]: greatest prefix sum over hotspots < i holding u vehicles
+    best = [[None] * (count + 1) for _ in range(m + 1)]
+    best[0][0] = 0.0
+    for i in range(m):
+        for u, s in enumerate(best[i]):
+            if s is None:
+                continue
+            for n in room(i, u):
+                v, cur = plus(s, i, n), best[i + 1][u + n]
+                if cur is None or v > cur:
+                    best[i + 1][u + n] = v
+    total = best[m][count]
+
+    # need[i][u]: least prefix sum at (i, u) from which a completion sums to
+    # the best total; None where no reachable completion seats the fleet
+    need = [[None] * (count + 1) for _ in range(m + 1)]
+    need[m][count] = total
+    for i in reversed(range(m)):
+        for u in range(count + 1):
+            if best[i][u] is None:
+                continue
+            lows = [_least_prefix(options[i][n - 1].profit, need[i + 1][u + n])
+                    if n else need[i + 1][u + n]
+                    for n in room(i, u) if need[i + 1][u + n] is not None]
+            need[i][u] = min(lows, default=None)
+
+    counts, s, u = [], 0.0, 0
+    for i in range(m):
+        for n in reversed(room(i, u)):
+            goal = need[i + 1][u + n]
+            if goal is not None and plus(s, i, n) >= goal:
+                break
+        counts.append(n)
+        s, u = plus(s, i, n), u + n
+
+    per = tuple(options[i][n - 1] if n else None for i, n in enumerate(counts))
+    return DeploymentPlan(profile=DeploymentProfile(tuple(counts)),
+                          per_hotspot=per, total_profit=s)
+
+
+def _ulps_from(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+# Sums near 1.0 and 2^52 round in ulp steps that differ across the binade.
+_NEAR_ULPS = tuple(_ulps_from(x, d) for x in (1.0, 2.0 ** 52)
+                   for d in (-3, -2, -1, 1, 2, 3)) + (2.0 ** 52,)
+
+# Prefixes 2^52 for (1, 0) and 2^52 + 5 for (0, 1) hold one vehicle after
+# hotspot 1, 5 ulps apart and more than ulp(cap) = 4 apart. Adding 2^52 + 2^50
+# closes the gap to 4, adding 2^53 + 2^51 + 6 closes it to 0, so the greater
+# profile (1, 0, 1, 1) wins the tie: a margin of ulp(cap) that ignores the
+# two hotspots still to come would drop its prefix.
+_GAP_CLOSES_OVER_TWO_ADDITIONS = (3, [[2.0 ** 52, 0.0, 0.0], [2.0 ** 52 + 5.0, 0.0, 0.0],
+                                      [2.0 ** 52 + 2.0 ** 50, 0.0, 0.0],
+                                      [2.0 ** 53 + 2.0 ** 51 + 6.0, 0.0, 0.0]])
+
+
+@st.composite
+def _profit_rows(draw):
+    """Up to 10 hotspots and 14 vehicles, profits from a few pool values."""
+    count = draw(st.integers(1, 14))
+    pool = draw(st.lists(st.sampled_from(_PROFITS + _NEAR_ULPS), min_size=1, max_size=4))
+    row = st.lists(st.sampled_from(pool), min_size=count, max_size=count)
+    return count, draw(st.lists(st.one_of(st.none(), row), min_size=1, max_size=10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_profit_rows())
+@example(_GAP_CLOSES_OVER_TWO_ADDITIONS)
+def test_planner_equals_three_pass_oracle(case):
+    count, rows = case
+    if all(r is None for r in rows):
+        rows[0] = [0.0] * count
+    options = [None if r is None else
+               [AllocationDecision(k_star=n, t_star=float(n), profit=p)
+                for n, p in enumerate(r, start=1)] for r in rows]
+    plan, oracle = _plan_fleet(options, count), _plan_fleet_oracle(options, count)
+    assert plan.profile == oracle.profile
+    assert plan.per_hotspot == oracle.per_hotspot
+    assert plan.total_profit == oracle.total_profit
 
 
 def _own_table_decision(model, alpha, avail, cost, n):

@@ -14,9 +14,10 @@ from uavps import (FleetConfig, Hotspot, ParameterError, ValuationModel,
                    capacity_argmax, complete_info_profit,
                    continuous_profit_numeric, evaluate_schedule,
                    expected_profit_closed_form, forking_condition,
-                   optimal_deployment_continuous,
-                   profit_ratio_curve, simulate_continuous,
-                   simulate_policy_regret, solve_stage_price, variance_sweep)
+                   optimal_deployment, optimal_deployment_continuous,
+                   price_closed_form, profit_ratio_curve, simulate_continuous,
+                   simulate_discrete, simulate_policy_regret, solve_stage_price,
+                   variance_sweep)
 
 EXP1 = ValuationModel.exponential(1.0)
 FLEET = FleetConfig(count=2, initial_budget=20.0, service_cost=2.0, valuation=EXP1)
@@ -73,6 +74,15 @@ RUNTIME_FAILURES = {("pricing.py", "solve_stage_price"),
     lambda: build_pricing(EXP1, 0.5, 3, math.inf),
     lambda: complete_info_profit(EXP1, 0.5, 3, math.nan),
     lambda: evaluate_schedule(EXP1, 0.5, np.zeros((4, 7)), 3.0, 5.5),
+    # Capacities and fleet sizes that are not whole numbers: the closed forms
+    # and the ODE oracle priced k = 2, the simulator and both planners raised
+    # TypeError from range or bincount.
+    lambda: expected_profit_closed_form(1.0, 1.0, 2.5, 3.0),
+    lambda: price_closed_form(1.0, 1.0, 2.5, 3.0),
+    lambda: continuous_profit_numeric(EXP1, 1.0, 2.5, 1.0),
+    lambda: simulate_continuous(1.0, 1.0, 2.5, 3.0, 10, 0),
+    lambda: FleetConfig(count=2.5, initial_budget=20.0, service_cost=2.0, valuation=EXP1),
+    lambda: FleetConfig(count=math.inf, initial_budget=20.0, service_cost=2.0, valuation=EXP1),
 ])
 def test_preconditions_raise_parameter_error(call):
     with pytest.raises(ParameterError):
@@ -85,6 +95,29 @@ def test_whole_float_and_numpy_int_sizes_still_build_tables():
         _, same = build_pricing(EXP1, 0.5, k, T)
         assert (same.capacity, same.horizon) == (2, 6)
         assert np.array_equal(same.values, table.values)
+
+
+def test_whole_float_and_numpy_int_capacities_and_fleet_sizes():
+    hotspots = [Hotspot(0.8, 5.0), Hotspot(0.5, 9.0)]
+    schedule, _ = build_pricing(EXP1, 0.5, 2, 5)
+    for k in (2, 2.0, np.int64(2), np.float64(2.0)):
+        assert expected_profit_closed_form(1.0, 1.5, k, 3.0) == \
+            expected_profit_closed_form(1.0, 1.5, 2, 3.0)
+        assert price_closed_form(1.0, 1.5, k, 3.0) == price_closed_form(1.0, 1.5, 2, 3.0)
+        assert continuous_profit_numeric(EXP1, 1.0, k, 1.0, step=0.01) == \
+            continuous_profit_numeric(EXP1, 1.0, 2, 1.0, step=0.01)
+        assert simulate_continuous(1.0, 1.0, k, 3.0, 50, 4) == \
+            simulate_continuous(1.0, 1.0, 2, 3.0, 50, 4)
+        assert simulate_discrete(EXP1, 0.5, schedule, k, 5, 50, 4) == \
+            simulate_discrete(EXP1, 0.5, schedule, 2, 5, 50, 4)
+        assert simulate_policy_regret(EXP1, 0.5, k, 5, 50, 4, 1.0) == \
+            simulate_policy_regret(EXP1, 0.5, 2, 5, 50, 4, 1.0)
+
+        fleet = FleetConfig(count=k, initial_budget=20.0, service_cost=2.0, valuation=EXP1)
+        assert fleet.count == 2 and type(fleet.count) is int
+        assert optimal_deployment(hotspots, fleet) == optimal_deployment(hotspots, FLEET)
+        assert optimal_deployment_continuous(hotspots, fleet, 1.0) == \
+            optimal_deployment_continuous(hotspots, FLEET, 1.0)
 
 
 def test_runtime_failures_are_plain_value_errors():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from uavps.benchmark import complete_info_profit
 from uavps.pricing import (build_pricing, evaluate_schedule, profit_step,
                            schedule_csv_rows, solve_stage_price)
-from uavps.valuations import ValuationModel
+from uavps.valuations import ParameterError, ValuationModel
 
 EXP1 = ValuationModel.exponential(1.0)
 UNI = ValuationModel.uniform(5.0, 15.0)
@@ -236,6 +236,29 @@ def test_complete_info_profit_allocates_no_price_matrix():
 def test_evaluate_schedule_rejects_bad_shapes(capacity, horizon, shape):
     with pytest.raises(ValueError):
         evaluate_schedule(EXP1, 0.5, np.ones(shape), capacity, horizon)
+
+
+@pytest.mark.parametrize("cell", [(1, 1), (2, 3), (3, 3), (3, 5), (1, 5)])
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, np.array([0.3, 0.6])], ids=["0", "0.5", "batch"])
+def test_evaluate_schedule_rejects_nan_and_minus_inf_where_it_reads(cell, bad, alpha):
+    # The table came out NaN or -inf, and 0 * -inf warned at alpha 0. In a
+    # batch, one entry's price is enough.
+    prices = np.ones((4, 6) + np.shape(alpha))
+    prices[cell + (-1,) * np.ndim(alpha)] = bad
+    with pytest.raises(ParameterError, match="above -inf"):
+        evaluate_schedule(EXP1, alpha, prices, 3, 5)
+
+
+def test_evaluate_schedule_ignores_the_cells_it_does_not_read():
+    # The perturbed schedules of the benchmark multiply NaN where t < j.
+    prices = np.ones((5, 7))
+    noisy = prices.copy()
+    noisy[0], noisy[4], noisy[:, 6] = math.nan, -math.inf, math.nan  # j = 0, past k, past T
+    noisy[1:, 0] = -math.inf  # t = 0
+    noisy[2, 1] = noisy[3, 2] = math.nan  # t < j
+    expected = evaluate_schedule(EXP1, 0.5, prices, 3, 5).values
+    assert _same(evaluate_schedule(EXP1, 0.5, noisy, 3, 5).values, expected)
 
 
 @pytest.mark.parametrize("fill", [build_pricing, complete_info_profit])
