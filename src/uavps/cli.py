@@ -47,9 +47,10 @@ def parse_sweep(text: str) -> list[float]:
     return out
 
 def parse_int_list(text: str) -> list[int]:
+    """Parse comma-separated integers; a config file may give any JSON value."""
     try:
         return [int(x) for x in text.split(",")]
-    except ValueError as exc:
+    except (AttributeError, ValueError) as exc:
         raise ParameterError(f"bad integer list {text!r}") from exc
 
 
@@ -239,10 +240,10 @@ def cmd_benchmark(args) -> int:
         model = _model_from_args(args)
         _need(args, "alpha", "T_max")
         ks = parse_int_list(args.k_list)
-        if args.T_step < 1 or not math.isfinite(args.T_max):
-            raise ParameterError(f"need a finite --T-max and a positive --T-step, "
-                                 f"got {args.T_max} and {args.T_step}")
-        horizons = list(range(max(ks), int(args.T_max) + 1, args.T_step))
+        step = pricing._whole(args.T_step, "--T-step")  # a config file skips type=int
+        if not math.isfinite(args.T_max):
+            raise ParameterError(f"need a finite --T-max, got {args.T_max}")
+        horizons = list(range(max(ks), int(args.T_max) + 1, step))
         # One table pair at max(ks) gives every curve, in list order.
         curves = benchmark.profit_ratio_curve(model, args.alpha, ks, horizons)
         header = (["T", "ratio"] if len(ks) == 1

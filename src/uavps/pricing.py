@@ -105,12 +105,14 @@ def profit_step(model: ValuationModel, alpha: float, price, r_same, r_less):
     return out if out.ndim else float(out)
 
 
-def _whole_capacity(capacity) -> int:
-    """k as an int, once it is a finite whole number of at least one: an int,
-    a numpy int or a float such as 6.0."""
-    if not (float(capacity).is_integer() and capacity >= 1):
-        raise ParameterError(f"capacity must be a positive integer, got {capacity}")
-    return int(capacity)
+def _whole(value, name: str, least: int = 1) -> int:
+    """``value`` as an int, once it is a finite whole number of at least
+    ``least``, 0 or 1: an int, a numpy int or a float such as 6.0, not a bool."""
+    if isinstance(value, (bool, np.bool_)) or not (float(value).is_integer()
+                                                   and value >= least):
+        sign = "positive" if least else "nonnegative"
+        raise ParameterError(f"{name} must be a {sign} integer, got {value}")
+    return int(value)
 
 
 def _table_shape(alpha, capacity: int, horizon: int) -> tuple[int, ...]:
@@ -121,10 +123,8 @@ def _table_shape(alpha, capacity: int, horizon: int) -> tuple[int, ...]:
     bad = [a for a in np.ravel(alpha).tolist() if not 0.0 <= a <= 1.0]
     if bad:
         raise ParameterError(f"occurrence probability must lie in [0, 1], got {bad[0]}")
-    k = _whole_capacity(capacity)
-    if not (float(horizon).is_integer() and horizon >= 0):
-        raise ParameterError(f"horizon must be a nonnegative integer, got {horizon}")
-    return (k + 1, int(horizon) + 1) + np.shape(alpha)
+    k, T = _whole(capacity, "capacity"), _whole(horizon, "horizon", 0)
+    return (k + 1, T + 1) + np.shape(alpha)
 
 
 def _fill(alpha, capacity: int, horizon: int, rule,
@@ -308,7 +308,7 @@ def _check_closed_form(lam: float, arrival_rate: float, capacity: int,
     the capacity as an int."""
     if not (lam > 0 and arrival_rate > 0):
         raise ParameterError(f"rate parameters must be positive, got {lam}, {arrival_rate}")
-    k = _whole_capacity(capacity)
+    k = _whole(capacity, "capacity")
     if not horizon >= 0:
         raise ParameterError(f"horizon must be nonnegative, got {horizon}")
     x = arrival_rate * horizon / math.e
@@ -340,7 +340,7 @@ def continuous_profit_numeric(model: ValuationModel, arrival_rate: float,
     """
     if not arrival_rate > 0:
         raise ParameterError(f"arrival rate must be positive, got {arrival_rate}")
-    k = _whole_capacity(capacity)
+    k = _whole(capacity, "capacity")
     if not horizon >= 0:
         raise ParameterError(f"horizon must be nonnegative, got {horizon}")
     if not step > 0:

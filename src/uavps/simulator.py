@@ -13,29 +13,52 @@ Trials run in fixed-size chunks of ``CHUNK_TRIALS``; chunk i derives its own
 child stream from (seed, i), so results are reproducible bit for bit and a
 harness may farm chunks out to workers without changing the outcome.
 
-Within a chunk, the continuous replay draws the Poisson counts first, then a
-(size, top) matrix of arrival times and one of valuations, where top is the
-chunk's largest count. It plays them in row blocks of ``BLOCK_ROWS`` trials:
-the time matrix is the stream's next size * top doubles, read block by block
-in order, and a copy of the generator advanced past it (PCG's jump-ahead)
-reads the valuation matrix the same way. Each block gets the bits the whole
-matrices would give it, so reports do not depend on the block height, and a
-replay holds O(``BLOCK_ROWS`` * top) draws at a time however many trials run.
+Each chunk is split into ``WORKERS`` near-equal trial ranges, its shares, one
+per CPU in the process's affinity mask, and the shares are played at once:
+the calling thread plays the first and one thread each the others, all
+joined before the call returns. A share reads exactly the doubles a serial
+replay gives its trials, through a copy of the chunk's generator advanced to
+them (PCG's jump-ahead), so reports do not depend on the CPU count;
+``taskset -c 0`` plays the whole chunk on one CPU, with no thread. A chunk of
+fewer than 2 * ``SHARE_TRIALS`` trials is one share: numpy holds the
+interpreter lock between its calls, and on smaller shares the threads would
+spend more waiting for it than they save.
+
+In the discrete replay, each slot reads the chunk's arrival draws and then
+its valuation draws, one double per trial; a share [a, b) reads its b - a of
+each and jumps over the rest. The continuous replay draws the Poisson counts
+first, then a (size, top) matrix of arrival times and one of valuations,
+where top is the chunk's largest count: the time matrix is the stream's next
+size * top doubles and the valuation matrix the size * top after those. A
+share plays its rows in blocks of at most ``BLOCK_ROWS`` trials and
+``BLOCK_CELLS`` / (shares * top) rows, reading each block's draws in order
+into buffers it allocates once. Each block gets the bits the whole matrices
+would give it, so reports do not depend on the block height either. A replay
+holds at most 2 * ``BLOCK_CELLS`` draws at a time, however many trials and
+CPUs run, unless a single row is past that share of the cap; then each
+share holds one row.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pricing import PriceSchedule, _check_closed_form, _log_series, build_pricing
+from .pricing import (PriceSchedule, _check_closed_form, _log_series, _whole,
+                      build_pricing)
 from .valuations import ParameterError, ValuationModel
 
 GENERATOR_ID = "numpy-pcg64"
 CHUNK_TRIALS = 250_000
 BLOCK_ROWS = 16_384
+BLOCK_CELLS = 2**20
+SHARE_TRIALS = 8_192
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -62,6 +85,35 @@ class RegretReport:
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
+
+
+def _jumped(state: dict, steps: int) -> np.random.Generator:
+    """A generator reading the stream ``steps`` 64-bit outputs past ``state``."""
+    bits = np.random.PCG64()
+    bits.state = state
+    return np.random.Generator(bits.advance(steps))
+
+
+def _shares(size: int) -> list[tuple[int, int]]:
+    """A chunk's trial ranges: ``WORKERS`` near-equal ones, fewer when a range
+    would hold under ``SHARE_TRIALS`` trials."""
+    count = max(1, min(WORKERS, size // SHARE_TRIALS))
+    cuts = [size * i // count for i in range(count + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _play_shares(play, shares: list[tuple[int, int]]) -> None:
+    """Call ``play(a, b)`` on every share, the first on the calling thread and
+    the others on one thread each. Returns once every share is done, raising
+    the exception of the first share in order that failed."""
+    if len(shares) == 1:
+        play(*shares[0])
+        return
+    with ThreadPoolExecutor(len(shares) - 1) as pool:
+        futures = [pool.submit(play, a, b) for a, b in shares[1:]]
+        play(*shares[0])
+        for future in futures:
+            future.result()
 
 
 def _chunk_sizes(trials: int):
@@ -108,20 +160,30 @@ def _run_discrete(model: ValuationModel, alpha: float, price_lookups: list[np.nd
     served = np.empty((len(lookups), trials), dtype=np.int64)
     pos = 0
     for idx, size in enumerate(_chunk_sizes(trials)):
-        rng = _chunk_rng(seed, idx)
-        j = [np.full(size, capacity, dtype=np.int64) for _ in lookups]
-        gain = [np.zeros(size) for _ in lookups]
-        for t in range(horizon, 0, -1):
-            arrive = rng.random(size) < alpha
-            v = model.sample(rng.random(size))
-            for i, lookup in enumerate(lookups):
-                jj = np.minimum(j[i], t)  # spare units beyond the time left are dead
-                price = lookup[t].take(jj)
-                sale = arrive & (jj > 0) & (v >= price)
-                np.add(gain[i], price, out=gain[i], where=sale)
-                j[i] -= sale
-        profits[:, pos:pos + size] = gain
-        served[:, pos:pos + size] = capacity - np.array(j)
+        state = _chunk_rng(seed, idx).bit_generator.state
+
+        def play(a: int, b: int) -> None:
+            # Each slot reads size arrival draws, then size valuation draws.
+            n = b - a
+            rng = _jumped(state, a)
+            skip = rng.bit_generator.advance
+            j = [np.full(n, capacity, dtype=np.int64) for _ in lookups]
+            gain = [np.zeros(n) for _ in lookups]
+            for t in range(horizon, 0, -1):
+                arrive = rng.random(n) < alpha
+                skip(size - n)
+                v = model.sample(rng.random(n))
+                skip(size - n)
+                for i, lookup in enumerate(lookups):
+                    jj = np.minimum(j[i], t)  # spare units beyond the time left are dead
+                    price = lookup[t].take(jj)
+                    sale = arrive & (jj > 0) & (v >= price)
+                    np.add(gain[i], price, out=gain[i], where=sale)
+                    j[i] -= sale
+            profits[:, pos + a:pos + b] = gain
+            served[:, pos + a:pos + b] = capacity - np.array(j)
+
+        _play_shares(play, _shares(size))
         pos += size
     return profits, served
 
@@ -136,8 +198,7 @@ def simulate_discrete(model: ValuationModel, alpha: float, schedule: PriceSchedu
     happens when it reaches the scheduled price for the current leftover
     capacity. Deterministic given the seed.
     """
-    if trials < 1:
-        raise ParameterError(f"need at least one trial, got {trials}")
+    trials, seed = _whole(trials, "trials"), _whole(seed, "seed", 0)
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError(f"occurrence probability must lie in [0, 1], got {alpha}")
     if schedule.capacity != capacity or schedule.horizon != horizon:
@@ -158,8 +219,7 @@ def simulate_policy_regret(model: ValuationModel, alpha: float, capacity: int,
     Both policies are played on the same arrival and valuation draws, so the
     paired standard error reflects only the policy difference.
     """
-    if trials < 1:
-        raise ParameterError(f"need at least one trial, got {trials}")
+    trials, seed = _whole(trials, "trials"), _whole(seed, "seed", 0)
     if math.isnan(constant_price):
         raise ParameterError("constant price must be a number, got nan")
     schedule, _ = build_pricing(model, alpha, capacity, horizon)
@@ -243,8 +303,7 @@ def simulate_continuous(lam: float, arrival_rate: float, capacity: int,
     must be at most 1e12, which also keeps the mean arrival count finite and
     within numpy's Poisson range.
     """
-    if trials < 1:
-        raise ParameterError(f"need at least one trial, got {trials}")
+    trials, seed = _whole(trials, "trials"), _whole(seed, "seed", 0)
     capacity = _check_closed_form(lam, arrival_rate, capacity, horizon)
     mean_count = arrival_rate * horizon
 
@@ -255,22 +314,27 @@ def simulate_continuous(lam: float, arrival_rate: float, capacity: int,
         rng = _chunk_rng(seed, idx)
         counts = rng.poisson(mean_count, size)
         top = int(counts.max())
-        # One double per 64-bit output: the time matrix is the stream's next
-        # size * top doubles in row order, and the valuation matrix the
-        # size * top after those.
-        jumped = np.random.PCG64()
-        jumped.state = rng.bit_generator.state
-        val_rng = np.random.Generator(jumped.advance(size * top))
-        height = min(BLOCK_ROWS, size)
-        time_buf, val_buf = np.empty((height, top)), np.empty((height, top))
-        for a in range(0, size, BLOCK_ROWS):
-            b = min(a + BLOCK_ROWS, size)
-            neg_t, u = time_buf[:b - a], val_buf[:b - a]
-            rng.random(out=neg_t)
-            val_rng.random(out=u)
-            gain, j = _play_block(lam, arrival_rate, capacity, horizon,
-                                  counts[a:b], neg_t, u)
-            profits[pos + a:pos + b] = gain
-            served[pos + a:pos + b] = capacity - j
+        state = rng.bit_generator.state
+        shares = _shares(size)
+        rows = min(BLOCK_ROWS, max(1, BLOCK_CELLS // (len(shares) * max(top, 1))))
+
+        def play(a: int, b: int) -> None:
+            # One double per 64-bit output: the time matrix is the stream's
+            # next size * top doubles in row order, and the valuation matrix
+            # the size * top after those.
+            time_rng, val_rng = _jumped(state, a * top), _jumped(state, (size + a) * top)
+            height = min(rows, b - a)
+            time_buf, val_buf = np.empty((height, top)), np.empty((height, top))
+            for c in range(a, b, rows):
+                d = min(c + rows, b)
+                neg_t, u = time_buf[:d - c], val_buf[:d - c]
+                time_rng.random(out=neg_t)
+                val_rng.random(out=u)
+                gain, j = _play_block(lam, arrival_rate, capacity, horizon,
+                                      counts[c:d], neg_t, u)
+                profits[pos + c:pos + d] = gain
+                served[pos + c:pos + d] = capacity - j
+
+        _play_shares(play, shares)
         pos += size
     return _report(profits, served, capacity, seed)

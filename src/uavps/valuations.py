@@ -89,7 +89,10 @@ class ValuationModel:
         """F(v); values below the support map to 0, above to 1."""
         v = np.asarray(v, dtype=float)
         if self.kind == EXPONENTIAL:
-            out = -np.expm1(-self.rate * np.maximum(v, 0.0))  # v < 0 gives +0.0
+            # v < 0 gives +0.0. Past rate * v = 40, expm1(-rate * v) is -1 to
+            # the last bit, so capping v there changes no value and keeps
+            # rate * v finite for v up to DBL_MAX.
+            out = -np.expm1(-self.rate * np.minimum(np.maximum(v, 0.0), 40.0 / self.rate))
         else:
             out = np.clip((v - self.lower) / (self.upper - self.lower), 0.0, 1.0)
         return out if out.ndim else float(out)

@@ -265,7 +265,11 @@ SPOT_FILES = {
 # A --config value skips argparse's type=int: a whole float must still work,
 # and a fractional one is the library's to reject.
 CONFIG_FILES = {"k_frac": {"k": 2.5}, "k_whole": {"k": 2.0},
-                "N_frac": {"N": 2.5}, "N_whole": {"N": 2.0}}
+                "N_frac": {"N": 2.5}, "N_whole": {"N": 2.0},
+                "trials_frac": {"trials": 100.5}, "trials_whole": {"trials": 500.0},
+                "seed_frac": {"seed": 1.5}, "seed_whole": {"seed": 3.0},
+                "T_step_frac": {"T_step": 2.5}, "T_step_whole": {"T_step": 2.0},
+                "k_list_int": {"k_list": 2}}
 
 
 def _configured(name, base, flag):
@@ -369,6 +373,14 @@ def _cases():
     for name, base in (("deploy", DEPLOY), ("forking", FORK)):
         ok.append((f"config-{name}-N-2.0", _configured("N_whole", base, "--N")))
         bad.append((f"config-{name}-N-2.5", _configured("N_frac", base, "--N")))
+    for name, base in (("simulate-d", SIM_D), ("simulate-c", SIM_C)):
+        ok += [(f"config-{name}-trials-500.0", _configured("trials_whole", base, "--trials")),
+               (f"config-{name}-seed-3.0", _configured("seed_whole", base, "--seed"))]
+        bad += [(f"config-{name}-trials-100.5", _configured("trials_frac", base, "--trials")),
+                (f"config-{name}-seed-1.5", _configured("seed_frac", base, "--seed"))]
+    ok.append(("config-ratio-T-step-2.0", _configured("T_step_whole", RATIO, "--T-step")))
+    bad += [("config-ratio-T-step-2.5", _configured("T_step_frac", RATIO, "--T-step")),
+            ("config-ratio-k-list-2", _configured("k_list_int", RATIO, "--k-list"))]
     return [pytest.param(argv, 0, id=name) for name, argv in ok] + \
            [pytest.param(argv, 2, id=name) for name, argv in bad]
 
@@ -406,6 +418,9 @@ MOVED_TO_2 = [
     ("simulate-c-T-inf", _set(SIM_C, "--T", "inf")),
     # Exited 0 with a zero plan: floor(inf) cast to int inside the planner.
     ("deploy-B0-inf", _set(DEPLOY, "--B0", "inf")),
+    # Exited 1 with numpy's "expected non-negative integer" from SeedSequence.
+    ("simulate-d-seed--1", _set(SIM_D, "--seed", "-1")),
+    ("simulate-c-seed--1", _set(SIM_C, "--seed", "-1")),
 ]
 
 

@@ -21,6 +21,7 @@ from uavps import (FleetConfig, Hotspot, ParameterError, ValuationModel,
 
 EXP1 = ValuationModel.exponential(1.0)
 FLEET = FleetConfig(count=2, initial_budget=20.0, service_cost=2.0, valuation=EXP1)
+SCHEDULE, _ = build_pricing(EXP1, 0.5, 2, 5)
 
 # The two failures a valid call can still meet at run time.
 RUNTIME_FAILURES = {("pricing.py", "solve_stage_price"),
@@ -83,6 +84,8 @@ RUNTIME_FAILURES = {("pricing.py", "solve_stage_price"),
     lambda: simulate_continuous(1.0, 1.0, 2.5, 3.0, 10, 0),
     lambda: FleetConfig(count=2.5, initial_budget=20.0, service_cost=2.0, valuation=EXP1),
     lambda: FleetConfig(count=math.inf, initial_budget=20.0, service_cost=2.0, valuation=EXP1),
+    # A bool is not a count.
+    lambda: build_pricing(EXP1, 0.5, True, 5),
 ])
 def test_preconditions_raise_parameter_error(call):
     with pytest.raises(ParameterError):
@@ -118,6 +121,28 @@ def test_whole_float_and_numpy_int_capacities_and_fleet_sizes():
         assert optimal_deployment(hotspots, fleet) == optimal_deployment(hotspots, FLEET)
         assert optimal_deployment_continuous(hotspots, fleet, 1.0) == \
             optimal_deployment_continuous(hotspots, FLEET, 1.0)
+
+
+# Trial counts and seeds that are not whole numbers, or below their least
+# value: through each simulator, each raised TypeError or numpy's ValueError.
+@pytest.mark.parametrize("trials, seed", [(100.5, 1), (True, 1), (math.inf, 1), (10, 1.5),
+                                          (10, -1), (10, math.nan)])
+def test_simulators_reject_trials_and_seeds_that_are_not_counts(trials, seed):
+    for call in (lambda: simulate_continuous(1.0, 1.0, 2, 1.0, trials, seed),
+                 lambda: simulate_discrete(EXP1, 0.5, SCHEDULE, 2, 5, trials, seed),
+                 lambda: simulate_policy_regret(EXP1, 0.5, 2, 5, trials, seed, 1.0)):
+        with pytest.raises(ParameterError):
+            call()
+
+
+def test_whole_float_and_numpy_int_trials_and_seeds():
+    for trials, seed in ((50.0, 4), (np.int64(50), np.float64(4.0)), (50, 4.0)):
+        assert simulate_continuous(1.0, 1.0, 2, 3.0, trials, seed) == \
+            simulate_continuous(1.0, 1.0, 2, 3.0, 50, 4)
+        assert simulate_discrete(EXP1, 0.5, SCHEDULE, 2, 5, trials, seed) == \
+            simulate_discrete(EXP1, 0.5, SCHEDULE, 2, 5, 50, 4)
+        assert simulate_policy_regret(EXP1, 0.5, 2, 5, trials, seed, 1.0) == \
+            simulate_policy_regret(EXP1, 0.5, 2, 5, 50, 4, 1.0)
 
 
 def test_runtime_failures_are_plain_value_errors():

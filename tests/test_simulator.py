@@ -1,6 +1,9 @@
 """Monte-Carlo harness: determinism, capacity bookkeeping, oracle agreement."""
 
+import functools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,6 +17,14 @@ from uavps.valuations import ParameterError, ValuationModel
 
 EXP1 = ValuationModel.exponential(1.0)
 UNI = ValuationModel.uniform(5.0, 15.0)
+
+
+@pytest.fixture(params=[1, 2, 3])
+def workers(request, monkeypatch):
+    """Chunks tiled into 1, 2 or 3 trial ranges, each as small as one trial."""
+    monkeypatch.setattr(simulator, "WORKERS", request.param)
+    monkeypatch.setattr(simulator, "SHARE_TRIALS", 1)
+    return request.param
 
 
 def test_no_demand_gives_zero():
@@ -141,6 +152,20 @@ def _discrete_oracle(model, alpha, price_lookup, capacity, horizon, trials, seed
     return profits, served
 
 
+@functools.cache
+def _discrete_reports(model, alpha, k, T, trials, seed, flat):
+    """The slot oracle's simulate_discrete and simulate_policy_regret reports."""
+    schedule, _ = build_pricing(model, alpha, k, T)
+    opt, served = _discrete_oracle(model, alpha, schedule.prices, k, T, trials, seed)
+    fixed, _ = _discrete_oracle(model, alpha, np.full_like(schedule.prices, flat), k, T,
+                                trials, seed)
+    diff = opt - fixed
+    return schedule, simulator._report(opt, served, k, seed), RegretReport(
+        optimal_mean=float(opt.mean()), fixed_price_mean=float(fixed.mean()),
+        paired_std_error=float(diff.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0,
+        trials=trials, seed=seed)
+
+
 @pytest.mark.parametrize("model, alpha, k, T, trials, seed, flat", [
     (EXP1, 0.8, 2, 10, 30_000, 23, 1.0),
     (UNI, 0.5, 1, 5, 20_000, 23, 7.5),
@@ -149,21 +174,15 @@ def _discrete_oracle(model, alpha, price_lookup, capacity, horizon, trials, seed
     (EXP1, 0.3, 2, 7, 1, 3, 0.0),
     (EXP1, 0.5, 1, 3, simulator.CHUNK_TRIALS + 17, 5, 1.2),
 ])
-def test_discrete_replays_match_slot_oracle(model, alpha, k, T, trials, seed, flat):
-    schedule, _ = build_pricing(model, alpha, k, T)
-    opt, served = _discrete_oracle(model, alpha, schedule.prices, k, T, trials, seed)
-    assert simulate_discrete(model, alpha, schedule, k, T, trials, seed) == simulator._report(
-        opt, served, k, seed)
-
-    fixed, _ = _discrete_oracle(model, alpha, np.full_like(schedule.prices, flat), k, T,
-                                trials, seed)
-    diff = opt - fixed
-    assert simulate_policy_regret(model, alpha, k, T, trials, seed, flat) == RegretReport(
-        optimal_mean=float(opt.mean()), fixed_price_mean=float(fixed.mean()),
-        paired_std_error=float(diff.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0,
-        trials=trials, seed=seed)
+def test_discrete_replays_match_slot_oracle(workers, model, alpha, k, T, trials, seed, flat):
+    # With 2 or 3 shares, 20 000, 5 000 and the 17-trial last chunk split
+    # unevenly, and 2 trials make fewer shares than 3 workers.
+    schedule, report, regret = _discrete_reports(model, alpha, k, T, trials, seed, flat)
+    assert simulate_discrete(model, alpha, schedule, k, T, trials, seed) == report
+    assert simulate_policy_regret(model, alpha, k, T, trials, seed, flat) == regret
 
 
+@functools.cache
 def _continuous_oracle(lam, arrival_rate, capacity, horizon, trials, seed):
     """The former column loop: every row scanned in every column, the draws
     transformed up front, and a separate series call for each level."""
@@ -212,7 +231,7 @@ def _continuous_oracle(lam, arrival_rate, capacity, horizon, trials, seed):
     # the last block of each chunk is partial
     (1.0, 0.5, 3, 1.0, simulator.CHUNK_TRIALS + simulator.BLOCK_ROWS + 3, 10),
 ])
-def test_continuous_matches_column_oracle(lam, rate, k, T, trials, seed):
+def test_continuous_matches_column_oracle(workers, lam, rate, k, T, trials, seed):
     assert simulate_continuous(lam, rate, k, T, trials, seed) == _continuous_oracle(
         lam, rate, k, T, trials, seed)
 
@@ -224,7 +243,9 @@ def test_continuous_matches_column_oracle(lam, rate, k, T, trials, seed):
     (0.5, 3.0, 4, 0.0, 100, 5),
     (1.0, 1.0, 3, 2.0, 1, 7),
 ])
-def test_continuous_block_height_is_invisible(monkeypatch, lam, rate, k, T, trials, seed):
+def test_continuous_block_height_is_invisible(monkeypatch, workers, lam, rate, k, T, trials,
+                                              seed):
+    # Ranges of 333 or 334 and 234 or 235 trials end in partial blocks.
     monkeypatch.setattr(simulator, "BLOCK_ROWS", 7)
     assert simulate_continuous(lam, rate, k, T, trials, seed) == _continuous_oracle(
         lam, rate, k, T, trials, seed)
@@ -275,9 +296,11 @@ def test_continuous_sales_unchanged_at_the_quote_floor(lam):
     assert 0 < np.count_nonzero(want[0]) < np.count_nonzero(counts)
 
 
-def test_continuous_replay_memory_is_bounded():
-    # rate * T = 100 over one full chunk: the whole (trials, top) draw
-    # matrices took about 628 MiB, one block of them takes a few tens.
+def test_continuous_replay_memory_is_bounded(monkeypatch):
+    # rate * T = 100 over one full chunk, played as two ranges at once: the
+    # whole (trials, top) draw matrices took about 628 MiB, and the blocks
+    # in flight take at most 2 * BLOCK_CELLS draws, 16 MiB.
+    monkeypatch.setattr(simulator, "WORKERS", 2)
     tracemalloc.start()
     try:
         simulate_continuous(1.0, 20.0, 1, 5.0, 250_000, seed=31)
@@ -285,3 +308,52 @@ def test_continuous_replay_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_more_shares_than_cpus_switching_often_give_the_serial_reports(monkeypatch):
+    # A lost or misplaced write of one share's results would change a report.
+    schedule, _ = build_pricing(UNI, 0.6, 3, 8)
+
+    def run():
+        return (simulate_continuous(1.0, 2.0, 3, 5.0, 5_000, seed=12),
+                simulate_discrete(UNI, 0.6, schedule, 3, 8, 5_000, seed=12),
+                simulate_policy_regret(UNI, 0.6, 3, 8, 5_000, 12, 10.0))
+
+    monkeypatch.setattr(simulator, "WORKERS", 1)
+    serial = run()
+    monkeypatch.setattr(simulator, "WORKERS", 8)
+    monkeypatch.setattr(simulator, "SHARE_TRIALS", 1)
+    monkeypatch.setattr(simulator, "BLOCK_ROWS", 64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run() == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _BlockFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("on_caller", [True, False])
+def test_failing_block_raises_and_leaves_no_thread(monkeypatch, on_caller):
+    # One block fails, on the calling thread's range or on a worker's.
+    monkeypatch.setattr(simulator, "WORKERS", 3)
+    monkeypatch.setattr(simulator, "SHARE_TRIALS", 1)
+    monkeypatch.setattr(simulator, "BLOCK_ROWS", 7)
+    play, lock, failed = simulator._play_block, threading.Lock(), []
+
+    def play_block(*args):
+        with lock:
+            if not failed and (threading.current_thread() is threading.main_thread()) == on_caller:
+                failed.append(threading.current_thread().name)
+                raise _BlockFailed
+        return play(*args)
+
+    monkeypatch.setattr(simulator, "_play_block", play_block)
+    before = threading.active_count()
+    with pytest.raises(_BlockFailed):
+        simulate_continuous(1.0, 2.0, 3, 5.0, 300, seed=1)
+    assert threading.active_count() == before
+    assert len(failed) == 1
