@@ -15,10 +15,9 @@ from .allocation import (AllocationDecision, Regime, allocate_continuous,
                          high_regime_threshold, low_regime_threshold)
 from .benchmark import complete_info_profit, profit_ratio_curve, variance_sweep
 from .deployment import (BestHotspot, DeploymentPlan, DeploymentProfile,
-                         FleetConfig, ForkingCheck, Hotspot, RouteInstance,
-                         RouteResult, best_single_hotspot, compositions,
+                         FleetConfig, ForkingCheck, Hotspot, best_single_hotspot,
                          forking_condition, load_hotspots, optimal_deployment,
-                         optimal_deployment_continuous, route_oracle)
+                         optimal_deployment_continuous)
 from .pricing import (PriceSchedule, ProfitTable, build_pricing,
                       continuous_profit_numeric, evaluate_schedule,
                       expected_profit_closed_form, log_capacity_series,
@@ -26,23 +25,21 @@ from .pricing import (PriceSchedule, ProfitTable, build_pricing,
                       solve_stage_price)
 from .simulator import (RegretReport, SimulationReport, simulate_continuous,
                         simulate_discrete, simulate_policy_regret)
-from .valuations import ParameterError, ValuationModel, check_regularity
+from .valuations import ParameterError, ValuationModel
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AllocationDecision", "BestHotspot", "DeploymentPlan", "DeploymentProfile",
     "FleetConfig", "ForkingCheck", "Hotspot", "ParameterError", "PriceSchedule",
-    "ProfitTable", "Regime", "RegretReport", "RouteInstance", "RouteResult",
-    "SimulationReport", "ValuationModel",
+    "ProfitTable", "Regime", "RegretReport", "SimulationReport", "ValuationModel",
     "allocate_continuous", "allocate_discrete", "best_single_hotspot",
-    "build_pricing", "capacity_argmax", "check_regularity",
-    "complete_info_profit", "compositions",
+    "build_pricing", "capacity_argmax", "complete_info_profit",
     "continuous_profit_numeric", "evaluate_schedule",
     "expected_profit_closed_form", "forking_condition", "high_regime_threshold",
     "load_hotspots", "log_capacity_series", "low_regime_threshold",
     "optimal_deployment", "optimal_deployment_continuous", "price_closed_form",
-    "profit_ratio_curve", "profit_step", "route_oracle", "schedule_csv_rows",
+    "profit_ratio_curve", "profit_step", "schedule_csv_rows",
     "simulate_continuous", "simulate_discrete", "simulate_policy_regret",
     "solve_stage_price", "variance_sweep",
 ]

@@ -4,10 +4,10 @@ With budget B and per-user service cost c, choosing capacity k leaves T = B - ck
 hovering slots, so the planner solves max_k R_k(B - ck). The discrete search
 simply evaluates every feasible k (at most floor(B / (1 + c)) of them, since
 capacity beyond the hovering time is wasted), for a whole alpha sweep from one
-table sweep. The same search, with the
-capacity cost shared by a group of pooled vehicles, prices every group size
-at every hotspot from one batched table sweep. The continuous relaxation
-with exponential valuations admits a threshold policy in the arrival rate a':
+table sweep. The same search, with the capacity cost shared by a group of
+pooled vehicles, prices every group size at every hotspot from one batched
+table sweep. The continuous relaxation with exponential valuations admits a
+threshold policy in the arrival rate a':
 
 * low regime, a' <= 2ce / (B - 2c)^2: a single unit (k* = 1) and maximum
   hovering time beat everything;
@@ -20,12 +20,11 @@ where S_1(x_1) = S_2(x_2), and the high root is where S_{k_top}(x_top) =
 S_{k_top - 1}(x_next). So the regime is read off the k* of the search over
 every feasible k, with no threshold evaluated: k* = 1 is low and k* =
 floor(B / c) is high. The thresholds stay public as the paper's closed
-forms. The search, ``_best_series_capacity``, also serves
-``capacity_argmax``, the continuous
-fleet planner and the forking check; it bounds each search's capacity
-itself and scores the k of many searches in one call. It skips, exactly,
-every k that cannot win: log S_k(x) <= x, x_k falls as k grows, and the
-largest term of any feasible k's series bounds the maximum from below.
+forms. The search, ``_best_series_capacity``, also serves ``capacity_argmax``,
+the continuous fleet planner and the forking check; it bounds each search's
+capacity itself and scores the k of many searches in one call. It skips,
+exactly, every k that cannot win: log S_k(x) <= x, x_k falls as k grows, and
+the largest term of any feasible k's series bounds the maximum from below.
 """
 
 from __future__ import annotations
@@ -80,9 +79,7 @@ def allocate_discrete(model: ValuationModel, alpha, budget: int,
     if service_cost <= 0:
         raise ParameterError(f"service cost must be positive, got {service_cost}")
     if budget < 1 + service_cost:
-        raise ParameterError(
-            f"budget {budget} cannot cover one user plus one hovering slot"
-        )
+        raise ParameterError(f"budget {budget} cannot cover one user plus one hovering slot")
     if np.ndim(alpha) > 1:
         raise ParameterError(f"alpha must be a scalar or 1-d, got shape {np.shape(alpha)}")
 
@@ -96,8 +93,8 @@ def allocate_discrete(model: ValuationModel, alpha, budget: int,
 
 # -- "best capacity for a budget": one discrete and one continuous search -----
 
-# Absorbs float noise where c * k / n, avail / (1 + c / n), n * avail / c or
-# route_oracle's residual / energy step lands on a whole number before a floor.
+# Absorbs float noise where c * k / n, avail / (1 + c / n) or n * avail / c
+# lands on a whole number before a floor.
 _POOL_EPS = 1e-9
 
 

@@ -98,9 +98,7 @@ def variance_sweep(mean: float, variances: list[float], alpha: float,
         half = np.sqrt(3.0 * var) if var > 0 else DEGENERATE_HALF_WIDTH
         lower = mean - half
         if lower < 0:
-            raise ParameterError(
-                f"variance {var} drives the lower support bound below zero"
-            )
+            raise ParameterError(f"variance {var} drives the lower support bound below zero")
         model = ValuationModel.uniform(lower, mean + half)
         _, table = build_pricing(model, alpha, capacity, horizon)
         bench = complete_info_profit(model, alpha, capacity, horizon)

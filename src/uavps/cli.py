@@ -47,10 +47,10 @@ def parse_sweep(text: str) -> list[float]:
     return out
 
 def parse_int_list(text: str) -> list[int]:
-    """Parse comma-separated integers; a config file may give any JSON value."""
+    """Parse comma-separated integers."""
     try:
         return [int(x) for x in text.split(",")]
-    except (AttributeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParameterError(f"bad integer list {text!r}") from exc
 
 
@@ -292,14 +292,23 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """A subcommand parser that records the dest of each flag spelling."""
+    """A subcommand parser that records the action of each flag spelling."""
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
-        dests = vars(self).setdefault("dests", {})  # __init__ adds -h through here
+        flags = vars(self).setdefault("flags", {})  # __init__ adds -h through here
         for name in (action.dest, *action.option_strings):
-            dests[name.lstrip("-").replace("-", "_")] = action.dest
+            flags[name.lstrip("-").replace("-", "_")] = action
         return action
+
+
+def _config_default(action: argparse.Action, value):
+    """A config file value as a flag default, if its JSON type fits the flag: a
+    bool for a switch, a number or a string for a typed flag, a string else."""
+    fits = (bool,) if action.nargs == 0 else (str, int, float) if action.type else (str,)
+    if type(value) not in fits:
+        raise ParameterError(f"config value {value!r} does not fit {action.option_strings[0]}")
+    return value
 
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
@@ -383,9 +392,12 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_benchmark)
 
-    config = {key.replace("-", "_"): value for key, value in (config or {}).items()}
+    # A null value leaves the flag unset, at its parser default.
+    config = {key.replace("-", "_"): value for key, value in (config or {}).items()
+              if value is not None}
     for p in sub.choices.values():
-        p.set_defaults(**{p.dests[k]: v for k, v in config.items() if k in p.dests})
+        p.set_defaults(**{p.flags[k].dest: _config_default(p.flags[k], v)
+                          for k, v in config.items() if k in p.flags})
     return parser
 
 

@@ -22,23 +22,16 @@ the continuous one runs every (hotspot, group) search in one call of
 A plan's total is the left-to-right float sum of its served hotspots'
 profits, and exact ties go to the lexicographically greatest profile; the
 planner reproduces enumeration bit for bit, profile, decisions and total
-alike. ``compositions`` stays as the enumerator of ``route_oracle`` and as
-the reference the planner is tested against.
+alike. A group serves one hotspot: a lone vehicle never gains by splitting
+its energy along a multi-hotspot route.
 
-Two verification tools accompany the planner:
-
-* ``route_oracle`` exhaustively enumerates every ordered hotspot subset and
-  every grid-aligned energy partition for a single vehicle. Its optimum is
-  always a single-hotspot route with the full residual budget, which the
-  planner's per-hotspot reduction relies on.
-* ``forking_condition`` evaluates the sufficient condition under which a
-  fleet splits across the two best hotspots instead of all pooling on the
-  first best (continuous relaxation, exponential valuations).
+``forking_condition`` evaluates the sufficient condition under which a fleet
+splits across the two best hotspots instead of all pooling on the first best
+(continuous relaxation, exponential valuations).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -46,8 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .allocation import (_POOL_EPS, AllocationDecision, _best_series_capacity,
-                         _pooled_decisions)
+from .allocation import AllocationDecision, _best_series_capacity, _pooled_decisions
 from .pricing import _log_series
 from .valuations import ParameterError, ValuationModel
 
@@ -110,41 +102,10 @@ class DeploymentPlan:
                 yield m, n, dec.k_star, dec.t_star, dec.profit
 
 
-@dataclass(frozen=True)
-class RouteInstance:
-    """Hotspots plus symmetric inter-hotspot flying distances.
-
-    No triangle inequality is imposed; only symmetry, a zero diagonal and
-    nonnegativity are validated.
-    """
-
-    hotspots: tuple[Hotspot, ...]
-    pairwise: np.ndarray
-
-    def __post_init__(self):
-        m = len(self.hotspots)
-        d = np.asarray(self.pairwise, dtype=float)
-        if d.shape != (m, m):
-            raise ParameterError(f"pairwise matrix must be {m}x{m}, got {d.shape}")
-        if np.any(d < 0):
-            raise ParameterError("inter-hotspot distances must be nonnegative")
-        if np.any(np.diag(d) != 0):
-            raise ParameterError("pairwise matrix must have a zero diagonal")
-        if not np.allclose(d, d.T, atol=1e-12):
-            raise ParameterError("pairwise matrix must be symmetric")
-        object.__setattr__(self, "pairwise", d)
-
-
 class BestHotspot(NamedTuple):
     index: int
     decision: AllocationDecision
     ranking: list[int]
-
-
-class RouteResult(NamedTuple):
-    route: tuple[int, ...]
-    budgets: tuple[float, ...]
-    profit: float
 
 
 class ForkingCheck(NamedTuple):
@@ -154,26 +115,6 @@ class ForkingCheck(NamedTuple):
 
 
 # -- fleet-wide planning ------------------------------------------------------
-
-
-def compositions(total: int, caps: list[int]):
-    """Yield tuples of nonnegative parts summing to ``total`` with per-slot caps,
-    in lexicographic order.
-
-    Enumerates the energy partitions of ``route_oracle``; scoring every fleet
-    composition this way is the reference the fleet planner is tested against.
-    """
-    m = len(caps)
-
-    def rec(pos, remaining, prefix):
-        if pos == m - 1:
-            if remaining <= caps[pos]:
-                yield prefix + (remaining,)
-            return
-        for n in range(0, min(caps[pos], remaining) + 1):
-            yield from rec(pos + 1, remaining - n, prefix + (n,))
-
-    yield from rec(0, total, ())
 
 
 def _plan_fleet(options: list[list[AllocationDecision] | None],
@@ -279,66 +220,6 @@ def best_single_hotspot(hotspots: list[Hotspot], fleet: FleetConfig) -> BestHots
     return BestHotspot(index=best, decision=decisions[best], ranking=ranking)
 
 
-# -- single-vehicle routing oracle -------------------------------------------
-
-
-def route_oracle(instance: RouteInstance, fleet: FleetConfig,
-                 energy_step: int = 1) -> RouteResult:
-    """Brute-force the best multi-hotspot route for one vehicle.
-
-    Enumerates every ordered subset of hotspots and every energy partition on
-    the given grid whose parts sum to the residual budget after flying the
-    route. When the residual is not a grid multiple, the fractional remainder
-    is attached to each stop in turn so the full budget is always spendable.
-    Factorial enumeration caps the instance at three hotspots.
-    """
-    m = len(instance.hotspots)
-    if m > 3:
-        raise ParameterError(f"route oracle enumerates at most 3 hotspots, got {m}")
-    if energy_step < 1 or energy_step != int(energy_step):
-        raise ParameterError(f"energy grid step must be a positive integer, got {energy_step}")
-
-    model = fleet.valuation
-    cost = fleet.service_cost
-    cache: dict[tuple[int, float], float] = {}
-
-    def spot_profit(idx: int, budget: float) -> float:
-        key = (idx, round(budget, 9))
-        if key not in cache:  # no budget funds no unit: a zero-profit decision
-            cache[key] = _pooled_decisions(model, (instance.hotspots[idx].alpha,),
-                                           (budget,), cost, (1,))[0][0].profit
-        return cache[key]
-
-    best = RouteResult(route=(), budgets=(), profit=0.0)
-    for size in range(1, m + 1):
-        for route in itertools.permutations(range(m), size):
-            dist = instance.hotspots[route[0]].distance
-            for a, b in zip(route, route[1:]):
-                dist += instance.pairwise[a, b]
-            residual = fleet.initial_budget - dist
-            if residual < 0:
-                continue
-            units = int(residual // energy_step + _POOL_EPS)
-            remainder = residual - units * energy_step
-            for parts in compositions(units, [units] * size):
-                base = [p * energy_step for p in parts]
-                if remainder > _POOL_EPS:
-                    variants = []
-                    for q in range(size):
-                        bumped = list(base)
-                        bumped[q] += remainder
-                        variants.append(bumped)
-                else:
-                    variants = [base]
-                for budgets in variants:
-                    profit = sum(spot_profit(i, bdg)
-                                 for i, bdg in zip(route, budgets))
-                    if profit > best.profit:
-                        best = RouteResult(route=route, budgets=tuple(budgets),
-                                           profit=profit)
-    return best
-
-
 # -- continuous relaxation: pooling and forking ------------------------------
 
 
@@ -428,13 +309,13 @@ def load_hotspots(path: str) -> list[Hotspot]:
         raise ParameterError(f"{path}: expected a nonempty JSON array of hotspots")
     spots = []
     for i, entry in enumerate(raw):
-        unknown = set(entry) - {"alpha", "distance"}
-        if unknown:
-            raise ParameterError(f"{path}: hotspot {i} has unknown keys {sorted(unknown)}")
+        if not isinstance(entry, dict) or set(entry) != {"alpha", "distance"}:
+            raise ParameterError(f"{path}: hotspot {i} must be an object with the keys "
+                                 f"alpha and distance, got {entry!r}")
         try:
             spots.append(Hotspot(alpha=float(entry["alpha"]),
                                  distance=float(entry["distance"])))
-        except KeyError as exc:
-            raise ParameterError(f"{path}: hotspot {i} missing key {exc}") from exc
+        except TypeError as exc:  # a float() of null, a list or an object
+            raise ParameterError(f"{path}: hotspot {i} needs numbers, got {entry!r}") from exc
     return spots
 

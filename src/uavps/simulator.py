@@ -116,12 +116,9 @@ def _play_shares(play, shares: list[tuple[int, int]]) -> None:
             future.result()
 
 
-def _chunk_sizes(trials: int):
+def _chunk_sizes(trials: int) -> list[int]:
     full, rest = divmod(trials, CHUNK_TRIALS)
-    sizes = [CHUNK_TRIALS] * full
-    if rest:
-        sizes.append(rest)
-    return sizes
+    return [CHUNK_TRIALS] * full + ([rest] if rest else [])
 
 
 def _report(profits: np.ndarray, served: np.ndarray, capacity: int,

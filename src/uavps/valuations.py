@@ -57,9 +57,8 @@ class ValuationModel:
             if not self.lower >= 0:
                 raise ParameterError(f"uniform lower bound must be >= 0, got {self.lower}")
             if not self.lower < self.upper:
-                raise ParameterError(
-                    f"uniform needs lower < upper, got [{self.lower}, {self.upper}]"
-                )
+                raise ParameterError(f"uniform needs lower < upper, "
+                                     f"got [{self.lower}, {self.upper}]")
             if self.rate is not None:
                 raise ParameterError("uniform model takes no rate")
         else:
@@ -72,6 +71,25 @@ class ValuationModel:
     @classmethod
     def uniform(cls, lower: float, upper: float) -> "ValuationModel":
         return cls(kind=UNIFORM, lower=float(lower), upper=float(upper))
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ValuationModel":
+        kind = data.get("kind")
+        if kind == EXPONENTIAL:
+            expected = {"kind", "rate"}
+        elif kind == UNIFORM:
+            expected = {"kind", "lower", "upper"}
+        else:
+            raise ParameterError(f"unknown valuation family {kind!r}")
+        unknown = set(data) - expected
+        if unknown:
+            raise ParameterError(f"unknown valuation keys: {sorted(unknown)}")
+        missing = expected - set(data)
+        if missing:
+            raise ParameterError(f"missing valuation keys: {sorted(missing)}")
+        if kind == EXPONENTIAL:
+            return cls.exponential(data["rate"])
+        return cls.uniform(data["lower"], data["upper"])
 
     # -- basic accessors ---------------------------------------------------
 
@@ -101,7 +119,9 @@ class ValuationModel:
         """f(v); zero outside the support."""
         v = np.asarray(v, dtype=float)
         if self.kind == EXPONENTIAL:
-            out = np.where(v < 0.0, 0.0, self.rate * np.exp(-self.rate * np.maximum(v, 0.0)))
+            # exp(-746) is 0: capping rate * v there, as in cdf, changes no value.
+            out = np.where(v < 0.0, 0.0, self.rate * np.exp(
+                -self.rate * np.minimum(np.maximum(v, 0.0), 746.0 / self.rate)))
         else:
             inside = (v >= self.lower) & (v <= self.upper)
             out = np.where(inside, 1.0 / (self.upper - self.lower), 0.0)
@@ -189,52 +209,3 @@ class ValuationModel:
         a, b = self.lower, self.upper
         p = min(max(0.5 * (delta + b), a), b)
         return (p - delta) * (1.0 - (p - a) / (b - a))
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        if self.kind == EXPONENTIAL:
-            return {"kind": EXPONENTIAL, "rate": self.rate}
-        return {"kind": UNIFORM, "lower": self.lower, "upper": self.upper}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ValuationModel":
-        kind = data.get("kind")
-        if kind == EXPONENTIAL:
-            expected = {"kind", "rate"}
-        elif kind == UNIFORM:
-            expected = {"kind", "lower", "upper"}
-        else:
-            raise ParameterError(f"unknown valuation family {kind!r}")
-        unknown = set(data) - expected
-        if unknown:
-            raise ParameterError(f"unknown valuation keys: {sorted(unknown)}")
-        missing = expected - set(data)
-        if missing:
-            raise ParameterError(f"missing valuation keys: {sorted(missing)}")
-        if kind == EXPONENTIAL:
-            return cls.exponential(data["rate"])
-        return cls.uniform(data["lower"], data["upper"])
-
-
-# Quantile used to truncate the unbounded exponential support when a finite
-# inspection window is needed.
-REGULARITY_QUANTILE = 0.9999
-
-
-def check_regularity(model, grid_points: int) -> bool:
-    """Check that the virtual value is nondecreasing on an even grid.
-
-    The grid spans the support; an unbounded upper end is truncated at the
-    REGULARITY_QUANTILE quantile. Any object exposing ``support``, ``sample``
-    and ``virtual_value`` can be checked, which lets tests probe deliberately
-    irregular constructions.
-    """
-    if grid_points < 2:
-        raise ParameterError("need at least two grid points")
-    lo, hi = model.support()
-    if math.isinf(hi):
-        hi = model.sample(REGULARITY_QUANTILE)
-    grid = np.linspace(lo, hi, grid_points)
-    phi = np.array([model.virtual_value(x) for x in grid])
-    return bool(np.all(np.diff(phi) >= -1e-12))

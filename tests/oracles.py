@@ -1,0 +1,81 @@
+"""Brute-force oracles that the tests check the library against.
+
+Each one enumerates what the library computes by closed form or by a pruned
+search, so it is slow and takes only the small inputs the tests give it, with
+no validation of its own.
+"""
+
+import itertools
+import math
+
+import numpy as np
+
+from uavps.allocation import _pooled_decisions
+
+
+def compositions(total, caps):
+    """Yield tuples of nonnegative parts summing to ``total`` with per-slot caps,
+    in lexicographic order."""
+    m = len(caps)
+
+    def rec(pos, remaining, prefix):
+        if pos == m - 1:
+            if remaining <= caps[pos]:
+                yield prefix + (remaining,)
+            return
+        for n in range(0, min(caps[pos], remaining) + 1):
+            yield from rec(pos + 1, remaining - n, prefix + (n,))
+
+    yield from rec(0, total, ())
+
+
+def route_oracle(hotspots, pairwise, fleet):
+    """(route, budgets, profit) of the best multi-hotspot route for one vehicle.
+
+    Enumerates every ordered subset of ``hotspots`` and every split into whole
+    energy units of the budget left after flying the route, ``pairwise[a, b]``
+    being the flight from hotspot a to b. A fractional remainder of that budget
+    goes to each stop in turn, so the full budget is always spent.
+    """
+    cache = {}
+
+    def spot_profit(idx, budget):
+        key = (idx, round(budget, 9))
+        if key not in cache:  # no budget funds no unit: a zero-profit decision
+            cache[key] = _pooled_decisions(fleet.valuation, (hotspots[idx].alpha,), (budget,),
+                                           fleet.service_cost, (1,))[0][0].profit
+        return cache[key]
+
+    best = ((), (), 0.0)
+    for size in range(1, len(hotspots) + 1):
+        for route in itertools.permutations(range(len(hotspots)), size):
+            dist = hotspots[route[0]].distance
+            for a, b in zip(route, route[1:]):
+                dist += pairwise[a, b]
+            residual = fleet.initial_budget - dist
+            if residual < 0:
+                continue
+            units = int(residual)
+            remainder = residual - units
+            for parts in compositions(units, [units] * size):
+                variants = ([parts[:q] + (parts[q] + remainder,) + parts[q + 1:]
+                             for q in range(size)] if remainder > 1e-9 else [parts])
+                for budgets in variants:
+                    profit = sum(spot_profit(i, b) for i, b in zip(route, budgets))
+                    if profit > best[2]:
+                        best = (route, budgets, profit)
+    return best
+
+
+def check_regularity(model):
+    """Whether the virtual value is nondecreasing on 100 even points of the
+    support, an unbounded upper end cut at the 0.9999 quantile.
+
+    Any object with ``support``, ``sample`` and ``virtual_value`` can be
+    checked, so tests can probe deliberately irregular constructions.
+    """
+    lo, hi = model.support()
+    if math.isinf(hi):
+        hi = model.sample(0.9999)
+    phi = np.array([model.virtual_value(x) for x in np.linspace(lo, hi, 100)])
+    return bool(np.all(np.diff(phi) >= -1e-12))

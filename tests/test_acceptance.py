@@ -20,14 +20,14 @@ from uavps import cli
 from uavps.allocation import (allocate_continuous, allocate_discrete,
                               high_regime_threshold, low_regime_threshold)
 from uavps.benchmark import complete_info_profit, variance_sweep
-from uavps.deployment import (FleetConfig, Hotspot, RouteInstance,
-                              best_single_hotspot, compositions,
-                              forking_condition, optimal_deployment,
-                              route_oracle)
+from uavps.deployment import (FleetConfig, Hotspot, best_single_hotspot,
+                              forking_condition, optimal_deployment)
 from uavps.pricing import (build_pricing, continuous_profit_numeric,
                            expected_profit_closed_form, price_closed_form)
 from uavps.simulator import simulate_continuous, simulate_discrete
 from uavps.valuations import ValuationModel
+
+from oracles import compositions, route_oracle
 
 EXP1 = ValuationModel.exponential(1.0)
 UNI = ValuationModel.uniform(5.0, 15.0)
@@ -277,9 +277,9 @@ def test_criterion_08_single_vehicle_routing_oracle():
                             service_cost=float(rng.integers(1, 4)),
                             valuation=EXP1)
         spots = [Hotspot(float(a), d) for a, d in zip(alphas, dists)]
-        oracle = route_oracle(RouteInstance(tuple(spots), pair), fleet, 1)
+        oracle = route_oracle(spots, pair, fleet)
         single = best_single_hotspot(spots, fleet)
-        if abs(oracle.profit - single.decision.profit) > 1e-9:
+        if abs(oracle[2] - single.decision.profit) > 1e-9:
             failures.append((m, oracle, single))
 
     for _ in range(20):
@@ -292,9 +292,9 @@ def test_criterion_08_single_vehicle_routing_oracle():
     pair = np.array([[0.0, 4.0], [4.0, 0.0]])
     fleet = FleetConfig(count=1, initial_budget=20.0, service_cost=2.0,
                         valuation=EXP1)
-    oracle = route_oracle(RouteInstance(tuple(spots), pair), fleet, 1)
+    oracle = route_oracle(spots, pair, fleet)
     single = best_single_hotspot(spots, fleet)
-    if abs(oracle.profit - single.decision.profit) > 1e-9:
+    if abs(oracle[2] - single.decision.profit) > 1e-9:
         failures.append(("bypass", oracle, single))
 
     elapsed = time.perf_counter() - start

@@ -260,6 +260,8 @@ SPOT_FILES = {
     "order": [{"alpha": 0.2, "distance": 5.0}, {"alpha": 0.8, "distance": 5.0}],
     "zero_alpha": [{"alpha": 0.0, "distance": 5.0}],
     "nan_alpha": [{"alpha": float("nan"), "distance": 5.0}],
+    "not_objects": [1, 2],
+    "null_alpha": [{"alpha": None, "distance": 1}],
 }
 
 # A --config value skips argparse's type=int: a whole float must still work,
@@ -269,7 +271,10 @@ CONFIG_FILES = {"k_frac": {"k": 2.5}, "k_whole": {"k": 2.0},
                 "trials_frac": {"trials": 100.5}, "trials_whole": {"trials": 500.0},
                 "seed_frac": {"seed": 1.5}, "seed_whole": {"seed": 3.0},
                 "T_step_frac": {"T_step": 2.5}, "T_step_whole": {"T_step": 2.0},
-                "k_list_int": {"k_list": 2}}
+                "k_list_int": {"k_list": 2}, "seed_null": {"seed": None},
+                "alpha_sweep_int": {"alpha_sweep": 5}, "variances_int": {"variances": 3},
+                "alpha_list": {"alpha": [0.5, 0.6]}, "out_int": {"out": 1},
+                "hotspots_int": {"hotspots": 3}, "forking_str": {"check_forking": "false"}}
 
 
 def _configured(name, base, flag):
@@ -378,7 +383,8 @@ def _cases():
                (f"config-{name}-seed-3.0", _configured("seed_whole", base, "--seed"))]
         bad += [(f"config-{name}-trials-100.5", _configured("trials_frac", base, "--trials")),
                 (f"config-{name}-seed-1.5", _configured("seed_frac", base, "--seed"))]
-    ok.append(("config-ratio-T-step-2.0", _configured("T_step_whole", RATIO, "--T-step")))
+    ok += [("config-ratio-T-step-2.0", _configured("T_step_whole", RATIO, "--T-step")),
+           ("config-simulate-d-seed-null", _configured("seed_null", SIM_D, "--seed"))]
     bad += [("config-ratio-T-step-2.5", _configured("T_step_frac", RATIO, "--T-step")),
             ("config-ratio-k-list-2", _configured("k_list_int", RATIO, "--k-list"))]
     return [pytest.param(argv, 0, id=name) for name, argv in ok] + \
@@ -421,6 +427,19 @@ MOVED_TO_2 = [
     # Exited 1 with numpy's "expected non-negative integer" from SeedSequence.
     ("simulate-d-seed--1", _set(SIM_D, "--seed", "-1")),
     ("simulate-c-seed--1", _set(SIM_C, "--seed", "-1")),
+    # TypeError tracebacks from a hotspot that is no object or has a null rate.
+    ("deploy-not-objects", _set(DEPLOY, "--hotspots", "{not_objects}")),
+    ("deploy-null-alpha", _set(DEPLOY, "--hotspots", "{null_alpha}")),
+    # Config values of the wrong JSON type. Two sweeps exited 1 with an
+    # AttributeError and a list alpha with a TypeError; an int --out wrote the
+    # CSV onto file descriptor 1 and an int --hotspots read descriptor 3; the
+    # string "false" switched the forking check on.
+    ("config-allocate-sweep-int", _configured("alpha_sweep_int", ALLOC_D, "--alpha")),
+    ("config-variance-variances-int", _configured("variances_int", VAR, "--variances")),
+    ("config-price-d-alpha-list", _configured("alpha_list", PRICE_D, "--alpha")),
+    ("config-price-d-out-int", ["--config", "{out_int}", *PRICE_D]),
+    ("config-deploy-hotspots-int", _configured("hotspots_int", DEPLOY, "--hotspots")),
+    ("config-deploy-forking-str", ["--config", "{forking_str}", *DEPLOY]),
 ]
 
 

@@ -16,13 +16,14 @@ import uavps.deployment
 from uavps.allocation import (AllocationDecision, _best_series_capacity,
                               _pooled_decisions, allocate_discrete)
 from uavps.deployment import (DeploymentPlan, DeploymentProfile, FleetConfig,
-                              Hotspot, RouteInstance, _plan_fleet,
-                              best_single_hotspot, compositions,
+                              Hotspot, _plan_fleet, best_single_hotspot,
                               forking_condition, load_hotspots,
                               optimal_deployment,
-                              optimal_deployment_continuous, route_oracle)
+                              optimal_deployment_continuous)
 from uavps.pricing import _log_series, build_pricing
 from uavps.valuations import ValuationModel
+
+from oracles import compositions, route_oracle
 
 EXP1 = ValuationModel.exponential(1.0)
 
@@ -44,7 +45,7 @@ def _triangle_instance(rng, m, budget_range=(14, 22)):
             pair[i, j] = pair[j, i] = float(rng.integers(int(lo), int(hi) + 1))
     spots = [Hotspot(float(a), d) for a, d in zip(alphas, dists)]
     fleet = _fleet(budget=float(rng.integers(*budget_range)))
-    return RouteInstance(tuple(spots), pair), spots, fleet
+    return pair, spots, fleet
 
 
 # -- one pooled group on one hotspot --------------------------------------------
@@ -480,30 +481,23 @@ def test_best_single_trivia():
 # -- route oracle -----------------------------------------------------------------
 
 
-def test_route_oracle_degenerate_and_validation():
-    inst = RouteInstance((Hotspot(0.6, 5.0),), np.zeros((1, 1)))
+def test_route_oracle_degenerate():
     fleet = _fleet(budget=20.0)
-    result = route_oracle(inst, fleet)
-    assert result.route == (0,)
-    assert result.budgets == (15.0,)
-    assert result.profit == pytest.approx(
+    route, budgets, profit = route_oracle((Hotspot(0.6, 5.0),), np.zeros((1, 1)), fleet)
+    assert route == (0,)
+    assert budgets == (15.0,)
+    assert profit == pytest.approx(
         best_single_hotspot([Hotspot(0.6, 5.0)], fleet).decision.profit)
-    with pytest.raises(ValueError):
-        route_oracle(RouteInstance(tuple(Hotspot(0.5, 3.0) for _ in range(4)),
-                                   np.zeros((4, 4))), fleet)
-    with pytest.raises(ValueError):
-        RouteInstance((Hotspot(0.5, 3.0), Hotspot(0.5, 4.0)),
-                      np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
 def test_route_oracle_single_hotspot_dominance_sample():
     rng = np.random.default_rng(77)
     for trial in range(8):
         m = 2 if trial % 2 == 0 else 3
-        inst, spots, fleet = _triangle_instance(rng, m)
-        oracle = route_oracle(inst, fleet, 1)
+        pair, spots, fleet = _triangle_instance(rng, m)
+        profit = route_oracle(spots, pair, fleet)[2]
         single = best_single_hotspot(spots, fleet)
-        assert oracle.profit == pytest.approx(single.decision.profit, abs=1e-9)
+        assert profit == pytest.approx(single.decision.profit, abs=1e-9)
 
 
 def test_continuous_single_vehicle_dominance():
@@ -551,14 +545,13 @@ def test_route_oracle_bypass_allocates_nothing_to_waypoint():
     # Collinear: the way to the far, busy hotspot passes a sleepy one.
     spots = (Hotspot(0.05, 4.0), Hotspot(0.95, 8.0))
     pair = np.array([[0.0, 4.0], [4.0, 0.0]])
-    inst = RouteInstance(spots, pair)
     fleet = _fleet(budget=20.0)
-    result = route_oracle(inst, fleet, 1)
+    route, budgets, profit = route_oracle(spots, pair, fleet)
     single = best_single_hotspot(list(spots), fleet)
     assert single.index == 1
-    assert result.profit == pytest.approx(single.decision.profit, abs=1e-9)
-    if len(result.route) == 2:
-        assert result.budgets[result.route.index(0)] == 0.0
+    assert profit == pytest.approx(single.decision.profit, abs=1e-9)
+    if len(route) == 2:
+        assert budgets[route.index(0)] == 0.0
 
 
 # -- forking -----------------------------------------------------------------------

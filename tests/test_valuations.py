@@ -1,5 +1,6 @@
 """Distribution accessors: closed forms against independent numeric oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from uavps.valuations import ValuationModel, check_regularity
+from uavps.valuations import ValuationModel
+
+from oracles import check_regularity
 
 EXP1 = ValuationModel.exponential(1.0)
 UNI = ValuationModel.uniform(5.0, 15.0)
@@ -100,6 +103,11 @@ def test_virtual_value_closed_forms():
         EXP1.virtual_value(-0.1)
     with pytest.raises(ValueError):
         UNI.virtual_value(4.9)
+    # rate * v overflowed inside pdf, an error under the suite's warning filter;
+    # f(v) underflows to 0 there, where the virtual value is undefined
+    assert ValuationModel.exponential(2.0).pdf(8.98846567431158e+307) == 0.0
+    with pytest.raises(ValueError):
+        ValuationModel.exponential(2.0).virtual_value(8.98846567431158e+307)
 
 
 def test_virtual_value_finite_difference_oracle():
@@ -149,7 +157,7 @@ def test_sample_examples():
 
 @pytest.mark.parametrize("model", MODELS, ids=str)
 def test_check_regularity(model):
-    assert check_regularity(model, 100)
+    assert check_regularity(model)
 
 
 def test_check_regularity_rejects_decreasing_segment():
@@ -165,9 +173,7 @@ def test_check_regularity_rejects_decreasing_segment():
         def virtual_value(self, v):
             return v - 2.0 * math.sin(v)
 
-    assert not check_regularity(Humped(), 100)
-    with pytest.raises(ValueError):
-        check_regularity(EXP1, 1)
+    assert not check_regularity(Humped())
 
 
 @settings(max_examples=200, deadline=None)
@@ -266,7 +272,8 @@ def test_stage_gain_matches_vector_handles(model):
 
 def test_serialization_round_trip():
     for model in MODELS:
-        assert ValuationModel.from_dict(model.to_dict()) == model
+        fields = {k: v for k, v in dataclasses.asdict(model).items() if v is not None}
+        assert ValuationModel.from_dict(fields) == model
     with pytest.raises(ValueError):
         ValuationModel.from_dict({"kind": "exponential", "rate": 1.0, "junk": 1})
     with pytest.raises(ValueError):
