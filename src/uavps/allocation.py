@@ -37,7 +37,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .pricing import _SERIES_MAX_ARG, _log_series, build_pricing
+from .pricing import _SERIES_MAX_ARG, _log_series, _whole, build_pricing
 from .valuations import ParameterError, ValuationModel
 
 # Absorbs float noise in the saturating capacity floor(B / c) at exact
@@ -72,12 +72,7 @@ def allocate_discrete(model: ValuationModel, alpha, budget: int,
     one decision per entry, each the one its scalar alpha gives, from one
     table sweep (a one-entry batch gets a scalar table).
     """
-    if not (float(budget).is_integer() and float(service_cost).is_integer()):
-        raise ParameterError("discrete allocation needs integer budget and service cost, "
-                             f"got {budget} and {service_cost}")
-    budget, service_cost = int(budget), int(service_cost)
-    if service_cost <= 0:
-        raise ParameterError(f"service cost must be positive, got {service_cost}")
+    budget, service_cost = _whole(budget, "budget", 0), _whole(service_cost, "service cost")
     if budget < 1 + service_cost:
         raise ParameterError(f"budget {budget} cannot cover one user plus one hovering slot")
     if np.ndim(alpha) > 1:

@@ -12,7 +12,8 @@ re-parse to exactly the values the library returned, and identical
 configurations (including seeds) produce byte-identical files.
 
 Parameters may also come from a JSON config file via ``--config``; explicit
-flags override file values.
+flags override file values. A file value must have the flag's JSON type and,
+for a flag with choices, be one of them.
 """
 
 from __future__ import annotations
@@ -81,6 +82,14 @@ def write_csv(path: str, header: list[str], rows, params: dict) -> None:
         writer.writerows(rows)
 
 
+def _params(args, *skip: str) -> dict:
+    """The CSV provenance of a run: every parsed flag but the plumbing and
+    ``skip``, labelled by dest, except ``lam``, which is labelled ``lambda``."""
+    skip = {"config", "func", "help", "out", *skip}
+    return {("lambda" if dest == "lam" else dest): value
+            for dest, value in vars(args).items() if dest not in skip}
+
+
 def _need(args, *dests: str) -> None:
     """Fail unless every named flag has a value: the library cannot take None."""
     missing = [d for d in dests if getattr(args, d) is None]
@@ -110,40 +119,32 @@ def _model_from_args(args) -> ValuationModel:
 
 
 def cmd_price(args) -> int:
+    # The library checks that k is whole, as a config file skips type=int.
     _need(args, "k", "T")
-    params = {"command": "price", "mode": args.mode, "model": args.model,
-              "lambda": args.lam, "a": args.a, "b": args.b, "alpha": args.alpha,
-              "arrival_rate": args.arrival_rate, "k": args.k, "T": args.T}
-
-    k = args.k  # the library checks it is whole; a config file skips type=int
     if args.mode == "continuous":
         _need(args, "lam", "arrival_rate")
-        profit = partial(pricing.expected_profit_closed_form, args.lam, args.arrival_rate, k)
-        price = partial(pricing.price_closed_form, args.lam, args.arrival_rate, k)
+        profit = partial(pricing.expected_profit_closed_form, args.lam, args.arrival_rate,
+                         args.k)
+        price = partial(pricing.price_closed_form, args.lam, args.arrival_rate, args.k)
         print(f"{profit(args.T):.6f}")
         if args.out:
             grid = [args.T * i / 100 for i in range(101)]
             write_csv(args.out, ["k", "t", "price", "profit"],
-                      [(k, t, price(t), profit(t)) for t in grid], params)
+                      [(args.k, t, price(t), profit(t)) for t in grid], _params(args))
         return 0
 
     model = _model_from_args(args)
     _need(args, "alpha")
-    schedule, table = pricing.build_pricing(model, args.alpha, k, _slots(args.T))
+    schedule, table = pricing.build_pricing(model, args.alpha, args.k, _slots(args.T))
     print(f"{table.final():.6f}")
     if args.out:
         write_csv(args.out, ["j", "t", "price", "profit"],
-                  pricing.schedule_csv_rows(schedule, table), params)
+                  pricing.schedule_csv_rows(schedule, table), _params(args))
     return 0
 
 
 def cmd_allocate(args) -> int:
     _need(args, "B", "c")
-    params = {"command": "allocate", "mode": args.mode, "model": args.model,
-              "lambda": args.lam, "a": args.a, "b": args.b, "B": args.B,
-              "c": args.c, "alpha": args.alpha, "arrival_rate": args.arrival_rate,
-              "alpha_sweep": args.alpha_sweep}
-
     # The sweep runs over the arrival rate in continuous mode, a decision per
     # point, else over alpha, whose decisions share one table sweep.
     if args.mode == "continuous":
@@ -164,7 +165,7 @@ def cmd_allocate(args) -> int:
     if args.out:
         write_csv(args.out, [swept, "k_star", "t_star", "profit", "regime"],
                   [(x, d.k_star, d.t_star, d.profit, d.regime.value) for x, d in rows],
-                  params)
+                  _params(args))
     return 0
 
 
@@ -192,34 +193,25 @@ def cmd_deploy(args) -> int:
     print("profile " + " ".join(str(n) for n in plan.profile.counts))
     print(f"total_profit={plan.total_profit:.6f}")
     if args.out:
-        params = {"command": "deploy", "model": args.model, "lambda": args.lam,
-                  "a": args.a, "b": args.b, "N": args.N, "B0": args.B0,
-                  "c": args.c, "hotspots": args.hotspots}
         write_csv(args.out, ["hotspot", "n", "k", "T", "profit"],
-                  plan.csv_rows(), params)
+                  plan.csv_rows(), _params(args, "check_forking"))
     return 0
 
 
 def cmd_simulate(args) -> int:
     _need(args, "k", "T")
-    params = {"command": "simulate", "mode": args.mode, "model": args.model,
-              "lambda": args.lam, "a": args.a, "b": args.b, "alpha": args.alpha,
-              "arrival_rate": args.arrival_rate, "k": args.k, "T": args.T,
-              "trials": args.trials, "seed": args.seed}
-
-    k = args.k
     if args.mode == "continuous":
         _need(args, "lam", "arrival_rate")
-        report = simulator.simulate_continuous(args.lam, args.arrival_rate, k, args.T,
+        report = simulator.simulate_continuous(args.lam, args.arrival_rate, args.k, args.T,
                                                args.trials, args.seed)
         reference = pricing.expected_profit_closed_form(args.lam, args.arrival_rate,
-                                                        k, args.T)
+                                                        args.k, args.T)
     else:
         model = _model_from_args(args)
         _need(args, "alpha")
         horizon = _slots(args.T)
-        schedule, table = pricing.build_pricing(model, args.alpha, k, horizon)
-        report = simulator.simulate_discrete(model, args.alpha, schedule, k, horizon,
+        schedule, table = pricing.build_pricing(model, args.alpha, args.k, horizon)
+        report = simulator.simulate_discrete(model, args.alpha, schedule, args.k, horizon,
                                              args.trials, args.seed)
         reference = table.final()
 
@@ -229,7 +221,7 @@ def cmd_simulate(args) -> int:
     if args.out:
         write_csv(args.out, ["trials", "mean", "std_error", "seed"],
                   [(report.trials, report.mean_profit, report.std_error,
-                    report.seed)], params)
+                    report.seed)], _params(args))
     return 0
 
 
@@ -303,10 +295,11 @@ class _CommandParser(argparse.ArgumentParser):
 
 
 def _config_default(action: argparse.Action, value):
-    """A config file value as a flag default, if its JSON type fits the flag: a
-    bool for a switch, a number or a string for a typed flag, a string else."""
+    """A config file value as a flag default, if its JSON type fits the flag (a
+    bool for a switch, a number or a string for a typed flag, a string else)
+    and it is one of the flag's choices, where the flag has them."""
     fits = (bool,) if action.nargs == 0 else (str, int, float) if action.type else (str,)
-    if type(value) not in fits:
+    if type(value) not in fits or action.choices and value not in action.choices:
         raise ParameterError(f"config value {value!r} does not fit {action.option_strings[0]}")
     return value
 
@@ -401,22 +394,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config(argv: list[str]) -> dict:
-    """The JSON object named by --config, or no defaults without the flag.
-
-    A pre-parser finds the path as the full parser will: "--config PATH",
-    "--config=PATH" or an abbreviation, before the subcommand only. Its usage
-    errors are left to the full parser.
-    """
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    pre.add_argument("--config")
-    pre.add_argument("rest", nargs=argparse.REMAINDER)
-    try:
-        path = pre.parse_known_args(argv)[0].config
-    except argparse.ArgumentError:
-        return {}
-    if path is None:
-        return {}
+def _load_config(path: str) -> dict:
+    """The JSON object in the --config file: flag defaults."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -428,11 +407,11 @@ def _read_config(argv: list[str]) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        parser = build_parser(_read_config(argv))
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
+            if args.config is not None:  # parse again, the file's values as defaults
+                args = build_parser(_load_config(args.config)).parse_args(argv)
         except SystemExit as exc:  # argparse reports usage errors with code 2
             return int(exc.code or 0)
         return args.func(args)

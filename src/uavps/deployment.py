@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .allocation import AllocationDecision, _best_series_capacity, _pooled_decisions
-from .pricing import _log_series
+from .pricing import _log_series, _whole
 from .valuations import ParameterError, ValuationModel
 
 
@@ -67,9 +67,7 @@ class FleetConfig:
     valuation: ValuationModel
 
     def __post_init__(self):
-        if not (float(self.count).is_integer() and self.count >= 1):
-            raise ParameterError(f"fleet size must be a positive integer, got {self.count}")
-        object.__setattr__(self, "count", int(self.count))  # 2.0 and numpy ints too
+        object.__setattr__(self, "count", _whole(self.count, "fleet size"))
         if not 0 < self.initial_budget < math.inf:
             raise ParameterError(
                 f"initial budget must be positive and finite, got {self.initial_budget}")
@@ -312,6 +310,8 @@ def load_hotspots(path: str) -> list[Hotspot]:
         if not isinstance(entry, dict) or set(entry) != {"alpha", "distance"}:
             raise ParameterError(f"{path}: hotspot {i} must be an object with the keys "
                                  f"alpha and distance, got {entry!r}")
+        if any(isinstance(v, bool) for v in entry.values()):  # float(True) would be 1.0
+            raise ParameterError(f"{path}: hotspot {i} needs numbers, got {entry!r}")
         try:
             spots.append(Hotspot(alpha=float(entry["alpha"]),
                                  distance=float(entry["distance"])))

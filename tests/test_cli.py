@@ -181,6 +181,21 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
 
     assert cli.main(["--config", str(tmp_path / "absent.json"), "price"]) == 2
     capsys.readouterr()
+    # Help never reads the file.
+    assert cli.main(["--config", str(tmp_path / "absent.json"), "price", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: uavps price")
+
+
+def test_config_help_key_adds_no_provenance_line(tmp_path, capsys):
+    # A config "help" sets the namespace's help dest, which is no parameter.
+    plain, helped = tmp_path / "plain.json", tmp_path / "helped.json"
+    plain.write_text(json.dumps({"alpha": 0.5, "k": 1, "T": 2.0}))
+    helped.write_text(json.dumps({"alpha": 0.5, "k": 1, "T": 2.0, "help": True}))
+    outs = [tmp_path / "plain.csv", tmp_path / "helped.csv"]
+    for cfg, out in zip((plain, helped), outs):
+        assert cli.main(["--config", str(cfg), "price", *EXP, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 @pytest.mark.parametrize("spelling", [
@@ -262,6 +277,7 @@ SPOT_FILES = {
     "nan_alpha": [{"alpha": float("nan"), "distance": 5.0}],
     "not_objects": [1, 2],
     "null_alpha": [{"alpha": None, "distance": 1}],
+    "bool_values": [{"alpha": True, "distance": False}],
 }
 
 # A --config value skips argparse's type=int: a whole float must still work,
@@ -274,7 +290,8 @@ CONFIG_FILES = {"k_frac": {"k": 2.5}, "k_whole": {"k": 2.0},
                 "k_list_int": {"k_list": 2}, "seed_null": {"seed": None},
                 "alpha_sweep_int": {"alpha_sweep": 5}, "variances_int": {"variances": 3},
                 "alpha_list": {"alpha": [0.5, 0.6]}, "out_int": {"out": 1},
-                "hotspots_int": {"hotspots": 3}, "forking_str": {"check_forking": "false"}}
+                "hotspots_int": {"hotspots": 3}, "forking_str": {"check_forking": "false"},
+                "mode_foo": {"mode": "foo"}}
 
 
 def _configured(name, base, flag):
@@ -440,6 +457,13 @@ MOVED_TO_2 = [
     ("config-price-d-out-int", ["--config", "{out_int}", *PRICE_D]),
     ("config-deploy-hotspots-int", _configured("hotspots_int", DEPLOY, "--hotspots")),
     ("config-deploy-forking-str", ["--config", "{forking_str}", *DEPLOY]),
+    # Exited 0 with a plan for a hotspot with alpha 1.0 and distance 0.0.
+    ("deploy-bool-values", _set(DEPLOY, "--hotspots", "{bool_values}")),
+    # Config values outside a flag's choices, which argparse checks only on
+    # the command line: each ran in discrete mode and exited 0.
+    ("config-price-mode-foo", ["--config", "{mode_foo}", *PRICE_D]),
+    ("config-allocate-mode-foo", ["--config", "{mode_foo}", *ALLOC_D]),
+    ("config-simulate-mode-foo", ["--config", "{mode_foo}", *SIM_D]),
 ]
 
 

@@ -84,8 +84,11 @@ RUNTIME_FAILURES = {("pricing.py", "solve_stage_price"),
     lambda: simulate_continuous(1.0, 1.0, 2.5, 3.0, 10, 0),
     lambda: FleetConfig(count=2.5, initial_budget=20.0, service_cost=2.0, valuation=EXP1),
     lambda: FleetConfig(count=math.inf, initial_budget=20.0, service_cost=2.0, valuation=EXP1),
-    # A bool is not a count.
+    # A bool is not a count. The last two built a one-vehicle fleet and
+    # allocated with c = 1.
     lambda: build_pricing(EXP1, 0.5, True, 5),
+    lambda: FleetConfig(count=True, initial_budget=20.0, service_cost=2.0, valuation=EXP1),
+    lambda: allocate_discrete(EXP1, 0.5, 10, True),
 ])
 def test_preconditions_raise_parameter_error(call):
     with pytest.raises(ParameterError):

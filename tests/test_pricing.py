@@ -2,6 +2,8 @@
 
 import math
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -277,6 +279,44 @@ def _log_series_oracle(x, k):
 def test_log_series_kernel_against_logsumexp(x, k):
     assert log_capacity_series(x, k) == pytest.approx(_log_series_oracle(x, k),
                                                       rel=1e-12, abs=0.0)
+
+
+def _exact_log_series(x: float, k: int) -> Decimal:
+    """log S_k(x) at the float x, from the exact rational sum, to 60 digits."""
+    x, term, total = Fraction(x), Fraction(1), Fraction(1)
+    for i in range(1, k + 1):
+        term *= x / i
+        total += term
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (Decimal(total.numerator) / Decimal(total.denominator)).ln()
+
+
+# The capacity search's cut rests on this bound (uavps.allocation): a computed
+# log S_k(x) is within a relative (3.3 k + 5) u of the exact value, u = 2^-53.
+@settings(max_examples=100, deadline=None)
+@given(st.floats(math.log(1e-6), math.log(2000.0)).map(math.exp), st.integers(1, 120))
+@example(1.0, 1)  # whole x
+@example(2.0, 7)
+@example(10.0, 10)
+@example(100.0, 40)
+@example(1000.0, 120)
+@example(50.0, 50)  # k near x, where the terms peak
+@example(99.5, 100)
+@example(119.0, 120)
+@example(30.0, 15)  # either side of a 16-term stride
+@example(30.0, 16)
+@example(30.0, 17)
+@example(2000.0, 63)  # the sum moves to its log offset at term 64
+@example(2000.0, 64)
+@example(2000.0, 65)
+@example(2000.0, 120)
+def test_log_series_kernel_within_its_round_off_bound(x, k):
+    exact = _exact_log_series(x, k)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        error = abs(Decimal(log_capacity_series(x, k)) - exact)
+        assert error <= Decimal((3.3 * k + 5) * 2.0 ** -53) * exact, (x, k, error / exact)
 
 
 @settings(max_examples=50, deadline=None)
