@@ -11,9 +11,12 @@ comment lines. CSV cells use shortest round-trip float formatting, so files
 re-parse to exactly the values the library returned, and identical
 configurations (including seeds) produce byte-identical files.
 
-Parameters may also come from a JSON config file via ``--config``; explicit
-flags override file values. A file value must have the flag's JSON type and,
-for a flag with choices, be one of them.
+Each flag is declared once, in the table ``_FLAGS``, which names the
+subcommands that take it; ``build_parser`` builds every subcommand from it.
+Parameters may also come from a JSON config file via ``--config``, keyed by
+the same table's spellings or dests; explicit flags override file values. A
+file value must have the flag's JSON type and, for a flag with choices, be one
+of them.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ def write_csv(path: str, header: list[str], rows, params: dict) -> None:
 def _params(args, *skip: str) -> dict:
     """The CSV provenance of a run: every parsed flag but the plumbing and
     ``skip``, labelled by dest, except ``lam``, which is labelled ``lambda``."""
-    skip = {"config", "func", "help", "out", *skip}
+    skip = {"config", "func", "out", *skip}
     return {("lambda" if dest == "lam" else dest): value
             for dest, value in vars(args).items() if dest not in skip}
 
@@ -106,13 +109,11 @@ def _slots(T: float) -> int:
 
 
 def _model_from_args(args) -> ValuationModel:
-    if args.model in ("exp", "exponential"):
-        _need(args, "lam")
-        return ValuationModel.exponential(args.lam)
     if args.model == "uniform":
         _need(args, "a", "b")
         return ValuationModel.uniform(args.a, args.b)
-    raise ParameterError(f"unknown model {args.model!r} (use exp or uniform)")
+    _need(args, "lam")
+    return ValuationModel.exponential(args.lam)
 
 
 # -- commands -------------------------------------------------------------------
@@ -275,23 +276,54 @@ def cmd_benchmark(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", default="exp", help="valuation family: exp or uniform")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="exponential valuation rate")
-    p.add_argument("--a", type=float, default=None, help="uniform lower bound")
-    p.add_argument("--b", type=float, default=None, help="uniform upper bound")
+_COMMANDS = {
+    "price": (cmd_price, "build a dynamic price schedule"),
+    "allocate": (cmd_allocate, "split a budget into hovering time and capacity"),
+    "deploy": (cmd_deploy, "assign the fleet to hotspots"),
+    "simulate": (cmd_simulate, "Monte-Carlo check of a schedule"),
+    "benchmark": (cmd_benchmark, "full-information comparison studies"),
+}
+_EVERY = " ".join(_COMMANDS)
 
-
-class _CommandParser(argparse.ArgumentParser):
-    """A subcommand parser that records the action of each flag spelling."""
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        flags = vars(self).setdefault("flags", {})  # __init__ adds -h through here
-        for name in (action.dest, *action.option_strings):
-            flags[name.lstrip("-").replace("-", "_")] = action
-        return action
+# Every flag once, in help order: its spelling, the subcommands that take it
+# and its ``add_argument`` keywords.
+_FLAGS = (
+    ("--model", _EVERY, dict(default="exp", choices=("exp", "exponential", "uniform"),
+                             help="valuation family")),
+    ("--lambda", _EVERY, dict(dest="lam", type=float, help="exponential valuation rate")),
+    ("--a", _EVERY, dict(type=float, help="uniform lower bound")),
+    ("--b", _EVERY, dict(type=float, help="uniform upper bound")),
+    ("--mode", "price allocate simulate", dict(choices=("discrete", "continuous"),
+                                               default="discrete")),
+    ("--ratio", "benchmark", dict(action="store_true", help="profit ratio versus horizon")),
+    ("--variance", "benchmark", dict(action="store_true",
+                                     help="profits versus valuation variance at fixed mean")),
+    ("--alpha", "price allocate simulate benchmark",
+     dict(type=float, help="per-slot occurrence probability (discrete)")),
+    ("--arrival-rate", "price allocate simulate",
+     dict(type=float, help="Poisson arrival rate (continuous)")),
+    ("--alpha-sweep", "allocate",
+     dict(help="start:stop:step sweep over alpha (or arrival rate)")),
+    ("--hotspots", "deploy", dict(help="JSON array of {alpha, distance} entries")),
+    ("--N", "deploy", dict(type=int, help="fleet size")),
+    ("--B0", "deploy", dict(type=float, help="full-charge budget")),
+    ("--B", "allocate", dict(type=float, help="on-site energy budget")),
+    ("--c", "allocate deploy", dict(type=float, help="per-user service cost")),
+    ("--check-forking", "deploy", dict(action="store_true",
+                                       help="evaluate the two-hotspot forking condition "
+                                            "(continuous mode, exponential valuations)")),
+    ("--k", "price simulate benchmark", dict(type=int, help="service capacity")),
+    ("--k-list", "benchmark", dict(default="1",
+                                   help="comma-separated capacities (ratio study)")),
+    ("--T", "price simulate benchmark", dict(type=float, help="hovering horizon")),
+    ("--T-max", "benchmark", dict(type=float, help="largest horizon (ratio study)")),
+    ("--T-step", "benchmark", dict(type=int, default=1)),
+    ("--trials", "simulate", dict(type=int, default=100_000)),
+    ("--seed", "simulate", dict(type=int, default=0)),
+    ("--mean", "benchmark", dict(type=float)),
+    ("--variances", "benchmark", dict(help="start:stop:step sweep")),
+    ("--out", _EVERY, dict(help="CSV output path")),
+)
 
 
 def _config_default(action: argparse.Action, value):
@@ -305,92 +337,28 @@ def _config_default(action: argparse.Action, value):
 
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """The CLI parser. ``config`` maps flag spellings ("arrival-rate") or dests
-    ("lam") to subcommand defaults, which explicit flags still override."""
+    """The CLI parser, built from ``_FLAGS``. ``config`` maps flag spellings
+    ("arrival-rate") or dests ("lam") to subcommand defaults, which explicit
+    flags still override."""
     parser = argparse.ArgumentParser(
         prog="uavps",
         description="Dynamic pricing, energy allocation and fleet deployment "
                     "for UAV-provided services.")
     parser.add_argument("--config", default=None,
                         help="JSON file of flag defaults (flags override)")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_CommandParser)
-
-    p = sub.add_parser("price", help="build a dynamic price schedule")
-    _add_model_flags(p)
-    p.add_argument("--mode", choices=("discrete", "continuous"), default="discrete")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="per-slot occurrence probability (discrete)")
-    p.add_argument("--arrival-rate", type=float, default=None,
-                   help="Poisson arrival rate (continuous)")
-    p.add_argument("--k", type=int, default=None, help="service capacity")
-    p.add_argument("--T", type=float, default=None, help="hovering horizon")
-    p.add_argument("--out", default=None, help="CSV output path")
-    p.set_defaults(func=cmd_price)
-
-    p = sub.add_parser("allocate", help="split a budget into hovering time and capacity")
-    _add_model_flags(p)
-    p.add_argument("--mode", choices=("discrete", "continuous"), default="discrete")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--arrival-rate", type=float, default=None)
-    p.add_argument("--alpha-sweep", default=None,
-                   help="start:stop:step sweep over alpha (or arrival rate)")
-    p.add_argument("--B", type=float, default=None, help="on-site energy budget")
-    p.add_argument("--c", type=float, default=None, help="per-user service cost")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_allocate)
-
-    p = sub.add_parser("deploy", help="assign the fleet to hotspots")
-    _add_model_flags(p)
-    p.add_argument("--hotspots", default=None,
-                   help="JSON array of {alpha, distance} entries")
-    p.add_argument("--N", type=int, default=None, help="fleet size")
-    p.add_argument("--B0", type=float, default=None, help="full-charge budget")
-    p.add_argument("--c", type=float, default=None, help="per-user service cost")
-    p.add_argument("--check-forking", action="store_true",
-                   help="evaluate the two-hotspot forking condition "
-                        "(continuous mode, exponential valuations)")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_deploy)
-
-    p = sub.add_parser("simulate", help="Monte-Carlo check of a schedule")
-    _add_model_flags(p)
-    p.add_argument("--mode", choices=("discrete", "continuous"), default="discrete")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--arrival-rate", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("benchmark", help="full-information comparison studies")
-    _add_model_flags(p)
-    p.add_argument("--ratio", action="store_true",
-                   help="profit ratio versus horizon")
-    p.add_argument("--variance", action="store_true",
-                   help="profits versus valuation variance at fixed mean")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--k", type=int, default=None,
-                   help="capacity (variance study)")
-    p.add_argument("--k-list", dest="k_list", default="1",
-                   help="comma-separated capacities (ratio study)")
-    p.add_argument("--T", type=float, default=None, help="horizon (variance study)")
-    p.add_argument("--T-max", dest="T_max", type=float, default=None,
-                   help="largest horizon (ratio study)")
-    p.add_argument("--T-step", dest="T_step", type=int, default=1)
-    p.add_argument("--mean", type=float, default=None)
-    p.add_argument("--variances", default=None, help="start:stop:step sweep")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_benchmark)
-
+    sub = parser.add_subparsers(dest="command", required=True)
     # A null value leaves the flag unset, at its parser default.
     config = {key.replace("-", "_"): value for key, value in (config or {}).items()
               if value is not None}
-    for p in sub.choices.values():
-        p.set_defaults(**{p.flags[k].dest: _config_default(p.flags[k], v)
-                          for k, v in config.items() if k in p.flags})
+    for name, (func, text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        flags = {}
+        for spelling, commands, kwargs in _FLAGS:
+            if name in commands.split():
+                action = p.add_argument(spelling, **kwargs)
+                flags[spelling.lstrip("-").replace("-", "_")] = flags[action.dest] = action
+        p.set_defaults(func=func, **{flags[k].dest: _config_default(flags[k], v)
+                                     for k, v in config.items() if k in flags})
     return parser
 
 

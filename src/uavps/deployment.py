@@ -41,7 +41,7 @@ import numpy as np
 
 from .allocation import AllocationDecision, _best_series_capacity, _pooled_decisions
 from .pricing import _log_series, _whole
-from .valuations import ParameterError, ValuationModel
+from .valuations import ParameterError, ValuationModel, _number
 
 
 @dataclass(frozen=True)
@@ -310,12 +310,7 @@ def load_hotspots(path: str) -> list[Hotspot]:
         if not isinstance(entry, dict) or set(entry) != {"alpha", "distance"}:
             raise ParameterError(f"{path}: hotspot {i} must be an object with the keys "
                                  f"alpha and distance, got {entry!r}")
-        if any(isinstance(v, bool) for v in entry.values()):  # float(True) would be 1.0
-            raise ParameterError(f"{path}: hotspot {i} needs numbers, got {entry!r}")
-        try:
-            spots.append(Hotspot(alpha=float(entry["alpha"]),
-                                 distance=float(entry["distance"])))
-        except TypeError as exc:  # a float() of null, a list or an object
-            raise ParameterError(f"{path}: hotspot {i} needs numbers, got {entry!r}") from exc
+        spots.append(Hotspot(**{key: _number(entry[key], f"{path}: hotspot {i} {key}")
+                                for key in ("alpha", "distance")}))
     return spots
 

@@ -277,7 +277,7 @@ def log_capacity_series(x: float, k: int) -> float:
     """log S_k(x) for one argument x in [0, 1e12] and one series length."""
     if not 0 <= x <= _SERIES_MAX_ARG:
         raise ParameterError(f"series argument {x} is outside [0, {_SERIES_MAX_ARG:g}]")
-    return float(_log_series(x, int(k)))
+    return float(_log_series(x, _whole(k, "series length", 0)))
 
 
 def expected_profit_closed_form(lam: float, arrival_rate: float, capacity: int,

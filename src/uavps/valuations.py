@@ -32,6 +32,14 @@ class ParameterError(ValueError):
     module raises it, and every module imports this one."""
 
 
+def _number(value, name: str) -> float:
+    """``value`` as a float, once it is a JSON number: an int or a float, and
+    not a bool, a string, null or a container, which ``float`` might take."""
+    if type(value) not in (int, float):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ValuationModel:
     """A user service-valuation distribution.
@@ -74,22 +82,16 @@ class ValuationModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ValuationModel":
+        """A model from exactly its family's keys, such as ``{"kind": "uniform",
+        "lower": 5, "upper": 15}``, each value a number (see ``_number``)."""
         kind = data.get("kind")
-        if kind == EXPONENTIAL:
-            expected = {"kind", "rate"}
-        elif kind == UNIFORM:
-            expected = {"kind", "lower", "upper"}
-        else:
+        if kind not in (EXPONENTIAL, UNIFORM):
             raise ParameterError(f"unknown valuation family {kind!r}")
-        unknown = set(data) - expected
-        if unknown:
-            raise ParameterError(f"unknown valuation keys: {sorted(unknown)}")
-        missing = expected - set(data)
-        if missing:
-            raise ParameterError(f"missing valuation keys: {sorted(missing)}")
-        if kind == EXPONENTIAL:
-            return cls.exponential(data["rate"])
-        return cls.uniform(data["lower"], data["upper"])
+        fields = ("rate",) if kind == EXPONENTIAL else ("lower", "upper")
+        if set(data) != {"kind", *fields}:
+            raise ParameterError(f"{kind} valuation needs exactly the keys "
+                                 f"{['kind', *fields]}, got {list(data)}")
+        return cls(kind=kind, **{f: _number(data[f], f"valuation {f}") for f in fields})
 
     # -- basic accessors ---------------------------------------------------
 

@@ -1,8 +1,11 @@
 """Command-line surface: exit codes, CSV round trips, determinism."""
 
+import argparse
 import csv
 import json
 import math
+import pathlib
+import shlex
 
 import numpy as np
 import pytest
@@ -187,7 +190,7 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
 
 
 def test_config_help_key_adds_no_provenance_line(tmp_path, capsys):
-    # A config "help" sets the namespace's help dest, which is no parameter.
+    # A config "help" key names no flag, so it is ignored.
     plain, helped = tmp_path / "plain.json", tmp_path / "helped.json"
     plain.write_text(json.dumps({"alpha": 0.5, "k": 1, "T": 2.0}))
     helped.write_text(json.dumps({"alpha": 0.5, "k": 1, "T": 2.0, "help": True}))
@@ -226,6 +229,65 @@ def test_subcommand_flag_prefix_of_config_is_not_a_config_path(capsys):
 def test_config_flag_without_a_path_is_a_usage_error(argv, capsys):
     assert cli.main(argv) == 2
     capsys.readouterr()
+
+
+# -- flag inventory --------------------------------------------------------------
+#
+# Each subcommand's flags in order, as (option strings, dest, type, default,
+# choices, nargs), help text left out.
+
+FLAGS = {
+    "-h": (("-h", "--help"), "help", None, argparse.SUPPRESS, None, 0),
+    "--model": (("--model",), "model", None, "exp", ("exp", "exponential", "uniform"),
+                None),
+    "--lambda": (("--lambda",), "lam", float, None, None, None),
+    "--a": (("--a",), "a", float, None, None, None),
+    "--b": (("--b",), "b", float, None, None, None),
+    "--mode": (("--mode",), "mode", None, "discrete", ("discrete", "continuous"), None),
+    "--ratio": (("--ratio",), "ratio", None, False, None, 0),
+    "--variance": (("--variance",), "variance", None, False, None, 0),
+    "--alpha": (("--alpha",), "alpha", float, None, None, None),
+    "--arrival-rate": (("--arrival-rate",), "arrival_rate", float, None, None, None),
+    "--alpha-sweep": (("--alpha-sweep",), "alpha_sweep", None, None, None, None),
+    "--hotspots": (("--hotspots",), "hotspots", None, None, None, None),
+    "--N": (("--N",), "N", int, None, None, None),
+    "--B0": (("--B0",), "B0", float, None, None, None),
+    "--B": (("--B",), "B", float, None, None, None),
+    "--c": (("--c",), "c", float, None, None, None),
+    "--check-forking": (("--check-forking",), "check_forking", None, False, None, 0),
+    "--k": (("--k",), "k", int, None, None, None),
+    "--k-list": (("--k-list",), "k_list", None, "1", None, None),
+    "--T": (("--T",), "T", float, None, None, None),
+    "--T-max": (("--T-max",), "T_max", float, None, None, None),
+    "--T-step": (("--T-step",), "T_step", int, 1, None, None),
+    "--trials": (("--trials",), "trials", int, 100_000, None, None),
+    "--seed": (("--seed",), "seed", int, 0, None, None),
+    "--mean": (("--mean",), "mean", float, None, None, None),
+    "--variances": (("--variances",), "variances", None, None, None, None),
+    "--out": (("--out",), "out", None, None, None, None),
+}
+MODEL_FLAGS = "-h --model --lambda --a --b"
+INVENTORY = {
+    "price": f"{MODEL_FLAGS} --mode --alpha --arrival-rate --k --T --out",
+    "allocate": f"{MODEL_FLAGS} --mode --alpha --arrival-rate --alpha-sweep --B --c --out",
+    "deploy": f"{MODEL_FLAGS} --hotspots --N --B0 --c --check-forking --out",
+    "simulate": f"{MODEL_FLAGS} --mode --alpha --arrival-rate --k --T --trials --seed --out",
+    "benchmark": f"{MODEL_FLAGS} --ratio --variance --alpha --k --k-list --T --T-max "
+                 "--T-step --mean --variances --out",
+}
+
+
+def test_flag_inventory():
+    # argparse lists a parser's actions only in its private ``_actions``.
+    top = cli.build_parser()
+    assert [a.dest for a in top._actions] == ["help", "config", "command"]
+    commands = top._actions[-1].choices
+    assert list(commands) == list(INVENTORY)
+    for name, parser in commands.items():
+        got = [(tuple(a.option_strings), a.dest, a.type, a.default,
+                None if a.choices is None else tuple(a.choices), a.nargs)
+               for a in parser._actions]
+        assert got == [FLAGS[flag] for flag in INVENTORY[name].split()], name
 
 
 # -- exit codes ------------------------------------------------------------------
@@ -278,6 +340,7 @@ SPOT_FILES = {
     "not_objects": [1, 2],
     "null_alpha": [{"alpha": None, "distance": 1}],
     "bool_values": [{"alpha": True, "distance": False}],
+    "strings": [{"alpha": "0.8", "distance": "5"}, {"alpha": "0.5", "distance": " 9 "}],
 }
 
 # A --config value skips argparse's type=int: a whole float must still work,
@@ -291,7 +354,7 @@ CONFIG_FILES = {"k_frac": {"k": 2.5}, "k_whole": {"k": 2.0},
                 "alpha_sweep_int": {"alpha_sweep": 5}, "variances_int": {"variances": 3},
                 "alpha_list": {"alpha": [0.5, 0.6]}, "out_int": {"out": 1},
                 "hotspots_int": {"hotspots": 3}, "forking_str": {"check_forking": "false"},
-                "mode_foo": {"mode": "foo"}}
+                "mode_foo": {"mode": "foo"}, "model_foo": {"model": "foo"}}
 
 
 def _configured(name, base, flag):
@@ -310,7 +373,6 @@ def _cases():
            ("price-d-alpha-1", _set(PRICE_D, "--alpha", "1")),
            ("price-d-uniform", _uniform(PRICE_D))]
     bad += [("price-d-T-frac", _set(PRICE_D, "--T", "2.5")),
-            ("price-d-model", _set(PRICE_D, "--model", "foo")),
             ("price-d-lambda-None", _set(PRICE_D, "--lambda", None)),
             ("price-d-uniform-b-None", _set(_uniform(PRICE_D), "--b", None)),
             ("price-d-uniform-a-20", _set(_uniform(PRICE_D), "--a", "20")),
@@ -459,11 +521,20 @@ MOVED_TO_2 = [
     ("config-deploy-forking-str", ["--config", "{forking_str}", *DEPLOY]),
     # Exited 0 with a plan for a hotspot with alpha 1.0 and distance 0.0.
     ("deploy-bool-values", _set(DEPLOY, "--hotspots", "{bool_values}")),
+    # Exited 0 with a plan: float() read the strings as numbers.
+    ("deploy-strings", _set(DEPLOY, "--hotspots", "{strings}")),
     # Config values outside a flag's choices, which argparse checks only on
     # the command line: each ran in discrete mode and exited 0.
     ("config-price-mode-foo", ["--config", "{mode_foo}", *PRICE_D]),
     ("config-allocate-mode-foo", ["--config", "{mode_foo}", *ALLOC_D]),
     ("config-simulate-mode-foo", ["--config", "{mode_foo}", *SIM_D]),
+    # A model outside exp, exponential and uniform, where the run builds no
+    # valuation model: each exited 0, and an --out CSV recorded the bad name.
+    ("config-price-c-model-foo", ["--config", "{model_foo}", *PRICE_C]),
+    ("config-allocate-c-model-foo", ["--config", "{model_foo}", *ALLOC_C]),
+    ("config-forking-model-foo", ["--config", "{model_foo}", *FORK]),
+    ("config-simulate-c-model-foo", ["--config", "{model_foo}", *SIM_C]),
+    ("config-variance-model-foo", ["--config", "{model_foo}", *VAR]),
 ]
 
 
@@ -482,6 +553,17 @@ def test_exit_codes(argv, code, tmp_path, capsys):
         assert err == ""
     else:  # one line, no traceback
         assert err.startswith("uavps: config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [PRICE_D, PRICE_C, ALLOC_D, ALLOC_C, DEPLOY, FORK, SIM_D,
+                                  SIM_C, RATIO, VAR],
+                         ids=["price-d", "price-c", "allocate-d", "allocate-c", "deploy",
+                              "forking", "simulate-d", "simulate-c", "ratio", "variance"])
+def test_model_outside_its_choices_is_a_usage_error(argv, capsys):
+    # argparse rejects it before any file is read; the continuous runs, the
+    # forking check and the variance study exited 0 while --model had no choices.
+    assert cli.main(_set(argv, "--model", "foo")) == 2
+    assert "argument --model: invalid choice: 'foo'" in capsys.readouterr().err
 
 
 def test_fractional_T_max_truncates(capsys):
@@ -567,3 +649,29 @@ def test_ratio_columns_follow_the_k_list(k_list, tmp_path, capsys):
     for column, k in enumerate(ks, start=1):
         curve = profit_ratio_curve(EXP1, 0.5, k, horizons)
         assert [float(row[column]) for row in rows] == [r for _, r in curve]
+
+
+# -- README ------------------------------------------------------------------------
+
+
+def _readme_commands() -> list[str]:
+    """The ``uavps ...`` lines of the README's command-line block."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("uavps ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    # The forking check needs the first hotspot to be the first best.
+    (tmp_path / "spots.json").write_text(json.dumps(
+        [{"alpha": 0.8, "distance": 5.0}, {"alpha": 0.5, "distance": 9.0}]))
+    lines = _readme_commands()
+    assert len(lines) == 9
+    outs = {}
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == 0, line
+        outs[line] = capsys.readouterr().out
+    closed_form = ("uavps price --mode continuous --lambda 1 --arrival-rate 1 --k 1 "
+                   "--T 2.718281828")
+    assert outs[closed_form] == "0.693147\n"

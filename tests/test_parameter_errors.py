@@ -14,7 +14,7 @@ from uavps import (FleetConfig, Hotspot, ParameterError, ValuationModel,
                    capacity_argmax, complete_info_profit,
                    continuous_profit_numeric, evaluate_schedule,
                    expected_profit_closed_form, forking_condition,
-                   optimal_deployment, optimal_deployment_continuous,
+                   log_capacity_series, optimal_deployment, optimal_deployment_continuous,
                    price_closed_form, profit_ratio_curve, simulate_continuous,
                    simulate_discrete, simulate_policy_regret, solve_stage_price,
                    variance_sweep)
@@ -89,6 +89,17 @@ RUNTIME_FAILURES = {("pricing.py", "solve_stage_price"),
     lambda: build_pricing(EXP1, 0.5, True, 5),
     lambda: FleetConfig(count=True, initial_budget=20.0, service_cost=2.0, valuation=EXP1),
     lambda: allocate_discrete(EXP1, 0.5, 10, True),
+    # Series lengths that are not whole numbers: int() gave log S_0 = 0 for
+    # k = -1, where an empty sum's log is -inf, log S_2 for 2.5 and log S_1
+    # for True.
+    lambda: log_capacity_series(2.0, -1),
+    lambda: log_capacity_series(2.0, 2.5),
+    lambda: log_capacity_series(2.0, True),
+    # Model fields that are not JSON numbers: the first two loaded as rates
+    # 2.0 and 1.0, the last raised TypeError.
+    lambda: ValuationModel.from_dict({"kind": "exponential", "rate": "2"}),
+    lambda: ValuationModel.from_dict({"kind": "exponential", "rate": True}),
+    lambda: ValuationModel.from_dict({"kind": "exponential", "rate": [2]}),
 ])
 def test_preconditions_raise_parameter_error(call):
     with pytest.raises(ParameterError):
