@@ -23,8 +23,10 @@ floor(B / c) is high. The thresholds stay public as the paper's closed
 forms. The search, ``_best_series_capacity``, also serves ``capacity_argmax``,
 the continuous fleet planner and the forking check; it bounds each search's
 capacity itself and scores the k of many searches in one call. It skips,
-exactly, every k that cannot win: log S_k(x) <= x, x_k falls as k grows, and
-the largest term of any feasible k's series bounds the maximum from below.
+exactly, every k that cannot win: the largest term of any feasible k's series
+bounds the maximum from below, and log S_k(x) is at most x, at most log T +
+log(k + 1) for its largest term T, and, for k < x, at most log T - log(1 -
+k / x). So it sums the series only near the winning k.
 """
 
 from __future__ import annotations
@@ -129,15 +131,30 @@ def _pooled_decisions(model: ValuationModel, alphas: Sequence[float],
             for row in zip(profits.argmax(axis=2).tolist(), hover.tolist(), profits.tolist())]
 
 
+def _series_bounds(x, k):
+    """The log of the largest term of S_k(x), at i = min(k, floor(x)), and
+    three upper bounds on log S_k(x), elementwise for k >= 1: x; the largest
+    plus log(k + 1), as S_k has k + 1 terms; and, for k < x (+inf elsewhere),
+    the largest minus log(1 - k / x), as the terms then rise to the last, T_k
+    (i = k), each at most k / x times the next."""
+    i = np.minimum(k, np.floor(x))
+    largest = i * np.log(np.maximum(x, 1.0)) - gammaln(i + 1)
+    rise = k < x  # x > 1 wherever it holds
+    ramp = np.where(rise, largest - np.log1p(-np.where(rise, k, 0) / np.maximum(x, 1.0)), np.inf)
+    return largest, (x, largest + np.log(k + 1.0), ramp)
+
+
 def _best_series_capacity(rate, available, service_cost: float, group):
     """(k, log S_k(x_k)) maximizing log S_k(x_k), x_k = a' max(avail - c k /
     group, 0) / e, over k in 1..max(floor(group * avail / c), 1), ties to the
     smallest k, for the searches the arguments broadcast over on leading axes.
 
-    Exact cut: log S_k(x) <= x, and the largest term of S_k(x), at i = min(k,
-    floor(x)), bounds a search's maximum from below by L. An entry with x_k <
-    L can neither win nor tie, so it gets k = 0, which the kernel skips, and
-    -inf. Kept entries keep their bits: the kernel is elementwise.
+    Exact cut: the largest term of any feasible k's series bounds a search's
+    maximum from below by L, and x, log T + log(k + 1) and, for k < x, log T
+    - log(1 - k / x) bound each log S_k(x) from above (``_series_bounds``).
+    An entry whose smallest upper bound is below L can neither win nor tie,
+    so it gets k = 0, which the kernel skips, and -inf. Kept entries keep
+    their bits: the kernel is elementwise.
     """
     bound = np.maximum(np.floor(np.multiply(group, available) / service_cost + _POOL_EPS), 1)
     if not np.max(bound) < 2.0 ** 62:  # an int cast would wrap, not fail
@@ -149,17 +166,25 @@ def _best_series_capacity(rate, available, service_cost: float, group):
         raise ParameterError(f"series argument {np.max(x)} is outside the search's "
                              f"[0, {_SERIES_MAX_ARG:g}]")
     live = k <= bound
-    i = np.minimum(k, np.floor(x))
-    largest = np.where(live, i * np.log(np.maximum(x, 1.0)) - gammaln(i + 1), 0.0)
+    largest, uppers = _series_bounds(x, k)
+    lower = np.where(live, largest, 0.0).max(axis=-1, keepdims=True)
     # Round-off, to first order in u = 2^-53: a term step rounds the term
     # twice and the sum once, and a move to the offset (at most one per 16
     # terms) rounds the term and the offset once each, so a computed
     # log S_k(x) is within a relative (3.3 k + 5) u of the exact one, and
-    # the computed L within a few hundred u. The margin exceeds both, so a
-    # cut entry's computed log stays below the computed maximum. At rate 0,
-    # L = 0 and nothing is cut.
+    # the computed L within a few hundred u. The upper bounds add little:
+    # log(k + 1), k / x and log1p round once each, and the rounding of k / x
+    # moves log1p(-k / x) by at most u k / (x - k), or log 2 within a few ulp
+    # of x = k. The third bound can be the smallest only for x > k + 1 (below
+    # it, 1 / (1 - k / x) >= k + 1), where log T_k >= k / 2 makes that a
+    # relative 2u; below x = k + 1 it tops the second bound by
+    # log(x / ((k + 1)(x - k))), which outgrows its rounding as x nears k.
+    # So the computed smallest bound is within a few hundred u of an exact
+    # one, as L is. The margin exceeds all of these, so a cut entry's
+    # computed log stays below the computed maximum. At rate 0, L = 0 and
+    # nothing is cut.
     margin = 1e-9 + 2.0 ** -51 * k[-1]
-    keep = live & (x * (1.0 + margin) >= largest.max(axis=-1, keepdims=True) * (1.0 - margin))
+    keep = live & (np.minimum.reduce(uppers) * (1.0 + margin) >= lower * (1.0 - margin))
     logs = np.where(keep, _log_series(x, np.where(keep, k, 0)), -np.inf)
     return logs.argmax(axis=-1) + 1, logs.max(axis=-1)  # argmax: the first maximum
 
@@ -231,8 +256,8 @@ def allocate_continuous(lam: float, arrival_rate: float, budget: float,
 
     k_star comes from the argmax of the closed-form profit over k in
     1..floor(B / c) (ties to the smallest k), which skips only the k whose
-    series argument is below the log of another k's largest series term, as
-    log S_k(x) <= x. Where the thresholds apply (budget > 2c), the regime is
+    upper bounds on log S_k(x) fall below the log of another k's largest
+    series term. Where the thresholds apply (budget > 2c), the regime is
     read off k_star, since each threshold is a rate where two capacities
     tie: k_star = 1 is low, k_star = floor(B / c) with hovering time left is
     high. Exactly at the high root the tie goes to the smaller capacity, so

@@ -55,8 +55,9 @@ class ValuationModel:
 
     def __post_init__(self):
         if self.kind == EXPONENTIAL:
-            if self.rate is None or not self.rate > 0:
-                raise ParameterError(f"exponential rate must be positive, got {self.rate}")
+            if self.rate is None or not 0 < self.rate < math.inf:
+                raise ParameterError(f"exponential rate must be positive and finite, "
+                                     f"got {self.rate}")
             if self.lower is not None or self.upper is not None:
                 raise ParameterError("exponential model takes no support bounds")
         elif self.kind == UNIFORM:
@@ -64,8 +65,8 @@ class ValuationModel:
                 raise ParameterError("uniform model needs lower and upper bounds")
             if not self.lower >= 0:
                 raise ParameterError(f"uniform lower bound must be >= 0, got {self.lower}")
-            if not self.lower < self.upper:
-                raise ParameterError(f"uniform needs lower < upper, "
+            if not self.lower < self.upper < math.inf:
+                raise ParameterError(f"uniform needs lower < upper < inf, "
                                      f"got [{self.lower}, {self.upper}]")
             if self.rate is not None:
                 raise ParameterError("uniform model takes no rate")
@@ -84,6 +85,8 @@ class ValuationModel:
     def from_dict(cls, data: dict) -> "ValuationModel":
         """A model from exactly its family's keys, such as ``{"kind": "uniform",
         "lower": 5, "upper": 15}``, each value a number (see ``_number``)."""
+        if not isinstance(data, dict):
+            raise ParameterError(f"a valuation must be a JSON object, got {data!r}")
         kind = data.get("kind")
         if kind not in (EXPONENTIAL, UNIFORM):
             raise ParameterError(f"unknown valuation family {kind!r}")

@@ -7,6 +7,8 @@ no validation of its own.
 
 import itertools
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -79,3 +81,14 @@ def check_regularity(model):
         hi = model.sample(0.9999)
     phi = np.array([model.virtual_value(x) for x in np.linspace(lo, hi, 100)])
     return bool(np.all(np.diff(phi) >= -1e-12))
+
+
+def exact_log_series(x: float, k: int) -> Decimal:
+    """log S_k(x) at the float x, from the exact rational sum, to 60 digits."""
+    x, term, total = Fraction(x), Fraction(1), Fraction(1)
+    for i in range(1, k + 1):
+        term *= x / i
+        total += term
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (Decimal(total.numerator) / Decimal(total.denominator)).ln()

@@ -1,6 +1,7 @@
 """Energy-split search and its regime thresholds against brute-force argmax."""
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from uavps.allocation import (Regime, allocate_continuous, allocate_discrete,
 from uavps.deployment import FleetConfig, Hotspot, optimal_deployment_continuous
 from uavps.pricing import _log_series, build_pricing, expected_profit_closed_form
 from uavps.valuations import ParameterError, ValuationModel
+
+from oracles import exact_log_series
 
 EXP1 = ValuationModel.exponential(1.0)
 UNI = ValuationModel.uniform(5.0, 15.0)
@@ -235,6 +238,9 @@ def test_continuous_searches_equal_caller_bound_oracle(offset, whole, cost, rate
 @example(0.0, 3000, 2.0, 0.0)
 @example(1e-13, 2000, 0.1, 0.01)
 @example(0.5, 1, 7.3, 200.0)
+@example(0.25, 3000, 7.3, 200.0)  # the highest rate at the largest whole: k* near 0.8 B / c
+@example(0.0, 40, 0.5, 1.359140914230882)  # k* = 8 with x_8 - 8 = 8e-12, so 1 - k / x ~ 1e-12
+@example(0.0, 3000, 0.1, 1.643075972665117)  # k* = 171 with x_171 just above 171
 def test_cut_search_equals_full_search(offset, whole, cost, rate):
     # Groups 1-3 one call each and in one batched call, against the full search.
     budget = cost * whole + offset * cost
@@ -248,22 +254,83 @@ def test_cut_search_equals_full_search(offset, whole, cost, rate):
     assert list(zip(ks.tolist(), logs.tolist())) == want
 
 
-def test_cut_keeps_under_half_the_term_work(monkeypatch):
-    # Entries each pass of the series kernel advances, in the cut search and
-    # in the full one; without the cut the two would be equal.
-    work = []
+# The cut's premises, against exact arithmetic: the computed log of the
+# largest term never exceeds the exact log S_k(x), and each computed upper
+# bound, times (1 + margin) at the smallest margin a search with this k uses,
+# is at least the exact log S_k(x).
+@settings(max_examples=100, deadline=None)
+@given(st.floats(math.log(1e-6), math.log(2000.0)).map(math.exp), st.integers(1, 120))
+@example(7.0, 7)  # k = floor(x)
+@example(7.5, 7)
+@example(119.9, 119)
+@example(math.nextafter(50.0, math.inf), 50)  # k one ulp below x: 1 - k / x ~ 2^-52
+@example(math.nextafter(1.0, math.inf), 1)
+@example(20.000001, 20)
+@example(31.0, 30)  # x = k + 1, where the second and third bounds meet
+@example(30.5, 30)
+@example(0.3, 1)  # x < 1: the largest term is the first, 1
+@example(0.999, 120)
+@example(1e-6, 1)
+@example(2000.0, 1)  # k far below x
+@example(2000.0, 120)
+def test_cut_bounds_hold_in_exact_arithmetic(x, k):
+    exact = exact_log_series(x, k)
+    largest, uppers = allocation._series_bounds(np.float64(x), np.int64(k))
+    assert Decimal(float(largest)) <= exact
+    margin = 1e-9 + 2.0 ** -51 * k
+    for which, upper in enumerate(uppers):
+        assert Decimal(float(upper * (1.0 + margin))) >= exact, (which, x, k)
+
+
+def _term_work(monkeypatch, search):
+    """``search()`` and the entries each pass of the series kernel advanced in it."""
+    work = [0]
     add_term = pricing._add_series_term
 
     def counted(x, term, tail, offset, m, i):
-        work[-1] += m
+        work[0] += m
         add_term(x, term, tail, offset, m, i)
 
-    monkeypatch.setattr(pricing, "_add_series_term", counted)
-    work.append(0)
-    k = capacity_argmax(1.0, 8000.0, 1.0)
-    work.append(0)
-    assert k == _oracle_search(1.0, 8000.0, 1.0, 1, 8000)[0]
-    assert 0 < work[0] < work[1] / 2
+    with monkeypatch.context() as patch:
+        patch.setattr(pricing, "_add_series_term", counted)
+        return search(), work[0]
+
+
+def _uncut_work(group, available, cost):
+    """Entries the kernel advances in uncut searches: K (K + 1) / 2 each, K =
+    floor(group * avail / c)."""
+    bound = np.floor(np.multiply(group, available) / cost + 1e-9)
+    return float((bound * (bound + 1) / 2).sum())
+
+
+def test_cut_keeps_under_half_the_term_work(monkeypatch):
+    # Without the cut the two counts would be equal.
+    k, cut = _term_work(monkeypatch, lambda: capacity_argmax(1.0, 8000.0, 1.0))
+    (want, _), full = _term_work(monkeypatch, lambda: _oracle_search(1.0, 8000.0, 1.0, 1, 8000))
+    assert k == want
+    assert full == _uncut_work(1, 8000.0, 1.0)
+    assert 0 < cut < full / 2
+
+
+def test_cut_keeps_under_two_percent_of_a_high_rate_search(monkeypatch):
+    # Bounding log S_k(x) by x alone kept 78 % of this search's term work.
+    decision, cut = _term_work(monkeypatch, lambda: allocate_continuous(1.0, 50.0, 2000.0, 1.0))
+    assert (decision.k_star, decision.profit) == _oracle_search(50.0, 2000.0, 1.0, 1, 2000)
+    assert 0 < cut < 0.02 * _uncut_work(1, 2000.0, 1.0)
+
+
+def test_cut_keeps_under_five_percent_of_a_fleet_search(monkeypatch):
+    # The largest continuous fleet plan of the benchmark: 3 hotspots at rates
+    # 50 to 80, groups 1-6, B0 = 200, c = 2. Bounding by x alone kept 68 %.
+    rate = np.array([80.0, 65.0, 50.0])[:, None, None]
+    avail = 200.0 - 0.4 * 200.0 * np.arange(3)[:, None, None] / 3
+    groups = np.arange(1, 7)[:, None]
+    (ks, logs), cut = _term_work(monkeypatch, lambda: allocation._best_series_capacity(
+        rate, avail, 2.0, groups))
+    want = [_oracle_search(r, a, 2.0, n, math.floor(n * a / 2.0 + 1e-9))
+            for r, a in zip(rate.ravel(), avail.ravel()) for n in groups.ravel()]
+    assert list(zip(ks.ravel().tolist(), logs.ravel().tolist())) == want
+    assert 0 < cut < 0.05 * _uncut_work(groups.T, avail[:, 0], 2.0)
 
 
 def test_continuous_low_regime_example():

@@ -535,6 +535,10 @@ MOVED_TO_2 = [
     ("config-forking-model-foo", ["--config", "{model_foo}", *FORK]),
     ("config-simulate-c-model-foo", ["--config", "{model_foo}", *SIM_C]),
     ("config-variance-model-foo", ["--config", "{model_foo}", *VAR]),
+    # Printed nan with a RuntimeWarning and exited 0: an infinite rate or
+    # upper bound turned every table cell to NaN.
+    ("price-d-lambda-inf", _set(PRICE_D, "--lambda", "inf")),
+    ("price-d-uniform-b-inf", _set(_uniform(PRICE_D), "--b", "inf")),
 ]
 
 

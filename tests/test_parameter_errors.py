@@ -2,6 +2,7 @@
 function's domain, which the CLI maps to exit code 2."""
 
 import ast
+import json
 import math
 import pathlib
 
@@ -100,6 +101,15 @@ RUNTIME_FAILURES = {("pricing.py", "solve_stage_price"),
     lambda: ValuationModel.from_dict({"kind": "exponential", "rate": "2"}),
     lambda: ValuationModel.from_dict({"kind": "exponential", "rate": True}),
     lambda: ValuationModel.from_dict({"kind": "exponential", "rate": [2]}),
+    # Not a JSON object: AttributeError from data.get.
+    lambda: ValuationModel.from_dict([1]),
+    lambda: ValuationModel.from_dict(None),
+    # Infinite parameters: every table turned to NaN with a RuntimeWarning.
+    lambda: ValuationModel.exponential(math.inf),
+    lambda: ValuationModel.uniform(0.0, math.inf),
+    lambda: ValuationModel.uniform(math.inf, math.inf),
+    lambda: ValuationModel.from_dict(json.loads('{"kind": "exponential", "rate": 1e400}')),
+    lambda: ValuationModel.from_dict(json.loads('{"kind": "uniform", "lower": 0, "upper": 1e400}')),
 ])
 def test_preconditions_raise_parameter_error(call):
     with pytest.raises(ParameterError):

@@ -3,7 +3,6 @@
 import math
 import warnings
 from decimal import Decimal, localcontext
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +17,8 @@ from uavps.pricing import (_add_series_term, _log_series, _series_log, build_pri
                            price_closed_form, profit_step, schedule_csv_rows,
                            solve_stage_price)
 from uavps.valuations import ParameterError, ValuationModel
+
+from oracles import exact_log_series
 
 EXP1 = ValuationModel.exponential(1.0)
 UNI = ValuationModel.uniform(5.0, 15.0)
@@ -281,17 +282,6 @@ def test_log_series_kernel_against_logsumexp(x, k):
                                                       rel=1e-12, abs=0.0)
 
 
-def _exact_log_series(x: float, k: int) -> Decimal:
-    """log S_k(x) at the float x, from the exact rational sum, to 60 digits."""
-    x, term, total = Fraction(x), Fraction(1), Fraction(1)
-    for i in range(1, k + 1):
-        term *= x / i
-        total += term
-    with localcontext() as ctx:
-        ctx.prec = 60
-        return (Decimal(total.numerator) / Decimal(total.denominator)).ln()
-
-
 # The capacity search's cut rests on this bound (uavps.allocation): a computed
 # log S_k(x) is within a relative (3.3 k + 5) u of the exact value, u = 2^-53.
 @settings(max_examples=100, deadline=None)
@@ -312,7 +302,7 @@ def _exact_log_series(x: float, k: int) -> Decimal:
 @example(2000.0, 65)
 @example(2000.0, 120)
 def test_log_series_kernel_within_its_round_off_bound(x, k):
-    exact = _exact_log_series(x, k)
+    exact = exact_log_series(x, k)
     with localcontext() as ctx:
         ctx.prec = 60
         error = abs(Decimal(log_capacity_series(x, k)) - exact)
