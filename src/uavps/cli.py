@@ -13,10 +13,14 @@ configurations (including seeds) produce byte-identical files.
 
 Each flag is declared once, in the table ``_FLAGS``, which names the
 subcommands that take it; ``build_parser`` builds every subcommand from it.
-Parameters may also come from a JSON config file via ``--config``, keyed by
-the same table's spellings or dests; explicit flags override file values. A
-file value must have the flag's JSON type and, for a flag with choices, be one
-of them.
+``main`` builds the parser on its first call and reuses it for every later
+call in the process. Parameters may also come from a JSON config file via
+``--config``, keyed by the same table's spellings or dests; explicit flags
+override file values. A ``--config`` run builds a second parser, with the
+file's values as defaults. A file value must have the flag's JSON type and,
+for a flag with choices, be one of them; an unreadable file or a value that
+does not fit prints ``uavps: config error:``, and any other ``ParameterError``
+``uavps: error:``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import csv
 import json
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 
 from . import allocation, benchmark, deployment, pricing, simulator
 from .valuations import ParameterError, ValuationModel
@@ -374,17 +378,30 @@ def _load_config(path: str) -> dict:
     return data
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser without config, shared by every ``main`` call. Reuse is safe:
+    ``parse_args`` only reads it and returns a fresh namespace, and every
+    default in ``_FLAGS`` is immutable."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = _parser().parse_args(argv)
             if args.config is not None:  # parse again, the file's values as defaults
-                args = build_parser(_load_config(args.config)).parse_args(argv)
+                try:
+                    parser = build_parser(_load_config(args.config))
+                except ParameterError as exc:
+                    print(f"uavps: config error: {exc}", file=sys.stderr)
+                    return 2
+                args = parser.parse_args(argv)
         except SystemExit as exc:  # argparse reports usage errors with code 2
             return int(exc.code or 0)
         return args.func(args)
     except ParameterError as exc:
-        print(f"uavps: config error: {exc}", file=sys.stderr)
+        print(f"uavps: error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"uavps: error: {exc}", file=sys.stderr)

@@ -16,6 +16,8 @@ from uavps.benchmark import profit_ratio_curve, variance_sweep
 from uavps.pricing import build_pricing
 from uavps.valuations import ParameterError, ValuationModel
 
+import test_golden_cli as golden
+
 EXP1 = ValuationModel.exponential(1.0)
 
 
@@ -161,7 +163,7 @@ def test_benchmark_variance_roundtrip(tmp_path, capsys):
         assert float(row[0]) == var
         assert float(row[1]) == inc
         assert float(row[2]) == comp
-    # empty sweep is a config error
+    # a bad sweep exits 2
     assert cli.main(["benchmark", "--variance", "--mean", "10", "--T", "3",
                      "--alpha", "0.8", "--k", "1", "--variances",
                      "bad"]) == 2
@@ -290,6 +292,55 @@ def test_flag_inventory():
         assert got == [FLAGS[flag] for flag in INVENTORY[name].split()], name
 
 
+# -- the shared parser -------------------------------------------------------------
+#
+# ``main`` builds the parser without config once per process and reuses it, so
+# no run may leave a mark on it.
+
+
+@pytest.fixture
+def fresh_parser():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_parser_is_built_once_and_once_more_per_config_run(fresh_parser, tmp_path,
+                                                           monkeypatch, capsys):
+    builds, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda config=None: builds.append(config) or build(config))
+    for _ in range(3):
+        assert cli.main(PRICE_D) == 0
+    assert cli.main(["price", "--k", "x"]) == 2
+    assert builds == [None]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"k": 2}))
+    for n in (1, 2):
+        assert cli.main(["--config", str(cfg), *_set(PRICE_D, "--k", None)]) == 0
+        assert builds == [None] + [{"k": 2}] * n
+    capsys.readouterr()
+
+
+def test_shared_parser_is_unchanged_by_any_run(fresh_parser, tmp_path, capsys):
+    # The variance study writes its default alpha and k into the namespace.
+    assert cli.main(_set(VAR, "--alpha", None, "--k", None)) == 0
+    assert cli.main(["price", "--k", "x"]) == 2  # usage error
+    assert cli.main(_set(PRICE_D, "--lambda", "0")) == 2  # ParameterError
+    assert cli.main(["price", "-h"]) == 0
+    capsys.readouterr()
+    built = cli._parser()
+    for name in golden.RUNS:
+        assert golden.run(name, str(tmp_path)) == golden.GOLDEN[name], name
+    assert cli._parser() is built
+
+
+def test_every_flag_default_is_immutable():
+    for parser in cli.build_parser()._actions[-1].choices.values():
+        for action in parser._actions:
+            assert type(action.default) in (str, int, float, bool, type(None)), action.dest
+
+
 # -- exit codes ------------------------------------------------------------------
 #
 # One entry per value the CLI hands to the library, with a bad, missing, NaN or
@@ -350,11 +401,15 @@ CONFIG_FILES = {"k_frac": {"k": 2.5}, "k_whole": {"k": 2.0},
                 "trials_frac": {"trials": 100.5}, "trials_whole": {"trials": 500.0},
                 "seed_frac": {"seed": 1.5}, "seed_whole": {"seed": 3.0},
                 "T_step_frac": {"T_step": 2.5}, "T_step_whole": {"T_step": 2.0},
-                "k_list_int": {"k_list": 2}, "seed_null": {"seed": None},
-                "alpha_sweep_int": {"alpha_sweep": 5}, "variances_int": {"variances": 3},
-                "alpha_list": {"alpha": [0.5, 0.6]}, "out_int": {"out": 1},
-                "hotspots_int": {"hotspots": 3}, "forking_str": {"check_forking": "false"},
-                "mode_foo": {"mode": "foo"}, "model_foo": {"model": "foo"}}
+                "seed_null": {"seed": None}}
+# Values that do not fit their flag's JSON type or choices: the config file
+# itself is at fault, so the run prints "config error".
+CONFIG_MISFITS = {"k_list_int": {"k_list": 2},
+                  "alpha_sweep_int": {"alpha_sweep": 5}, "variances_int": {"variances": 3},
+                  "alpha_list": {"alpha": [0.5, 0.6]}, "out_int": {"out": 1},
+                  "hotspots_int": {"hotspots": 3},
+                  "forking_str": {"check_forking": "false"},
+                  "mode_foo": {"mode": "foo"}, "model_foo": {"model": "foo"}}
 
 
 def _configured(name, base, flag):
@@ -548,15 +603,17 @@ def test_exit_codes(argv, code, tmp_path, capsys):
     paths = {"missing": str(tmp_path / "absent.json"), "out": str(tmp_path / "out.csv"),
              "bad_json": str(tmp_path / "bad.json")}
     (tmp_path / "bad.json").write_text("{")
-    for name, content in {**SPOT_FILES, **CONFIG_FILES}.items():
+    for name, content in {**SPOT_FILES, **CONFIG_FILES, **CONFIG_MISFITS}.items():
         paths[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(content))
     assert cli.main([a.format(**paths) for a in argv]) == code
     err = capsys.readouterr().err
     if code == 0:
         assert err == ""
-    else:  # one line, no traceback
-        assert err.startswith("uavps: config error: ") and err.count("\n") == 1
+    else:  # one line, no traceback, "config error" only for a misfit config value
+        misfit = any(a.strip("{}") in CONFIG_MISFITS for a in argv)
+        prefix = "uavps: config error: " if misfit else "uavps: error: "
+        assert err.startswith(prefix) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [PRICE_D, PRICE_C, ALLOC_D, ALLOC_C, DEPLOY, FORK, SIM_D,

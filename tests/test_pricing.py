@@ -309,6 +309,31 @@ def test_log_series_kernel_within_its_round_off_bound(x, k):
         assert error <= Decimal((3.3 * k + 5) * 2.0 ** -53) * exact, (x, k, error / exact)
 
 
+# The continuous replay's quote floor rests on this bound (uavps.simulator):
+# one two-level pass gives log S_j - log S_{j-1} short of the exact difference
+# by at most 1e-9 + 1e-12 x, the floor's allowance.
+@settings(max_examples=100, deadline=None)
+@given(st.floats(math.log(1e-6), math.log(2000.0)).map(math.exp), st.integers(1, 120))
+@example(1.0, 1)  # whole x
+@example(2.0, 2)
+@example(7.0, 3)
+@example(100.0, 40)
+@example(50.0, 50)  # j near x, where the terms peak
+@example(119.0, 120)
+@example(30.0, 15)  # either side of a 16-term stride
+@example(30.0, 16)
+@example(30.0, 17)
+@example(2000.0, 64)  # the sum moves to its log offset at term 64
+@example(2000.0, 65)
+@example(2000.0, 120)
+def test_below_level_difference_within_the_quote_floor_allowance(x, j):
+    log_j, log_less = (Decimal(float(v)) for v in _log_series(x, j, below=True))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        shortfall = exact_log_series(x, j) - exact_log_series(x, j - 1) - (log_j - log_less)
+        assert shortfall <= Decimal(1e-9) + Decimal(1e-12) * Decimal(x), (x, j, shortfall)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.floats(0.0, 1e4), st.integers(0, 1500)),
                 min_size=1, max_size=12))
