@@ -35,8 +35,8 @@ def complete_info_profit(model: ValuationModel, alpha, capacity: int,
     the same column sweep as the posted-price table, and a 1-d alpha fills
     one table per entry on a trailing axis.
     """
-    return _fill(alpha, capacity, horizon, lambda _, r_same, r_less:
-                 r_same + alpha * model.expected_excess(r_same - r_less))[1]
+    return _fill(alpha, capacity, horizon, lambda _, r_same, r_less, out: np.add(
+        r_same, alpha * model.expected_excess(r_same - r_less), out=out))[1]
 
 
 def profit_ratio_curve(model: ValuationModel, alpha: float, capacity: int | list[int],

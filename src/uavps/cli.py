@@ -39,6 +39,9 @@ from .valuations import ParameterError, ValuationModel
 # -- small parsers -------------------------------------------------------------
 
 
+_MAX_SWEEP_STEPS = 10_000
+
+
 def parse_sweep(text: str) -> list[float]:
     """Parse ``start:stop:step`` into an inclusive grid (half-step tolerance)."""
     try:
@@ -48,6 +51,12 @@ def parse_sweep(text: str) -> list[float]:
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise ParameterError(f"bad sweep {text!r}: need finite values, step > 0 "
                              "and stop >= start")
+    # v += step leaves v unchanged once step is at most half an ulp of v, and
+    # |v| stays below |start| and |stop| + step.
+    if not (step > math.ulp(max(abs(start), abs(stop) + step)) / 2
+            and (stop - start) / step <= _MAX_SWEEP_STEPS):
+        raise ParameterError(f"bad sweep {text!r}: the step must advance every value, "
+                             f"in at most {_MAX_SWEEP_STEPS} steps")
     out, v = [], start
     while v <= stop + step / 2:
         out.append(round(v, 12))

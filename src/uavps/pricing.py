@@ -85,23 +85,26 @@ def solve_stage_price(model: ValuationModel, delta):
     return model.inverse_virtual_value(delta)
 
 
-def profit_step(model: ValuationModel, alpha: float, price, r_same, r_less):
+def profit_step(model: ValuationModel, alpha: float, price, r_same, r_less, out=None):
     """One application of the profit recursion at a posted price, elementwise.
 
     r_same and r_less are the continuation profits with the same and with one
     fewer service unit. A price with zero sale probability (bounded support
     saturation) leaves the continuation value untouched. Only a call that
     holds such a price pays for the two masks; the others run the formula
-    alone.
+    alone. With ``out``, an array of the broadcast shape, the final addition
+    writes the result there, as a ufunc's ``out`` does, and returns it.
     """
     sell = 1.0 - np.asarray(model.cdf(price))
-    unsold = sell <= 0.0
-    masked = unsold.any()
+    # One reduction: fmin skips NaN, as `sell <= 0` does, and an empty call gives 1.
+    masked = np.fmin.reduce(sell, axis=None, initial=1.0) <= 0.0
     if masked:
+        unsold = sell <= 0.0
         price = np.where(unsold, 0.0, price)  # an unsellable price may be inf
-    out = alpha * (price + r_less) * sell + r_same * (1.0 - alpha * sell)
+    out = np.add(alpha * (price + r_less) * sell, r_same * (1.0 - alpha * sell), out=out)
     if masked:
-        out = np.where(unsold, r_same, out)
+        out = np.asarray(out)  # a scalar call's sum is a numpy scalar
+        np.copyto(out, r_same, where=unsold)
     return out if out.ndim else float(out)
 
 
@@ -132,15 +135,17 @@ def _fill(alpha, capacity: int, horizon: int, rule,
     """The one (j, t) sweep behind every discrete profit table.
 
     Column t needs only column t-1: with m = min(t, capacity), ``rule(price,
-    r_same, r_less)`` maps the slices prices[1..m][t], R[1..m][t-1] and
-    R[0..m-1][t-1] to R[1..m][t], and rows past t copy R[t][t]. A 1-d alpha
-    adds a trailing batch axis, which a given price matrix must have too; the
-    rules are elementwise, so each table is the one its scalar alpha gives,
-    bit for bit. Without a price matrix the rule sees a read-only NaN view.
+    r_same, r_less, out)`` maps the slices prices[1..m][t], R[1..m][t-1] and
+    R[0..m-1][t-1] to R[1..m][t], which it writes into ``out``, the view
+    values[1..m][t]; rows past t copy R[t][t]. A 1-d alpha adds a trailing
+    batch axis, which a given price matrix must have too; the rules are
+    elementwise, so each table is the one its scalar alpha gives, bit for
+    bit. Without a price matrix the rule sees a read-only NaN view.
 
     A column holds at most k cells, so its cost is the count of numpy calls,
-    not the arithmetic: the rules mask and clamp only the columns that need
-    it, and the dead-row copy runs only while t < k.
+    not the arithmetic: each rule's last ufunc writes the column in place, the
+    rules mask and clamp only the columns that need it, and the dead-row copy
+    runs only while t < k.
     """
     shape = _table_shape(alpha, capacity, horizon)
     k, T = shape[0] - 1, shape[1] - 1
@@ -150,8 +155,8 @@ def _fill(alpha, capacity: int, horizon: int, rule,
     values = np.zeros(shape)
     for t in range(1, T + 1):
         m = min(t, k)
-        values[1:m + 1, t] = rule(prices[1:m + 1, t], values[1:m + 1, t - 1],
-                                  values[:m, t - 1])
+        rule(prices[1:m + 1, t], values[1:m + 1, t - 1], values[:m, t - 1],
+             values[1:m + 1, t])
         if m < k:
             values[m + 1:, t] = values[m, t]
     return (PriceSchedule(capacity=k, horizon=T, prices=prices),
@@ -167,14 +172,14 @@ def build_pricing(model: ValuationModel, alpha, capacity: int,
     [-1e-12 * R[j][t-1], 0) is round-off and counts as zero; a lower one raises.
     A 1-d alpha fills one table per entry in the same sweep, on a trailing axis.
     """
-    def posted(price, r_same, r_less):
+    def posted(price, r_same, r_less, out):
         delta = r_same - r_less
         if delta.min(initial=0.0) < 0.0:  # rare: clamp round-off, raise on the rest
             delta = np.where((delta < 0.0) & (delta >= -1e-12 * r_same), 0.0, delta)
             price[:] = solve_stage_price(model, delta)
         else:
             price[:] = model.inverse_virtual_value(delta)
-        return profit_step(model, alpha, price, r_same, r_less)
+        profit_step(model, alpha, price, r_same, r_less, out)
 
     prices = np.full(_table_shape(alpha, capacity, horizon), np.nan)
     return _fill(alpha, capacity, horizon, posted, prices)

@@ -117,7 +117,8 @@ class ValuationModel:
             # rate * v finite for v up to DBL_MAX.
             out = -np.expm1(-self.rate * np.minimum(np.maximum(v, 0.0), 40.0 / self.rate))
         else:
-            out = np.clip((v - self.lower) / (self.upper - self.lower), 0.0, 1.0)
+            # The array method reaches np.clip's ufunc without its wrappers.
+            out = ((v - self.lower) / (self.upper - self.lower)).clip(0.0, 1.0)
         return out if out.ndim else float(out)
 
     def pdf(self, v):
@@ -165,7 +166,7 @@ class ValuationModel:
         if self.kind == EXPONENTIAL:
             out = np.maximum(t + 1.0 / self.rate, 0.0)
         else:
-            out = np.clip(0.5 * (t + self.upper), self.lower, self.upper)
+            out = (0.5 * (t + self.upper)).clip(self.lower, self.upper)
         return out if out.ndim else float(out)
 
     # -- sampling ----------------------------------------------------------

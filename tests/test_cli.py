@@ -47,6 +47,13 @@ def test_sweep_parser():
         cli.parse_sweep("1:0:1")
     with pytest.raises(ParameterError):
         cli.parse_sweep("nope")
+    # v += 1 cannot move 1e16; the first sweep looped forever, the second
+    # asked for 10^12 points, and the third stalls at 2^53 past a start it moves.
+    for text in ("1e16:1.0000000000000002e16:1", "0:1:1e-12", f"{2**53 - 2}:{2**53 + 10}:1"):
+        with pytest.raises(ParameterError, match="bad sweep"):
+            cli.parse_sweep(text)
+    assert len(cli.parse_sweep("0:1:1e-4")) == 10_001
+    assert cli.parse_sweep(f"{2**52}:{2**52 + 2}:1") == [2.0**52, 2.0**52 + 1, 2.0**52 + 2]
 
 
 def test_price_discrete_stdout_and_csv(tmp_path, capsys):
@@ -444,7 +451,9 @@ def _cases():
                 for flag, v in (("--B", None), ("--c", None), ("--c", "0"), ("--c", "-3"),
                                 ("--c", "nan"), ("--B", "3"), ("--alpha-sweep", "1:0:1"),
                                 ("--alpha-sweep", "x"), ("--alpha-sweep", "0:1:0"),
-                                ("--alpha-sweep", "0:1:inf"))]
+                                ("--alpha-sweep", "0:1:inf"),
+                                ("--alpha-sweep", "1e16:1.0000000000000002e16:1"),
+                                ("--alpha-sweep", "0:1:1e-12"))]
     ok += [("allocate-c-sweep", _set(ALLOC_C, "--alpha-sweep", "0.5:1:0.5")),
            ("allocate-c-B-frac", _set(ALLOC_C, "--B", "15.5")),
            ("allocate-d-B-4", _set(ALLOC_D, "--B", "4")),

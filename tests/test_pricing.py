@@ -74,8 +74,8 @@ def test_build_pricing_absorbs_option_value_roundoff(alpha, k, T):
 def test_build_pricing_clamps_only_roundoff(monkeypatch, dip, clamps):
     # R[1][t] = 1 and R[2][2] = 1 - dip, so the option value at (2, 3) is -dip.
     monkeypatch.setattr(uavps.pricing, "profit_step",
-                        lambda model, alpha, p, r_same, r_less:
-                        np.where(r_less > 0, 1.0 - dip, 1.0))
+                        lambda model, alpha, p, r_same, r_less, out:
+                        np.copyto(out, np.where(r_less > 0, 1.0 - dip, 1.0)))
     if clamps:
         schedule, _ = build_pricing(EXP1, 0.5, 2, 3)
         assert schedule.price(2, 3) == solve_stage_price(EXP1, 0.0)

@@ -85,6 +85,51 @@ def test_cdf_equals_its_oracle_bit_for_bit(model, values):
         assert _bits(model.cdf(v)) == _bits(_cdf_oracle(model, v))
 
 
+def _inverse_virtual_value_oracle(model, target):
+    """ValuationModel.inverse_virtual_value with ``np.clip`` for the uniform
+    clamp: the oracle for calling the array method, which reaches the same
+    ufunc without the wrapper."""
+    t = np.asarray(target, dtype=float)
+    if model.kind == "exponential":
+        out = np.maximum(t + 1.0 / model.rate, 0.0)
+    else:
+        out = np.clip(0.5 * (t + model.upper), model.lower, model.upper)
+    return out if out.ndim else float(out)
+
+
+def _clamp_targets(model):
+    """Targets at and one ulp either side of where the clamps start: phi at
+    each support bound."""
+    if model.kind == "exponential":
+        edges = [-1.0 / model.rate]
+    else:
+        edges = [2.0 * model.lower - model.upper, model.upper]
+    return [np.nextafter(e, d) for e in edges for d in (-math.inf, e, math.inf)]
+
+
+@pytest.mark.parametrize("model", MODELS, ids=str)
+def test_inverse_virtual_value_equals_its_oracle_on_edge_values(model):
+    targets = EDGE_VALUATIONS + _clamp_targets(model)
+    for t in targets:
+        assert _bits(model.inverse_virtual_value(t)) == _bits(
+            _inverse_virtual_value_oracle(model, t)), t
+    for edges in (np.array(targets), np.array(EDGE_VALUATIONS).reshape(3, 3)):
+        assert _bits(model.inverse_virtual_value(edges)) == _bits(
+            _inverse_virtual_value_oracle(model, edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(MODELS),
+       st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                          st.sampled_from(EDGE_VALUATIONS)), max_size=30))
+def test_inverse_virtual_value_equals_its_oracle_bit_for_bit(model, targets):
+    assert _bits(model.inverse_virtual_value(np.array(targets))) == _bits(
+        _inverse_virtual_value_oracle(model, np.array(targets)))
+    for t in targets[:5]:
+        assert _bits(model.inverse_virtual_value(t)) == _bits(
+            _inverse_virtual_value_oracle(model, t))
+
+
 def test_cdf_exponential_against_empirical():
     # 1 - e^{-1} at rate 2, v = 0.5; cross-checked by the empirical CDF.
     model = ValuationModel.exponential(2.0)
