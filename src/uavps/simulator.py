@@ -13,16 +13,17 @@ Trials run in fixed-size chunks of ``CHUNK_TRIALS``; chunk i derives its own
 child stream from (seed, i), so results are reproducible bit for bit and a
 harness may farm chunks out to workers without changing the outcome.
 
-Each chunk is split into ``WORKERS`` near-equal trial ranges, its shares, one
-per CPU in the process's affinity mask, and the shares are played at once:
-the calling thread plays the first and one thread each the others, all
-joined before the call returns. A share reads exactly the doubles a serial
-replay gives its trials, through a copy of the chunk's generator advanced to
-them (PCG's jump-ahead), so reports do not depend on the CPU count;
-``taskset -c 0`` plays the whole chunk on one CPU, with no thread. A chunk of
-fewer than 2 * ``SHARE_TRIALS`` trials is one share: numpy holds the
-interpreter lock between its calls, and on smaller shares the threads would
-spend more waiting for it than they save.
+``_replay`` alone owns chunks, shares and threads; each replay gives it a
+chunk's up-front draws and the play of a trial range. It splits each chunk
+into ``WORKERS`` near-equal trial ranges, its shares, one per CPU in the
+process's affinity mask, and plays them at once: the calling thread plays
+the first and one thread each the others, all joined before the call
+returns. A share reads exactly the doubles a serial replay gives its trials,
+through a copy of the chunk's generator advanced to them (PCG's jump-ahead),
+so reports do not depend on the CPU count; ``taskset -c 0`` plays the whole
+chunk on one CPU, with no thread. A chunk of fewer than 2 * ``SHARE_TRIALS``
+trials is one share: numpy holds the interpreter lock between its calls, and
+on smaller shares the threads would spend more waiting for it than they save.
 
 In the discrete replay, each slot reads the chunk's arrival draws and then
 its valuation draws, one double per trial; a share [a, b) reads its b - a of
@@ -94,45 +95,48 @@ def _jumped(state: dict, steps: int) -> np.random.Generator:
     return np.random.Generator(bits.advance(steps))
 
 
-def _shares(size: int) -> list[tuple[int, int]]:
-    """A chunk's trial ranges: ``WORKERS`` near-equal ones, fewer when a range
-    would hold under ``SHARE_TRIALS`` trials."""
-    count = max(1, min(WORKERS, size // SHARE_TRIALS))
-    cuts = [size * i // count for i in range(count + 1)]
-    return list(zip(cuts, cuts[1:]))
-
-
-def _play_shares(play, shares: list[tuple[int, int]]) -> None:
-    """Call ``play(a, b)`` on every share, the first on the calling thread and
-    the others on one thread each. Returns once every share is done, raising
-    the exception of the first share in order that failed."""
-    if len(shares) == 1:
-        play(*shares[0])
-        return
-    with ThreadPoolExecutor(len(shares) - 1) as pool:
-        futures = [pool.submit(play, a, b) for a, b in shares[1:]]
-        play(*shares[0])
-        for future in futures:
-            future.result()
-
-
-def _chunk_sizes(trials: int) -> list[int]:
-    full, rest = divmod(trials, CHUNK_TRIALS)
-    return [CHUNK_TRIALS] * full + ([rest] if rest else [])
+def _std_error(x: np.ndarray) -> float:
+    return float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
 
 
 def _report(profits: np.ndarray, served: np.ndarray, capacity: int,
             seed: int) -> SimulationReport:
-    n = profits.size
-    mean = float(profits.mean())
-    se = float(profits.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    hist = np.bincount(served, minlength=capacity + 1)
-    return SimulationReport(trials=n, mean_profit=mean, std_error=se,
-                            served_histogram=tuple(int(c) for c in hist),
-                            seed=seed)
+    hist = tuple(np.bincount(served, minlength=capacity + 1).tolist())
+    return SimulationReport(trials=profits.size, mean_profit=float(profits.mean()),
+                            std_error=_std_error(profits), served_histogram=hist, seed=seed)
+
+
+def _replay(trials: int, seed: int, policies: int, chunk):
+    """Play ``trials`` trials chunk by chunk, each chunk's shares at once;
+    returns (policies, trials) arrays of profits and served counts.
+
+    ``chunk(rng, size, shares)`` makes a chunk's up-front draws and returns
+    ``play(a, b, profits, served)``, which plays the chunk's trials [a, b) into
+    its (policies, size) output views. Once every share is done, raises the
+    exception of the first share in order that failed.
+    """
+    profits = np.empty((policies, trials))
+    served = np.empty((policies, trials), dtype=np.int64)
+    for pos in range(0, trials, CHUNK_TRIALS):
+        size = min(CHUNK_TRIALS, trials - pos)
+        count = max(1, min(WORKERS, size // SHARE_TRIALS))
+        cuts = [size * i // count for i in range(count + 1)]
+        play = chunk(_chunk_rng(seed, pos // CHUNK_TRIALS), size, count)
+        views = profits[:, pos:pos + size], served[:, pos:pos + size]
+        with ThreadPoolExecutor(max(1, count - 1)) as pool:  # threads start on submit
+            futures = [pool.submit(play, a, b, *views) for a, b in zip(cuts[1:], cuts[2:])]
+            play(cuts[0], cuts[1], *views)
+            for future in futures:
+                future.result()
+    return profits, served
 
 
 # -- discrete-time simulation --------------------------------------------------
+
+
+def _check_alpha(alpha) -> None:
+    if np.ndim(alpha) or not 0.0 <= alpha <= 1.0:  # build_pricing also takes a batch
+        raise ParameterError(f"a replay plays one occurrence probability in [0, 1], got {alpha!r}")
 
 
 def _run_discrete(model: ValuationModel, alpha: float, price_lookups: list[np.ndarray],
@@ -146,43 +150,41 @@ def _run_discrete(model: ValuationModel, alpha: float, price_lookups: list[np.nd
     policy's result, do not depend on which other policies are played
     alongside (common random numbers).
     """
-    lookups = []
-    for prices in price_lookups:
-        lookup = prices.T.copy()  # row t is one slot's prices, contiguous
-        lookup[:, 0] = np.inf  # exhausted capacity never sells
-        lookup[np.isnan(lookup)] = np.inf
-        lookups.append(lookup)
+    # lookup[t] holds every policy's prices for slot t, contiguous, so one
+    # take reads them all: policy i's entries start at offset[i].
+    lookup = np.stack([prices.T for prices in price_lookups], axis=1)
+    lookup[..., 0] = np.inf  # exhausted capacity never sells
+    lookup[np.isnan(lookup)] = np.inf
+    policies = len(price_lookups)
+    offset = np.arange(policies)[:, None] * (capacity + 1)
 
-    profits = np.empty((len(lookups), trials))
-    served = np.empty((len(lookups), trials), dtype=np.int64)
-    pos = 0
-    for idx, size in enumerate(_chunk_sizes(trials)):
-        state = _chunk_rng(seed, idx).bit_generator.state
+    def chunk(rng, size, shares):
+        state = rng.bit_generator.state
 
-        def play(a: int, b: int) -> None:
+        def play(a: int, b: int, profits: np.ndarray, served: np.ndarray) -> None:
             # Each slot reads size arrival draws, then size valuation draws.
             n = b - a
             rng = _jumped(state, a)
             skip = rng.bit_generator.advance
-            j = [np.full(n, capacity, dtype=np.int64) for _ in lookups]
-            gain = [np.zeros(n) for _ in lookups]
+            # Units left plus each policy's offset: indices into lookup[t].
+            left = np.repeat(offset + capacity, n, axis=1)
+            gain = np.zeros((policies, n))
             for t in range(horizon, 0, -1):
                 arrive = rng.random(n) < alpha
                 skip(size - n)
                 v = model.sample(rng.random(n))
                 skip(size - n)
-                for i, lookup in enumerate(lookups):
-                    jj = np.minimum(j[i], t)  # spare units beyond the time left are dead
-                    price = lookup[t].take(jj)
-                    sale = arrive & (jj > 0) & (v >= price)
-                    np.add(gain[i], price, out=gain[i], where=sale)
-                    j[i] -= sale
-            profits[:, pos + a:pos + b] = gain
-            served[:, pos + a:pos + b] = capacity - np.array(j)
+                jj = np.minimum(left, offset + t)  # spare units beyond the time left are dead
+                price = lookup[t].take(jj)
+                sale = arrive & (jj > offset) & (v >= price)
+                np.add(gain, price, out=gain, where=sale)
+                left -= sale
+            profits[:, a:b] = gain
+            served[:, a:b] = offset + capacity - left
 
-        _play_shares(play, _shares(size))
-        pos += size
-    return profits, served
+        return play
+
+    return _replay(trials, seed, policies, chunk)
 
 
 def simulate_discrete(model: ValuationModel, alpha: float, schedule: PriceSchedule,
@@ -196,13 +198,12 @@ def simulate_discrete(model: ValuationModel, alpha: float, schedule: PriceSchedu
     capacity. Deterministic given the seed.
     """
     trials, seed = _whole(trials, "trials"), _whole(seed, "seed", 0)
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"occurrence probability must lie in [0, 1], got {alpha}")
-    if schedule.capacity != capacity or schedule.horizon != horizon:
-        raise ParameterError(
-            f"schedule built for (k={schedule.capacity}, T={schedule.horizon}), "
-            f"asked to simulate (k={capacity}, T={horizon})"
-        )
+    _check_alpha(alpha)
+    if ((schedule.capacity, schedule.horizon) != (capacity, horizon)
+            or schedule.prices.shape != (capacity + 1, horizon + 1)):
+        raise ParameterError(f"schedule with prices of shape {schedule.prices.shape}, built "
+                             f"for (k={schedule.capacity}, T={schedule.horizon}), asked to "
+                             f"simulate one policy at (k={capacity}, T={horizon})")
     (profits,), (served,) = _run_discrete(model, alpha, [schedule.prices], schedule.capacity,
                                           schedule.horizon, trials, seed)
     return _report(profits, served, schedule.capacity, seed)
@@ -217,17 +218,16 @@ def simulate_policy_regret(model: ValuationModel, alpha: float, capacity: int,
     paired standard error reflects only the policy difference.
     """
     trials, seed = _whole(trials, "trials"), _whole(seed, "seed", 0)
+    _check_alpha(alpha)
     if math.isnan(constant_price):
         raise ParameterError("constant price must be a number, got nan")
     schedule, _ = build_pricing(model, alpha, capacity, horizon)
     flat = np.full_like(schedule.prices, float(constant_price))
     (opt, fixed), _ = _run_discrete(model, alpha, [schedule.prices, flat],
                                     schedule.capacity, schedule.horizon, trials, seed)
-    diff = opt - fixed
-    paired_se = float(diff.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return RegretReport(optimal_mean=float(opt.mean()),
                         fixed_price_mean=float(fixed.mean()),
-                        paired_std_error=paired_se, trials=trials, seed=seed)
+                        paired_std_error=_std_error(opt - fixed), trials=trials, seed=seed)
 
 
 # -- continuous-time simulation -------------------------------------------------
@@ -302,20 +302,14 @@ def simulate_continuous(lam: float, arrival_rate: float, capacity: int,
     """
     trials, seed = _whole(trials, "trials"), _whole(seed, "seed", 0)
     capacity = _check_closed_form(lam, arrival_rate, capacity, horizon)
-    mean_count = arrival_rate * horizon
 
-    profits = np.empty(trials)
-    served = np.empty(trials, dtype=np.int64)
-    pos = 0
-    for idx, size in enumerate(_chunk_sizes(trials)):
-        rng = _chunk_rng(seed, idx)
-        counts = rng.poisson(mean_count, size)
+    def chunk(rng, size, shares):
+        counts = rng.poisson(arrival_rate * horizon, size)
         top = int(counts.max())
         state = rng.bit_generator.state
-        shares = _shares(size)
-        rows = min(BLOCK_ROWS, max(1, BLOCK_CELLS // (len(shares) * max(top, 1))))
+        rows = min(BLOCK_ROWS, max(1, BLOCK_CELLS // (shares * max(top, 1))))
 
-        def play(a: int, b: int) -> None:
+        def play(a: int, b: int, profits: np.ndarray, served: np.ndarray) -> None:
             # One double per 64-bit output: the time matrix is the stream's
             # next size * top doubles in row order, and the valuation matrix
             # the size * top after those.
@@ -327,11 +321,11 @@ def simulate_continuous(lam: float, arrival_rate: float, capacity: int,
                 neg_t, u = time_buf[:d - c], val_buf[:d - c]
                 time_rng.random(out=neg_t)
                 val_rng.random(out=u)
-                gain, j = _play_block(lam, arrival_rate, capacity, horizon,
-                                      counts[c:d], neg_t, u)
-                profits[pos + c:pos + d] = gain
-                served[pos + c:pos + d] = capacity - j
+                profits[0, c:d], j = _play_block(lam, arrival_rate, capacity, horizon,
+                                                 counts[c:d], neg_t, u)
+                served[0, c:d] = capacity - j
 
-        _play_shares(play, shares)
-        pos += size
+        return play
+
+    (profits,), (served,) = _replay(trials, seed, 1, chunk)
     return _report(profits, served, capacity, seed)

@@ -43,6 +43,30 @@ def test_dimension_mismatch_rejected():
         simulate_discrete(EXP1, 0.5, schedule, 2, 5, 0, seed=1)
 
 
+@pytest.mark.parametrize("alphas", [3, 10])
+def test_discrete_replay_rejects_a_batched_schedule(alphas):
+    # A 1-d alpha's (k + 1, T + 1, alphas) prices passed the k/T check, then
+    # raised IndexError at 3 alphas and reported mean_profit 0.0 at 10.
+    schedule, _ = build_pricing(EXP1, np.linspace(0.1, 0.9, alphas), 2, 5)
+    with pytest.raises(ParameterError, match="shape"):
+        simulate_discrete(EXP1, 0.5, schedule, 2, 5, 100, seed=1)
+
+
+@pytest.mark.parametrize("alpha", [[0.5], np.array([0.4, 0.6])])
+def test_discrete_replay_rejects_a_batched_alpha(alpha):
+    # A list raised TypeError, an array numpy's ambiguous-truth ValueError.
+    schedule, _ = build_pricing(EXP1, 0.5, 2, 5)
+    with pytest.raises(ParameterError, match="one occurrence probability"):
+        simulate_discrete(EXP1, alpha, schedule, 2, 5, 100, seed=1)
+
+
+@pytest.mark.parametrize("alpha", [[0.5], np.array([0.4, 0.6])])
+def test_regret_replay_rejects_a_batched_alpha(alpha):
+    # Raised IndexError or numpy's broadcast ValueError deep in the replay.
+    with pytest.raises(ParameterError, match="one occurrence probability"):
+        simulate_policy_regret(EXP1, alpha, 2, 5, 100, 1, 1.0)
+
+
 @pytest.mark.parametrize("rate, horizon", [(1e13, 1.0), (1.0, math.inf), (math.inf, 0.0)])
 def test_continuous_replay_rejects_series_arguments_past_1e12(rate, horizon):
     # Rate 1e13 used to ask numpy for 728 TiB of draws and raise MemoryError.
@@ -63,14 +87,17 @@ def test_determinism_bit_for_bit():
     assert x == y
 
 
-def test_chunking_is_transparent():
+def test_chunking_is_transparent(monkeypatch):
     # crossing the chunk boundary must not disturb earlier trials' draws
-    from uavps import simulator
-
+    monkeypatch.setattr(simulator, "CHUNK_TRIALS", 1_000)
     schedule, _ = build_pricing(EXP1, 0.5, 1, 4)
-    small = simulate_discrete(EXP1, 0.5, schedule, 1, 4,
-                              simulator.CHUNK_TRIALS // 100, seed=9)
-    assert small.trials == simulator.CHUNK_TRIALS // 100
+    two = simulator._run_discrete(EXP1, 0.5, [schedule.prices], 1, 4, 2_000, 9)
+    more = simulator._run_discrete(EXP1, 0.5, [schedule.prices], 1, 4, 2_345, 9)
+    for whole, longer in zip(two, more):
+        assert longer.shape == (1, 2_345)
+        assert np.array_equal(whole, longer[:, :2_000])
+    assert 0 < np.count_nonzero(two[1]) < 2_000
+    assert simulate_discrete(EXP1, 0.5, schedule, 1, 4, 2_345, seed=9).trials == 2_345
 
 
 def test_discrete_agrees_with_table():
@@ -133,9 +160,9 @@ def _discrete_oracle(model, alpha, price_lookup, capacity, horizon, trials, seed
     lookup[0, :] = np.inf
     lookup[np.isnan(lookup)] = np.inf
 
-    pos = 0
-    for idx, size in enumerate(simulator._chunk_sizes(trials)):
-        rng = simulator._chunk_rng(seed, idx)
+    for pos in range(0, trials, simulator.CHUNK_TRIALS):
+        size = min(simulator.CHUNK_TRIALS, trials - pos)
+        rng = simulator._chunk_rng(seed, pos // simulator.CHUNK_TRIALS)
         j = np.full(size, capacity, dtype=np.int64)
         gain = np.zeros(size)
         for t in range(horizon, 0, -1):
@@ -148,7 +175,6 @@ def _discrete_oracle(model, alpha, price_lookup, capacity, horizon, trials, seed
             j = j - sale
         profits[pos:pos + size] = gain
         served[pos:pos + size] = capacity - j
-        pos += size
     return profits, served
 
 
@@ -188,9 +214,9 @@ def _continuous_oracle(lam, arrival_rate, capacity, horizon, trials, seed):
     transformed up front, and a separate series call for each level."""
     profits = np.empty(trials)
     served = np.empty(trials, dtype=np.int64)
-    pos = 0
-    for idx, size in enumerate(simulator._chunk_sizes(trials)):
-        rng = simulator._chunk_rng(seed, idx)
+    for pos in range(0, trials, simulator.CHUNK_TRIALS):
+        size = min(simulator.CHUNK_TRIALS, trials - pos)
+        rng = simulator._chunk_rng(seed, pos // simulator.CHUNK_TRIALS)
         counts = rng.poisson(arrival_rate * horizon, size)
         top = int(counts.max())
         gain = np.zeros(size)
@@ -214,7 +240,6 @@ def _continuous_oracle(lam, arrival_rate, capacity, horizon, trials, seed):
             j[sold] -= 1
         profits[pos:pos + size] = gain
         served[pos:pos + size] = capacity - j
-        pos += size
     return simulator._report(profits, served, capacity, seed)
 
 

@@ -26,8 +26,12 @@ The output holds:
 - the traced pair's per-layer metrics;
 - cells per second of ``build_pricing``, ``evaluate_schedule`` and
   ``complete_info_profit`` at (k, T) = (20, 1000) for exponential and uniform
-  valuations, counting the k * T cells of R[1..k][1..T], from the best of
-  ``LAYER_REPS`` calls per side in one process that loads both trees.
+  valuations, counting the k * T cells of R[1..k][1..T], and trials per
+  second of ``simulate_discrete`` and ``simulate_policy_regret`` at
+  (k, T) = (5, 20) with 10^5 trials, and of ``simulate_continuous`` at rate
+  0.5, k 3, T 1 with 10^6 trials and at rate 2, k 20, T 5 with 10^5, each
+  from the best of ``LAYER_REPS`` calls per side in one process that loads
+  both trees (about a minute on a 2-CPU host).
 
 The second form prints, per workload and metric, the ratio of the change
 medians of the second file to those of the first. The script uses the
@@ -73,7 +77,7 @@ def load(name, tree):
     return lib
 
 k, T, alpha, reps = 20, 1000, 0.5, int(sys.argv[3])
-calls = {}
+calls, work = {}, {}
 for side, tree in (("parent", sys.argv[1]), ("change", sys.argv[2])):
     lib = load(f"uavps_{side}", tree)
     for family, model in (("exponential", lib.valuations.ValuationModel.exponential(1.0)),
@@ -85,6 +89,22 @@ for side, tree in (("parent", sys.argv[1]), ("change", sys.argv[2])):
             lib.pricing.evaluate_schedule, model, alpha, prices, k, T)
         calls[f"complete_info_profit.{family}", side] = partial(
             lib.benchmark.complete_info_profit, model, alpha, k, T)
+        for name in ("build_pricing", "evaluate_schedule", "complete_info_profit"):
+            work[f"{name}.{family}"] = k * T, "cells/s"
+    # verify's largest criterion-1 table, its low-load 10^6 replay and its
+    # k = 20 replay; a regret trial plays two policies on one draw stream.
+    sim, model = lib.simulator, lib.valuations.ValuationModel.exponential(1.0)
+    schedule = lib.pricing.build_pricing(model, alpha, 5, 20)[0]
+    for name, trials, call in (
+            ("simulate_discrete.k5_T20", 10**5,
+             partial(sim.simulate_discrete, model, alpha, schedule, 5, 20, 10**5, 1)),
+            ("simulate_policy_regret.k5_T20", 10**5,
+             partial(sim.simulate_policy_regret, model, alpha, 5, 20, 10**5, 1, 1.0)),
+            ("simulate_continuous.rate0.5_k3_T1", 10**6,
+             partial(sim.simulate_continuous, 1.0, 0.5, 3, 1.0, 10**6, 1)),
+            ("simulate_continuous.rate2_k20_T5", 10**5,
+             partial(sim.simulate_continuous, 1.0, 2.0, 20, 5.0, 10**5, 1))):
+        calls[name, side], work[name] = call, (trials, "trials/s")
 best = dict.fromkeys(calls, float("inf"))
 for i in range(reps):
     for key in sorted(calls, reverse=i % 2 == 1):
@@ -93,7 +113,8 @@ for i in range(reps):
         best[key] = min(best[key], time.perf_counter() - start)
 rates = {}
 for (name, side), seconds in best.items():
-    rates.setdefault(name, {"unit": "cells/s"})[side] = k * T / seconds
+    count, unit = work[name]
+    rates.setdefault(name, {"unit": unit})[side] = count / seconds
 print(json.dumps(rates))
 """
 
