@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pricing import ProfitTable, _fill, _table_shape, build_pricing
+from .pricing import ProfitTable, _fill, _table_shape, _whole, build_pricing
 from .valuations import ParameterError, ValuationModel
 
 # Half-width standing in for a point mass when a zero-variance sweep entry is
@@ -57,9 +57,7 @@ def profit_ratio_curve(model: ValuationModel, alpha: float, capacity: int | list
     capacities = np.ravel(capacity).tolist()
     if not capacities:
         raise ParameterError("need at least one capacity")
-    if not all(float(t).is_integer() for t in horizons):
-        raise ParameterError(f"horizons must be finite whole numbers, got {horizons}")
-    horizons = [int(t) for t in horizons]
+    horizons = [_whole(t, "horizon", 0) for t in horizons]
     t_max = max(horizons)
     for k in capacities:
         _table_shape(alpha, k, t_max)

@@ -3,12 +3,11 @@
 The library validates every value: a bad one raises ``ParameterError``, which
 exits with code 2, as do the checks made here, which are only those the
 library cannot make: flags that must be present, the model family, sweep and
-list syntax, the whole-number horizons of the discrete mode, the pairing of
-study flags, and the hotspot and config files. Any other failure exits with 1
-and success with 0. Commands print headline numbers to stdout with six
-decimals and can write CSV files carrying the full parameter set as ``#``
-comment lines. CSV cells use shortest round-trip float formatting, so files
-re-parse to exactly the values the library returned, and identical
+list syntax, the pairing of study flags, and the hotspot and config files. Any
+other failure exits with 1 and success with 0. Commands print headline numbers
+to stdout with six decimals and can write CSV files carrying the full parameter
+set as ``#`` comment lines. CSV cells use shortest round-trip float formatting,
+so files re-parse to exactly the values the library returned, and identical
 configurations (including seeds) produce byte-identical files.
 
 Each flag is declared once, in the table ``_FLAGS``, which names the
@@ -71,16 +70,6 @@ def parse_int_list(text: str) -> list[int]:
         raise ParameterError(f"bad integer list {text!r}") from exc
 
 
-def _fmt(x) -> str:
-    """A parameter value for a comment line: shortest round-trip floats, empty
-    for a missing value."""
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def write_csv(path: str, header: list[str], rows, params: dict) -> None:
     """Write rows with a provenance comment block (no timestamps: determinism).
 
@@ -91,8 +80,8 @@ def write_csv(path: str, header: list[str], rows, params: dict) -> None:
     """
     with open(path, "w", newline="") as fh:
         fh.write("# uavps\n")
-        for key in sorted(params):
-            fh.write(f"# {key}: {_fmt(params[key])}\n")
+        for key, value in sorted(params.items()):  # str(x) is repr(x) for a float
+            fh.write(f"# {key}: {'' if value is None else value}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -112,13 +101,6 @@ def _need(args, *dests: str) -> None:
     if missing:
         raise ParameterError("missing " + ", ".join(
             "--" + ("lambda" if d == "lam" else d.replace("_", "-")) for d in missing))
-
-
-def _slots(T: float) -> int:
-    """A discrete horizon: a whole number of slots."""
-    if not float(T).is_integer():
-        raise ParameterError(f"discrete mode needs an integer --T, got {T}")
-    return int(T)
 
 
 def _model_from_args(args) -> ValuationModel:
@@ -149,7 +131,7 @@ def cmd_price(args) -> int:
 
     model = _model_from_args(args)
     _need(args, "alpha")
-    schedule, table = pricing.build_pricing(model, args.alpha, args.k, _slots(args.T))
+    schedule, table = pricing.build_pricing(model, args.alpha, args.k, args.T)
     print(f"{table.final():.6f}")
     if args.out:
         write_csv(args.out, ["j", "t", "price", "profit"],
@@ -223,9 +205,8 @@ def cmd_simulate(args) -> int:
     else:
         model = _model_from_args(args)
         _need(args, "alpha")
-        horizon = _slots(args.T)
-        schedule, table = pricing.build_pricing(model, args.alpha, args.k, horizon)
-        report = simulator.simulate_discrete(model, args.alpha, schedule, args.k, horizon,
+        schedule, table = pricing.build_pricing(model, args.alpha, args.k, args.T)
+        report = simulator.simulate_discrete(model, args.alpha, schedule, args.k, args.T,
                                              args.trials, args.seed)
         reference = table.final()
 
@@ -274,8 +255,7 @@ def cmd_benchmark(args) -> int:
         args.k = 1
     if not args.T >= 1:  # the library accepts T = 0; the study does not
         raise ParameterError(f"--T must be a positive integer, got {args.T}")
-    rows = benchmark.variance_sweep(args.mean, variances, args.alpha,
-                                    args.k, _slots(args.T))
+    rows = benchmark.variance_sweep(args.mean, variances, args.alpha, args.k, args.T)
     for var, inc, comp in rows:
         print(f"{var:.6f} {inc:.6f} {comp:.6f}")
     if args.out:

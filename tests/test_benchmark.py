@@ -158,6 +158,16 @@ def test_every_capacity_is_checked_before_a_row_is_read(ks, horizons):
         profit_ratio_curve(EXP1, 0.5, ks, horizons)
 
 
+@pytest.mark.parametrize("horizons", [[True, 5], [2.5], [5, math.inf], [-1, 5]])
+def test_horizons_follow_the_whole_number_rule(horizons):
+    # The library's one rule: a bool horizon passed as 1 slot, and a
+    # fractional or infinite one is no whole number.
+    with pytest.raises(ParameterError, match="horizon"):
+        profit_ratio_curve(EXP1, 0.5, 1, horizons)
+    assert profit_ratio_curve(EXP1, 0.5, 1, [5, 6.0, np.int64(7)]) == profit_ratio_curve(
+        EXP1, 0.5, 1, [5, 6, 7])
+
+
 def test_variance_sweep_degenerate_limit():
     # Near-zero variance behaves like a sure valuation at the mean.
     alpha, T = 0.8, 3

@@ -28,16 +28,25 @@ def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
+def _fmt(x) -> str:
+    """The former ``cli._fmt``: shortest round-trip floats, empty for None."""
+    if x is None:
+        return ""
+    if isinstance(x, float):
+        return repr(x)
+    return str(x)
+
+
 def write_csv_per_cell(path: str, header: list[str], rows, params: dict) -> None:
-    """The former ``cli.write_csv``, every cell mapped through ``cli._fmt``."""
+    """The former ``cli.write_csv``, every cell and parameter mapped through ``_fmt``."""
     with open(path, "w", newline="") as fh:
         fh.write("# uavps\n")
         for key in sorted(params):
-            fh.write(f"# {key}: {cli._fmt(params[key])}\n")
+            fh.write(f"# {key}: {_fmt(params[key])}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([cli._fmt(x) for x in row])
+            writer.writerow([_fmt(x) for x in row])
 
 
 def test_sweep_parser():
@@ -433,7 +442,8 @@ def _cases():
     ok += [("price-c-T-frac", _set(PRICE_C, "--T", "2.5")),
            ("price-d-alpha-0", _set(PRICE_D, "--alpha", "0")),
            ("price-d-alpha-1", _set(PRICE_D, "--alpha", "1")),
-           ("price-d-uniform", _uniform(PRICE_D))]
+           ("price-d-uniform", _uniform(PRICE_D)),
+           ("price-d-T-6.0", _set(PRICE_D, "--T", "6.0"))]
     bad += [("price-d-T-frac", _set(PRICE_D, "--T", "2.5")),
             ("price-d-lambda-None", _set(PRICE_D, "--lambda", None)),
             ("price-d-uniform-b-None", _set(_uniform(PRICE_D), "--b", None)),
@@ -489,7 +499,8 @@ def _cases():
         bad += [(f"simulate-{mode}-{flag}-{v}", _set(base, flag, v))
                 for flag, v in (("--k", None), ("--k", "0"), ("--T", None), ("--T", "-1"),
                                 ("--T", "nan"), ("--trials", "0"))]
-    ok.append(("simulate-d-uniform", _uniform(SIM_D)))
+    ok += [("simulate-d-uniform", _uniform(SIM_D)),
+           ("simulate-d-T-6.0", _set(SIM_D, "--T", "6.0"))]
     bad += [(f"simulate-c-{flag}-{v}", _set(SIM_C, flag, v))
             for flag in ("--lambda", "--arrival-rate") for v in (None, "0", "nan")]
     bad += [(f"simulate-d-{flag}-{v}", _set(SIM_D, flag, v))
@@ -499,7 +510,8 @@ def _cases():
     ok += [("ratio", RATIO), ("ratio-T-max-6.5", _set(RATIO, "--T-max", "6.5")),
            ("ratio-uniform", _uniform(RATIO)),
            ("variance", VAR), ("variance-defaults", _set(VAR, "--alpha", None, "--k", None)),
-           ("variance-0", _set(VAR, "--variances", "0:0:1"))]
+           ("variance-0", _set(VAR, "--variances", "0:0:1")),
+           ("variance-T-6.0", _set(VAR, "--T", "6.0"))]
     bad += [("benchmark-neither", ["benchmark", *EXP]),
             ("benchmark-both", ["benchmark", "--ratio", "--variance", *EXP])]
     bad += [(f"ratio-{flag}-{v}", _set(RATIO, flag, v))
@@ -623,6 +635,22 @@ def test_exit_codes(argv, code, tmp_path, capsys):
         misfit = any(a.strip("{}") in CONFIG_MISFITS for a in argv)
         prefix = "uavps: config error: " if misfit else "uavps: error: "
         assert err.startswith(prefix) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [PRICE_D, SIM_D, VAR],
+                         ids=["price-d", "simulate-d", "variance"])
+def test_discrete_horizon_is_checked_by_the_library(argv, tmp_path, capsys):
+    # The library takes a whole float as its whole number and rejects any
+    # other; the CLI passes --T through.
+    runs = []
+    for T in ("6", "6.0"):
+        out = tmp_path / f"T{T}.csv"
+        assert cli.main(_set(argv, "--T", T) + ["--out", str(out)]) == 0
+        runs.append((capsys.readouterr().out, out.read_bytes()))
+    assert runs[0] == runs[1]
+    assert cli.main(_set(argv, "--T", "2.5")) == 2
+    assert capsys.readouterr().err == (
+        "uavps: error: horizon must be a nonnegative integer, got 2.5\n")
 
 
 @pytest.mark.parametrize("argv", [PRICE_D, PRICE_C, ALLOC_D, ALLOC_C, DEPLOY, FORK, SIM_D,

@@ -252,13 +252,35 @@ def _continuous_oracle(lam, arrival_rate, capacity, horizon, trials, seed):
     (0.5, 3.0, 4, 0.0, 1_000, 5),
     (1.0, 0.5, 2, 1.0, simulator.CHUNK_TRIALS + 1_000, 6),
     (1.0, 1.0, 3, 2.0, 1, 7),
-    (1.0, 2.0, 20, 5.0, 2 * simulator.BLOCK_ROWS + 17, 9),
-    # the last block of each chunk is partial
-    (1.0, 0.5, 3, 1.0, simulator.CHUNK_TRIALS + simulator.BLOCK_ROWS + 3, 10),
+    # At top 25, three blocks per range, the last partial; then two blocks
+    # per range in the first chunk and one in the second, each range ending
+    # in a partial block (checked by the next test).
+    (1.0, 2.0, 20, 5.0, 100_017, 9),
+    (1.0, 0.5, 3, 1.0, simulator.CHUNK_TRIALS + 16_387, 10),
 ])
 def test_continuous_matches_column_oracle(workers, lam, rate, k, T, trials, seed):
     assert simulate_continuous(lam, rate, k, T, trials, seed) == _continuous_oracle(
         lam, rate, k, T, trials, seed)
+
+
+@pytest.mark.parametrize("shares", [1, 2, 3])
+@pytest.mark.parametrize("rate, T, trials, seed, cells", [
+    (2.0, 5.0, 100_017, 9, simulator.BLOCK_CELLS),
+    (0.5, 1.0, simulator.CHUNK_TRIALS + 16_387, 10, simulator.BLOCK_CELLS),
+    (1.0, math.e, 1_000, 1, 2**12),
+    (2.0, 5.0, 703, 3, 2**12),
+    (40.0, 3.0, 60, 4, 2**12),
+])
+def test_block_cases_end_in_partial_blocks(shares, rate, T, trials, seed, cells):
+    # The block cases above, cut as the replay cuts them: each range ends in
+    # a partial block, and in the first chunk spans several blocks.
+    for i, pos in enumerate(range(0, trials, simulator.CHUNK_TRIALS)):
+        size = min(simulator.CHUNK_TRIALS, trials - pos)
+        top = simulator._chunk_rng(seed, i).poisson(rate * T, size).max()
+        rows = cells // (shares * top)
+        cuts = [size * n // shares for n in range(shares + 1)]
+        for a, b in zip(cuts, cuts[1:]):
+            assert (b - a) % rows and (i or b - a > rows)
 
 
 @pytest.mark.parametrize("lam, rate, k, T, trials, seed", [
@@ -270,8 +292,9 @@ def test_continuous_matches_column_oracle(workers, lam, rate, k, T, trials, seed
 ])
 def test_continuous_block_height_is_invisible(monkeypatch, workers, lam, rate, k, T, trials,
                                               seed):
-    # Ranges of 333 or 334 and 234 or 235 trials end in partial blocks.
-    monkeypatch.setattr(simulator, "BLOCK_ROWS", 7)
+    # At 2^12 cells, ranges of 333 or 334 and 234 or 235 trials play three
+    # or four blocks of 9 to 409 rows, the last partial (test above).
+    monkeypatch.setattr(simulator, "BLOCK_CELLS", 2**12)
     assert simulate_continuous(lam, rate, k, T, trials, seed) == _continuous_oracle(
         lam, rate, k, T, trials, seed)
 
@@ -324,15 +347,18 @@ def test_continuous_sales_unchanged_at_the_quote_floor(lam):
 def test_continuous_replay_memory_is_bounded(monkeypatch):
     # rate * T = 100 over one full chunk, played as two ranges at once: the
     # whole (trials, top) draw matrices took about 628 MiB, and the blocks
-    # in flight take at most 2 * BLOCK_CELLS draws, 16 MiB.
+    # in flight take at most 2 * BLOCK_CELLS draws, 16 MiB. At rate * T =
+    # 0.5 (top 6) a block holds about 87 000 rows, and the play's per-row
+    # arrays grow with them.
     monkeypatch.setattr(simulator, "WORKERS", 2)
-    tracemalloc.start()
-    try:
-        simulate_continuous(1.0, 20.0, 1, 5.0, 250_000, seed=31)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
+    for rate, k, T in ((20.0, 1, 5.0), (0.5, 3, 1.0)):
+        tracemalloc.start()
+        try:
+            simulate_continuous(1.0, rate, k, T, 250_000, seed=31)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 def test_more_shares_than_cpus_switching_often_give_the_serial_reports(monkeypatch):
@@ -348,7 +374,7 @@ def test_more_shares_than_cpus_switching_often_give_the_serial_reports(monkeypat
     serial = run()
     monkeypatch.setattr(simulator, "WORKERS", 8)
     monkeypatch.setattr(simulator, "SHARE_TRIALS", 1)
-    monkeypatch.setattr(simulator, "BLOCK_ROWS", 64)
+    monkeypatch.setattr(simulator, "BLOCK_CELLS", 2**13)  # 14 blocks of 46 rows per range
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -366,7 +392,7 @@ def test_failing_block_raises_and_leaves_no_thread(monkeypatch, on_caller):
     # One block fails, on the calling thread's range or on a worker's.
     monkeypatch.setattr(simulator, "WORKERS", 3)
     monkeypatch.setattr(simulator, "SHARE_TRIALS", 1)
-    monkeypatch.setattr(simulator, "BLOCK_ROWS", 7)
+    monkeypatch.setattr(simulator, "BLOCK_CELLS", 2**9)  # 15 blocks of 7 rows per range
     play, lock, failed = simulator._play_block, threading.Lock(), []
 
     def play_block(*args):

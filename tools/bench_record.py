@@ -26,12 +26,17 @@ The output holds:
 - the traced pair's per-layer metrics;
 - cells per second of ``build_pricing``, ``evaluate_schedule`` and
   ``complete_info_profit`` at (k, T) = (20, 1000) for exponential and uniform
-  valuations, counting the k * T cells of R[1..k][1..T], and trials per
+  valuations, counting the k * T cells of R[1..k][1..T]; trials per
   second of ``simulate_discrete`` and ``simulate_policy_regret`` at
   (k, T) = (5, 20) with 10^5 trials, and of ``simulate_continuous`` at rate
-  0.5, k 3, T 1 with 10^6 trials and at rate 2, k 20, T 5 with 10^5, each
-  from the best of ``LAYER_REPS`` calls per side in one process that loads
-  both trees (about a minute on a 2-CPU host).
+  0.5, k 3, T 1 with 10^6 trials and at rate 2, k 20, T 5 with 10^5; calls
+  per second of ``capacity_argmax(1, 8000, 1)`` and
+  ``capacity_argmax(1000, 20000, 1)``, plans per second of
+  ``optimal_deployment_continuous`` for 10 vehicles on ten hotspots, and RK4
+  steps per second of ``continuous_profit_numeric`` at rate 1, k 3, T 1.
+  Each is timed ``LAYER_REPS`` times per side in one process that loads
+  both trees (a little over a minute on a 2-CPU host); the file keeps each
+  side's best rate and, beside it, the median and quartiles of all its reps.
 
 The second form prints, per workload and metric, the ratio of the change
 medians of the second file to those of the first. The script uses the
@@ -105,16 +110,31 @@ for side, tree in (("parent", sys.argv[1]), ("change", sys.argv[2])):
             ("simulate_continuous.rate2_k20_T5", 10**5,
              partial(sim.simulate_continuous, 1.0, 2.0, 20, 5.0, 10**5, 1))):
         calls[name, side], work[name] = call, (trials, "trials/s")
-best = dict.fromkeys(calls, float("inf"))
+    # The continuous capacity search at a small and a large rate, the
+    # continuous planner on ten hotspots, and RK4 at criterion 2's step:
+    # ceil(T / h) steps at h = 1e-3 and at h / 2.
+    spots = [lib.deployment.Hotspot(alpha=0.5 + 0.5 * i, distance=8.0 * i) for i in range(10)]
+    fleet = lib.deployment.FleetConfig(10, 200.0, 2.0, model)
+    for name, count, unit, call in (
+            ("capacity_argmax.rate1_B8000", 1, "calls/s",
+             partial(lib.allocation.capacity_argmax, 1.0, 8000.0, 1.0)),
+            ("capacity_argmax.rate1000_B20000", 1, "calls/s",
+             partial(lib.allocation.capacity_argmax, 1000.0, 20000.0, 1.0)),
+            ("optimal_deployment_continuous.m10_n10", 1, "plans/s",
+             partial(lib.deployment.optimal_deployment_continuous, spots, fleet, 1.0)),
+            ("continuous_profit_numeric.rate1_k3_T1", 3000, "steps/s",
+             partial(lib.pricing.continuous_profit_numeric, model, 1.0, 3, 1.0))):
+        calls[name, side], work[name] = call, (count, unit)
+seconds = {key: [] for key in calls}
 for i in range(reps):
     for key in sorted(calls, reverse=i % 2 == 1):
         start = time.perf_counter()
         calls[key]()
-        best[key] = min(best[key], time.perf_counter() - start)
+        seconds[key].append(time.perf_counter() - start)
 rates = {}
-for (name, side), seconds in best.items():
+for (name, side), times in seconds.items():
     count, unit = work[name]
-    rates.setdefault(name, {"unit": unit})[side] = count / seconds
+    rates.setdefault(name, {"unit": unit})[side] = [count / t for t in times]
 print(json.dumps(rates))
 """
 
@@ -226,8 +246,13 @@ def record(args) -> dict:
                 "correct": {side: all(r["correct"] for r in runs[side]) for side in SIDES},
                 "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
                 "runs": runs, "traced": traced}
-        result["layers"] = json.loads(_python(ROOT, ["-c", LAYER_SNIPPET, str(parent), str(ROOT),
-                                                    str(LAYER_REPS)], timeout=1200))
+        layers = json.loads(_python(ROOT, ["-c", LAYER_SNIPPET, str(parent), str(ROOT),
+                                       str(LAYER_REPS)], timeout=1200))
+    # The best rep per side, and beside it the spread of all of them.
+    result["layers"] = {name: {"unit": entry["unit"],
+                               **{side: max(entry[side]) for side in SIDES},
+                               "reps": {side: _spread(entry[side]) for side in SIDES}}
+                        for name, entry in layers.items()}
     return result
 
 
