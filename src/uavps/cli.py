@@ -4,11 +4,12 @@ The library validates every value: a bad one raises ``ParameterError``, which
 exits with code 2, as do the checks made here, which are only those the
 library cannot make: flags that must be present, the model family, sweep and
 list syntax, the pairing of study flags, and the hotspot and config files. Any
-other failure exits with 1 and success with 0. Commands print headline numbers
-to stdout with six decimals and can write CSV files carrying the full parameter
-set as ``#`` comment lines. CSV cells use shortest round-trip float formatting,
-so files re-parse to exactly the values the library returned, and identical
-configurations (including seeds) produce byte-identical files.
+other failure exits with 1 and success with 0. Every command ends in ``_emit``,
+the one place that prints and writes: headline numbers to stdout with six
+decimals, then, given ``--out``, a CSV file whose ``#`` comment lines carry the
+full parameter set and whose rows are computed only then. Its cells use
+shortest round-trip floats, so files re-parse to exactly the library's values,
+and identical configurations (seeds included) give byte-identical files.
 
 Each flag is declared once, in the table ``_FLAGS``, which names the
 subcommands that take it; ``build_parser`` builds every subcommand from it.
@@ -17,8 +18,9 @@ call in the process. Parameters may also come from a JSON config file via
 ``--config``, keyed by the same table's spellings or dests; explicit flags
 override file values. A ``--config`` run builds a second parser, with the
 file's values as defaults. A file value must have the flag's JSON type and,
-for a flag with choices, be one of them; an unreadable file or a value that
-does not fit prints ``uavps: config error:``, and any other ``ParameterError``
+for a flag with choices, be one of them; a number takes the flag's type, as a
+string does (an int flag's only when whole). An unreadable file or a value that
+does not fit prints ``uavps: config error:``, any other ``ParameterError``
 ``uavps: error:``.
 """
 
@@ -32,7 +34,7 @@ import sys
 from functools import cache, partial
 
 from . import allocation, benchmark, deployment, pricing, simulator
-from .valuations import ParameterError, ValuationModel
+from .valuations import ParameterError, ValuationModel, _number
 
 
 # -- small parsers -------------------------------------------------------------
@@ -114,29 +116,33 @@ def _model_from_args(args) -> ValuationModel:
 # -- commands -------------------------------------------------------------------
 
 
+def _emit(args, lines: list[str], header: list[str] | None = None, rows=(),
+          params: dict | None = None) -> int:
+    """Every command's output: print the headline ``lines``, then, given --out and
+    a ``header``, write ``rows`` (read only then) with ``params``, by default
+    ``_params(args)``, as provenance."""
+    print("\n".join(lines))
+    if args.out and header:
+        write_csv(args.out, header, rows, _params(args) if params is None else params)
+    return 0
+
+
 def cmd_price(args) -> int:
-    # The library checks that k is whole, as a config file skips type=int.
-    _need(args, "k", "T")
+    _need(args, "k", "T")  # the library checks that k is whole: a config may give 2.5
     if args.mode == "continuous":
         _need(args, "lam", "arrival_rate")
         profit = partial(pricing.expected_profit_closed_form, args.lam, args.arrival_rate,
                          args.k)
         price = partial(pricing.price_closed_form, args.lam, args.arrival_rate, args.k)
-        print(f"{profit(args.T):.6f}")
-        if args.out:
-            grid = [args.T * i / 100 for i in range(101)]
-            write_csv(args.out, ["k", "t", "price", "profit"],
-                      [(args.k, t, price(t), profit(t)) for t in grid], _params(args))
-        return 0
+        grid = (args.T * i / 100 for i in range(101))
+        return _emit(args, [f"{profit(args.T):.6f}"], ["k", "t", "price", "profit"],
+                     ((args.k, t, price(t), profit(t)) for t in grid))
 
     model = _model_from_args(args)
     _need(args, "alpha")
     schedule, table = pricing.build_pricing(model, args.alpha, args.k, args.T)
-    print(f"{table.final():.6f}")
-    if args.out:
-        write_csv(args.out, ["j", "t", "price", "profit"],
-                  pricing.schedule_csv_rows(schedule, table), _params(args))
-    return 0
+    return _emit(args, [f"{table.final():.6f}"], ["j", "t", "price", "profit"],
+                 pricing.schedule_csv_rows(schedule, table))
 
 
 def cmd_allocate(args) -> int:
@@ -153,16 +159,11 @@ def cmd_allocate(args) -> int:
     if not args.alpha_sweep:
         _need(args, swept)
     points = parse_sweep(args.alpha_sweep) if args.alpha_sweep else [getattr(args, swept)]
-    rows = list(zip(points, decide(points)))
-
-    for x, dec in rows:
-        print(f"{swept}={x:.6f} k={dec.k_star} T={dec.t_star:.6f} "
-              f"profit={dec.profit:.6f} regime={dec.regime.value}")
-    if args.out:
-        write_csv(args.out, [swept, "k_star", "t_star", "profit", "regime"],
-                  [(x, d.k_star, d.t_star, d.profit, d.regime.value) for x, d in rows],
-                  _params(args))
-    return 0
+    rows = [(x, d.k_star, d.t_star, d.profit, d.regime.value)
+            for x, d in zip(points, decide(points))]
+    return _emit(args, [f"{swept}={x:.6f} k={k} T={t:.6f} profit={p:.6f} regime={r}"
+                        for x, k, t, p, r in rows],
+                 [swept, "k_star", "t_star", "profit", "regime"], rows)
 
 
 def cmd_deploy(args) -> int:
@@ -173,25 +174,22 @@ def cmd_deploy(args) -> int:
         raise ParameterError(f"cannot load hotspots: {exc}") from exc
     fleet = partial(deployment.FleetConfig, args.N, args.B0, args.c)
 
-    if args.check_forking:
+    if args.check_forking:  # a headline only: no CSV
         _need(args, "lam")
         if len(spots) < 2:
             raise ParameterError("--check-forking needs at least two hotspots")
         check = deployment.forking_condition(
             spots[0], spots[1], fleet(ValuationModel.exponential(args.lam)), args.lam)
         bound = max(check.phi ** (1.0 / check.k2_star), check.phi)
-        print(f"phi={check.phi:.6f} threshold={bound:.6f} "
-              f"ratio={spots[1].alpha / spots[0].alpha:.6f} k2_star={check.k2_star} "
-              f"forking={'holds' if check.holds else 'fails'}")
-        return 0
+        return _emit(args, [f"phi={check.phi:.6f} threshold={bound:.6f} ratio="
+                            f"{spots[1].alpha / spots[0].alpha:.6f} k2_star={check.k2_star} "
+                            f"forking={'holds' if check.holds else 'fails'}"])
 
     plan = deployment.optimal_deployment(spots, fleet(_model_from_args(args)))
-    print("profile " + " ".join(str(n) for n in plan.profile.counts))
-    print(f"total_profit={plan.total_profit:.6f}")
-    if args.out:
-        write_csv(args.out, ["hotspot", "n", "k", "T", "profit"],
-                  plan.csv_rows(), _params(args, "check_forking"))
-    return 0
+    return _emit(args, ["profile " + " ".join(map(str, plan.profile.counts)),
+                        f"total_profit={plan.total_profit:.6f}"],
+                 ["hotspot", "n", "k", "T", "profit"], plan.csv_rows(),
+                 _params(args, "check_forking"))
 
 
 def cmd_simulate(args) -> int:
@@ -209,15 +207,11 @@ def cmd_simulate(args) -> int:
         report = simulator.simulate_discrete(model, args.alpha, schedule, args.k, args.T,
                                              args.trials, args.seed)
         reference = table.final()
-
-    print(f"mean={report.mean_profit:.6f} std_error={report.std_error:.6f} "
-          f"expected={reference:.6f} trials={report.trials} seed={report.seed} "
-          f"generator={report.generator}")
-    if args.out:
-        write_csv(args.out, ["trials", "mean", "std_error", "seed"],
-                  [(report.trials, report.mean_profit, report.std_error,
-                    report.seed)], _params(args))
-    return 0
+    return _emit(args, [f"mean={report.mean_profit:.6f} std_error={report.std_error:.6f} "
+                        f"expected={reference:.6f} trials={report.trials} "
+                        f"seed={report.seed} generator={report.generator}"],
+                 ["trials", "mean", "std_error", "seed"],
+                 [(report.trials, report.mean_profit, report.std_error, report.seed)])
 
 
 def cmd_benchmark(args) -> int:
@@ -227,25 +221,20 @@ def cmd_benchmark(args) -> int:
         model = _model_from_args(args)
         _need(args, "alpha", "T_max")
         ks = parse_int_list(args.k_list)
-        step = pricing._whole(args.T_step, "--T-step")  # a config file skips type=int
+        step = pricing._whole(args.T_step, "--T-step")  # a config may give 2.5
         if not math.isfinite(args.T_max):
             raise ParameterError(f"need a finite --T-max, got {args.T_max}")
         horizons = list(range(max(ks), int(args.T_max) + 1, step))
         # One table pair at max(ks) gives every curve, in list order.
         curves = benchmark.profit_ratio_curve(model, args.alpha, ks, horizons)
-        header = (["T", "ratio"] if len(ks) == 1
-                  else ["T"] + [f"ratio_k{k}" for k in ks])
         rows = list(zip(horizons, *([r for _, r in curve] for curve in curves)))
-        for row in rows:
-            print(" ".join(f"{x:.6f}" if isinstance(x, float) else str(x)
-                           for x in row))
-        if args.out:
-            params = {"command": "benchmark", "study": "ratio",
-                      "model": args.model, "lambda": args.lam, "a": args.a,
-                      "b": args.b, "alpha": args.alpha, "k": args.k_list,
-                      "T_max": args.T_max, "T_step": args.T_step}
-            write_csv(args.out, header, rows, params)
-        return 0
+        return _emit(args, [" ".join([str(t), *(f"{r:.6f}" for r in ratios)])
+                            for t, *ratios in rows],
+                     ["T", "ratio"] if len(ks) == 1 else ["T"] + [f"ratio_k{k}" for k in ks],
+                     rows, {"command": "benchmark", "study": "ratio", "model": args.model,
+                            "lambda": args.lam, "a": args.a, "b": args.b,
+                            "alpha": args.alpha, "k": args.k_list, "T_max": args.T_max,
+                            "T_step": args.T_step})
 
     _need(args, "mean", "variances", "T")
     variances = parse_sweep(args.variances)
@@ -256,14 +245,11 @@ def cmd_benchmark(args) -> int:
     if not args.T >= 1:  # the library accepts T = 0; the study does not
         raise ParameterError(f"--T must be a positive integer, got {args.T}")
     rows = benchmark.variance_sweep(args.mean, variances, args.alpha, args.k, args.T)
-    for var, inc, comp in rows:
-        print(f"{var:.6f} {inc:.6f} {comp:.6f}")
-    if args.out:
-        params = {"command": "benchmark", "study": "variance", "mean": args.mean,
+    return _emit(args, [" ".join(f"{x:.6f}" for x in row) for row in rows],
+                 ["variance", "incomplete", "complete"], rows,
+                 {"command": "benchmark", "study": "variance", "mean": args.mean,
                   "alpha": args.alpha, "k": args.k, "T": args.T,
-                  "variances": args.variances}
-        write_csv(args.out, ["variance", "incomplete", "complete"], rows, params)
-    return 0
+                  "variances": args.variances})
 
 
 # -- parser ---------------------------------------------------------------------
@@ -322,10 +308,16 @@ _FLAGS = (
 def _config_default(action: argparse.Action, value):
     """A config file value as a flag default, if its JSON type fits the flag (a
     bool for a switch, a number or a string for a typed flag, a string else)
-    and it is one of the flag's choices, where the flag has them."""
+    and it is one of the flag's choices, where the flag has them; a number takes
+    a float flag's type, and an int flag's if whole."""
+    flag = action.option_strings[0]
     fits = (bool,) if action.nargs == 0 else (str, int, float) if action.type else (str,)
     if type(value) not in fits or action.choices and value not in action.choices:
-        raise ParameterError(f"config value {value!r} does not fit {action.option_strings[0]}")
+        raise ParameterError(f"config value {value!r} does not fit {flag}")
+    if action.type is float and type(value) is int:
+        return _number(value, flag)
+    if action.type is int and type(value) is float and value.is_integer():
+        return int(value)
     return value
 
 
@@ -360,7 +352,7 @@ def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, or an int past 4300 digits
         raise ParameterError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParameterError(f"config file {path} must hold a JSON object")

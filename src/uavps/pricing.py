@@ -109,11 +109,14 @@ def profit_step(model: ValuationModel, alpha: float, price, r_same, r_less, out=
 
 
 def _whole(value, name: str, least: int = 1) -> int:
-    """``value`` as an int, once it is a finite whole number of at least
-    ``least``, 0 or 1: an int, a numpy int or a float such as 6.0, not a bool."""
-    if isinstance(value, (bool, np.bool_)) or not (float(value).is_integer()
-                                                   and value >= least):
-        sign = "positive" if least else "nonnegative"
+    """``value`` as an int, once it is a whole number of at least ``least``, 0 or
+    1, within float range: an int, a numpy int or a float such as 6.0, not a bool."""
+    sign = "positive" if least else "nonnegative"
+    try:
+        whole = float(value).is_integer()
+    except OverflowError:  # an int past the largest float
+        raise ParameterError(f"{name} must be a {sign} integer within float range") from None
+    if isinstance(value, (bool, np.bool_)) or not (whole and value >= least):
         raise ParameterError(f"{name} must be a {sign} integer, got {value}")
     return int(value)
 

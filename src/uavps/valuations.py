@@ -37,7 +37,10 @@ def _number(value, name: str) -> float:
     not a bool, a string, null or a container, which ``float`` might take."""
     if type(value) not in (int, float):
         raise ParameterError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int past the largest float
+        raise ParameterError(f"{name} must lie within float range") from None
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,12 @@ import json
 import math
 import pathlib
 import shlex
+import sys
 
 import numpy as np
 import pytest
 
-from uavps import cli
+from uavps import cli, pricing
 from uavps.allocation import allocate_continuous, allocate_discrete
 from uavps.benchmark import profit_ratio_curve, variance_sweep
 from uavps.pricing import build_pricing
@@ -236,6 +237,18 @@ def test_config_path_in_every_argparse_spelling(spelling, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python parses ints of any length")
+def test_config_integer_past_the_digit_limit_is_a_config_error(tmp_path, capsys):
+    # json.load raises a plain ValueError for an int literal past Python's
+    # 4300-digit limit: it exited 1 with "uavps: error:".
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"k": 1' + "0" * 5000 + "}")
+    assert cli.main(["--config", str(cfg), *_set(PRICE_D, "--k", None)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"uavps: config error: cannot read config file {cfg}: Exceeds the limit")
+
+
 def test_subcommand_flag_prefix_of_config_is_not_a_config_path(capsys):
     # --c after the subcommand is allocate's cost flag, not an abbreviated --config
     assert cli.main(["allocate", "--model", "exp", "--lambda", "1", "--B", "15",
@@ -408,9 +421,10 @@ SPOT_FILES = {
     "null_alpha": [{"alpha": None, "distance": 1}],
     "bool_values": [{"alpha": True, "distance": False}],
     "strings": [{"alpha": "0.8", "distance": "5"}, {"alpha": "0.5", "distance": " 9 "}],
+    "huge_alpha": [{"alpha": 10**400, "distance": 5.0}],
 }
 
-# A --config value skips argparse's type=int: a whole float must still work,
+# A --config float takes an int flag's type only when whole: 2.0 works as 2,
 # and a fractional one is the library's to reject.
 CONFIG_FILES = {"k_frac": {"k": 2.5}, "k_whole": {"k": 2.0},
                 "N_frac": {"N": 2.5}, "N_whole": {"N": 2.0},
@@ -418,14 +432,15 @@ CONFIG_FILES = {"k_frac": {"k": 2.5}, "k_whole": {"k": 2.0},
                 "seed_frac": {"seed": 1.5}, "seed_whole": {"seed": 3.0},
                 "T_step_frac": {"T_step": 2.5}, "T_step_whole": {"T_step": 2.0},
                 "seed_null": {"seed": None}}
-# Values that do not fit their flag's JSON type or choices: the config file
-# itself is at fault, so the run prints "config error".
+# Values that do not fit their flag's JSON type or choices, or a float flag's
+# range: the config file itself is at fault, so the run prints "config error".
 CONFIG_MISFITS = {"k_list_int": {"k_list": 2},
                   "alpha_sweep_int": {"alpha_sweep": 5}, "variances_int": {"variances": 3},
                   "alpha_list": {"alpha": [0.5, 0.6]}, "out_int": {"out": 1},
                   "hotspots_int": {"hotspots": 3},
                   "forking_str": {"check_forking": "false"},
-                  "mode_foo": {"mode": "foo"}, "model_foo": {"model": "foo"}}
+                  "mode_foo": {"mode": "foo"}, "model_foo": {"model": "foo"},
+                  "T_huge": {"T": 10**400}}
 
 
 def _configured(name, base, flag):
@@ -615,6 +630,11 @@ MOVED_TO_2 = [
     # upper bound turned every table cell to NaN.
     ("price-d-lambda-inf", _set(PRICE_D, "--lambda", "inf")),
     ("price-d-uniform-b-inf", _set(_uniform(PRICE_D), "--b", "inf")),
+    # OverflowError tracebacks from an integer past the largest float.
+    ("price-d-k-huge", _set(PRICE_D, "--k", str(10**400))),
+    ("simulate-d-trials-huge", _set(SIM_D, "--trials", str(10**400))),
+    ("config-price-d-T-huge", _configured("T_huge", PRICE_D, "--T")),
+    ("deploy-huge-alpha", _set(DEPLOY, "--hotspots", "{huge_alpha}")),
 ]
 
 
@@ -664,6 +684,34 @@ def test_model_outside_its_choices_is_a_usage_error(argv, capsys):
     assert "argument --model: invalid choice: 'foo'" in capsys.readouterr().err
 
 
+# The same values as JSON numbers of either kind and as flags: a whole float
+# count, an int for a float flag and a float for a float flag.
+SAME_AS_FLAGS = [
+    (_uniform(PRICE_D), {"a": 5, "b": 15.0, "alpha": 1, "k": 2.0, "T": 8}),
+    (SIM_D, {"lambda": 2, "alpha": 0.5, "k": 2, "T": 5.0, "trials": 500.0, "seed": 3.0}),
+    (DEPLOY, {"lambda": 1, "N": 2.0, "B0": 20, "c": 2}),
+    (RATIO, {"alpha": 1, "T_max": 6, "T_step": 2.0}),
+]
+
+
+@pytest.mark.parametrize("argv, config", SAME_AS_FLAGS,
+                         ids=["price-d", "simulate-d", "deploy", "ratio"])
+def test_config_run_writes_the_flags_run_bytes(argv, config, tmp_path, capsys):
+    spots, cfg = tmp_path / "two.json", tmp_path / "run.json"
+    spots.write_text(json.dumps(SPOT_FILES["two"]))
+    cfg.write_text(json.dumps(config))
+    flags = configured = ["--config", str(cfg)] + [a.format(two=str(spots)) for a in argv]
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        flags, configured = _set(flags, flag, f"{value:g}"), _set(configured, flag, None)
+    runs = []
+    for name, run in (("flags", flags), ("config", configured)):
+        out = tmp_path / f"{name}.csv"
+        assert cli.main(run + ["--out", str(out)]) == 0, name
+        runs.append((capsys.readouterr().out, out.read_bytes()))
+    assert runs[0] == runs[1]
+
+
 def test_fractional_T_max_truncates(capsys):
     assert cli.main(_set(RATIO, "--T-max", "6")) == 0
     whole = capsys.readouterr().out
@@ -710,6 +758,38 @@ def test_write_csv_cells(tmp_path):
     # A numpy float64 cell is written in shortest form, where _fmt gave its repr.
     cli.write_csv(str(ours), ["x"], [(np.float64(1.5),)], {})
     assert ours.read_bytes().endswith(b"x\r\n1.5\r\n")
+
+
+# -- output path -------------------------------------------------------------------
+#
+# A command's CSV rows are computed only when --out asks for a file.
+
+
+def test_continuous_price_grid_is_priced_only_for_a_file(tmp_path, monkeypatch, capsys):
+    calls, price = [], pricing.price_closed_form
+    monkeypatch.setattr(pricing, "price_closed_form",
+                        lambda *args: calls.append(args) or price(*args))
+    assert cli.main(PRICE_C) == 0
+    assert calls == []
+    assert cli.main(PRICE_C + ["--out", str(tmp_path / "c.csv")]) == 0
+    assert len(calls) == 101
+    capsys.readouterr()
+
+
+def test_discrete_schedule_rows_are_read_only_for_a_file(tmp_path, monkeypatch, capsys):
+    read, rows = [], pricing.schedule_csv_rows
+
+    def counted(*args):
+        for row in rows(*args):
+            read.append(row)
+            yield row
+
+    monkeypatch.setattr(pricing, "schedule_csv_rows", counted)
+    assert cli.main(PRICE_D) == 0
+    assert read == []
+    assert cli.main(PRICE_D + ["--out", str(tmp_path / "d.csv")]) == 0
+    assert len(read) == (3 + 1) * (10 + 1)
+    capsys.readouterr()
 
 
 # -- batched studies through the command line --------------------------------------

@@ -83,7 +83,7 @@ GOLDEN = {
     "benchmark-variance": ("61332b05b92fbe0a39cf33680273bf49e03c041b8d0d398f3d0d4dd5650ec78d",
                            "6ebdd248ee913f5e8763aa01a0c9d0baeeb59d0355a03ad879152625bc69939a"),
     "config-price": ("e05244892b6facf5ebe7ae3fa7415b7f3ba1caa61eba7679786f85c7e5f34b29",
-                     "e6ebfd3db7d670c3d8c5a250399360ae19a54ef13515a95fdd32b776944f1d91"),
+                     "b99523affb3c0835e7cb91b5edf668f33141c04a8b712e39e144818a3b5a1738"),
 }
 
 

@@ -116,6 +116,25 @@ def test_preconditions_raise_parameter_error(call):
         call()
 
 
+# Integers past the largest float, where float() raises OverflowError: each
+# of these leaked it.
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_pricing(EXP1, 0.5, 2, HUGE),
+    lambda: build_pricing(EXP1, 0.5, -HUGE, 5),
+    lambda: ValuationModel.from_dict({"kind": "exponential", "rate": HUGE}),
+    lambda: ValuationModel.from_dict({"kind": "uniform", "lower": -HUGE, "upper": 1}),
+    lambda: simulate_discrete(EXP1, 0.5, SCHEDULE, 2, 5, HUGE, 1),
+    lambda: simulate_discrete(EXP1, 0.5, SCHEDULE, 2, 5, 10, HUGE),
+    lambda: FleetConfig(count=HUGE, initial_budget=20.0, service_cost=2.0, valuation=EXP1),
+], ids=["horizon", "capacity", "rate", "lower", "trials", "seed", "fleet"])
+def test_integers_past_the_largest_float_raise_parameter_error(call):
+    with pytest.raises(ParameterError, match="within float range"):
+        call()
+
+
 def test_whole_float_and_numpy_int_sizes_still_build_tables():
     _, table = build_pricing(EXP1, 0.5, 2, 6)
     for k, T in ((np.int64(2), np.int64(6)), (2.0, 6.0), (np.float64(2.0), 6)):

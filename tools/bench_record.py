@@ -32,10 +32,15 @@ The output holds:
   0.5, k 3, T 1 with 10^6 trials and at rate 2, k 20, T 5 with 10^5; calls
   per second of ``capacity_argmax(1, 8000, 1)`` and
   ``capacity_argmax(1000, 20000, 1)``, plans per second of
-  ``optimal_deployment_continuous`` for 10 vehicles on ten hotspots, and RK4
-  steps per second of ``continuous_profit_numeric`` at rate 1, k 3, T 1.
+  ``optimal_deployment_continuous`` for 10 vehicles on ten hotspots, RK4
+  steps per second of ``continuous_profit_numeric`` at rate 1, k 3, T 1, and
+  calls per second of ``cli.main`` on five fixed command lines, stdout
+  captured and ``--out`` a temporary file: ``price`` at exp(1), alpha 0.5,
+  k 19, T 420; ``allocate`` on a five-point alpha sweep; ``deploy`` of six
+  vehicles on ten hotspots; discrete ``simulate`` at k 5, T 20 with 10^5
+  trials; and ``benchmark --ratio`` for k 1, 2, 3 up to T 200.
   Each is timed ``LAYER_REPS`` times per side in one process that loads
-  both trees (a little over a minute on a 2-CPU host); the file keeps each
+  both trees (about a minute and a half on a 2-CPU host); the file keeps each
   side's best rate and, beside it, the median and quartiles of all its reps.
 
 The second form prints, per workload and metric, the ratio of the change
@@ -70,7 +75,7 @@ PINNED = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
 # rep calls the two sides in turn, alternating which goes first, so drift in
 # the host's speed reaches both sides alike.
 LAYER_SNIPPET = r"""
-import importlib.util, json, sys, time
+import contextlib, importlib, importlib.util, io, json, os, sys, tempfile, time
 from functools import partial
 
 def load(name, tree):
@@ -81,8 +86,17 @@ def load(name, tree):
     spec.loader.exec_module(lib)
     return lib
 
+def run_cli(cli, argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(argv) != 0:
+            raise SystemExit(f"uavps {' '.join(argv)} failed")
+
 k, T, alpha, reps = 20, 1000, 0.5, int(sys.argv[3])
 calls, work = {}, {}
+workdir = tempfile.TemporaryDirectory(prefix="bench-cli-")
+ten = os.path.join(workdir.name, "ten.json")
+with open(ten, "w") as fh:
+    json.dump([{"alpha": round(0.9 - 0.05 * i, 2), "distance": 0.75 * i} for i in range(10)], fh)
 for side, tree in (("parent", sys.argv[1]), ("change", sys.argv[2])):
     lib = load(f"uavps_{side}", tree)
     for family, model in (("exponential", lib.valuations.ValuationModel.exponential(1.0)),
@@ -125,6 +139,20 @@ for side, tree in (("parent", sys.argv[1]), ("change", sys.argv[2])):
             ("continuous_profit_numeric.rate1_k3_T1", 3000, "steps/s",
              partial(lib.pricing.continuous_profit_numeric, model, 1.0, 3, 1.0))):
         calls[name, side], work[name] = call, (count, unit)
+    # The five subcommands through cli.main, stdout captured, --out a temp file.
+    cli, exp = importlib.import_module(f"uavps_{side}.cli"), ["--model", "exp", "--lambda", "1"]
+    for name, argv in (
+            ("cli.price.k19_T420", ["price", *exp, "--alpha", "0.5", "--k", "19", "--T", "420"]),
+            ("cli.allocate.sweep5", ["allocate", *exp, "--B", "30", "--c", "2",
+                                     "--alpha-sweep", "0.1:0.5:0.1"]),
+            ("cli.deploy.m10_n6", ["deploy", *exp, "--hotspots", ten, "--N", "6",
+                                   "--B0", "15", "--c", "1"]),
+            ("cli.simulate.k5_T20", ["simulate", *exp, "--alpha", "0.5", "--k", "5", "--T", "20",
+                                     "--trials", "100000", "--seed", "1"]),
+            ("cli.ratio.k123_T200", ["benchmark", "--ratio", *exp, "--alpha", "0.5",
+                                     "--k-list", "1,2,3", "--T-max", "200", "--T-step", "10"])):
+        out = ["--out", os.path.join(workdir.name, f"{side}.csv")]
+        calls[name, side], work[name] = partial(run_cli, cli, argv + out), (1, "calls/s")
 seconds = {key: [] for key in calls}
 for i in range(reps):
     for key in sorted(calls, reverse=i % 2 == 1):
@@ -135,6 +163,7 @@ rates = {}
 for (name, side), times in seconds.items():
     count, unit = work[name]
     rates.setdefault(name, {"unit": unit})[side] = [count / t for t in times]
+workdir.cleanup()
 print(json.dumps(rates))
 """
 
