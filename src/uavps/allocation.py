@@ -40,7 +40,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .pricing import _SERIES_MAX_ARG, _log_series, _whole, build_pricing
-from .valuations import ParameterError, ValuationModel
+from .valuations import ParameterError, ValuationModel, _float
 
 # Absorbs float noise in the saturating capacity floor(B / c) at exact
 # multiples, for the high regime's label and its threshold alike.
@@ -270,6 +270,9 @@ def allocate_continuous(lam: float, arrival_rate: float, budget: float,
         raise ParameterError(f"service cost must be positive, got {service_cost}")
     if not service_cost < budget < math.inf:
         raise ParameterError(f"budget {budget} must be finite and cover a single user")
+    lam, arrival_rate, budget, service_cost = (_float(v, name) for v, name in (
+        (lam, "lambda"), (arrival_rate, "arrival rate"), (budget, "budget"),
+        (service_cost, "service cost")))
 
     best_k, log_series = (v.item() for v in _best_series_capacity(
         arrival_rate, budget, service_cost, 1))
@@ -296,6 +299,8 @@ def capacity_argmax(arrival_rate: float, budget: float,
     this matches ``allocate_continuous``, whose regime label is read off the
     same k.
     """
+    arrival_rate, budget, service_cost = (_float(v, name) for v, name in (
+        (arrival_rate, "arrival rate"), (budget, "budget"), (service_cost, "service cost")))
     if not (service_cost > 0 and math.isfinite(budget) and arrival_rate >= 0):
         raise ParameterError("need cost > 0, a finite budget and a nonnegative rate, "
                              f"got {service_cost}, {budget}, {arrival_rate}")

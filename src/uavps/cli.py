@@ -9,7 +9,9 @@ the one place that prints and writes: headline numbers to stdout with six
 decimals, then, given ``--out``, a CSV file whose ``#`` comment lines carry the
 full parameter set and whose rows are computed only then. Its cells use
 shortest round-trip floats, so files re-parse to exactly the library's values,
-and identical configurations (seeds included) give byte-identical files.
+and identical configurations (seeds included) give byte-identical files. The
+discrete price schedule is formatted a capacity row at a time, in the bytes
+``csv.writer`` gives for ``pricing.schedule_csv_rows``.
 
 Each flag is declared once, in the table ``_FLAGS``, which names the
 subcommands that take it; ``build_parser`` builds every subcommand from it.
@@ -32,6 +34,7 @@ import json
 import math
 import sys
 from functools import cache, partial
+from itertools import repeat
 
 from . import allocation, benchmark, deployment, pricing, simulator
 from .valuations import ParameterError, ValuationModel, _number
@@ -72,13 +75,15 @@ def parse_int_list(text: str) -> list[int]:
         raise ParameterError(f"bad integer list {text!r}") from exc
 
 
-def write_csv(path: str, header: list[str], rows, params: dict) -> None:
+def write_csv(path: str, header: list[str], rows, params: dict, text=()) -> None:
     """Write rows with a provenance comment block (no timestamps: determinism).
 
     ``csv.writer`` takes the rows as they are: None becomes an empty cell, a
     float its shortest round-trip repr and anything else its ``str``. A numpy
     float64 cell is a float to the writer, so it is written in shortest form
     (``1.5``), where a per-cell ``repr`` would write ``np.float64(1.5)``.
+    ``text``, given instead of ``rows``, is the body already in the writer's
+    bytes, lines ending in ``\r\n``, and is written as it is.
     """
     with open(path, "w", newline="") as fh:
         fh.write("# uavps\n")
@@ -87,6 +92,24 @@ def write_csv(path: str, header: list[str], rows, params: dict) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+        fh.writelines(text)
+
+
+def _schedule_text(schedule: pricing.PriceSchedule, table: pricing.ProfitTable):
+    """Yield the CSV text of ``pricing.schedule_csv_rows`` (scalar alpha), one
+    capacity row j of T + 1 lines at a time, in the bytes ``csv.writer`` gives.
+
+    A float list's repr is its elements' shortest reprs joined by ``", "``, the
+    writer's cells, so one repr per row formats every float in C; a dead cell
+    (j = 0, or t < j) is empty, as the writer writes None.
+    """
+    prices, values, slots = schedule.prices.tolist(), table.values.tolist(), table.horizon + 1
+    times = [str(t) for t in range(slots)]
+    for j in range(table.capacity + 1):
+        priced = repr(prices[j][j:slots])[1:-1].split(", ") if 0 < j < slots else []
+        cells = zip(repeat(str(j)), times, [""] * (slots - len(priced)) + priced,
+                    repr(values[j])[1:-1].split(", "))
+        yield "\r\n".join(map(",".join, cells)) + "\r\n"
 
 
 def _params(args, *skip: str) -> dict:
@@ -117,13 +140,13 @@ def _model_from_args(args) -> ValuationModel:
 
 
 def _emit(args, lines: list[str], header: list[str] | None = None, rows=(),
-          params: dict | None = None) -> int:
+          params: dict | None = None, text=()) -> int:
     """Every command's output: print the headline ``lines``, then, given --out and
-    a ``header``, write ``rows`` (read only then) with ``params``, by default
-    ``_params(args)``, as provenance."""
+    a ``header``, write ``rows`` or ``text`` (read only then) with ``params``, by
+    default ``_params(args)``, as provenance."""
     print("\n".join(lines))
     if args.out and header:
-        write_csv(args.out, header, rows, _params(args) if params is None else params)
+        write_csv(args.out, header, rows, _params(args) if params is None else params, text)
     return 0
 
 
@@ -142,7 +165,7 @@ def cmd_price(args) -> int:
     _need(args, "alpha")
     schedule, table = pricing.build_pricing(model, args.alpha, args.k, args.T)
     return _emit(args, [f"{table.final():.6f}"], ["j", "t", "price", "profit"],
-                 pricing.schedule_csv_rows(schedule, table))
+                 text=_schedule_text(schedule, table))
 
 
 def cmd_allocate(args) -> int:

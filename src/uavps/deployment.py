@@ -41,7 +41,7 @@ import numpy as np
 
 from .allocation import AllocationDecision, _best_series_capacity, _pooled_decisions
 from .pricing import _log_series, _whole
-from .valuations import ParameterError, ValuationModel, _number
+from .valuations import ParameterError, ValuationModel, _float, _number
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,8 @@ class Hotspot:
     distance: float
 
     def __post_init__(self):
+        for name in ("alpha", "distance"):
+            object.__setattr__(self, name, _float(getattr(self, name), f"hotspot {name}"))
         if not self.alpha > 0:
             raise ParameterError(f"occurrence rate must be positive, got {self.alpha}")
         if not self.distance >= 0:
@@ -68,6 +70,8 @@ class FleetConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "count", _whole(self.count, "fleet size"))
+        for name in ("initial_budget", "service_cost"):
+            object.__setattr__(self, name, _float(getattr(self, name), name.replace("_", " ")))
         if not 0 < self.initial_budget < math.inf:
             raise ParameterError(
                 f"initial budget must be positive and finite, got {self.initial_budget}")

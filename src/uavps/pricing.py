@@ -38,7 +38,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .valuations import ParameterError, ValuationModel
+from .valuations import ParameterError, ValuationModel, _float
 
 
 @dataclass(frozen=True)
@@ -294,7 +294,7 @@ def expected_profit_closed_form(lam: float, arrival_rate: float, capacity: int,
 
     Equals log(S_k(a' * T / e)) / lam. Horizon zero gives zero profit.
     """
-    k = _check_closed_form(lam, arrival_rate, capacity, horizon)
+    lam, arrival_rate, k, horizon = _check_closed_form(lam, arrival_rate, capacity, horizon)
     return log_capacity_series(arrival_rate * horizon / math.e, k) / lam
 
 
@@ -305,25 +305,28 @@ def price_closed_form(lam: float, arrival_rate: float, capacity: int,
     Equals 1/lam + R_k(t) - R_{k-1}(t): the mean valuation marked up by the
     marginal option value of the unit on offer.
     """
-    k = _check_closed_form(lam, arrival_rate, capacity, time_left)
+    lam, arrival_rate, k, time_left = _check_closed_form(lam, arrival_rate, capacity,
+                                                         time_left)
     log_k, log_less = _log_series(arrival_rate * time_left / math.e, k, below=True)
     return (1.0 + float(log_k) - float(log_less)) / lam
 
 
 def _check_closed_form(lam: float, arrival_rate: float, capacity: int,
-                       horizon: float) -> int:
+                       horizon: float) -> tuple[float, float, int, float]:
     """The domain of the exponential closed forms and their simulator; returns
-    the capacity as an int."""
+    the arguments as floats, the capacity as an int."""
     if not (lam > 0 and arrival_rate > 0):
         raise ParameterError(f"rate parameters must be positive, got {lam}, {arrival_rate}")
     k = _whole(capacity, "capacity")
     if not horizon >= 0:
         raise ParameterError(f"horizon must be nonnegative, got {horizon}")
+    lam, arrival_rate, horizon = (_float(v, name) for v, name in (
+        (lam, "lambda"), (arrival_rate, "arrival rate"), (horizon, "horizon")))
     x = arrival_rate * horizon / math.e
     if not x <= _SERIES_MAX_ARG:  # also an infinite rate over zero time: NaN
         raise ParameterError(f"series argument a' t / e = {x} is outside the "
                              f"closed forms' [0, {_SERIES_MAX_ARG:g}]")
-    return k
+    return lam, arrival_rate, k, horizon
 
 
 def continuous_profit_numeric(model: ValuationModel, arrival_rate: float,
@@ -356,11 +359,13 @@ def continuous_profit_numeric(model: ValuationModel, arrival_rate: float,
     if horizon == 0:
         return 0.0
 
-    rate, gain = float(arrival_rate), model._stage_gain
+    rate, horizon, step = (_float(v, name) for v, name in (
+        (arrival_rate, "arrival rate"), (horizon, "horizon"), (step, "step")))
+    gain = model._stage_gain
 
     def integrate(h: float) -> float:
         n = max(1, math.ceil(horizon / h))
-        dt = float(horizon) / n
+        dt = horizon / n
         half, sixth = 0.5 * dt, dt / 6.0
         r = [0.0] * k  # (R_1, ..., R_k); R_0 = 0 never moves
         for _ in range(n):

@@ -53,7 +53,7 @@ import numpy as np
 
 from .pricing import (PriceSchedule, _check_closed_form, _log_series, _whole,
                       build_pricing)
-from .valuations import ParameterError, ValuationModel
+from .valuations import ParameterError, ValuationModel, _float
 
 GENERATOR_ID = "numpy-pcg64"
 CHUNK_TRIALS = 250_000
@@ -220,10 +220,11 @@ def simulate_policy_regret(model: ValuationModel, alpha: float, capacity: int,
     """
     trials, seed = _whole(trials, "trials"), _whole(seed, "seed", 0)
     _check_alpha(alpha)
+    constant_price = _float(constant_price, "constant price")
     if math.isnan(constant_price):
         raise ParameterError("constant price must be a number, got nan")
     schedule, _ = build_pricing(model, alpha, capacity, horizon)
-    flat = np.full_like(schedule.prices, float(constant_price))
+    flat = np.full_like(schedule.prices, constant_price)
     (opt, fixed), _ = _run_discrete(model, alpha, [schedule.prices, flat],
                                     schedule.capacity, schedule.horizon, trials, seed)
     return RegretReport(optimal_mean=float(opt.mean()),
@@ -302,7 +303,8 @@ def simulate_continuous(lam: float, arrival_rate: float, capacity: int,
     within numpy's Poisson range.
     """
     trials, seed = _whole(trials, "trials"), _whole(seed, "seed", 0)
-    capacity = _check_closed_form(lam, arrival_rate, capacity, horizon)
+    lam, arrival_rate, capacity, horizon = _check_closed_form(lam, arrival_rate, capacity,
+                                                              horizon)
 
     def chunk(rng, size, shares):
         counts = rng.poisson(arrival_rate * horizon, size)

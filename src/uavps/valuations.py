@@ -32,15 +32,23 @@ class ParameterError(ValueError):
     module raises it, and every module imports this one."""
 
 
+def _float(value, name: str) -> float:
+    """``value`` as a float, once it is a number: not text, which ``float``
+    would parse, and not an int past the largest float, which it cannot take."""
+    if isinstance(value, (str, bytes)):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParameterError(f"{name} must lie within float range") from None
+
+
 def _number(value, name: str) -> float:
     """``value`` as a float, once it is a JSON number: an int or a float, and
     not a bool, a string, null or a container, which ``float`` might take."""
     if type(value) not in (int, float):
         raise ParameterError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an int past the largest float
-        raise ParameterError(f"{name} must lie within float range") from None
+    return _float(value, name)
 
 
 @dataclass(frozen=True)
@@ -78,11 +86,12 @@ class ValuationModel:
 
     @classmethod
     def exponential(cls, rate: float) -> "ValuationModel":
-        return cls(kind=EXPONENTIAL, rate=float(rate))
+        return cls(kind=EXPONENTIAL, rate=_float(rate, "exponential rate"))
 
     @classmethod
     def uniform(cls, lower: float, upper: float) -> "ValuationModel":
-        return cls(kind=UNIFORM, lower=float(lower), upper=float(upper))
+        return cls(kind=UNIFORM, lower=_float(lower, "uniform lower bound"),
+                   upper=_float(upper, "uniform upper bound"))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ValuationModel":

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import io
 import json
 import math
 import pathlib
@@ -10,6 +11,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uavps import cli, pricing
 from uavps.allocation import allocate_continuous, allocate_discrete
@@ -733,13 +736,17 @@ def test_csv_bytes_equal_the_per_cell_writer(argv, tmp_path, monkeypatch, capsys
     spots = tmp_path / "two.json"
     spots.write_text(json.dumps(SPOT_FILES["two"]))
     oracle, out = tmp_path / "oracle.csv", tmp_path / "out.csv"
-    write = cli.write_csv
+    write, text, tables = cli.write_csv, cli._schedule_text, []
 
-    def both(path, header, rows, params):
-        rows = list(rows)
-        write_csv_per_cell(str(oracle), header, rows, params)
-        write(path, header, rows, params)
+    def both(path, header, rows, params, blocks=()):
+        # The discrete schedule arrives as text; its oracle is the row API on
+        # the same table.
+        rows, blocks = list(rows), list(blocks)
+        write_csv_per_cell(str(oracle), header, rows + [
+            row for pair in tables for row in pricing.schedule_csv_rows(*pair)], params)
+        write(path, header, rows, params, blocks)
 
+    monkeypatch.setattr(cli, "_schedule_text", lambda *pair: tables.append(pair) or text(*pair))
     monkeypatch.setattr(cli, "write_csv", both)
     assert cli.main([a.format(two=str(spots)) for a in argv] + ["--out", str(out)]) == 0
     capsys.readouterr()
@@ -760,6 +767,23 @@ def test_write_csv_cells(tmp_path):
     assert ours.read_bytes().endswith(b"x\r\n1.5\r\n")
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["exp", "uniform"]), st.floats(0.05, 20.0), st.floats(0.0, 30.0),
+       st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+       st.integers(1, 40), st.integers(0, 60))
+@example("exp", 1.0, 0.0, 0.5, 40, 0)
+@example("uniform", 10.0, 5.0, 1.0, 7, 3)
+def test_schedule_text_is_the_writers_bytes(family, scale, low, alpha, k, T):
+    model = (ValuationModel.exponential(scale) if family == "exp"
+             else ValuationModel.uniform(low, low + scale))
+    schedule, table = build_pricing(model, alpha, k, T)
+    oracle = io.StringIO(newline="")
+    csv.writer(oracle).writerows(pricing.schedule_csv_rows(schedule, table))
+    blocks = list(cli._schedule_text(schedule, table))
+    assert len(blocks) == k + 1
+    assert "".join(blocks).encode() == oracle.getvalue().encode()
+
+
 # -- output path -------------------------------------------------------------------
 #
 # A command's CSV rows are computed only when --out asks for a file.
@@ -777,18 +801,19 @@ def test_continuous_price_grid_is_priced_only_for_a_file(tmp_path, monkeypatch, 
 
 
 def test_discrete_schedule_rows_are_read_only_for_a_file(tmp_path, monkeypatch, capsys):
-    read, rows = [], pricing.schedule_csv_rows
+    read, blocks = [], cli._schedule_text
 
     def counted(*args):
-        for row in rows(*args):
-            read.append(row)
-            yield row
+        for block in blocks(*args):
+            read.append(block)
+            yield block
 
-    monkeypatch.setattr(pricing, "schedule_csv_rows", counted)
+    monkeypatch.setattr(cli, "_schedule_text", counted)
     assert cli.main(PRICE_D) == 0
     assert read == []
     assert cli.main(PRICE_D + ["--out", str(tmp_path / "d.csv")]) == 0
-    assert len(read) == (3 + 1) * (10 + 1)
+    assert len(read) == 3 + 1  # one block per capacity row
+    assert sum(block.count("\r\n") for block in read) == (3 + 1) * (10 + 1)
     capsys.readouterr()
 
 

@@ -30,6 +30,8 @@ UNIFORM = ["--model", "uniform", "--a", "5", "--b", "15"]
 RUNS = {
     "price-d": ["price", *EXP, "--alpha", "0.7", "--k", "3", "--T", "12"],
     "price-d-uniform": ["price", *UNIFORM, "--alpha", "0.4", "--k", "2", "--T", "7"],
+    "price-d-large": ["price", "--model", "exp", "--lambda", "1", "--alpha", "0.5",
+                      "--k", "19", "--T", "420"],
     "price-c": ["price", "--mode", "continuous", "--lambda", "1", "--arrival-rate", "2.5",
                 "--k", "3", "--T", "4"],
     "allocate-d": ["allocate", *EXP, "--alpha", "0.5", "--B", "15", "--c", "3"],
@@ -60,6 +62,8 @@ GOLDEN = {
                 "377ea683e64fc08e2f3f4a92b6c58241839cb88cddfb7e8805af7805bf247371"),
     "price-d-uniform": ("26f807b48667940a529cb48e932501179bc854da5710d35c95eebed028437958",
                         "1292919885fcd5284497143cf3358248e34a8511d762c5bef131e14267d50315"),
+    "price-d-large": ("9f539a09c56be5d80bf586b6d71e9a3ca498d07b24dc8463e008a9afa89347c7",
+                      "ce94cceb5be30bb1e1db05dae5c2055b222a0a542c418903fee8d071ab39907b"),
     "price-c": ("974c24fe68c14f4eaf5acb36e5f2680e8d670bf84e976b186b7b7dcac0758e0c",
                 "dcc6112795671c55a32172a74239fc282c6762a7bb4b77dd9256e2113872794d"),
     "allocate-d": ("570c262689a11dccc3656c329094908e9fd140f58a8b05cd2b720782d3537e96",

@@ -110,6 +110,13 @@ RUNTIME_FAILURES = {("pricing.py", "solve_stage_price"),
     lambda: ValuationModel.uniform(math.inf, math.inf),
     lambda: ValuationModel.from_dict(json.loads('{"kind": "exponential", "rate": 1e400}')),
     lambda: ValuationModel.from_dict(json.loads('{"kind": "uniform", "lower": 0, "upper": 1e400}')),
+    # Text is not a number, though float() would parse it.
+    lambda: ValuationModel.exponential("1.5"),
+    lambda: ValuationModel.uniform("5", 15.0),
+    lambda: Hotspot(alpha="0.5", distance=1.0),
+    lambda: FleetConfig(count=2, initial_budget=b"20", service_cost=2.0, valuation=EXP1),
+    lambda: capacity_argmax(1.0, "8", 1.0),
+    lambda: simulate_policy_regret(EXP1, 0.5, 2, 5, 10, 1, "1.0"),
 ])
 def test_preconditions_raise_parameter_error(call):
     with pytest.raises(ParameterError):
@@ -129,7 +136,23 @@ HUGE = 10**400
     lambda: simulate_discrete(EXP1, 0.5, SCHEDULE, 2, 5, HUGE, 1),
     lambda: simulate_discrete(EXP1, 0.5, SCHEDULE, 2, 5, 10, HUGE),
     lambda: FleetConfig(count=HUGE, initial_budget=20.0, service_cost=2.0, valuation=EXP1),
-], ids=["horizon", "capacity", "rate", "lower", "trials", "seed", "fleet"])
+    lambda: ValuationModel.exponential(HUGE),
+    lambda: ValuationModel.uniform(0, HUGE),
+    lambda: simulate_policy_regret(EXP1, 0.5, 2, 5, 10, 1, HUGE),
+    lambda: expected_profit_closed_form(1.0, 1.0, 2, HUGE),
+    lambda: price_closed_form(1.0, 1.0, 2, HUGE),
+    lambda: expected_profit_closed_form(HUGE, 1.0, 2, 1.0),
+    lambda: continuous_profit_numeric(EXP1, 1.0, 2, HUGE),
+    lambda: simulate_continuous(1.0, 1.0, 2, HUGE, 10, 1),
+    lambda: allocate_continuous(1.0, 1.0, HUGE, 1.0),
+    lambda: capacity_argmax(1.0, HUGE, 1.0),
+    lambda: FleetConfig(count=2, initial_budget=HUGE, service_cost=2.0, valuation=EXP1),
+    lambda: FleetConfig(count=2, initial_budget=20.0, service_cost=HUGE, valuation=EXP1),
+    lambda: Hotspot(alpha=HUGE, distance=5.0),
+], ids=["horizon", "capacity", "rate", "lower", "trials", "seed", "fleet", "exponential",
+        "uniform", "constant-price", "profit-closed-form", "price-closed-form",
+        "closed-form-lambda", "profit-numeric", "simulate-continuous", "allocate-continuous",
+        "capacity-argmax", "fleet-budget", "fleet-cost", "hotspot-alpha"])
 def test_integers_past_the_largest_float_raise_parameter_error(call):
     with pytest.raises(ParameterError, match="within float range"):
         call()

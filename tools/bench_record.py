@@ -41,11 +41,17 @@ The output holds:
   trials; and ``benchmark --ratio`` for k 1, 2, 3 up to T 200.
   Each is timed ``LAYER_REPS`` times per side in one process that loads
   both trees (about a minute and a half on a 2-CPU host); the file keeps each
-  side's best rate and, beside it, the median and quartiles of all its reps.
+  side's best rate and, beside it, the median and quartiles of all its reps;
+- one tier-1 run per tree, parent first, each with its own ``tests`` and
+  ``src``: wall time, pass, fail and skip counts, the failing tests, and
+  ``test_criterion_02_closed_form_equivalence``'s duration.
 
 The second form prints, per workload and metric, the ratio of the change
-medians of the second file to those of the first. The script uses the
-standard library only; numpy is imported only by the processes it starts.
+medians of the second file to those of the first, and per layer each file's
+own change/parent ratio of best rates, side by side: two files' layer rates
+were timed under different host loads, so their quotient measures the host,
+not the code. The script uses the standard library only; numpy is imported
+only by the processes it starts.
 """
 
 from __future__ import annotations
@@ -59,13 +65,16 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
+from xml.etree import ElementTree
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 LAYER_REPS = 60
 # The directories a run loads; their tree ids identify what was measured.
 MEASURED = ("src", "perfbench")
+CRITERION_2 = "test_criterion_02_closed_form_equivalence"
 # The same thread pinning as perfbench/run.py, for the in-process timings.
 PINNED = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                  "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
@@ -220,6 +229,27 @@ def _bench(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> di
             "metrics": {name: m["value"] for name, m in last["metrics"].items()}}
 
 
+def _tier1(tree: Path) -> dict:
+    """One run of the tree's tier-1 suite, read back from its JUnit report."""
+    with tempfile.TemporaryDirectory(prefix="bench-tier1-") as tmp:
+        report = Path(tmp) / "tier1.xml"
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                        f"--junitxml={report}"], cwd=tree, capture_output=True, timeout=3600)
+        wall = time.perf_counter() - start
+        if not report.exists():
+            raise RuntimeError(f"tier-1 in {tree} wrote no report")
+        root = ElementTree.parse(report).getroot()
+    cases = list(root.iter("testcase"))
+    failing = [f"{c.get('classname')}::{c.get('name')}" for c in cases
+               if c.find("failure") is not None or c.find("error") is not None]
+    skipped = sum(c.find("skipped") is not None for c in cases)
+    return {"wall_s": wall, "passed": len(cases) - len(failing) - skipped,
+            "failed": len(failing), "skipped": skipped, "failing": failing,
+            "criterion_02_s": next((float(c.get("time")) for c in cases
+                                    if c.get("name") == CRITERION_2), None)}
+
+
 def _spread(values: list[float]) -> dict:
     if len(values) < 2:
         return {"median": values[0], "q1": values[0], "q3": values[0], "n": len(values)}
@@ -277,6 +307,7 @@ def record(args) -> dict:
                 "runs": runs, "traced": traced}
         layers = json.loads(_python(ROOT, ["-c", LAYER_SNIPPET, str(parent), str(ROOT),
                                        str(LAYER_REPS)], timeout=1200))
+        result["tier1"] = {side: _tier1(trees[side]) for side in SIDES}
     # The best rep per side, and beside it the spread of all of them.
     result["layers"] = {name: {"unit": entry["unit"],
                                **{side: max(entry[side]) for side in SIDES},
@@ -286,7 +317,8 @@ def record(args) -> dict:
 
 
 def compare(first: dict, second: dict) -> list[str]:
-    """Ratios of the second file's change medians to the first's."""
+    """Ratios of the second file's change medians to the first's, then each
+    file's own change/parent ratio per layer."""
     lines = []
     for workload, entry in second["workloads"].items():
         base = first["workloads"].get(workload)
@@ -297,17 +329,24 @@ def compare(first: dict, second: dict) -> list[str]:
                 a, b = base["metrics"][name]["change"]["median"], stats["change"]["median"]
                 ratio = f"x{b / a:.4f}" if a else "-"
                 lines.append(f"{workload:10s} {name:16s} {a:12.6g} -> {b:12.6g}  {ratio}")
-    for name, entry in second.get("layers", {}).items():
-        if name in first.get("layers", {}):
-            a, b = first["layers"][name]["change"], entry["change"]
-            lines.append(f"{'layer':10s} {name:38s} {a:12.6g} -> {b:12.6g}  x{b / a:.4f}")
+    own = [{name: f"x{e['change'] / e['parent']:.4f}" for name, e in f.get("layers", {}).items()}
+           for f in (first, second)]
+    lines.append(f"{'layer':10s} {'change/parent':38s} {'A':>12s}    {'B':>12s}")
+    for name in {**own[0], **own[1]}:
+        a, b = (ratios.get(name, "-") for ratios in own)
+        lines.append(f"{'layer':10s} {name:38s} {a:>12s}    {b:>12s}")
+    for key in ("wall_s", "criterion_02_s"):
+        a, b = (f"x{f['tier1']['change'][key] / f['tier1']['parent'][key]:.4f}"
+                if "tier1" in f else "-" for f in (first, second))
+        lines.append(f"{'tier1':10s} {key:38s} {a:>12s}    {b:>12s}")
     return lines
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--compare", nargs=2, metavar=("A", "B"),
-                   help="print per-metric ratios of B's change medians to A's")
+                   help="print per-metric ratios of B's change medians to A's, "
+                        "and each file's own layer ratios")
     p.add_argument("--parent", help="git revision to run against this checkout")
     p.add_argument("--out", help="JSON file to write")
     p.add_argument("--pairs", type=int, default=10, help="alternating pairs per workload")
