@@ -39,8 +39,8 @@ from enum import Enum
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .pricing import _SERIES_MAX_ARG, _log_series, _whole, build_pricing
-from .valuations import ParameterError, ValuationModel, _float
+from .pricing import _log_series, build_pricing
+from .valuations import ParameterError, ValuationModel, _check
 
 # Absorbs float noise in the saturating capacity floor(B / c) at exact
 # multiples, for the high regime's label and its threshold alike.
@@ -74,11 +74,11 @@ def allocate_discrete(model: ValuationModel, alpha, budget: int,
     one decision per entry, each the one its scalar alpha gives, from one
     table sweep (a one-entry batch gets a scalar table).
     """
-    budget, service_cost = _whole(budget, "budget", 0), _whole(service_cost, "service cost")
+    budget, service_cost = _check("size", budget, "budget"), _check("count", service_cost,
+                                                                      "service cost")
     if budget < 1 + service_cost:
         raise ParameterError(f"budget {budget} cannot cover one user plus one hovering slot")
-    if np.ndim(alpha) > 1:
-        raise ParameterError(f"alpha must be a scalar or 1-d, got shape {np.shape(alpha)}")
+    alpha = _check("probabilities", alpha, "occurrence probability")
 
     # Each alpha is a hotspot with the whole budget and a group of one, which
     # reads every R[k][B - ck] from one table at (B // (1 + c), B - c).
@@ -156,15 +156,15 @@ def _best_series_capacity(rate, available, service_cost: float, group):
     so it gets k = 0, which the kernel skips, and -inf. Kept entries keep
     their bits: the kernel is elementwise.
     """
-    bound = np.maximum(np.floor(np.multiply(group, available) / service_cost + _POOL_EPS), 1)
-    if not np.max(bound) < 2.0 ** 62:  # an int cast would wrap, not fail
-        raise ParameterError(f"capacity bound {np.max(bound)} is too large to search")
-    k = np.arange(1, int(np.max(bound)) + 1)
-    with np.errstate(invalid="ignore"):  # an infinite rate times 0 hovering: NaN, raised below
+    # An overflowing bound or argument, or an infinite rate times 0 hovering
+    # (NaN), is refused, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.maximum(np.floor(np.multiply(group, available) / service_cost + _POOL_EPS), 1)
+        if not np.max(bound) < 2.0 ** 62:  # an int cast would wrap, not fail
+            raise ParameterError(f"capacity bound {np.max(bound)} is too large to search")
+        k = np.arange(1, int(np.max(bound)) + 1)
         x = rate * np.maximum(available - service_cost * k / group, 0.0) / math.e
-    if not np.max(x) <= _SERIES_MAX_ARG:
-        raise ParameterError(f"series argument {np.max(x)} is outside the search's "
-                             f"[0, {_SERIES_MAX_ARG:g}]")
+    _check("series argument", np.max(x), "the search's largest series argument")
     live = k <= bound
     largest, uppers = _series_bounds(x, k)
     lower = np.where(live, largest, 0.0).max(axis=-1, keepdims=True)
@@ -189,11 +189,22 @@ def _best_series_capacity(rate, available, service_cost: float, group):
     return logs.argmax(axis=-1) + 1, logs.max(axis=-1)  # argmax: the first maximum
 
 
+def _budget_and_cost(budget: float, service_cost: float) -> tuple[float, float]:
+    """A vehicle's energy budget and per-user cost, checked and converted."""
+    return (_check("positive finite", budget, "budget"),
+            _check("positive finite", service_cost, "service cost"))
+
+
 def low_regime_threshold(budget: float, service_cost: float) -> float:
     """Arrival rate below which a single service unit is optimal: 2ce/(B-2c)^2."""
+    budget, service_cost = _budget_and_cost(budget, service_cost)
     if not budget > 2 * service_cost:
         raise ParameterError("low-regime threshold needs budget > 2 * service cost")
-    return 2.0 * service_cost * math.e / (budget - 2.0 * service_cost) ** 2
+    gap = budget - 2.0 * service_cost
+    try:
+        return 2.0 * service_cost * math.e / gap ** 2
+    except OverflowError:  # a gap past 1e154: the same ratio, with no square formed
+        return 2.0 * service_cost * math.e / gap / gap
 
 
 def _saturation_gap(arrival_rate: float, budget: float, service_cost: float,
@@ -228,6 +239,7 @@ def high_regime_threshold(budget: float, service_cost: float) -> float:
 
     Returns +inf when B / c is an integer: the high regime does not exist.
     """
+    budget, service_cost = _budget_and_cost(budget, service_cost)
     if not budget > service_cost:
         raise ParameterError("need budget > service cost")
     k_top = _saturating_capacity(budget, service_cost)
@@ -264,15 +276,11 @@ def allocate_continuous(lam: float, arrival_rate: float, budget: float,
     the label there is medium. The largest series argument, a' (B - c) / e,
     must be at most 1e12.
     """
-    if not (lam > 0 and arrival_rate > 0):
-        raise ParameterError(f"rate parameters must be positive, got {lam}, {arrival_rate}")
-    if not service_cost > 0:
-        raise ParameterError(f"service cost must be positive, got {service_cost}")
-    if not service_cost < budget < math.inf:
-        raise ParameterError(f"budget {budget} must be finite and cover a single user")
-    lam, arrival_rate, budget, service_cost = (_float(v, name) for v, name in (
-        (lam, "lambda"), (arrival_rate, "arrival rate"), (budget, "budget"),
-        (service_cost, "service cost")))
+    lam, arrival_rate = _check("valuation rate", lam, "lambda"), _check(
+        "positive", arrival_rate, "arrival rate")
+    budget, service_cost = _budget_and_cost(budget, service_cost)
+    if not service_cost < budget:
+        raise ParameterError(f"budget {budget} must cover a single user")
 
     best_k, log_series = (v.item() for v in _best_series_capacity(
         arrival_rate, budget, service_cost, 1))
@@ -299,9 +307,7 @@ def capacity_argmax(arrival_rate: float, budget: float,
     this matches ``allocate_continuous``, whose regime label is read off the
     same k.
     """
-    arrival_rate, budget, service_cost = (_float(v, name) for v, name in (
-        (arrival_rate, "arrival rate"), (budget, "budget"), (service_cost, "service cost")))
-    if not (service_cost > 0 and math.isfinite(budget) and arrival_rate >= 0):
-        raise ParameterError("need cost > 0, a finite budget and a nonnegative rate, "
-                             f"got {service_cost}, {budget}, {arrival_rate}")
+    arrival_rate = _check("nonnegative", arrival_rate, "arrival rate")
+    budget, service_cost = _budget_and_cost(budget, service_cost)
     return _best_series_capacity(arrival_rate, budget, service_cost, 1)[0].item()
+

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pricing import ProfitTable, _fill, _table_shape, _whole, build_pricing
-from .valuations import ParameterError, ValuationModel
+from .pricing import ProfitTable, _fill, _table_args, build_pricing
+from .valuations import ParameterError, ValuationModel, _check
 
 # Half-width standing in for a point mass when a zero-variance sweep entry is
 # requested (an exactly degenerate uniform is invalid).
@@ -35,7 +35,8 @@ def complete_info_profit(model: ValuationModel, alpha, capacity: int,
     the same column sweep as the posted-price table, and a 1-d alpha fills
     one table per entry on a trailing axis.
     """
-    return _fill(alpha, capacity, horizon, lambda _, r_same, r_less, out: np.add(
+    alpha, k, T = _table_args(alpha, capacity, horizon)
+    return _fill(alpha, k, T, lambda _, r_same, r_less, out: np.add(
         r_same, alpha * model.expected_excess(r_same - r_less), out=out))[1]
 
 
@@ -54,22 +55,21 @@ def profit_ratio_curve(model: ValuationModel, alpha: float, capacity: int | list
     """
     if not horizons:
         raise ParameterError("need at least one horizon")
-    capacities = np.ravel(capacity).tolist()
+    capacities = [_check("count", k, "capacity") for k in np.ravel(capacity).tolist()]
     if not capacities:
         raise ParameterError("need at least one capacity")
-    horizons = [_whole(t, "horizon", 0) for t in horizons]
+    alpha = _check("probability", alpha, "occurrence probability")
+    horizons = [_check("size", t, "horizon") for t in horizons]
     t_max = max(horizons)
-    for k in capacities:
-        _table_shape(alpha, k, t_max)
-        if min(horizons) < k:
-            raise ParameterError(f"horizon {min(horizons)} shorter than capacity {k}")
+    if min(horizons) < max(capacities):
+        raise ParameterError(f"horizon {min(horizons)} shorter than capacity {max(capacities)}")
 
     _, table = build_pricing(model, alpha, max(capacities), t_max)
     bench = complete_info_profit(model, alpha, max(capacities), t_max)
     curves = []
     for k in capacities:
-        tops = table.values[int(k), horizons].tolist()
-        bottoms = bench.values[int(k), horizons].tolist()
+        tops = table.values[k, horizons].tolist()
+        bottoms = bench.values[k, horizons].tolist()
         curves.append([(t, top / bottom if bottom > 0.0 else 1.0)
                        for t, top, bottom in zip(horizons, tops, bottoms)])
     return curves if np.ndim(capacity) else curves[0]
@@ -82,23 +82,20 @@ def variance_sweep(mean: float, variances: list[float], alpha: float,
     Each variance var maps to the uniform law on
     [mean - sqrt(3 var), mean + sqrt(3 var)]; variance zero is approximated by
     a sliver of width 1e-6 around the mean. Entries whose lower bound would
-    dip below zero are rejected.
+    dip below zero are rejected: ``ValuationModel.uniform`` refuses them.
 
     Returns:
         List of (variance, posted-price profit, benchmark profit).
     """
     if not variances:
         raise ParameterError("need at least one variance")
+    mean = _check("nonnegative finite", mean, "mean")
     out = []
     for var in variances:
-        if not var >= 0:
-            raise ParameterError(f"variance must be nonnegative, got {var}")
+        var = _check("nonnegative", var, "variance")
         half = np.sqrt(3.0 * var) if var > 0 else DEGENERATE_HALF_WIDTH
-        lower = mean - half
-        if lower < 0:
-            raise ParameterError(f"variance {var} drives the lower support bound below zero")
-        model = ValuationModel.uniform(lower, mean + half)
+        model = ValuationModel.uniform(mean - half, mean + half)
         _, table = build_pricing(model, alpha, capacity, horizon)
         bench = complete_info_profit(model, alpha, capacity, horizon)
-        out.append((float(var), table.final(), bench.final()))
+        out.append((var, table.final(), bench.final()))
     return out

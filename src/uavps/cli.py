@@ -37,7 +37,7 @@ from functools import cache, partial
 from itertools import repeat
 
 from . import allocation, benchmark, deployment, pricing, simulator
-from .valuations import ParameterError, ValuationModel, _number
+from .valuations import ParameterError, ValuationModel, _check
 
 
 # -- small parsers -------------------------------------------------------------
@@ -244,10 +244,9 @@ def cmd_benchmark(args) -> int:
         model = _model_from_args(args)
         _need(args, "alpha", "T_max")
         ks = parse_int_list(args.k_list)
-        step = pricing._whole(args.T_step, "--T-step")  # a config may give 2.5
-        if not math.isfinite(args.T_max):
-            raise ParameterError(f"need a finite --T-max, got {args.T_max}")
-        horizons = list(range(max(ks), int(args.T_max) + 1, step))
+        step = _check("count", args.T_step, "--T-step")  # a config may give 2.5
+        t_max = _check("nonnegative finite", args.T_max, "--T-max")
+        horizons = list(range(max(ks), int(t_max) + 1, step))
         # One table pair at max(ks) gives every curve, in list order.
         curves = benchmark.profit_ratio_curve(model, args.alpha, ks, horizons)
         rows = list(zip(horizons, *([r for _, r in curve] for curve in curves)))
@@ -265,8 +264,7 @@ def cmd_benchmark(args) -> int:
         args.alpha = 0.8  # default occurrence probability for the study
     if args.k is None:
         args.k = 1
-    if not args.T >= 1:  # the library accepts T = 0; the study does not
-        raise ParameterError(f"--T must be a positive integer, got {args.T}")
+    _check("positive", args.T, "--T")  # the library accepts T = 0; the study does not
     rows = benchmark.variance_sweep(args.mean, variances, args.alpha, args.k, args.T)
     return _emit(args, [" ".join(f"{x:.6f}" for x in row) for row in rows],
                  ["variance", "incomplete", "complete"], rows,
@@ -338,7 +336,7 @@ def _config_default(action: argparse.Action, value):
     if type(value) not in fits or action.choices and value not in action.choices:
         raise ParameterError(f"config value {value!r} does not fit {flag}")
     if action.type is float and type(value) is int:
-        return _number(value, flag)
+        return _check("number", value, flag)
     if action.type is int and type(value) is float and value.is_integer():
         return int(value)
     return value

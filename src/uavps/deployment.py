@@ -40,8 +40,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .allocation import AllocationDecision, _best_series_capacity, _pooled_decisions
-from .pricing import _log_series, _whole
-from .valuations import ParameterError, ValuationModel, _float, _number
+from .pricing import _log_series
+from .valuations import ParameterError, ValuationModel, _check
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,9 @@ class Hotspot:
     distance: float
 
     def __post_init__(self):
-        for name in ("alpha", "distance"):
-            object.__setattr__(self, name, _float(getattr(self, name), f"hotspot {name}"))
-        if not self.alpha > 0:
-            raise ParameterError(f"occurrence rate must be positive, got {self.alpha}")
-        if not self.distance >= 0:
-            raise ParameterError(f"distance must be nonnegative, got {self.distance}")
+        object.__setattr__(self, "alpha", _check("positive finite", self.alpha, "hotspot alpha"))
+        object.__setattr__(self, "distance", _check("nonnegative finite", self.distance,
+                                                    "hotspot distance"))
 
 
 @dataclass(frozen=True)
@@ -69,14 +66,11 @@ class FleetConfig:
     valuation: ValuationModel
 
     def __post_init__(self):
-        object.__setattr__(self, "count", _whole(self.count, "fleet size"))
-        for name in ("initial_budget", "service_cost"):
-            object.__setattr__(self, name, _float(getattr(self, name), name.replace("_", " ")))
-        if not 0 < self.initial_budget < math.inf:
-            raise ParameterError(
-                f"initial budget must be positive and finite, got {self.initial_budget}")
-        if not self.service_cost > 0:
-            raise ParameterError(f"service cost must be positive, got {self.service_cost}")
+        object.__setattr__(self, "count", _check("count", self.count, "fleet size"))
+        object.__setattr__(self, "initial_budget", _check("positive finite", self.initial_budget,
+                                                          "initial budget"))
+        object.__setattr__(self, "service_cost", _check("positive finite", self.service_cost,
+                                                        "service cost"))
 
 
 @dataclass(frozen=True)
@@ -241,8 +235,7 @@ def forking_condition(hotspot1: Hotspot, hotspot2: Hotspot, fleet: FleetConfig,
     """
     if fleet.count < 2:
         raise ParameterError("forking needs at least two vehicles")
-    if not lam > 0:
-        raise ParameterError("valuation rate must be positive")
+    _check("valuation rate", lam, "lambda")
     avail1 = fleet.initial_budget - hotspot1.distance
     avail2 = fleet.initial_budget - hotspot2.distance
     if avail1 <= 0 or avail2 <= 0:
@@ -287,8 +280,7 @@ def optimal_deployment_continuous(hotspots: list[Hotspot], fleet: FleetConfig,
     ``optimal_deployment``. Every (hotspot, n) search runs in one series
     kernel call. Used to verify the forking condition.
     """
-    if not lam > 0:
-        raise ParameterError("valuation rate must be positive")
+    lam = _check("valuation rate", lam, "lambda")
     reach, alphas, avails = _reachable(hotspots, fleet)
     cost, count = fleet.service_cost, fleet.count
     groups = np.arange(1, count + 1)[:, None]  # searches on axes (hotspot, n)
@@ -314,7 +306,6 @@ def load_hotspots(path: str) -> list[Hotspot]:
         if not isinstance(entry, dict) or set(entry) != {"alpha", "distance"}:
             raise ParameterError(f"{path}: hotspot {i} must be an object with the keys "
                                  f"alpha and distance, got {entry!r}")
-        spots.append(Hotspot(**{key: _number(entry[key], f"{path}: hotspot {i} {key}")
-                                for key in ("alpha", "distance")}))
+        spots.append(Hotspot(entry["alpha"], entry["distance"]))
     return spots
 

@@ -38,7 +38,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .valuations import ParameterError, ValuationModel, _float
+from .valuations import ParameterError, ValuationModel, _check
 
 
 @dataclass(frozen=True)
@@ -108,32 +108,14 @@ def profit_step(model: ValuationModel, alpha: float, price, r_same, r_less, out=
     return out if out.ndim else float(out)
 
 
-def _whole(value, name: str, least: int = 1) -> int:
-    """``value`` as an int, once it is a whole number of at least ``least``, 0 or
-    1, within float range: an int, a numpy int or a float such as 6.0, not a bool."""
-    sign = "positive" if least else "nonnegative"
-    try:
-        whole = float(value).is_integer()
-    except OverflowError:  # an int past the largest float
-        raise ParameterError(f"{name} must be a {sign} integer within float range") from None
-    if isinstance(value, (bool, np.bool_)) or not (whole and value >= least):
-        raise ParameterError(f"{name} must be a {sign} integer, got {value}")
-    return int(value)
+def _table_args(alpha, capacity: int, horizon: int):
+    """(alpha, k, T) of a discrete table, checked and converted: alpha a float
+    or a 1-d float array, k and T ints."""
+    return (_check("probabilities", alpha, "occurrence probability"),
+            _check("count", capacity, "capacity"), _check("size", horizon, "horizon"))
 
 
-def _table_shape(alpha, capacity: int, horizon: int) -> tuple[int, ...]:
-    """(k + 1, T + 1) plus alpha's batch shape, once the arguments are valid.
-
-    k and T must be finite whole numbers: ints, numpy ints or floats such as 6.0.
-    """
-    bad = [a for a in np.ravel(alpha).tolist() if not 0.0 <= a <= 1.0]
-    if bad:
-        raise ParameterError(f"occurrence probability must lie in [0, 1], got {bad[0]}")
-    k, T = _whole(capacity, "capacity"), _whole(horizon, "horizon", 0)
-    return (k + 1, T + 1) + np.shape(alpha)
-
-
-def _fill(alpha, capacity: int, horizon: int, rule,
+def _fill(alpha, k: int, T: int, rule,
           prices: np.ndarray | None = None) -> tuple[PriceSchedule, ProfitTable]:
     """The one (j, t) sweep behind every discrete profit table.
 
@@ -148,10 +130,9 @@ def _fill(alpha, capacity: int, horizon: int, rule,
     A column holds at most k cells, so its cost is the count of numpy calls,
     not the arithmetic: each rule's last ufunc writes the column in place, the
     rules mask and clamp only the columns that need it, and the dead-row copy
-    runs only while t < k.
+    runs only while t < k. The arguments come checked from ``_table_args``.
     """
-    shape = _table_shape(alpha, capacity, horizon)
-    k, T = shape[0] - 1, shape[1] - 1
+    shape = (k + 1, T + 1) + np.shape(alpha)
     if prices is None:
         prices = np.broadcast_to(np.nan, shape)
 
@@ -184,8 +165,8 @@ def build_pricing(model: ValuationModel, alpha, capacity: int,
             price[:] = model.inverse_virtual_value(delta)
         profit_step(model, alpha, price, r_same, r_less, out)
 
-    prices = np.full(_table_shape(alpha, capacity, horizon), np.nan)
-    return _fill(alpha, capacity, horizon, posted, prices)
+    alpha, k, T = _table_args(alpha, capacity, horizon)
+    return _fill(alpha, k, T, posted, np.full((k + 1, T + 1) + np.shape(alpha), np.nan))
 
 
 def evaluate_schedule(model: ValuationModel, alpha, prices: np.ndarray,
@@ -199,8 +180,8 @@ def evaluate_schedule(model: ValuationModel, alpha, prices: np.ndarray,
     which would spread through the table. A 1-d alpha needs one price matrix
     per entry, on a trailing axis.
     """
-    shape = _table_shape(alpha, capacity, horizon)
-    k, T = shape[0] - 1, shape[1] - 1
+    alpha, k, T = _table_args(alpha, capacity, horizon)
+    shape = (k + 1, T + 1) + np.shape(alpha)
     prices = np.asarray(prices, dtype=float)
     if prices.ndim != len(shape) or prices[:k + 1, :T + 1].shape != shape:
         raise ParameterError(f"price matrix of shape {prices.shape} does not cover {shape}")
@@ -208,17 +189,18 @@ def evaluate_schedule(model: ValuationModel, alpha, prices: np.ndarray,
     if not (read > -np.inf).all():  # NaN fails the comparison too
         raise ParameterError("prices read at 1 <= j <= k, j <= t <= T must be "
                              "numbers above -inf")
-    return _fill(alpha, capacity, horizon, partial(profit_step, model, alpha), prices)[1]
+    return _fill(alpha, k, T, partial(profit_step, model, alpha), prices)[1]
 
 
 # -- continuous-time closed forms (exponential valuations) ------------------
 
 
 # Every _SERIES_STRIDE terms, a partial sum past _SERIES_BOUND moves into its
-# log offset. A sum grows at most (1 + x)-fold per term, so for x up to
-# _SERIES_MAX_ARG it stays under 1e300 between checks: the kernel's domain,
-# which the closed forms, their replay and the capacity search enforce.
-_SERIES_BOUND, _SERIES_STRIDE, _SERIES_MAX_ARG = 1e100, 16, 1e12
+# log offset. A sum grows at most (1 + x)-fold per term, so for x up to 1e12,
+# the greatest "series argument" of _DOMAIN, it stays under 1e300 between
+# checks: the kernel's domain, which the closed forms, their replay and the
+# capacity search enforce.
+_SERIES_BOUND, _SERIES_STRIDE = 1e100, 16
 
 
 def _log_series(x, k, below: bool = False):
@@ -283,9 +265,8 @@ def _series_log(tail: np.ndarray, offset: np.ndarray) -> np.ndarray:
 
 def log_capacity_series(x: float, k: int) -> float:
     """log S_k(x) for one argument x in [0, 1e12] and one series length."""
-    if not 0 <= x <= _SERIES_MAX_ARG:
-        raise ParameterError(f"series argument {x} is outside [0, {_SERIES_MAX_ARG:g}]")
-    return float(_log_series(x, _whole(k, "series length", 0)))
+    return float(_log_series(_check("series argument", x, "series argument"),
+                             _check("size", k, "series length")))
 
 
 def expected_profit_closed_form(lam: float, arrival_rate: float, capacity: int,
@@ -294,8 +275,8 @@ def expected_profit_closed_form(lam: float, arrival_rate: float, capacity: int,
 
     Equals log(S_k(a' * T / e)) / lam. Horizon zero gives zero profit.
     """
-    lam, arrival_rate, k, horizon = _check_closed_form(lam, arrival_rate, capacity, horizon)
-    return log_capacity_series(arrival_rate * horizon / math.e, k) / lam
+    lam, arrival_rate, k, horizon = _closed_form_args(lam, arrival_rate, capacity, horizon)
+    return float(_log_series(arrival_rate * horizon / math.e, k)) / lam
 
 
 def price_closed_form(lam: float, arrival_rate: float, capacity: int,
@@ -305,27 +286,20 @@ def price_closed_form(lam: float, arrival_rate: float, capacity: int,
     Equals 1/lam + R_k(t) - R_{k-1}(t): the mean valuation marked up by the
     marginal option value of the unit on offer.
     """
-    lam, arrival_rate, k, time_left = _check_closed_form(lam, arrival_rate, capacity,
-                                                         time_left)
+    lam, arrival_rate, k, time_left = _closed_form_args(lam, arrival_rate, capacity,
+                                                        time_left)
     log_k, log_less = _log_series(arrival_rate * time_left / math.e, k, below=True)
     return (1.0 + float(log_k) - float(log_less)) / lam
 
 
-def _check_closed_form(lam: float, arrival_rate: float, capacity: int,
-                       horizon: float) -> tuple[float, float, int, float]:
-    """The domain of the exponential closed forms and their simulator; returns
-    the arguments as floats, the capacity as an int."""
-    if not (lam > 0 and arrival_rate > 0):
-        raise ParameterError(f"rate parameters must be positive, got {lam}, {arrival_rate}")
-    k = _whole(capacity, "capacity")
-    if not horizon >= 0:
-        raise ParameterError(f"horizon must be nonnegative, got {horizon}")
-    lam, arrival_rate, horizon = (_float(v, name) for v, name in (
-        (lam, "lambda"), (arrival_rate, "arrival rate"), (horizon, "horizon")))
-    x = arrival_rate * horizon / math.e
-    if not x <= _SERIES_MAX_ARG:  # also an infinite rate over zero time: NaN
-        raise ParameterError(f"series argument a' t / e = {x} is outside the "
-                             f"closed forms' [0, {_SERIES_MAX_ARG:g}]")
+def _closed_form_args(lam: float, arrival_rate: float, capacity: int,
+                      horizon: float) -> tuple[float, float, int, float]:
+    """The closed forms' and their replay's arguments, checked and converted;
+    a' t / e must be a series argument, which a NaN one (inf times 0) is not."""
+    lam, arrival_rate = _check("valuation rate", lam, "lambda"), _check(
+        "positive", arrival_rate, "arrival rate")
+    k, horizon = _check("count", capacity, "capacity"), _check("nonnegative", horizon, "horizon")
+    _check("series argument", arrival_rate * horizon / math.e, "series argument a' t / e")
     return lam, arrival_rate, k, horizon
 
 
@@ -349,18 +323,12 @@ def continuous_profit_numeric(model: ValuationModel, arrival_rate: float,
     length-k arrays costs more than the arithmetic; past k of about 35 the
     scalar sweep is the slower one.
     """
-    if not arrival_rate > 0:
-        raise ParameterError(f"arrival rate must be positive, got {arrival_rate}")
-    k = _whole(capacity, "capacity")
-    if not horizon >= 0:
-        raise ParameterError(f"horizon must be nonnegative, got {horizon}")
-    if not step > 0:
-        raise ParameterError(f"step must be positive, got {step}")
+    rate, k = _check("positive finite", arrival_rate, "arrival rate"), _check(
+        "count", capacity, "capacity")
+    horizon, step = (_check("nonnegative finite", horizon, "horizon"),
+                     _check("positive", step, "step"))
     if horizon == 0:
         return 0.0
-
-    rate, horizon, step = (_float(v, name) for v, name in (
-        (arrival_rate, "arrival rate"), (horizon, "horizon"), (step, "step")))
     gain = model._stage_gain
 
     def integrate(h: float) -> float:
@@ -388,7 +356,7 @@ def continuous_profit_numeric(model: ValuationModel, arrival_rate: float,
 
     coarse = integrate(step)
     fine = integrate(step / 2.0)
-    if abs(coarse - fine) >= 1e-6 * max(1.0, abs(fine)):
+    if not abs(coarse - fine) < 1e-6 * max(1.0, abs(fine)):  # NaN too: a stiff rate
         raise ValueError(
             f"step {step} too coarse: halving moved the result by {abs(coarse - fine):.3g}"
         )

@@ -51,9 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pricing import (PriceSchedule, _check_closed_form, _log_series, _whole,
-                      build_pricing)
-from .valuations import ParameterError, ValuationModel, _float
+from .pricing import PriceSchedule, _closed_form_args, _log_series, build_pricing
+from .valuations import ParameterError, ValuationModel, _check
 
 GENERATOR_ID = "numpy-pcg64"
 CHUNK_TRIALS = 250_000
@@ -135,11 +134,6 @@ def _replay(trials: int, seed: int, policies: int, chunk):
 # -- discrete-time simulation --------------------------------------------------
 
 
-def _check_alpha(alpha) -> None:
-    if np.ndim(alpha) or not 0.0 <= alpha <= 1.0:  # build_pricing also takes a batch
-        raise ParameterError(f"a replay plays one occurrence probability in [0, 1], got {alpha!r}")
-
-
 def _run_discrete(model: ValuationModel, alpha: float, price_lookups: list[np.ndarray],
                   capacity: int, horizon: int, trials: int, seed: int):
     """Play the slot-by-slot process under each price policy on one draw stream.
@@ -198,8 +192,8 @@ def simulate_discrete(model: ValuationModel, alpha: float, schedule: PriceSchedu
     happens when it reaches the scheduled price for the current leftover
     capacity. Deterministic given the seed.
     """
-    trials, seed = _whole(trials, "trials"), _whole(seed, "seed", 0)
-    _check_alpha(alpha)
+    trials, seed = _check("count", trials, "trials"), _check("size", seed, "seed")
+    alpha = _check("probability", alpha, "a replay's one occurrence probability")
     if ((schedule.capacity, schedule.horizon) != (capacity, horizon)
             or schedule.prices.shape != (capacity + 1, horizon + 1)):
         raise ParameterError(f"schedule with prices of shape {schedule.prices.shape}, built "
@@ -218,11 +212,9 @@ def simulate_policy_regret(model: ValuationModel, alpha: float, capacity: int,
     Both policies are played on the same arrival and valuation draws, so the
     paired standard error reflects only the policy difference.
     """
-    trials, seed = _whole(trials, "trials"), _whole(seed, "seed", 0)
-    _check_alpha(alpha)
-    constant_price = _float(constant_price, "constant price")
-    if math.isnan(constant_price):
-        raise ParameterError("constant price must be a number, got nan")
+    trials, seed = _check("count", trials, "trials"), _check("size", seed, "seed")
+    alpha = _check("probability", alpha, "a replay's one occurrence probability")
+    constant_price = _check("nonnegative", constant_price, "constant price")
     schedule, _ = build_pricing(model, alpha, capacity, horizon)
     flat = np.full_like(schedule.prices, constant_price)
     (opt, fixed), _ = _run_discrete(model, alpha, [schedule.prices, flat],
@@ -302,9 +294,9 @@ def simulate_continuous(lam: float, arrival_rate: float, capacity: int,
     must be at most 1e12, which also keeps the mean arrival count finite and
     within numpy's Poisson range.
     """
-    trials, seed = _whole(trials, "trials"), _whole(seed, "seed", 0)
-    lam, arrival_rate, capacity, horizon = _check_closed_form(lam, arrival_rate, capacity,
-                                                              horizon)
+    trials, seed = _check("count", trials, "trials"), _check("size", seed, "seed")
+    lam, arrival_rate, capacity, horizon = _closed_form_args(lam, arrival_rate, capacity,
+                                                             horizon)
 
     def chunk(rng, size, shares):
         counts = rng.poisson(arrival_rate * horizon, size)

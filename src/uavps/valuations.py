@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import le, lt
 
 import numpy as np
 
@@ -32,23 +33,69 @@ class ParameterError(ValueError):
     module raises it, and every module imports this one."""
 
 
-def _float(value, name: str) -> float:
-    """``value`` as a float, once it is a number: not text, which ``float``
-    would parse, and not an int past the largest float, which it cannot take."""
-    if isinstance(value, (str, bytes)):
-        raise ParameterError(f"{name} must be a number, got {value!r}")
+# The accepted values of every public argument, one row per kind: the type a
+# value is converted to, and the interval it must then lie in, read as
+# "least op x op greatest" (lt excludes an end, le includes it). An int kind
+# also takes a whole float such as 6.0; "probabilities" takes a float or a
+# 1-d array of them. A valuation rate of at least 1e-100 and uniform bounds of
+# at most 1e100 keep valuations, prices and profits (a closed form's is at
+# most 1e12 / lam), and their squares, finite. The README's "Accepted values"
+# table lists the same rows, and a test holds the two equal.
+_DOMAIN = {
+    "count": (int, 1, le, lt, math.inf),
+    "size": (int, 0, le, lt, math.inf),
+    "probability": (float, 0.0, le, le, 1.0),
+    "probabilities": (np.ndarray, 0.0, le, le, 1.0),
+    "valuation rate": (float, 1e-100, le, lt, math.inf),
+    "valuation bound": (float, 0.0, le, le, 1e100),
+    "positive": (float, 0.0, lt, le, math.inf),
+    "positive finite": (float, 0.0, lt, lt, math.inf),
+    "nonnegative": (float, 0.0, le, le, math.inf),
+    "nonnegative finite": (float, 0.0, le, lt, math.inf),
+    "series argument": (float, 0.0, le, le, 1e12),
+    "number": (float, -math.inf, le, le, math.inf),
+}
+_NUMBERS = frozenset((int, float))
+
+
+def _check(kind: str, value, name: str):
+    """``value`` converted to the type of its ``kind`` in ``_DOMAIN``, once it
+    lies in that kind's interval; else ``ParameterError`` naming ``name``.
+
+    Text, bytes, None and bools are refused before any comparison, as float()
+    would parse text and a bool is no count, and an int past the largest float
+    raises "... within float range". A batch of probabilities is checked in
+    one vector pass and returned as a float array; its first value outside
+    the interval is the one reported.
+    """
+    cast, low, above, below, high = _DOMAIN[kind]
+    if type(value) not in _NUMBERS:  # a plain int or float needs neither test
+        if cast is np.ndarray and np.ndim(value):
+            x = np.asarray(value)
+            if x.ndim > 1 or x.dtype.kind not in "iuf":
+                raise ParameterError(f"{name} must be a number or a 1-d array of numbers, "
+                                     f"got {value!r}")
+            inside = above(low, x) & below(x, high)
+            if inside.all():
+                return x.astype(float)
+            value = x[~inside][0]
+        elif value is None or isinstance(value, (str, bytes, bool, np.bool_)):
+            raise ParameterError(f"{name} must be a number, got {value!r}")
     try:
-        return float(value)
-    except OverflowError:
+        x = float(value)
+    except OverflowError:  # an int past the largest float
         raise ParameterError(f"{name} must lie within float range") from None
-
-
-def _number(value, name: str) -> float:
-    """``value`` as a float, once it is a JSON number: an int or a float, and
-    not a bool, a string, null or a container, which ``float`` might take."""
-    if type(value) not in (int, float):
-        raise ParameterError(f"{name} must be a number, got {value!r}")
-    return _float(value, name)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} must be a number, got {value!r}") from None
+    if cast is int:
+        if not (x.is_integer() and x >= low):
+            raise ParameterError(f"{name} must be a {'positive' if low else 'nonnegative'} "
+                                 f"integer, got {value}")
+        return int(value)
+    if not (above(low, x) and below(x, high)):
+        raise ParameterError(f"{name} must lie in {'[' if above is le else '('}{low:g}, "
+                             f"{high:g}{']' if below is le else ')'}, got {value}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -66,37 +113,34 @@ class ValuationModel:
 
     def __post_init__(self):
         if self.kind == EXPONENTIAL:
-            if self.rate is None or not 0 < self.rate < math.inf:
-                raise ParameterError(f"exponential rate must be positive and finite, "
-                                     f"got {self.rate}")
             if self.lower is not None or self.upper is not None:
                 raise ParameterError("exponential model takes no support bounds")
+            object.__setattr__(self, "rate", _check("valuation rate", self.rate,
+                                                    "exponential rate"))
         elif self.kind == UNIFORM:
-            if self.lower is None or self.upper is None:
-                raise ParameterError("uniform model needs lower and upper bounds")
-            if not self.lower >= 0:
-                raise ParameterError(f"uniform lower bound must be >= 0, got {self.lower}")
-            if not self.lower < self.upper < math.inf:
-                raise ParameterError(f"uniform needs lower < upper < inf, "
-                                     f"got [{self.lower}, {self.upper}]")
             if self.rate is not None:
                 raise ParameterError("uniform model takes no rate")
+            lower = _check("valuation bound", self.lower, "uniform lower bound")
+            upper = _check("valuation bound", self.upper, "uniform upper bound")
+            if not lower < upper:
+                raise ParameterError(f"uniform needs lower < upper, got [{lower}, {upper}]")
+            object.__setattr__(self, "lower", lower)
+            object.__setattr__(self, "upper", upper)
         else:
             raise ParameterError(f"unknown valuation family {self.kind!r}")
 
     @classmethod
     def exponential(cls, rate: float) -> "ValuationModel":
-        return cls(kind=EXPONENTIAL, rate=_float(rate, "exponential rate"))
+        return cls(kind=EXPONENTIAL, rate=rate)
 
     @classmethod
     def uniform(cls, lower: float, upper: float) -> "ValuationModel":
-        return cls(kind=UNIFORM, lower=_float(lower, "uniform lower bound"),
-                   upper=_float(upper, "uniform upper bound"))
+        return cls(kind=UNIFORM, lower=lower, upper=upper)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ValuationModel":
         """A model from exactly its family's keys, such as ``{"kind": "uniform",
-        "lower": 5, "upper": 15}``, each value a number (see ``_number``)."""
+        "lower": 5, "upper": 15}``, each value a number (see ``_check``)."""
         if not isinstance(data, dict):
             raise ParameterError(f"a valuation must be a JSON object, got {data!r}")
         kind = data.get("kind")
@@ -106,7 +150,7 @@ class ValuationModel:
         if set(data) != {"kind", *fields}:
             raise ParameterError(f"{kind} valuation needs exactly the keys "
                                  f"{['kind', *fields]}, got {list(data)}")
-        return cls(kind=kind, **{f: _number(data[f], f"valuation {f}") for f in fields})
+        return cls(kind=kind, **{f: data[f] for f in fields})
 
     # -- basic accessors ---------------------------------------------------
 

@@ -15,7 +15,8 @@ from uavps import (FleetConfig, Hotspot, ParameterError, ValuationModel,
                    capacity_argmax, complete_info_profit,
                    continuous_profit_numeric, evaluate_schedule,
                    expected_profit_closed_form, forking_condition,
-                   log_capacity_series, optimal_deployment, optimal_deployment_continuous,
+                   high_regime_threshold, log_capacity_series, low_regime_threshold,
+                   optimal_deployment, optimal_deployment_continuous,
                    price_closed_form, profit_ratio_curve, simulate_continuous,
                    simulate_discrete, simulate_policy_regret, solve_stage_price,
                    variance_sweep)
@@ -117,6 +118,33 @@ RUNTIME_FAILURES = {("pricing.py", "solve_stage_price"),
     lambda: FleetConfig(count=2, initial_budget=b"20", service_cost=2.0, valuation=EXP1),
     lambda: capacity_argmax(1.0, "8", 1.0),
     lambda: simulate_policy_regret(EXP1, 0.5, 2, 5, 10, 1, "1.0"),
+    # Text and None compared before conversion: each raised TypeError, the
+    # text mean numpy's UFuncTypeError, and the text alpha of allocate_discrete
+    # was parsed into a decision.
+    lambda: expected_profit_closed_form("1.0", 1.0, 2, 1.0),
+    lambda: expected_profit_closed_form(1.0, 1.0, 2, "1.0"),
+    lambda: price_closed_form(None, 1.0, 2, 1.0),
+    lambda: allocate_continuous(1.0, "1", 10.0, 2.0),
+    lambda: allocate_continuous(1.0, 1.0, "10", 2.0),
+    lambda: continuous_profit_numeric(EXP1, "1.0", 2, 1.0),
+    lambda: continuous_profit_numeric(EXP1, 1.0, 2, 1.0, step="0.1"),
+    lambda: simulate_continuous("1", 1.0, 2, 1.0, 10, 1),
+    lambda: forking_condition(Hotspot(0.8, 5.0), Hotspot(0.5, 5.0), FLEET, "1"),
+    lambda: optimal_deployment_continuous([Hotspot(0.8, 5.0)], FLEET, "1"),
+    lambda: variance_sweep(10.0, ["1"], 0.5, 1, 3),
+    lambda: variance_sweep("10", [1.0], 0.5, 1, 3),
+    lambda: build_pricing(EXP1, "0.5", 2, 5),
+    lambda: build_pricing(EXP1, None, 2, 5),
+    lambda: simulate_discrete(EXP1, "0.5", SCHEDULE, 2, 5, 10, 1),
+    lambda: profit_ratio_curve(EXP1, "0.5", 1, [5]),
+    lambda: log_capacity_series("2", 3),
+    lambda: allocate_discrete(EXP1, "0.5", 15, 3),
+    # The regime thresholds take a positive cost: at c = 0 the high one raised
+    # ZeroDivisionError and the low one returned 0.0; text raised TypeError.
+    lambda: high_regime_threshold(10.0, 0.0),
+    lambda: low_regime_threshold(10.0, 0.0),
+    lambda: low_regime_threshold("10", 1.0),
+    lambda: high_regime_threshold("10", 1.0),
 ])
 def test_preconditions_raise_parameter_error(call):
     with pytest.raises(ParameterError):
@@ -149,10 +177,11 @@ HUGE = 10**400
     lambda: FleetConfig(count=2, initial_budget=HUGE, service_cost=2.0, valuation=EXP1),
     lambda: FleetConfig(count=2, initial_budget=20.0, service_cost=HUGE, valuation=EXP1),
     lambda: Hotspot(alpha=HUGE, distance=5.0),
+    lambda: variance_sweep(10.0, [HUGE], 0.5, 1, 3),
 ], ids=["horizon", "capacity", "rate", "lower", "trials", "seed", "fleet", "exponential",
         "uniform", "constant-price", "profit-closed-form", "price-closed-form",
         "closed-form-lambda", "profit-numeric", "simulate-continuous", "allocate-continuous",
-        "capacity-argmax", "fleet-budget", "fleet-cost", "hotspot-alpha"])
+        "capacity-argmax", "fleet-budget", "fleet-cost", "hotspot-alpha", "variance"])
 def test_integers_past_the_largest_float_raise_parameter_error(call):
     with pytest.raises(ParameterError, match="within float range"):
         call()

@@ -33,7 +33,9 @@ The output holds:
   per second of ``capacity_argmax(1, 8000, 1)`` and
   ``capacity_argmax(1000, 20000, 1)``, plans per second of
   ``optimal_deployment_continuous`` for 10 vehicles on ten hotspots, RK4
-  steps per second of ``continuous_profit_numeric`` at rate 1, k 3, T 1, and
+  steps per second of ``continuous_profit_numeric`` at rate 1, k 3, T 1,
+  calls per second of two argument-checking paths, ``load_hotspots`` of a
+  ten-hotspot file and ``expected_profit_closed_form`` at k 3, and
   calls per second of ``cli.main`` on five fixed command lines, stdout
   captured and ``--out`` a temporary file: ``price`` at exp(1), alpha 0.5,
   k 19, T 420; ``allocate`` on a five-point alpha sweep; ``deploy`` of six
@@ -146,7 +148,11 @@ for side, tree in (("parent", sys.argv[1]), ("change", sys.argv[2])):
             ("optimal_deployment_continuous.m10_n10", 1, "plans/s",
              partial(lib.deployment.optimal_deployment_continuous, spots, fleet, 1.0)),
             ("continuous_profit_numeric.rate1_k3_T1", 3000, "steps/s",
-             partial(lib.pricing.continuous_profit_numeric, model, 1.0, 3, 1.0))):
+             partial(lib.pricing.continuous_profit_numeric, model, 1.0, 3, 1.0)),
+            # Calls whose cost is mostly their argument checks.
+            ("load_hotspots.m10", 1, "calls/s", partial(lib.deployment.load_hotspots, ten)),
+            ("expected_profit_closed_form.k3", 1, "calls/s",
+             partial(lib.pricing.expected_profit_closed_form, 1.0, 1.5, 3, 2.0))):
         calls[name, side], work[name] = call, (count, unit)
     # The five subcommands through cli.main, stdout captured, --out a temp file.
     cli, exp = importlib.import_module(f"uavps_{side}.cli"), ["--model", "exp", "--lambda", "1"]
