@@ -242,6 +242,8 @@ def high_regime_threshold(budget: float, service_cost: float) -> float:
     budget, service_cost = _budget_and_cost(budget, service_cost)
     if not budget > service_cost:
         raise ParameterError("need budget > service cost")
+    if not budget / service_cost < 2.0 ** 62:  # as _best_series_capacity bounds it
+        raise ParameterError(f"capacity bound {budget / service_cost} is too large to search")
     k_top = _saturating_capacity(budget, service_cost)
     if not k_top:
         return math.inf

@@ -128,7 +128,8 @@ def _fill(alpha, k: int, T: int, rule,
     bit. Without a price matrix the rule sees a read-only NaN view.
 
     A column holds at most k cells, so its cost is the count of numpy calls,
-    not the arithmetic: each rule's last ufunc writes the column in place, the
+    not the arithmetic: each rule's last ufunc writes the column in place,
+    the posted rule makes only the calls its family's closed forms need, the
     rules mask and clamp only the columns that need it, and the dead-row copy
     runs only while t < k. The arguments come checked from ``_table_args``.
     """
@@ -151,21 +152,23 @@ def build_pricing(model: ValuationModel, alpha, capacity: int,
                   horizon: int) -> tuple[PriceSchedule, ProfitTable]:
     """Fill the optimal price schedule and profit table for (alpha, k, T).
 
-    One column sweep, each column's stage prices solved at once. Cells with
-    t < j copy R[t][t] and leave the price undefined. An option value in
-    [-1e-12 * R[j][t-1], 0) is round-off and counts as zero; a lower one raises.
-    A 1-d alpha fills one table per entry in the same sweep, on a trailing axis.
+    One column sweep, each column's stage prices solved at once by the
+    family's stage rule, chosen once per call (``ValuationModel._posted_stage``):
+    ``solve_stage_price`` then ``profit_step``, fused, with the same bits.
+    Cells with t < j copy R[t][t] and leave the price undefined. An option
+    value in [-1e-12 * R[j][t-1], 0) is round-off and counts as zero; a lower
+    one raises. A 1-d alpha fills one table per entry in the same sweep, on a
+    trailing axis.
     """
     def posted(price, r_same, r_less, out):
-        delta = r_same - r_less
+        delta = np.subtract(r_same, r_less, out=price)
         if delta.min(initial=0.0) < 0.0:  # rare: clamp round-off, raise on the rest
             delta = np.where((delta < 0.0) & (delta >= -1e-12 * r_same), 0.0, delta)
-            price[:] = solve_stage_price(model, delta)
-        else:
-            price[:] = model.inverse_virtual_value(delta)
-        profit_step(model, alpha, price, r_same, r_less, out)
+            solve_stage_price(model, delta)  # for its raise; the stage prices it alike
+        stage(delta, price, r_same, r_less, out)
 
     alpha, k, T = _table_args(alpha, capacity, horizon)
+    stage = model._posted_stage(alpha)
     return _fill(alpha, k, T, posted, np.full((k + 1, T + 1) + np.shape(alpha), np.nan))
 
 
@@ -182,7 +185,10 @@ def evaluate_schedule(model: ValuationModel, alpha, prices: np.ndarray,
     """
     alpha, k, T = _table_args(alpha, capacity, horizon)
     shape = (k + 1, T + 1) + np.shape(alpha)
-    prices = np.asarray(prices, dtype=float)
+    prices = np.asarray(prices)
+    if prices.dtype.kind not in "iuf":  # float() would parse text and take bools
+        raise ParameterError(f"price matrix must hold numbers, got dtype {prices.dtype}")
+    prices = prices.astype(float, copy=False)
     if prices.ndim != len(shape) or prices[:k + 1, :T + 1].shape != shape:
         raise ParameterError(f"price matrix of shape {prices.shape} does not cover {shape}")
     read = prices[1:k + 1, 1:T + 1][np.arange(T) >= np.arange(k)[:, None]]
@@ -329,6 +335,8 @@ def continuous_profit_numeric(model: ValuationModel, arrival_rate: float,
                      _check("positive", step, "step"))
     if horizon == 0:
         return 0.0
+    if not (step / 2.0 > 0.0 and math.isfinite(horizon / (step / 2.0))):
+        raise ParameterError(f"horizon / step must be a finite step count, got {horizon} / {step}")
     gain = model._stage_gain
 
     def integrate(h: float) -> float:

@@ -271,3 +271,49 @@ class ValuationModel:
         a, b = self.lower, self.upper
         p = min(max(0.5 * (delta + b), a), b)
         return (p - delta) * (1.0 - (p - a) / (b - a))
+
+    def _posted_stage(self, alpha):
+        """``build_pricing``'s posted-price stage rule for this family.
+
+        ``stage(delta, price, r_same, r_less, out)`` writes, for option values
+        delta >= 0 (``delta`` may be ``price``), inverse_virtual_value(delta)
+        into ``price`` and ``pricing.profit_step`` at those prices into ``out``
+        with the same bits: the same operations in the same order, less those
+        that return their input here. A stage price is finite, so one that
+        cannot sell gives 0 + r_same, the value profit_step's mask copies in.
+        """
+        if self.kind == EXPONENTIAL:
+            inv, cap, neg_rate = 1.0 / self.rate, 40.0 / self.rate, -self.rate
+
+            def stage(delta, price, r_same, r_less, out):
+                np.add(delta, inv, out=price)  # positive: the lower clamp is a no-op
+                sell = np.minimum(price, cap)  # and so is cdf's max(v, 0)
+                sell *= neg_rate
+                np.expm1(sell, out=sell)
+                sell += 1.0  # 1 - -expm1(x)
+                _sale(alpha, price, sell, r_same, r_less, out)
+        else:
+            a, b = self.lower, self.upper
+            width = b - a
+
+            def stage(delta, price, r_same, r_less, out):
+                np.add(delta, b, out=price)
+                price *= 0.5
+                price.clip(a, b, out=price)
+                sell = np.subtract(price, a)
+                sell /= width  # in [0, 1] for a price in the support: cdf's clip is a no-op
+                np.subtract(1.0, sell, out=sell)
+                _sale(alpha, price, sell, r_same, r_less, out)
+        return stage
+
+
+def _sale(alpha, price, sell, r_same, r_less, out) -> None:
+    """``pricing.profit_step``'s formula at sale probabilities ``sell``, its
+    operand order kept, into ``out``; ``sell`` is scratch."""
+    gain = np.add(price, r_less)
+    gain *= alpha
+    gain *= sell
+    sell *= alpha
+    np.subtract(1.0, sell, out=sell)
+    sell *= r_same
+    np.add(gain, sell, out=out)

@@ -145,6 +145,10 @@ RUNTIME_FAILURES = {("pricing.py", "solve_stage_price"),
     lambda: low_regime_threshold(10.0, 0.0),
     lambda: low_regime_threshold("10", 1.0),
     lambda: high_regime_threshold("10", 1.0),
+    # OverflowError from math.ceil or math.floor of an infinite count.
+    lambda: continuous_profit_numeric(EXP1, 1, 1, 1.0, 5e-324),
+    lambda: continuous_profit_numeric(EXP1, 1, 1, 1e308, 1e-3),
+    lambda: high_regime_threshold(10.0, 5e-324),
 ])
 def test_preconditions_raise_parameter_error(call):
     with pytest.raises(ParameterError):

@@ -72,10 +72,20 @@ def test_build_pricing_absorbs_option_value_roundoff(alpha, k, T):
 
 @pytest.mark.parametrize("dip, clamps", [(1e-14, True), (1e-11, False)])
 def test_build_pricing_clamps_only_roundoff(monkeypatch, dip, clamps):
-    # R[1][t] = 1 and R[2][2] = 1 - dip, so the option value at (2, 3) is -dip.
-    monkeypatch.setattr(uavps.pricing, "profit_step",
-                        lambda model, alpha, p, r_same, r_less, out:
-                        np.copyto(out, np.where(r_less > 0, 1.0 - dip, 1.0)))
+    # The family's stage rule prices each column as it does, then its profits
+    # are overwritten: R[1][t] = 1 and R[2][2] = 1 - dip, so the option value
+    # at (2, 3) is -dip.
+    real = ValuationModel._posted_stage
+
+    def dipped(model, alpha):
+        stage = real(model, alpha)
+
+        def rule(delta, price, r_same, r_less, out):
+            stage(delta, price, r_same, r_less, out)
+            np.copyto(out, np.where(r_less > 0, 1.0 - dip, 1.0))
+        return rule
+
+    monkeypatch.setattr(ValuationModel, "_posted_stage", dipped)
     if clamps:
         schedule, _ = build_pricing(EXP1, 0.5, 2, 3)
         assert schedule.price(2, 3) == solve_stage_price(EXP1, 0.0)

@@ -241,3 +241,11 @@ def test_readme_table_equals_the_domain():
     assert table == {kind: (casts[cast], f"{'[' if above is le else '('}{low:g}, {high:g}"
                                          f"{']' if below is le else ')'}")
                      for kind, (cast, low, above, below, high) in _DOMAIN.items()}
+
+
+@pytest.mark.parametrize("prices", [[["1"] * 6] * 4, np.ones((4, 6), dtype=bool)],
+                         ids=["text", "bool"])
+def test_price_matrix_of_text_or_bools_raises_parameter_error(prices):
+    # float() parsed the text, and both scored as a matrix of ones.
+    with pytest.raises(ParameterError, match="price matrix"):
+        evaluate_schedule(EXP1, 0.5, prices, 3, 5)

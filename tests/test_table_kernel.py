@@ -359,3 +359,51 @@ def test_profit_step_equals_replaced_body_with_one_unsellable_alpha(model, bad):
     r_less = np.linspace(0.0, 2.0, 5)[:, None] * np.ones(3)
     _assert_step_equals_oracle(model, np.array([0.3, 0.6, 1.0]), price, r_less + 0.5, r_less)
     _assert_step_equals_oracle(model, 0.6, price, r_less + 0.5, r_less)
+
+
+# -- the family stage rules against the generic path they fuse ------------------------
+
+
+@st.composite
+def stage_columns(draw):
+    """(model, alpha, r_same, r_less): a column of continuation profits whose
+    option values are random, exactly 0, round-off negatives and, for a
+    bounded support, at or past its top, where the price cannot sell. The
+    alpha is a scalar or a 1-d batch of 0 to 4, the columns' trailing axis."""
+    model = draw(models)
+    batch = draw(st.one_of(st.none(), st.integers(0, 4)))
+    if batch is None:
+        alpha, shape = draw(alphas), (draw(st.integers(1, 20)),)
+    else:
+        alpha = np.array(draw(st.lists(alphas, min_size=batch, max_size=batch)))
+        shape = (draw(st.integers(1, 20)), batch)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r_less = rng.uniform(0.0, 30.0, shape)
+    r_same = r_less + rng.uniform(0.0, 5.0, shape)
+    pick = rng.integers(0, 4, shape)
+    r_same[pick == 1] = r_less[pick == 1]
+    r_same[pick == 2] = np.nextafter(r_less[pick == 2], -math.inf)
+    if math.isfinite(model.support()[1]):
+        top = model.support()[1] * rng.uniform(1.0, 2.0, shape)
+        r_same[pick == 3] = r_less[pick == 3] + top[pick == 3]
+    return model, alpha, r_same, r_less
+
+
+@settings(max_examples=200, deadline=None)
+@given(stage_columns(), st.booleans())
+@example((UNI, 0.5, np.array([20.0, 1.0]), np.array([5.0, 0.5])), True)  # delta = upper
+@example((UNI, np.array([]), np.zeros((3, 0)), np.zeros((3, 0))), False)
+def test_stage_rule_equals_inverse_virtual_value_then_profit_step(column, in_place):
+    model, alpha, r_same, r_less = column
+    # build_pricing's clamp: a round-off negative option value counts as zero.
+    delta = r_same - r_less
+    delta = np.where((delta < 0.0) & (delta >= -1e-12 * r_same), 0.0, delta)
+    want_price = model.inverse_virtual_value(delta)
+    want = profit_step(model, alpha, want_price, r_same, r_less)
+    stage = model._posted_stage(alpha)
+    # build_pricing hands the rule its option values in the price column.
+    price = delta.copy() if in_place else np.full(delta.shape, np.nan)
+    out = np.full(delta.shape, np.nan)
+    stage(price if in_place else delta, price, r_same, r_less, out)
+    assert _bits(price) == _bits(want_price)
+    assert _bits(out) == _bits(want)

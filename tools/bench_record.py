@@ -26,7 +26,9 @@ The output holds:
 - the traced pair's per-layer metrics;
 - cells per second of ``build_pricing``, ``evaluate_schedule`` and
   ``complete_info_profit`` at (k, T) = (20, 1000) for exponential and uniform
-  valuations, counting the k * T cells of R[1..k][1..T]; trials per
+  valuations, counting the k * T cells of R[1..k][1..T], and of
+  ``build_pricing`` on a batch of 4 alphas at (k, T) = (10, 15), the shape of
+  ``fleet``'s deploy tables, counting 4 k T cells; trials per
   second of ``simulate_discrete`` and ``simulate_policy_regret`` at
   (k, T) = (5, 20) with 10^5 trials, and of ``simulate_continuous`` at rate
   0.5, k 3, T 1 with 10^6 trials and at rate 2, k 20, T 5 with 10^5; calls
@@ -121,6 +123,11 @@ for side, tree in (("parent", sys.argv[1]), ("change", sys.argv[2])):
             lib.benchmark.complete_info_profit, model, alpha, k, T)
         for name in ("build_pricing", "evaluate_schedule", "complete_info_profit"):
             work[f"{name}.{family}"] = k * T, "cells/s"
+    # The shape of fleet's deploy tables: one sweep over a batch of alphas.
+    calls["build_pricing.batch4_k10_T15", side] = partial(
+        lib.pricing.build_pricing, lib.valuations.ValuationModel.exponential(1.0),
+        [0.2, 0.4, 0.6, 0.8], 10, 15)
+    work["build_pricing.batch4_k10_T15"] = 4 * 10 * 15, "cells/s"
     # verify's largest criterion-1 table, its low-load 10^6 replay and its
     # k = 20 replay; a regret trial plays two policies on one draw stream.
     sim, model = lib.simulator, lib.valuations.ValuationModel.exponential(1.0)
