@@ -108,6 +108,7 @@ def _pooled_decisions(model: ValuationModel, alphas: Sequence[float],
     zero-profit decision with k = 0.
     """
     avail = np.array(availables, dtype=float).reshape(-1, 1, 1)
+    _check("search index", avail.max(initial=0.0), "energy left at a hotspot")  # int casts
     n = np.array(groups).reshape(-1, 1)
     k_top = np.floor(avail / (1.0 + service_cost / n) + _POOL_EPS).astype(int)
     k = np.arange(1, k_top.max(initial=0) + 1)
@@ -160,9 +161,7 @@ def _best_series_capacity(rate, available, service_cost: float, group):
     # (NaN), is refused, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         bound = np.maximum(np.floor(np.multiply(group, available) / service_cost + _POOL_EPS), 1)
-        if not np.max(bound) < 2.0 ** 62:  # an int cast would wrap, not fail
-            raise ParameterError(f"capacity bound {np.max(bound)} is too large to search")
-        k = np.arange(1, int(np.max(bound)) + 1)
+        k = np.arange(1, int(_check("search index", np.max(bound), "capacity bound n B / c")) + 1)
         x = rate * np.maximum(available - service_cost * k / group, 0.0) / math.e
     _check("series argument", np.max(x), "the search's largest series argument")
     live = k <= bound
@@ -242,8 +241,7 @@ def high_regime_threshold(budget: float, service_cost: float) -> float:
     budget, service_cost = _budget_and_cost(budget, service_cost)
     if not budget > service_cost:
         raise ParameterError("need budget > service cost")
-    if not budget / service_cost < 2.0 ** 62:  # as _best_series_capacity bounds it
-        raise ParameterError(f"capacity bound {budget / service_cost} is too large to search")
+    _check("search index", budget / service_cost, "capacity bound B / c")
     k_top = _saturating_capacity(budget, service_cost)
     if not k_top:
         return math.inf

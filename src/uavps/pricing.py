@@ -221,11 +221,7 @@ def _log_series(x, k, below: bool = False):
     ``below`` logs equal a call at k - 1, bit for bit.
     """
     x, k = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(k, dtype=np.int64))
-    # Entries are independent, so any order of equal k will do.
-    if k.max(initial=0) < 2 ** 15:  # numpy radix-sorts 16-bit keys
-        order = np.argsort(-k.astype(np.int16), axis=None, kind="stable")
-    else:
-        order = np.argsort(-k, axis=None)
+    order = np.argsort(-k, axis=None)  # entries are independent: any order of equal k will do
     xs, ks = x.ravel()[order], k.ravel()[order]
     # bounds[i] counts the entries with k > i, so those with k == i sit at
     # bounds[i]:bounds[i - 1] and the first bounds[i - 1] still add term i.

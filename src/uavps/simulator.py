@@ -25,21 +25,23 @@ chunk on one CPU, with no thread. A chunk of fewer than 2 * ``SHARE_TRIALS``
 trials is one share: numpy holds the interpreter lock between its calls, and
 on smaller shares the threads would spend more waiting for it than they save.
 
-In the discrete replay, each slot reads the chunk's arrival draws and then
-its valuation draws, one double per trial; a share [a, b) reads its b - a of
-each and jumps over the rest. The continuous replay draws the Poisson counts
-first, then a (size, top) matrix of arrival times and one of valuations,
-where top is the chunk's largest count: the time matrix is the stream's next
-size * top doubles and the valuation matrix the size * top after those. A
-share plays its rows in blocks of ``BLOCK_CELLS`` / (shares * top) rows, the
-one block budget, reading each block's draws in order into buffers it
-allocates once. Each block gets the bits the whole matrices would give it, so
-reports do not depend on the block height either. A replay holds at most
-2 * ``BLOCK_CELLS`` draws at a time, however many trials and CPUs run, unless
-a single row is past that share of the cap; then each share holds one row. At
-low load a block holds more rows, and the play's per-row arrays grow with
-them: a 250 000-trial chunk on two CPUs peaks at about 28 MiB under
-``tracemalloc`` at rate * T = 0.5, against 23 MiB at rate * T = 100.
+A valuation draw, a double in [0, 1), becomes a valuation through the model's
+unchecked inverse CDF, ``ValuationModel._quantile``. In the discrete replay,
+each slot reads the chunk's arrival draws and then its valuation draws, one
+double per trial; a share [a, b) reads its b - a of each and jumps over the
+rest. The continuous replay draws the Poisson counts first, then a (size, top)
+matrix of arrival times and one of valuations, where top is the chunk's
+largest count: the time matrix is the stream's next size * top doubles and the
+valuation matrix the size * top after those. A share plays its rows in blocks
+of ``BLOCK_CELLS`` / (shares * top) rows, the one block budget, reading each
+block's draws in order into buffers it allocates once. Each block gets the
+bits the whole matrices would give it, so reports do not depend on the block
+height either. A replay holds at most 2 * ``BLOCK_CELLS`` draws at a time,
+however many trials and CPUs run, unless a single row is past that share of
+the cap; then each share holds one row. At low load a block holds more rows,
+and the play's per-row arrays grow with them: a 250 000-trial chunk on two
+CPUs peaks at about 28 MiB under ``tracemalloc`` at rate * T = 0.5, against
+23 MiB at rate * T = 100.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ def _run_discrete(model: ValuationModel, alpha: float, price_lookups: list[np.nd
             for t in range(horizon, 0, -1):
                 arrive = rng.random(n) < alpha
                 skip(size - n)
-                v = model.sample(rng.random(n))
+                v = model._quantile(rng.random(n))
                 skip(size - n)
                 jj = np.minimum(left, offset + t)  # spare units beyond the time left are dead
                 price = lookup[t].take(jj)
@@ -240,7 +242,7 @@ def _play_block(lam: float, arrival_rate: float, capacity: int, horizon: float,
     # order, with the +inf padding past each row's count last.
     # Valuations are i.i.d. and independent of the times, so pairing
     # column r of the draws with the r-th sorted time is sound.
-    top = neg_t.shape[1]
+    top, quantile = neg_t.shape[1], ValuationModel.exponential(lam)._quantile
     neg_t *= -horizon
     neg_t[np.arange(top) >= counts[:, None]] = np.inf
     neg_t.sort(axis=1)
@@ -262,10 +264,9 @@ def _play_block(lam: float, arrival_rate: float, capacity: int, horizon: float,
         rows, t = rows[keep], t[keep]
         if rows.size == 0:
             break
-        # Inverse-CDF valuations, drawn up front but transformed only
-        # for live rows: log1p is elementwise, so each entry gets the bits
-        # a whole-array transform would give it.
-        v = -np.log1p(-u[rows, r]) / lam
+        # Valuations drawn up front, transformed only for live rows: the
+        # transform is elementwise, so each gets a whole-array call's bits.
+        v = quantile(u[rows, r])
         ask = v >= price_floor
         asked = rows[ask]
         log_k, log_less = _log_series(arrival_rate * t[ask] / math.e, j[asked], below=True)

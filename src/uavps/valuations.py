@@ -1,8 +1,8 @@
 """Service-valuation distributions and their virtual-value machinery.
 
-Everything downstream (pricing recursions, benchmarks, simulators) touches a
-user's willingness-to-pay only through four handles: the CDF F, the PDF f,
-the virtual value phi(v) = v - (1 - F(v)) / f(v) and the inverse of phi.
+Downstream code reads ``cdf`` (the CDF F), ``inverse_virtual_value`` (the
+inverse of phi(v) = v - (1 - F(v)) / f(v)), ``expected_excess``, the stage rules
+and ``_quantile``, the inverse CDF ``sample`` checks; never ``pdf`` or phi itself.
 Two families are supported:
 
 * exponential with rate lam: mean 1/lam, support [0, inf)
@@ -39,8 +39,10 @@ class ParameterError(ValueError):
 # also takes a whole float such as 6.0; "probabilities" takes a float or a
 # 1-d array of them. A valuation rate of at least 1e-100 and uniform bounds of
 # at most 1e100 keep valuations, prices and profits (a closed form's is at
-# most 1e12 / lam), and their squares, finite. The README's "Accepted values"
-# table lists the same rows, and a test holds the two equal.
+# most 1e12 / lam), and their squares, finite; a "search index", which bounds
+# a capacity search's k and T, stays below 2^62, where no int64 cast wraps. The
+# README's "Accepted values" table lists the same rows, and a test holds the
+# two equal.
 _DOMAIN = {
     "count": (int, 1, le, lt, math.inf),
     "size": (int, 0, le, lt, math.inf),
@@ -53,6 +55,7 @@ _DOMAIN = {
     "nonnegative": (float, 0.0, le, le, math.inf),
     "nonnegative finite": (float, 0.0, le, lt, math.inf),
     "series argument": (float, 0.0, le, le, 1e12),
+    "search index": (float, 0.0, le, lt, 2.0 ** 62),
     "number": (float, -math.inf, le, le, math.inf),
 }
 _NUMBERS = frozenset((int, float))
@@ -230,13 +233,15 @@ class ValuationModel:
     def sample(self, uniform_draw):
         """Inverse-CDF transform of a uniform draw in [0, 1)."""
         u = np.asarray(uniform_draw, dtype=float)
-        if np.any(u < 0.0) or np.any(u >= 1.0):
+        if not ((u >= 0.0) & (u < 1.0)).all():  # NaN fails both
             raise ParameterError("uniform draws must lie in [0, 1)")
-        if self.kind == EXPONENTIAL:
-            out = -np.log1p(-u) / self.rate
-        else:
-            out = self.lower + u * (self.upper - self.lower)
+        out = self._quantile(u)
         return out if out.ndim else float(out)
+
+    def _quantile(self, u: np.ndarray) -> np.ndarray:
+        """F^-1(u) of a float array u in [0, 1), unchecked: the replays' draws."""
+        return (-np.log1p(-u) / self.rate if self.kind == EXPONENTIAL
+                else self.lower + u * (self.upper - self.lower))
 
     # -- expectations ------------------------------------------------------
 

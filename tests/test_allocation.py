@@ -150,6 +150,13 @@ def test_high_threshold_does_not_overflow():
     assert high_regime_threshold(40.3, 1.0) == math.inf
 
 
+def test_high_threshold_at_its_bracket_ends():
+    # k_top = 1: the one feasible capacity saturates at every rate.
+    assert high_regime_threshold(3.0, 2.0) == 0.0
+    # k_top = 2 with B / c = 2.9: the gap is already >= 0 at the bracket's low end.
+    assert high_regime_threshold(2.9e10, 1e10) == 1e-9
+
+
 @pytest.mark.parametrize("budget, cost, root", [
     (15.5, 3.0, 65241.862685838576), (9.0, 2.5, 34.184131528059645),
     (20.5, 2.0, 106182839.34433931)])

@@ -443,7 +443,7 @@ CONFIG_MISFITS = {"k_list_int": {"k_list": 2},
                   "hotspots_int": {"hotspots": 3},
                   "forking_str": {"check_forking": "false"},
                   "mode_foo": {"mode": "foo"}, "model_foo": {"model": "foo"},
-                  "T_huge": {"T": 10**400}}
+                  "T_huge": {"T": 10**400}, "array": [1, 2]}
 
 
 def _configured(name, base, flag):
@@ -613,6 +613,10 @@ MOVED_TO_2 = [
     ("config-price-d-out-int", ["--config", "{out_int}", *PRICE_D]),
     ("config-deploy-hotspots-int", _configured("hotspots_int", DEPLOY, "--hotspots")),
     ("config-deploy-forking-str", ["--config", "{forking_str}", *DEPLOY]),
+    # Exited 0 with total_profit=0.000000: the energy past 2^63 wrapped in an int cast.
+    ("deploy-B0-1e20", _set(DEPLOY, "--B0", "1e20")),
+    # A config file holding a JSON array, not an object.
+    ("config-price-d-array", ["--config", "{array}", *PRICE_D]),
     # Exited 0 with a plan for a hotspot with alpha 1.0 and distance 0.0.
     ("deploy-bool-values", _set(DEPLOY, "--hotspots", "{bool_values}")),
     # Exited 0 with a plan: float() read the strings as numbers.
@@ -642,7 +646,9 @@ MOVED_TO_2 = [
 
 
 @pytest.mark.parametrize("argv, code", _cases() + [
-    pytest.param(argv, 2, id=f"moved-{name}") for name, argv in MOVED_TO_2])
+    pytest.param(argv, 2, id=f"moved-{name}") for name, argv in MOVED_TO_2] + [
+    # An --out path in a missing directory: OSError, exit 1.
+    pytest.param(PRICE_D + ["--out", "{missing}/out.csv"], 1, id="price-d-out-missing-dir")])
 def test_exit_codes(argv, code, tmp_path, capsys):
     paths = {"missing": str(tmp_path / "absent.json"), "out": str(tmp_path / "out.csv"),
              "bad_json": str(tmp_path / "bad.json")}

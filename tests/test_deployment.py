@@ -572,6 +572,11 @@ def test_forking_fails_when_second_hotspot_empties():
     dead = Hotspot(1e-9, 5.0)
     check = forking_condition(busy, dead, _fleet(count=3), 1.0)
     assert not check.holds
+    # Pooling gains so much more than the nearly empty second hotspot that
+    # phi overflows a float: inf, through the OverflowError branch.
+    check = forking_condition(Hotspot(1e3, 0.0), Hotspot(1e-6, 0.0),
+                              FleetConfig(3, 1e4, 1.0, EXP1), 1.0)
+    assert check.phi == math.inf and not check.holds
 
 
 def test_forking_distance_window_is_downward_closed():

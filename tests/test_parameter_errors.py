@@ -11,7 +11,7 @@ import pytest
 
 import uavps
 from uavps import (FleetConfig, Hotspot, ParameterError, ValuationModel,
-                   allocate_continuous, allocate_discrete, build_pricing,
+                   allocate_continuous, allocate_discrete, best_single_hotspot, build_pricing,
                    capacity_argmax, complete_info_profit,
                    continuous_profit_numeric, evaluate_schedule,
                    expected_profit_closed_form, forking_condition,
@@ -149,6 +149,11 @@ RUNTIME_FAILURES = {("pricing.py", "solve_stage_price"),
     lambda: continuous_profit_numeric(EXP1, 1, 1, 1.0, 5e-324),
     lambda: continuous_profit_numeric(EXP1, 1, 1, 1e308, 1e-3),
     lambda: high_regime_threshold(10.0, 5e-324),
+    # Energy past 2^63 at a hotspot: the discrete search's int casts wrapped
+    # with a RuntimeWarning and returned k = 0 with profit 0, a zero-profit plan.
+    lambda: allocate_discrete(EXP1, 0.5, 10**20, 1),
+    lambda: optimal_deployment([Hotspot(0.5, 1.0)], FleetConfig(1, 1e20, 1.0, EXP1)),
+    lambda: best_single_hotspot([Hotspot(0.5, 1.0)], FleetConfig(1, 1e20, 1.0, EXP1)),
 ])
 def test_preconditions_raise_parameter_error(call):
     with pytest.raises(ParameterError):

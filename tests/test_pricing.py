@@ -367,6 +367,32 @@ def test_log_series_levels_equal_two_kernel_calls(pairs):
     assert np.array_equal(log_less, _log_series(x, k - 1))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1e4), st.integers(1, 200)), min_size=1, max_size=12),
+       st.randoms(use_true_random=False))
+@example([(1e4, 48), (1e4, 48), (5.0, 1), (5.0, 1), (0.0, 3)], None)  # equal k
+def test_log_series_bits_do_not_depend_on_entry_order(pairs, random):
+    # One unstable sort orders the entries; each entry's sums are its own,
+    # so any permutation, equal k included, permutes the logs and no bit more.
+    x, k = (np.array(col) for col in zip(*pairs))
+    perm = np.array(random.sample(range(x.size), x.size) if random else range(x.size)[::-1])
+    assert _log_series(x[perm], k[perm]).tobytes() == _log_series(x, k)[perm].tobytes()
+    both, moved = _log_series(x, k, below=True), _log_series(x[perm], k[perm], below=True)
+    assert all(m.tobytes() == b[perm].tobytes() for m, b in zip(moved, both))
+
+
+def test_log_series_order_past_16_bit_capacities():
+    # A k past 2^15, beside small ones, with ties at both ends.
+    x = np.array([0.5, 3.0e4, 7.0, 3.0e4, 0.5, 2.0])
+    k = np.array([3, 2**15 + 5, 1, 2**15 + 5, 3, 2**15])
+    perm = np.random.default_rng(28).permutation(x.size)
+    for below in (False, True):
+        got, want = _log_series(x[perm], k[perm], below), _log_series(x, k, below)
+        got, want = (np.atleast_2d(got), np.atleast_2d(want))
+        assert all(g.tobytes() == w[perm].tobytes() for g, w in zip(got, want))
+    assert _log_series(x, k)[1] == _log_series(3.0e4, 2**15 + 5)
+
+
 def _one_level_oracle(x, k):
     """The single-level series pass as it stood before the two-level one was
     folded into it: one term loop over the running prefix."""

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from uavps.valuations import ValuationModel
+from uavps.valuations import ParameterError, ValuationModel
 
 from oracles import check_regularity
 
@@ -35,6 +35,11 @@ def test_constructor_validation():
         ValuationModel.uniform(-1.0, 5.0)
     with pytest.raises(ValueError):
         ValuationModel(kind="normal", rate=1.0)
+    # A field of the other family, through the raw constructor.
+    with pytest.raises(ParameterError, match="no support bounds"):
+        ValuationModel("exponential", rate=1.0, lower=0.0)
+    with pytest.raises(ParameterError, match="no rate"):
+        ValuationModel("uniform", rate=1.0, lower=0.0, upper=1.0)
 
 
 def test_cdf_trivial_points():
@@ -196,8 +201,24 @@ def test_sample_examples():
     rng = np.random.default_rng(7)
     median = np.median(EXP1.sample(rng.random(10**6)))
     assert median == pytest.approx(math.log(2.0), abs=3e-3)
-    with pytest.raises(ValueError):
-        EXP1.sample(1.0)
+    assert ValuationModel.exponential(2.0).mean() == 0.5 and UNI.mean() == 10.0
+    # NaN passed the refusal, which tested u < 0 and u >= 1, and sampled NaN.
+    for model in (EXP1, UNI):
+        for draw in (1.0, -0.1, math.nan, np.array([0.5, math.nan]), np.array([0.2, 1.0])):
+            with pytest.raises(ParameterError, match="uniform draws"):
+                model.sample(draw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(MODELS), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=30))
+@example(EXP1, [0.0, math.nextafter(1.0, 0.0)])
+@example(UNI, [0.0, math.nextafter(1.0, 0.0)])
+def test_quantile_equals_sample_bit_for_bit(model, draws):
+    # The replays call the unchecked transform on generator doubles.
+    u = np.array(draws, dtype=float)
+    assert model._quantile(u).tobytes() == model.sample(u).tobytes()
+    for x in draws:
+        assert float(model._quantile(np.float64(x))) == model.sample(x)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=str)
@@ -323,3 +344,5 @@ def test_serialization_round_trip():
         ValuationModel.from_dict({"kind": "exponential", "rate": 1.0, "junk": 1})
     with pytest.raises(ValueError):
         ValuationModel.from_dict({"kind": "uniform", "lower": 1.0})
+    with pytest.raises(ParameterError, match="unknown valuation family"):
+        ValuationModel.from_dict({"kind": "beta", "a": 1})

@@ -46,9 +46,11 @@ The output holds:
   Each is timed ``LAYER_REPS`` times per side in one process that loads
   both trees (about a minute and a half on a 2-CPU host); the file keeps each
   side's best rate and, beside it, the median and quartiles of all its reps;
-- one tier-1 run per tree, parent first, each with its own ``tests`` and
-  ``src``: wall time, pass, fail and skip counts, the failing tests, and
-  ``test_criterion_02_closed_form_equivalence``'s duration.
+- ``TIER1_RUNS`` tier-1 runs per tree, alternating which tree goes first,
+  each with its own ``tests`` and ``src``: per side, the median wall time and
+  median ``test_criterion_02_closed_form_equivalence`` duration, and every
+  run's wall time, pass, fail and skip counts, failing tests and criterion-2
+  duration.
 
 The second form prints, per workload and metric, the ratio of the change
 medians of the second file to those of the first, and per layer each file's
@@ -76,6 +78,7 @@ from xml.etree import ElementTree
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 LAYER_REPS = 60
+TIER1_RUNS = 3
 # The directories a run loads; their tree ids identify what was measured.
 MEASURED = ("src", "perfbench")
 CRITERION_2 = "test_criterion_02_closed_form_equivalence"
@@ -263,6 +266,22 @@ def _tier1(tree: Path) -> dict:
                                     if c.get("name") == CRITERION_2), None)}
 
 
+def _tier1_sides(trees: dict) -> dict:
+    """``TIER1_RUNS`` alternating tier-1 runs per side: each side's medians of
+    the wall time and of criterion 2's duration, and its runs."""
+    runs = {side: [] for side in SIDES}
+    for i in range(TIER1_RUNS):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            runs[side].append(_tier1(trees[side]))
+    out = {}
+    for side in SIDES:
+        out[side] = {"runs": runs[side]}
+        for key in ("wall_s", "criterion_02_s"):
+            values = [r[key] for r in runs[side] if r[key] is not None]
+            out[side][key] = statistics.median(values) if values else None
+    return out
+
+
 def _spread(values: list[float]) -> dict:
     if len(values) < 2:
         return {"median": values[0], "q1": values[0], "q3": values[0], "n": len(values)}
@@ -294,7 +313,8 @@ def record(args) -> dict:
     result = {"environment": {**env, "commit": head, "clean": snapshot == head,
                               "trees": _trees(snapshot)},
               "settings": {"seconds": seconds, "pairs": args.pairs,
-                           "first_seed": args.seed, "layer_reps": LAYER_REPS},
+                           "first_seed": args.seed, "layer_reps": LAYER_REPS,
+                           "tier1_runs": TIER1_RUNS},
               "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent = Path(tmp)
@@ -320,7 +340,7 @@ def record(args) -> dict:
                 "runs": runs, "traced": traced}
         layers = json.loads(_python(ROOT, ["-c", LAYER_SNIPPET, str(parent), str(ROOT),
                                        str(LAYER_REPS)], timeout=1200))
-        result["tier1"] = {side: _tier1(trees[side]) for side in SIDES}
+        result["tier1"] = _tier1_sides(trees)
     # The best rep per side, and beside it the spread of all of them.
     result["layers"] = {name: {"unit": entry["unit"],
                                **{side: max(entry[side]) for side in SIDES},
