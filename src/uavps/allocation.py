@@ -76,6 +76,7 @@ def allocate_discrete(model: ValuationModel, alpha, budget: int,
     """
     budget, service_cost = _check("size", budget, "budget"), _check("count", service_cost,
                                                                       "service cost")
+    _check("search index", budget, "budget")  # before _pooled_decisions' int casts
     if budget < 1 + service_cost:
         raise ParameterError(f"budget {budget} cannot cover one user plus one hovering slot")
     alpha = _check("probabilities", alpha, "occurrence probability")

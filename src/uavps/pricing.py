@@ -132,12 +132,15 @@ def _fill(alpha, k: int, T: int, rule,
     the posted rule makes only the calls its family's closed forms need, the
     rules mask and clamp only the columns that need it, and the dead-row copy
     runs only while t < k. The arguments come checked from ``_table_args``.
+    ``values`` is stored time-major, a C-ordered (T + 1, k + 1[, B]) buffer
+    seen through ``swapaxes(0, 1)``: each column ``values[:, t]`` is one
+    contiguous block, and ``np.ascontiguousarray`` gives a C-ordered copy.
     """
     shape = (k + 1, T + 1) + np.shape(alpha)
     if prices is None:
         prices = np.broadcast_to(np.nan, shape)
 
-    values = np.zeros(shape)
+    values = np.zeros((T + 1, k + 1) + np.shape(alpha)).swapaxes(0, 1)
     for t in range(1, T + 1):
         m = min(t, k)
         rule(prices[1:m + 1, t], values[1:m + 1, t - 1], values[:m, t - 1],
@@ -158,7 +161,8 @@ def build_pricing(model: ValuationModel, alpha, capacity: int,
     Cells with t < j copy R[t][t] and leave the price undefined. An option
     value in [-1e-12 * R[j][t-1], 0) is round-off and counts as zero; a lower
     one raises. A 1-d alpha fills one table per entry in the same sweep, on a
-    trailing axis.
+    trailing axis. The prices are stored time-major as ``_fill`` stores R, each
+    column contiguous; ``np.ascontiguousarray`` gives a C-ordered copy.
     """
     def posted(price, r_same, r_less, out):
         delta = np.subtract(r_same, r_less, out=price)
@@ -169,7 +173,8 @@ def build_pricing(model: ValuationModel, alpha, capacity: int,
 
     alpha, k, T = _table_args(alpha, capacity, horizon)
     stage = model._posted_stage(alpha)
-    return _fill(alpha, k, T, posted, np.full((k + 1, T + 1) + np.shape(alpha), np.nan))
+    prices = np.full((T + 1, k + 1) + np.shape(alpha), np.nan).swapaxes(0, 1)
+    return _fill(alpha, k, T, posted, prices)
 
 
 def evaluate_schedule(model: ValuationModel, alpha, prices: np.ndarray,

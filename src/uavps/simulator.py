@@ -147,8 +147,8 @@ def _run_discrete(model: ValuationModel, alpha: float, price_lookups: list[np.nd
     policy's result, do not depend on which other policies are played
     alongside (common random numbers).
     """
-    # lookup[t] holds every policy's prices for slot t, contiguous, so one
-    # take reads them all: policy i's entries start at offset[i].
+    # A copy, written below: lookup[t] holds every policy's prices for slot
+    # t, contiguous, so one take reads them all; policy i's entries start at offset[i].
     lookup = np.stack([prices.T for prices in price_lookups], axis=1)
     lookup[..., 0] = np.inf  # exhausted capacity never sells
     lookup[np.isnan(lookup)] = np.inf

@@ -149,14 +149,25 @@ RUNTIME_FAILURES = {("pricing.py", "solve_stage_price"),
     lambda: continuous_profit_numeric(EXP1, 1, 1, 1.0, 5e-324),
     lambda: continuous_profit_numeric(EXP1, 1, 1, 1e308, 1e-3),
     lambda: high_regime_threshold(10.0, 5e-324),
-    # Energy past 2^63 at a hotspot: the discrete search's int casts wrapped
-    # with a RuntimeWarning and returned k = 0 with profit 0, a zero-profit plan.
-    lambda: allocate_discrete(EXP1, 0.5, 10**20, 1),
-    lambda: optimal_deployment([Hotspot(0.5, 1.0)], FleetConfig(1, 1e20, 1.0, EXP1)),
-    lambda: best_single_hotspot([Hotspot(0.5, 1.0)], FleetConfig(1, 1e20, 1.0, EXP1)),
 ])
 def test_preconditions_raise_parameter_error(call):
     with pytest.raises(ParameterError):
+        call()
+
+
+# Energy past 2^63: the discrete search's int casts wrapped with a
+# RuntimeWarning and returned k = 0 with profit 0, a zero-profit plan. The
+# refusal names what the caller passed: a budget, or a fleet's energy left at
+# a hotspot (allocate_discrete named a hotspot it was never given).
+@pytest.mark.parametrize("call, name", [
+    (lambda: allocate_discrete(EXP1, 0.5, 10**20, 1), "budget"),
+    (lambda: optimal_deployment([Hotspot(0.5, 1.0)], FleetConfig(1, 1e20, 1.0, EXP1)),
+     "energy left at a hotspot"),
+    (lambda: best_single_hotspot([Hotspot(0.5, 1.0)], FleetConfig(1, 1e20, 1.0, EXP1)),
+     "energy left at a hotspot"),
+])
+def test_huge_energy_is_refused_under_its_own_name(call, name):
+    with pytest.raises(ParameterError, match=rf"^{name} must lie in \[0, 4.61169e\+18\)"):
         call()
 
 

@@ -193,6 +193,39 @@ def test_batched_accessors_equal_scalar_calls():
         assert row[2] == (None if lone[0][2] is None else [r[2] for r in lone])
 
 
+# -- the time-major layout -------------------------------------------------------------
+
+
+def _filled(fill, alpha, k, T):
+    """(price schedule or None, profit table) from one of the three table fills."""
+    if fill is build_pricing:
+        return build_pricing(EXP1, alpha, k, T)
+    if fill is evaluate_schedule:  # a caller's row-major price matrix, read as given
+        return None, evaluate_schedule(EXP1, alpha, np.full((k + 1, T + 1) + np.shape(alpha),
+                                                            1.5), k, T)
+    return None, complete_info_profit(EXP1, alpha, k, T)
+
+
+@pytest.mark.parametrize("fill", [build_pricing, evaluate_schedule, complete_info_profit])
+@pytest.mark.parametrize("alpha", [0.5, np.array([0.3, 0.0, 1.0])], ids=["scalar", "batch3"])
+def test_tables_are_stored_time_major(fill, alpha):
+    # Every column the sweep reads and writes is one contiguous block; a table
+    # allocated row-major, as np.zeros(shape) gives it, has strided columns.
+    k, T = 4, 9
+    schedule, table = _filled(fill, alpha, k, T)
+    for grid in [table.values] + ([] if schedule is None else [schedule.prices]):
+        assert grid.shape == (k + 1, T + 1) + np.shape(alpha)
+        assert all(grid[:, t].flags.c_contiguous for t in range(T + 1))
+        dense = np.ascontiguousarray(grid)
+        assert all(grid[j, t].tobytes() == dense[j, t].tobytes()
+                   for j in range(k + 1) for t in range(T + 1))
+        assert repr(grid.tolist()) == repr(dense.tolist())  # NaN lists as nan
+        assert grid.tobytes() == dense.tobytes()
+    final = table.final()
+    assert final == np.ascontiguousarray(table.values)[k, T].tolist()
+    assert type(final) is (float if np.ndim(alpha) == 0 else list)
+
+
 def test_batched_prices_must_cover_the_batch():
     with pytest.raises(ValueError, match="cover"):
         evaluate_schedule(EXP1, np.array([0.3, 0.6]), np.ones((4, 6)), 3, 5)

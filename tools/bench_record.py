@@ -28,7 +28,11 @@ The output holds:
   ``complete_info_profit`` at (k, T) = (20, 1000) for exponential and uniform
   valuations, counting the k * T cells of R[1..k][1..T], and of
   ``build_pricing`` on a batch of 4 alphas at (k, T) = (10, 15), the shape of
-  ``fleet``'s deploy tables, counting 4 k T cells; trials per
+  ``fleet``'s deploy tables, counting 4 k T cells; calls per second of
+  ``allocate_discrete`` on a sweep of 3 alphas at (B, c) = (160, 3) and
+  plans per second of ``optimal_deployment`` for 14 vehicles on ten
+  hotspots at B0 15, c 1, ``fleet``'s largest rung, both read off batched
+  tables; trials per
   second of ``simulate_discrete`` and ``simulate_policy_regret`` at
   (k, T) = (5, 20) with 10^5 trials, and of ``simulate_continuous`` at rate
   0.5, k 3, T 1 with 10^6 trials and at rate 2, k 20, T 5 with 10^5; calls
@@ -52,12 +56,21 @@ The output holds:
   run's wall time, pass, fail and skip counts, failing tests and criterion-2
   duration.
 
+A recording ends by printing the claim rule per workload and end-to-end
+metric: the pairs the change won out of the pairs run (ties count for
+neither side), the gap between the medians against the parent's
+interquartile range, and a verdict. The verdict is "gain" when the change
+won at least nine tenths of the pairs and its median is better by more than
+that range, "loss" for the same rule the other way, "no change" when every
+pair tied and "unresolved" otherwise; a median worse than the parent's by
+more than the metric's bound in ``BENCHMARK.json`` is flagged beside it.
+
 The second form prints, per workload and metric, the ratio of the change
 medians of the second file to those of the first, and per layer each file's
 own change/parent ratio of best rates, side by side: two files' layer rates
 were timed under different host loads, so their quotient measures the host,
-not the code. The script uses the standard library only; numpy is imported
-only by the processes it starts.
+not the code. It then prints the second file's claim rule. The script uses
+the standard library only; numpy is imported only by the processes it starts.
 """
 
 from __future__ import annotations
@@ -65,6 +78,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -131,6 +145,17 @@ for side, tree in (("parent", sys.argv[1]), ("change", sys.argv[2])):
         lib.pricing.build_pricing, lib.valuations.ValuationModel.exponential(1.0),
         [0.2, 0.4, 0.6, 0.8], 10, 15)
     work["build_pricing.batch4_k10_T15"] = 4 * 10 * 15, "cells/s"
+    # A discrete energy split over an alpha sweep, and the discrete planner on
+    # fleet's largest rung: both read every decision off one batched table.
+    exp1 = lib.valuations.ValuationModel.exponential(1.0)
+    rung = [lib.deployment.Hotspot(alpha=round(0.9 - 0.05 * i, 2), distance=0.75 * i)
+            for i in range(10)]
+    calls["allocate_discrete.sweep3_B160_c3", side] = partial(
+        lib.allocation.allocate_discrete, exp1, [0.3, 0.5, 0.7], 160, 3)
+    calls["optimal_deployment.m10_n14", side] = partial(
+        lib.deployment.optimal_deployment, rung, lib.deployment.FleetConfig(14, 15.0, 1.0, exp1))
+    work["allocate_discrete.sweep3_B160_c3"] = 1, "calls/s"
+    work["optimal_deployment.m10_n14"] = 1, "plans/s"
     # verify's largest criterion-1 table, its low-load 10^6 replay and its
     # k = 20 replay; a regret trial plays two policies on one draw stream.
     sim, model = lib.simulator, lib.valuations.ValuationModel.exponential(1.0)
@@ -349,6 +374,38 @@ def record(args) -> dict:
     return result
 
 
+def _claim(name: str, stats: dict, runs: dict, bound: float | None) -> str:
+    """One end-to-end metric's claim rule: pairs won, the median gap against
+    the parent's interquartile range, and a verdict."""
+    sign = 1.0 if stats["better"] == "higher" else -1.0
+    moves = [sign * (c["metrics"][name] - p["metrics"][name])
+             for p, c in zip(runs["parent"], runs["change"])]
+    wins, losses = sum(m > 0.0 for m in moves), sum(m < 0.0 for m in moves)
+    parent, change = stats["parent"]["median"], stats["change"]["median"]
+    gap, spread = change - parent, stats["parent"]["q3"] - stats["parent"]["q1"]
+    needed = math.ceil(0.9 * len(moves))
+    if wins >= needed and sign * gap > spread:
+        verdict = "gain"
+    elif losses >= needed and -sign * gap > spread:
+        verdict = "loss"
+    else:
+        verdict = "no change" if wins == losses == 0 else "unresolved"
+    rel = gap / abs(parent) if parent else 0.0
+    if bound is not None and -sign * rel > bound:
+        verdict += f", worse than the {bound:.0%} bound"
+    return (f"{name:16s} {wins:2d}/{len(moves)} pairs  median {parent:.6g} -> {change:.6g} "
+            f"({rel:+.1%})  gap {abs(gap):.4g} vs parent IQR {spread:.4g}  {verdict}")
+
+
+def claims(result: dict) -> list[str]:
+    """The claim rule per workload and end-to-end metric of one recording."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bounds = {m["name"]: m.get("bound") for m in spec["end_to_end"]}
+    return [f"{workload:10s} " + _claim(name, stats, entry["runs"], bounds.get(name))
+            for workload, entry in result["workloads"].items()
+            for name, stats in entry["metrics"].items()]
+
+
 def compare(first: dict, second: dict) -> list[str]:
     """Ratios of the second file's change medians to the first's, then each
     file's own change/parent ratio per layer."""
@@ -372,7 +429,7 @@ def compare(first: dict, second: dict) -> list[str]:
         a, b = (f"x{f['tier1']['change'][key] / f['tier1']['parent'][key]:.4f}"
                 if "tier1" in f else "-" for f in (first, second))
         lines.append(f"{'tier1':10s} {key:38s} {a:>12s}    {b:>12s}")
-    return lines
+    return lines + ["claim rule of B:"] + claims(second)
 
 
 def main(argv=None) -> int:
@@ -393,6 +450,7 @@ def main(argv=None) -> int:
         p.error("recording needs --parent, --out and --pairs >= 1")
     result = record(args)
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
+    print("\n".join(claims(result)))
     return 0
 
 
