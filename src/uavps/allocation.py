@@ -162,7 +162,8 @@ def _best_series_capacity(rate, available, service_cost: float, group):
     # (NaN), is refused, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         bound = np.maximum(np.floor(np.multiply(group, available) / service_cost + _POOL_EPS), 1)
-        k = np.arange(1, int(_check("search index", np.max(bound), "capacity bound n B / c")) + 1)
+        k = np.arange(1, int(_check("search candidates", np.max(bound),
+                                    "capacity bound n B / c")) + 1)
         x = rate * np.maximum(available - service_cost * k / group, 0.0) / math.e
     _check("series argument", np.max(x), "the search's largest series argument")
     live = k <= bound
@@ -242,7 +243,7 @@ def high_regime_threshold(budget: float, service_cost: float) -> float:
     budget, service_cost = _budget_and_cost(budget, service_cost)
     if not budget > service_cost:
         raise ParameterError("need budget > service cost")
-    _check("search index", budget / service_cost, "capacity bound B / c")
+    _check("search candidates", budget / service_cost, "capacity bound B / c")
     k_top = _saturating_capacity(budget, service_cost)
     if not k_top:
         return math.inf

@@ -203,8 +203,7 @@ def cmd_deploy(args) -> int:
             raise ParameterError("--check-forking needs at least two hotspots")
         check = deployment.forking_condition(
             spots[0], spots[1], fleet(ValuationModel.exponential(args.lam)), args.lam)
-        bound = max(check.phi ** (1.0 / check.k2_star), check.phi)
-        return _emit(args, [f"phi={check.phi:.6f} threshold={bound:.6f} ratio="
+        return _emit(args, [f"phi={check.phi:.6f} threshold={check.threshold:.6f} ratio="
                             f"{spots[1].alpha / spots[0].alpha:.6f} k2_star={check.k2_star} "
                             f"forking={'holds' if check.holds else 'fails'}"])
 

@@ -109,6 +109,11 @@ class ForkingCheck(NamedTuple):
     phi: float
     k2_star: int
 
+    @property
+    def threshold(self) -> float:
+        """max(phi^(1/k2*), phi), the bound a'_2 / a'_1 must pass to fork."""
+        return max(self.phi ** (1.0 / self.k2_star), self.phi)
+
 
 # -- fleet-wide planning ------------------------------------------------------
 
@@ -265,8 +270,8 @@ def forking_condition(hotspot1: Hotspot, hotspot2: Hotspot, fleet: FleetConfig,
         phi = math.exp(gain - log_s2) * math.expm1(-gain) / math.expm1(-log_s2)
     except OverflowError:
         phi = math.inf
-    holds = a2 / a1 > max(phi ** (1.0 / k2_star), phi)
-    return ForkingCheck(holds=holds, phi=phi, k2_star=k2_star)
+    check = ForkingCheck(holds=False, phi=phi, k2_star=k2_star)
+    return check._replace(holds=a2 / a1 > check.threshold)
 
 
 def optimal_deployment_continuous(hotspots: list[Hotspot], fleet: FleetConfig,

@@ -5,8 +5,7 @@ report the realized mean profit with its standard error; the dynamic-program
 and closed-form values must sit within a few standard errors of it. The
 discrete replay plays every price policy it is given on one set of draws, so
 policies compared on one seed face identical buyers. The continuous replay
-quotes closed-form prices only to trials that can still sell, both series
-levels of a price coming from one pass of the log-space series kernel.
+quotes ``pricing._closed_form_price`` only to trials that can still sell.
 
 Randomness comes from numpy's PCG64 bit generator, recorded in each report.
 Trials run in fixed-size chunks of ``CHUNK_TRIALS``; chunk i derives its own
@@ -53,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pricing import PriceSchedule, _closed_form_args, _log_series, build_pricing
+from .pricing import PriceSchedule, _closed_form_args, _closed_form_price, build_pricing
 from .valuations import ParameterError, ValuationModel, _check
 
 GENERATOR_ID = "numpy-pcg64"
@@ -235,7 +234,7 @@ def _play_block(lam: float, arrival_rate: float, capacity: int, horizon: float,
 
     ``neg_t`` holds the block's uniform time draws and ``u`` its valuation
     draws, row i for a trial with ``counts[i]`` arrivals; ``neg_t`` is
-    overwritten.
+    overwritten. No buyer valued below ``_closed_form_price``'s floor is quoted.
     """
     # Arrival instants of a Poisson stream on [0, T] are uniform, so
     # remaining times are too; sorting their negations plays them in
@@ -249,12 +248,6 @@ def _play_block(lam: float, arrival_rate: float, capacity: int, horizon: float,
     gain = np.zeros(counts.size)
     j = np.full(counts.size, capacity, dtype=np.int64)
     rows = np.arange(counts.size)
-    # Every price is at least 1/lam, as log S_j >= log S_{j-1}. The kernel
-    # takes both logs from one running sum, log S_{j-1} from its state a
-    # term earlier, so their computed difference is short of 0 by a few ulp
-    # of x = a' t / e at most, and the price's three roundings add as much.
-    # So a computed price is above (1 - 1e-9 - 1e-12 x) / lam, 1e-12 x being
-    # about 4 500 ulp of x, and a buyer valued below that is not quoted.
     price_floor = (1.0 - 1e-9 - 1e-12 * arrival_rate * horizon / math.e) / lam
     for r in range(top):
         # Times fall along a row and capacity never grows, so a row that
@@ -269,8 +262,7 @@ def _play_block(lam: float, arrival_rate: float, capacity: int, horizon: float,
         v = quantile(u[rows, r])
         ask = v >= price_floor
         asked = rows[ask]
-        log_k, log_less = _log_series(arrival_rate * t[ask] / math.e, j[asked], below=True)
-        price = (1.0 + log_k - log_less) / lam
+        price = _closed_form_price(lam, arrival_rate, j[asked], t[ask])
         sale = v[ask] >= price
         sold = asked[sale]
         gain[sold] += price[sale]
@@ -290,14 +282,14 @@ def simulate_continuous(lam: float, arrival_rate: float, capacity: int,
 
     All draws are made before a block is played, so skipping trials changes
     no sale: each arrival column quotes only the trials that can still sell,
-    with log S_j and log S_{j-1} from one series pass, and play stops once
-    none can. The closed forms' series argument ``arrival_rate * horizon / e``
-    must be at most 1e12, which also keeps the mean arrival count finite and
-    within numpy's Poisson range.
+    and play stops once none can. The series argument ``arrival_rate *
+    horizon / e`` must be at most 1e12, and the mean arrival count
+    ``arrival_rate * horizon``, which sizes the draws, at most 2^19.
     """
     trials, seed = _check("count", trials, "trials"), _check("size", seed, "seed")
     lam, arrival_rate, capacity, horizon = _closed_form_args(lam, arrival_rate, capacity,
                                                              horizon)
+    _check("arrival count", arrival_rate * horizon, "mean arrival count a' T")
 
     def chunk(rng, size, shares):
         counts = rng.poisson(arrival_rate * horizon, size)

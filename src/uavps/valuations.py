@@ -40,7 +40,7 @@ class ParameterError(ValueError):
 # 1-d array of them. A valuation rate of at least 1e-100 and uniform bounds of
 # at most 1e100 keep valuations, prices and profits (a closed form's is at
 # most 1e12 / lam), and their squares, finite; a "search index", which bounds
-# a capacity search's k and T, stays below 2^62, where no int64 cast wraps. The
+# a discrete search's k and T, stays below 2^62, where no int64 cast wraps. The
 # README's "Accepted values" table lists the same rows, and a test holds the
 # two equal.
 _DOMAIN = {
@@ -55,6 +55,12 @@ _DOMAIN = {
     "nonnegative": (float, 0.0, le, le, math.inf),
     "nonnegative finite": (float, 0.0, le, lt, math.inf),
     "series argument": (float, 0.0, le, le, 1e12),
+    # Work caps, each with its cost at the cap on a 2-CPU x86 host, peaks
+    # under tracemalloc: capacity_argmax(1, 2^22, 1) took 6.5 s and 559 MiB,
+    # high_regime_threshold(2^22 - 0.5, 1) 2.3 s and 228 MiB, and 10 replay
+    # trials at k 2 and a mean arrival count a' T of 2^19 98 s.
+    "arrival count": (float, 0.0, le, le, 2.0 ** 19),
+    "search candidates": (float, 0.0, le, le, 2.0 ** 22),
     "search index": (float, 0.0, le, lt, 2.0 ** 62),
     "number": (float, -math.inf, le, le, math.inf),
 }

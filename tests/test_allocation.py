@@ -290,16 +290,19 @@ def test_cut_bounds_hold_in_exact_arithmetic(x, k):
 
 
 def _term_work(monkeypatch, search):
-    """``search()`` and the entries each pass of the series kernel advanced in it."""
+    """``search()`` and the entries the series kernel advanced in it: each
+    entry runs one pass per term, so the sum of the ``k`` handed to
+    ``_log_series``, broadcast against ``x``, wherever the search and
+    ``_oracle_search`` look the kernel up."""
     work = [0]
-    add_term = pricing._add_series_term
 
-    def counted(x, term, tail, offset, m, i):
-        work[0] += m
-        add_term(x, term, tail, offset, m, i)
+    def counted(x, k, below=False):
+        work[0] += int(np.broadcast_arrays(x, k)[1].sum())
+        return pricing._log_series(x, k, below)
 
     with monkeypatch.context() as patch:
-        patch.setattr(pricing, "_add_series_term", counted)
+        patch.setattr(allocation, "_log_series", counted)
+        patch.setitem(globals(), "_log_series", counted)
         return search(), work[0]
 
 

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from uavps.allocation import allocate_continuous, capacity_argmax
-from uavps.deployment import (FleetConfig, Hotspot, forking_condition,
+from uavps.deployment import (FleetConfig, ForkingCheck, Hotspot, forking_condition,
                               optimal_deployment_continuous)
 from uavps.valuations import ValuationModel
 
@@ -94,6 +94,17 @@ def test_capacity_searches_match_the_golden_digest():
 
 def test_fleet_plans_and_forking_checks_match_the_golden_digest():
     assert fleets() == GOLDEN["fleets"], f"fleet plans or forking checks changed {_where()}"
+
+
+def test_forking_threshold_is_the_bound_holds_tests():
+    assert ForkingCheck._fields == ("holds", "phi", "k2_star")
+    for shape in FLEETS:
+        for lam in FLEET_LAMS:
+            hotspots, fleet = _fleet(*shape, lam)
+            check = forking_condition(hotspots[0], hotspots[1], fleet, lam)
+            phi, k2_star = check.phi, check.k2_star
+            assert check.threshold == max(phi ** (1 / k2_star), phi)
+            assert check.holds == (hotspots[1].alpha / hotspots[0].alpha > check.threshold)
 
 
 if __name__ == "__main__":

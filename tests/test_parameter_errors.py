@@ -171,6 +171,18 @@ def test_huge_energy_is_refused_under_its_own_name(call, name):
         call()
 
 
+# Work past a cap: each asked numpy for 7.45 GiB (the searches) or 2.18 TiB
+# (the replay's draws) and raised MemoryError.
+@pytest.mark.parametrize("call, name", [
+    (lambda: capacity_argmax(1.0, 1e9, 1.0), "capacity bound n B / c"),
+    (lambda: high_regime_threshold(1e9 + 0.5, 1.0), "capacity bound B / c"),
+    (lambda: simulate_continuous(1.0, 3e11, 2, 1.0, 10, 1), "mean arrival count a' T"),
+])
+def test_work_past_a_cap_is_refused(call, name):
+    with pytest.raises(ParameterError, match=rf"^{name} must lie in \[0, "):
+        call()
+
+
 # Integers past the largest float, where float() raises OverflowError: each
 # of these leaked it.
 HUGE = 10**400

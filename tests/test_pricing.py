@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
 import uavps.pricing
-from uavps.pricing import (_add_series_term, _log_series, _series_log, build_pricing,
+from uavps.pricing import (_closed_form_price, _log_series, _series_log, build_pricing,
                            continuous_profit_numeric, evaluate_schedule,
                            expected_profit_closed_form, log_capacity_series,
                            price_closed_form, profit_step, schedule_csv_rows,
@@ -320,8 +320,9 @@ def test_log_series_kernel_within_its_round_off_bound(x, k):
 
 
 # The continuous replay's quote floor rests on this bound (uavps.simulator):
-# one two-level pass gives log S_j - log S_{j-1} short of the exact difference
-# by at most 1e-9 + 1e-12 x, the floor's allowance.
+# a computed price (1 + log S_j - log S_{j-1}) / lam, both logs from one pass,
+# is short of the exact one by at most (1e-9 + 1e-12 x) / lam, the floor's
+# allowance, so it is never below the floor.
 @settings(max_examples=100, deadline=None)
 @given(st.floats(math.log(1e-6), math.log(2000.0)).map(math.exp), st.integers(1, 120))
 @example(1.0, 1)  # whole x
@@ -337,11 +338,14 @@ def test_log_series_kernel_within_its_round_off_bound(x, k):
 @example(2000.0, 65)
 @example(2000.0, 120)
 def test_below_level_difference_within_the_quote_floor_allowance(x, j):
-    log_j, log_less = (Decimal(float(v)) for v in _log_series(x, j, below=True))
+    rate = x * math.e
+    x = rate / math.e  # the kernel's argument at t = 1
+    price = Decimal(float(_closed_form_price(1.0, rate, j, 1.0)))
     with localcontext() as ctx:
         ctx.prec = 60
-        shortfall = exact_log_series(x, j) - exact_log_series(x, j - 1) - (log_j - log_less)
+        shortfall = 1 + exact_log_series(x, j) - exact_log_series(x, j - 1) - price
         assert shortfall <= Decimal(1e-9) + Decimal(1e-12) * Decimal(x), (x, j, shortfall)
+        assert price >= Decimal(1.0 - 1e-9 - 1e-12 * rate / math.e), (x, j, price)
 
 
 @settings(max_examples=50, deadline=None)
@@ -393,6 +397,20 @@ def test_log_series_order_past_16_bit_capacities():
     assert _log_series(x, k)[1] == _log_series(3.0e4, 2**15 + 5)
 
 
+def _oracle_term(x, term, tail, offset, m: int, i: int) -> None:
+    """Term i, x^i / i!, added to the first m running sums in place; every 16
+    terms a sum past 1e100 moves into its log offset (the kernel's term step,
+    copied here so that the oracles do not share it)."""
+    t, s = term[:m], tail[:m]
+    t *= x[:m] / i
+    s += t
+    if i % 16 == 0:
+        scale = np.where(s > 1e100, s, 1.0)
+        offset[:m] += np.log(scale)
+        t /= scale
+        s /= scale
+
+
 def _one_level_oracle(x, k):
     """The single-level series pass as it stood before the two-level one was
     folded into it: one term loop over the running prefix."""
@@ -402,7 +420,7 @@ def _one_level_oracle(x, k):
     running = np.searchsorted(-ks, -np.arange(1, ks.max(initial=0) + 1), side="right")
     tail, offset, term = np.zeros(xs.size), np.zeros(xs.size), np.ones(xs.size)
     for i, m in enumerate(running, start=1):
-        _add_series_term(xs, term, tail, offset, m, i)
+        _oracle_term(xs, term, tail, offset, m, i)
     out = np.empty(xs.size)
     out[order] = _series_log(tail, offset)
     return out.reshape(x.shape)
@@ -421,7 +439,7 @@ def _two_level_oracle(x, k):
         if lo < m:
             prev_tail[lo:m] = tail[lo:m]
             prev_offset[lo:m] = offset[lo:m]
-        _add_series_term(xs, term, tail, offset, m, i)
+        _oracle_term(xs, term, tail, offset, m, i)
     logs, prev = np.empty(xs.size), np.empty(xs.size)
     logs[order] = _series_log(tail, offset)
     prev[order] = _series_log(prev_tail, prev_offset)
@@ -508,6 +526,17 @@ def test_price_closed_form_equals_two_series_calls(lam, rate, k, t):
     x = rate * t / math.e
     want = (1.0 + log_capacity_series(x, k) - log_capacity_series(x, k - 1)) / lam
     assert price_closed_form(lam, rate, k, t) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(1e-3, 1e3), st.floats(1e-3, 500.0),
+       st.lists(st.tuples(st.integers(1, 300), st.one_of(st.just(0.0), st.floats(1e-3, 100.0))),
+                min_size=1, max_size=12))
+@example(0.5, 200.0, [(400, 20.0), (1, 0.0), (3, 2.5)])  # one entry past the log offset
+def test_vector_closed_form_price_equals_scalar_calls(lam, rate, pairs):
+    k, t = (np.array(col) for col in zip(*pairs))
+    got = _closed_form_price(lam, rate, k, t)
+    assert got.tolist() == [price_closed_form(lam, rate, a, b) for a, b in pairs]
 
 
 def _largest_rate_in_domain(t):

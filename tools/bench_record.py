@@ -54,7 +54,8 @@ The output holds:
   each with its own ``tests`` and ``src``: per side, the median wall time and
   median ``test_criterion_02_closed_form_equivalence`` duration, and every
   run's wall time, pass, fail and skip counts, failing tests and criterion-2
-  duration.
+  duration;
+- per side, the line count of the package's modules, ``src/uavps/*.py``.
 
 A recording ends by printing the claim rule per workload and end-to-end
 metric: the pairs the change won out of the pairs run (ties count for
@@ -64,12 +65,14 @@ won at least nine tenths of the pairs and its median is better by more than
 that range, "loss" for the same rule the other way, "no change" when every
 pair tied and "unresolved" otherwise; a median worse than the parent's by
 more than the metric's bound in ``BENCHMARK.json`` is flagged beside it.
+The ``src/`` line counts of both sides and their difference follow.
 
 The second form prints, per workload and metric, the ratio of the change
 medians of the second file to those of the first, and per layer each file's
 own change/parent ratio of best rates, side by side: two files' layer rates
 were timed under different host loads, so their quotient measures the host,
-not the code. It then prints the second file's claim rule. The script uses
+not the code. It then prints the second file's claim rule and, from files
+that record them, its ``src/`` line counts. The script uses
 the standard library only; numpy is imported only by the processes it starts.
 """
 
@@ -307,6 +310,11 @@ def _tier1_sides(trees: dict) -> dict:
     return out
 
 
+def _src_lines(tree: Path) -> int:
+    """Newlines in ``src/uavps/*.py`` of ``tree``, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "uavps").glob("*.py"))
+
+
 def _spread(values: list[float]) -> dict:
     if len(values) < 2:
         return {"median": values[0], "q1": values[0], "q3": values[0], "n": len(values)}
@@ -346,6 +354,7 @@ def record(args) -> dict:
         commit = _export(args.parent, parent)
         result["environment"].update(parent=commit, parent_trees=_trees(commit))
         trees = {"parent": parent, "change": ROOT}
+        result["src_lines"] = {side: _src_lines(trees[side]) for side in SIDES}
         for workload in (w["name"] for w in spec["workloads"]):
             runs = {side: [] for side in SIDES}
             for i in range(args.pairs):
@@ -406,6 +415,14 @@ def claims(result: dict) -> list[str]:
             for name, stats in entry["metrics"].items()]
 
 
+def src_delta(result: dict) -> list[str]:
+    """The ``src/`` line counts of a recording's two sides, if it holds them."""
+    if "src_lines" not in result:
+        return []
+    parent, change = result["src_lines"]["parent"], result["src_lines"]["change"]
+    return [f"src/ lines  {parent} -> {change} ({change - parent:+d})"]
+
+
 def compare(first: dict, second: dict) -> list[str]:
     """Ratios of the second file's change medians to the first's, then each
     file's own change/parent ratio per layer."""
@@ -429,7 +446,7 @@ def compare(first: dict, second: dict) -> list[str]:
         a, b = (f"x{f['tier1']['change'][key] / f['tier1']['parent'][key]:.4f}"
                 if "tier1" in f else "-" for f in (first, second))
         lines.append(f"{'tier1':10s} {key:38s} {a:>12s}    {b:>12s}")
-    return lines + ["claim rule of B:"] + claims(second)
+    return lines + ["claim rule of B:"] + claims(second) + src_delta(second)
 
 
 def main(argv=None) -> int:
@@ -450,7 +467,7 @@ def main(argv=None) -> int:
         p.error("recording needs --parent, --out and --pairs >= 1")
     result = record(args)
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
-    print("\n".join(claims(result)))
+    print("\n".join(claims(result) + src_delta(result)))
     return 0
 
 
