@@ -146,24 +146,44 @@ def _series_bounds(x, k):
     return largest, (x, largest + np.log(k + 1.0), ramp)
 
 
+def _candidate_count(group, available, service_cost: float):
+    """max(floor(group * avail / c), 1), elementwise, floored with _POOL_EPS:
+    the k a continuous search scores, the count its work cap checks. An
+    overflowing count is inf, which the cap refuses."""
+    with np.errstate(over="ignore"):
+        return np.maximum(np.floor(np.multiply(group, available) / service_cost + _POOL_EPS), 1)
+
+
 def _best_series_capacity(rate, available, service_cost: float, group):
     """(k, log S_k(x_k)) maximizing log S_k(x_k), x_k = a' max(avail - c k /
     group, 0) / e, over k in 1..max(floor(group * avail / c), 1), ties to the
     smallest k, for the searches the arguments broadcast over on leading axes.
 
+    The series kernel sees only the entries ``_series_cut`` keeps; the others
+    score -inf. Kept entries keep their bits: the kernel is elementwise.
+    """
+    x, k, keep = _series_cut(rate, available, service_cost, group)
+    logs = np.full(keep.shape, -np.inf)
+    logs[keep] = _log_series(np.broadcast_to(x, keep.shape)[keep],
+                             np.broadcast_to(k, keep.shape)[keep])
+    return logs.argmax(axis=-1) + 1, logs.max(axis=-1)  # argmax: the first maximum
+
+
+def _series_cut(rate, available, service_cost: float, group):
+    """The grid of ``_best_series_capacity``, checked: its series arguments
+    x, the k axis, and the mask of the entries that can win or tie.
+
     Exact cut: the largest term of any feasible k's series bounds a search's
     maximum from below by L, and x, log T + log(k + 1) and, for k < x, log T
     - log(1 - k / x) bound each log S_k(x) from above (``_series_bounds``).
-    An entry whose smallest upper bound is below L can neither win nor tie,
-    so it gets k = 0, which the kernel skips, and -inf. Kept entries keep
-    their bits: the kernel is elementwise.
+    An entry whose smallest upper bound is below L can neither win nor tie.
     """
-    # An overflowing bound or argument, or an infinite rate times 0 hovering
-    # (NaN), is refused, not warned about.
+    bound = _candidate_count(group, available, service_cost)
+    k = np.arange(1, int(_check("search candidates", np.max(bound),
+                                "capacity bound n B / c")) + 1)
+    # An overflowing argument, or an infinite rate times 0 hovering (NaN), is
+    # refused, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = np.maximum(np.floor(np.multiply(group, available) / service_cost + _POOL_EPS), 1)
-        k = np.arange(1, int(_check("search candidates", np.max(bound),
-                                    "capacity bound n B / c")) + 1)
         x = rate * np.maximum(available - service_cost * k / group, 0.0) / math.e
     _check("series argument", np.max(x), "the search's largest series argument")
     live = k <= bound
@@ -185,9 +205,7 @@ def _best_series_capacity(rate, available, service_cost: float, group):
     # computed log stays below the computed maximum. At rate 0, L = 0 and
     # nothing is cut.
     margin = 1e-9 + 2.0 ** -51 * k[-1]
-    keep = live & (np.minimum.reduce(uppers) * (1.0 + margin) >= lower * (1.0 - margin))
-    logs = np.where(keep, _log_series(x, np.where(keep, k, 0)), -np.inf)
-    return logs.argmax(axis=-1) + 1, logs.max(axis=-1)  # argmax: the first maximum
+    return x, k, live & (np.minimum.reduce(uppers) * (1.0 + margin) >= lower * (1.0 - margin))
 
 
 def _budget_and_cost(budget: float, service_cost: float) -> tuple[float, float]:
@@ -238,12 +256,18 @@ def _saturating_capacity(budget: float, service_cost: float) -> int:
 def high_regime_threshold(budget: float, service_cost: float) -> float:
     """Arrival rate above which saturating capacity at floor(B / c) is optimal.
 
-    Returns +inf when B / c is an integer: the high regime does not exist.
+    Returns +inf where no rate up to 1e12, where the root's bracket stops,
+    makes saturation pay: whenever B / c is an integer, as saturation then
+    leaves no hovering time, and at some other ratios, such as 40.3 and
+    2^22 - 0.5. Rates past 1e12 lie outside ``allocate_continuous``'s domain
+    once B - c >= e, as its largest series argument a' (B - c) / e then
+    passes 1e12. The candidate count floor(B / c) is capped as in the
+    capacity search.
     """
     budget, service_cost = _budget_and_cost(budget, service_cost)
     if not budget > service_cost:
         raise ParameterError("need budget > service cost")
-    _check("search candidates", budget / service_cost, "capacity bound B / c")
+    _check("search candidates", _candidate_count(1, budget, service_cost), "capacity bound B / c")
     k_top = _saturating_capacity(budget, service_cost)
     if not k_top:
         return math.inf

@@ -212,6 +212,13 @@ def evaluate_schedule(model: ValuationModel, alpha, prices: np.ndarray,
 # checks: the kernel's domain, which the closed forms, their replay and the
 # capacity search enforce.
 _SERIES_BOUND, _SERIES_STRIDE = 1e100, 16
+# Once at most _SERIES_NARROW entries still run, they finish in Python floats.
+# Measured on a 2-CPU x86 host (numpy 2.4, AVX-512), best of 7: a numpy term
+# pass took 2.0-2.1 us at 8 to 128 entries and a Python float entry-term 65
+# ns, so they break even near 32 entries; capacity_argmax(100, 1e5, 1) took
+# 158 ms at widths 0 to 48 and 337 ms at 64, (1000, 2e4, 1) 35 ms at width 0
+# and 11 ms at 8 to 128.
+_SERIES_NARROW = 32
 
 
 def _log_series(x, k, below: bool = False):
@@ -224,6 +231,17 @@ def _log_series(x, k, below: bool = False):
     Each entry's arithmetic is its own, so a vector call equals scalar calls,
     and its state one term before its end is its level-(k-1) state: the
     ``below`` logs equal a call at k - 1, bit for bit.
+
+    A pass costs a few numpy calls whatever its width, so once the running
+    prefix is ``_SERIES_NARROW`` entries or fewer, ``_finish_series`` adds
+    their remaining terms one entry at a time in Python floats. It keeps
+    every bit: a Python float is an IEEE double rounded to nearest, as a
+    numpy float64 is, and each entry runs the same operations in the same
+    order. Calls with ``below`` keep their numpy passes: the replay makes
+    them on two threads, and a Python loop would hold the interpreter lock.
+    Wide calls cost about a pass per term: at the search cap,
+    capacity_argmax(1, 2^22, 1), the kernel's 914 831 passes over the 2 521
+    entries the cut keeps take 5.3 s of the call's 5.8 s.
     """
     x, k = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(k, dtype=np.int64))
     order = np.argsort(-k, axis=None)  # entries are independent: any order of equal k will do
@@ -236,6 +254,9 @@ def _log_series(x, k, below: bool = False):
         prev_tail, prev_offset = np.empty(xs.size), np.empty(xs.size)
     for i in range(1, len(bounds)):
         lo, m = bounds[i], bounds[i - 1]
+        if m <= _SERIES_NARROW and not below:
+            _finish_series(xs[:m], ks[:m], term[:m], tail[:m], offset[:m], i)
+            break
         if below and lo < m:
             prev_tail[lo:m] = tail[lo:m]
             prev_offset[lo:m] = offset[lo:m]
@@ -254,6 +275,32 @@ def _log_series(x, k, below: bool = False):
     less = np.empty(xs.size)
     less[order] = _series_log(prev_tail, prev_offset)
     return out.reshape(x.shape), less.reshape(x.shape)
+
+
+def _finish_series(x: np.ndarray, k: np.ndarray, term: np.ndarray, tail: np.ndarray,
+                   offset: np.ndarray, start: int) -> None:
+    """Terms start..k of each running sum, one entry at a time in Python
+    floats, written back into ``tail`` and ``offset``: ``_log_series``'s pass
+    per entry. A sum that does not move skips the pass's division by 1 and
+    its added log 1 = 0, which change no bit. The moved sums' logs come from
+    one np.log call, the ufunc the pass uses, whose bits math.log need not
+    share."""
+    bound, stride = _SERIES_BOUND, _SERIES_STRIDE
+    moved, sums = [], []
+    for j, (xj, kj, t, s) in enumerate(zip(x.tolist(), k.tolist(), term.tolist(),
+                                           tail.tolist())):
+        for i in range(start, kj + 1):
+            t *= xj / i
+            s += t
+            if s > bound and i % stride == 0:  # the cheaper test first
+                moved.append(j)
+                sums.append(s)
+                t /= s
+                s /= s
+        tail[j] = s
+    if sums:  # each entry's logs in term order, so its offset adds them in order
+        for j, log in zip(moved, np.log(sums).tolist()):
+            offset[j] += log
 
 
 def _series_log(tail: np.ndarray, offset: np.ndarray) -> np.ndarray:

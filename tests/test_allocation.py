@@ -150,6 +150,35 @@ def test_high_threshold_does_not_overflow():
     assert high_regime_threshold(40.3, 1.0) == math.inf
 
 
+def test_high_threshold_infinite_past_its_bracket():
+    # floor(B / c) leaves 0.5 of hovering time, yet no rate up to 1e12, where
+    # the bracket stops, makes saturation pay; the split refuses such rates.
+    budget = 2**22 - 0.5
+    assert high_regime_threshold(budget, 1.0) == math.inf
+    with pytest.raises(ParameterError, match="series argument"):
+        allocate_continuous(1.0, 1e12, budget, 1.0)
+
+
+class _Accepted(Exception):
+    """Raised in place of a search's work once its caps accepted the call."""
+
+
+@pytest.mark.parametrize("ratio, accepted", [(2**22 - 0.5, True), (2**22 + 0.5, True),
+                                             (2**22 + 1.0, False)])
+def test_continuous_searches_share_one_candidate_cap(monkeypatch, ratio, accepted):
+    # Both cap the candidate count floor(B / c + 1e-9) at 2^22; the threshold
+    # used to cap the unfloored B / c and refused 2^22 + 0.5.
+    def work(*args):
+        raise _Accepted
+
+    monkeypatch.setattr(allocation, "_series_bounds", work)
+    monkeypatch.setattr(allocation, "_saturating_capacity", work)
+    for call in (lambda: capacity_argmax(1.0, ratio, 1.0),
+                 lambda: high_regime_threshold(ratio, 1.0)):
+        with pytest.raises(_Accepted if accepted else ParameterError):
+            call()
+
+
 def test_high_threshold_at_its_bracket_ends():
     # k_top = 1: the one feasible capacity saturates at every rate.
     assert high_regime_threshold(3.0, 2.0) == 0.0
@@ -259,6 +288,27 @@ def test_cut_search_equals_full_search(offset, whole, cost, rate):
         assert (k.item(), log_s.item()) == w
     ks, logs = allocation._best_series_capacity(rate, budget, cost, groups[:, None])
     assert list(zip(ks.tolist(), logs.tolist())) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(0.05, 120.0), min_size=1, max_size=4), st.integers(1, 7),
+       st.sampled_from((20.0, 60.0, 200.0)), st.sampled_from((0.5, 2.0, 3.0)))
+@example([80.0, 65.0, 50.0], 6, 200.0, 2.0)  # fleet's largest continuous rung
+def test_compacted_search_equals_the_uncompacted_form(rates, count, budget, cost):
+    # The planner's (hotspot, group size) grid and the forking check's four
+    # searches: the kernel sees only the kept entries, and every other one
+    # scores -inf, as the form that runs the kernel over the whole grid gives.
+    avail = budget - 0.4 * budget * np.arange(len(rates)) / len(rates)
+    grids = [(np.array(rates)[:, None, None], avail[:, None, None],
+              np.arange(1, count + 1)[:, None]),
+             (np.array(rates[:1] * 4)[:, None], np.full((4, 1), avail[0]),
+              np.array([1, 1, count + 1, count])[:, None])]
+    for rate, available, group in grids:
+        x, k, keep = allocation._series_cut(rate, available, cost, group)
+        full = np.where(keep, _log_series(x, np.where(keep, k, 0)), -np.inf)
+        ks, logs = allocation._best_series_capacity(rate, available, cost, group)
+        assert np.array_equal(ks, full.argmax(axis=-1) + 1)
+        assert logs.tobytes() == full.max(axis=-1).tobytes()
 
 
 # The cut's premises, against exact arithmetic: the computed log of the

@@ -483,6 +483,33 @@ def test_two_level_series_equals_its_oracle(pairs):
         assert np.array_equal(row[0], want[0]) and np.array_equal(row[1], want[1])
 
 
+_WIDE_PAIRS = st.lists(st.tuples(st.one_of(st.floats(0.0, 1e4), st.floats(0.0, 1e12)),
+                                 st.integers(0, 120)), max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_WIDE_PAIRS)
+@example([])
+@example([(1e12, 120), (1e12, 17), (3.0e11, 48), (7.0, 0), (1e4, 33), (0.0, 20)] * 7)
+@example([(1e12, 64), (1e12, 65), (2.5e10, 16), (5.0, 1)])  # a move at every stride
+def test_log_series_narrow_finish_equals_the_per_term_loop(pairs):
+    # Width 0 runs every term as a numpy pass, as the oracles do; at 1 and 32
+    # the last running entries finish in Python floats, and at 10**9 every
+    # entry does from its first term. Every width gives the oracles' bits.
+    x = np.array([a for a, _ in pairs], dtype=float)
+    k = np.array([b for _, b in pairs], dtype=np.int64)  # k = 0 entries included
+    want = _one_level_oracle(x, k)
+    want_k, want_less = _two_level_oracle(x, k + 1) if k.size else (want, want)
+    for width in (0, 1, 32, 10**9):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(uavps.pricing, "_SERIES_NARROW", width)
+            got = _log_series(x, k)
+            log_k, log_less = _log_series(x, k + 1, below=True)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), width
+        assert log_k.tobytes() == want_k.tobytes(), width
+        assert log_less.tobytes() == want_less.tobytes(), width
+
+
 def test_log_series_at_large_simulation_argument():
     # Rate 200, k = 400, T = 20: the linear-space levels of the continuous
     # simulator overflowed at this argument.

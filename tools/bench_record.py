@@ -36,9 +36,12 @@ The output holds:
   second of ``simulate_discrete`` and ``simulate_policy_regret`` at
   (k, T) = (5, 20) with 10^5 trials, and of ``simulate_continuous`` at rate
   0.5, k 3, T 1 with 10^6 trials and at rate 2, k 20, T 5 with 10^5; calls
-  per second of ``capacity_argmax(1, 8000, 1)`` and
-  ``capacity_argmax(1000, 20000, 1)``, plans per second of
-  ``optimal_deployment_continuous`` for 10 vehicles on ten hotspots, RK4
+  per second of ``capacity_argmax`` at (rate, B, c) = (1, 8000, 1),
+  (1000, 20000, 1), (50, 800, 1), ``single_uav``'s largest B / c, and
+  (100, 1e5, 1), plans per second of ``optimal_deployment_continuous`` for
+  10 vehicles on ten hotspots, calls per second of ``fleet``'s largest
+  continuous rung (3 hotspots at rates 80, 65 and 50, 6 vehicles, B0 200,
+  c 2), planned and checked with ``forking_condition``, RK4
   steps per second of ``continuous_profit_numeric`` at rate 1, k 3, T 1,
   calls per second of two argument-checking paths, ``load_hotspots`` of a
   ten-hotspot file and ``expected_profit_closed_form`` at k 3, and
@@ -48,7 +51,7 @@ The output holds:
   vehicles on ten hotspots; discrete ``simulate`` at k 5, T 20 with 10^5
   trials; and ``benchmark --ratio`` for k 1, 2, 3 up to T 200.
   Each is timed ``LAYER_REPS`` times per side in one process that loads
-  both trees (about a minute and a half on a 2-CPU host); the file keeps each
+  both trees (about two minutes on a 2-CPU host); the file keeps each
   side's best rate and, beside it, the median and quartiles of all its reps;
 - ``TIER1_RUNS`` tier-1 runs per tree, alternating which tree goes first,
   each with its own ``tests`` and ``src``: per side, the median wall time and
@@ -119,6 +122,10 @@ def load(name, tree):
     spec.loader.exec_module(lib)
     return lib
 
+def plan_and_fork(deployment, spots, fleet):
+    return (deployment.optimal_deployment_continuous(spots, fleet, 1.0),
+            deployment.forking_condition(spots[0], spots[1], fleet, 1.0))
+
 def run_cli(cli, argv):
     with contextlib.redirect_stdout(io.StringIO()):
         if cli.main(argv) != 0:
@@ -178,13 +185,25 @@ for side, tree in (("parent", sys.argv[1]), ("change", sys.argv[2])):
     # ceil(T / h) steps at h = 1e-3 and at h / 2.
     spots = [lib.deployment.Hotspot(alpha=0.5 + 0.5 * i, distance=8.0 * i) for i in range(10)]
     fleet = lib.deployment.FleetConfig(10, 200.0, 2.0, model)
+    # fleet's largest continuous rung, planned and checked for forking as its op does.
+    rung = [lib.deployment.Hotspot(alpha=a, distance=0.4 * 200.0 * i / 3)
+            for i, a in enumerate((80.0, 65.0, 50.0))]
+    rung_fleet = lib.deployment.FleetConfig(6, 200.0, 2.0, model)
     for name, count, unit, call in (
             ("capacity_argmax.rate1_B8000", 1, "calls/s",
              partial(lib.allocation.capacity_argmax, 1.0, 8000.0, 1.0)),
             ("capacity_argmax.rate1000_B20000", 1, "calls/s",
              partial(lib.allocation.capacity_argmax, 1000.0, 20000.0, 1.0)),
+            # single_uav's largest B / c, and the search that finishing every
+            # series in Python floats once made slower.
+            ("capacity_argmax.rate50_B800", 1, "calls/s",
+             partial(lib.allocation.capacity_argmax, 50.0, 800.0, 1.0)),
+            ("capacity_argmax.rate100_B1e5", 1, "calls/s",
+             partial(lib.allocation.capacity_argmax, 100.0, 1e5, 1.0)),
             ("optimal_deployment_continuous.m10_n10", 1, "plans/s",
              partial(lib.deployment.optimal_deployment_continuous, spots, fleet, 1.0)),
+            ("deploy_continuous.m3_n6", 1, "calls/s",
+             partial(plan_and_fork, lib.deployment, rung, rung_fleet)),
             ("continuous_profit_numeric.rate1_k3_T1", 3000, "steps/s",
              partial(lib.pricing.continuous_profit_numeric, model, 1.0, 3, 1.0)),
             # Calls whose cost is mostly their argument checks.
