@@ -301,7 +301,8 @@ def test_compacted_search_equals_the_uncompacted_form(rates, count, budget, cost
     avail = budget - 0.4 * budget * np.arange(len(rates)) / len(rates)
     grids = [(np.array(rates)[:, None, None], avail[:, None, None],
               np.arange(1, count + 1)[:, None]),
-             (np.array(rates[:1] * 4)[:, None], np.full((4, 1), avail[0]),
+             (np.array(rates[-1:] + rates[:1] * 3)[:, None],
+              np.array([avail[-1]] + [avail[0]] * 3)[:, None],
               np.array([1, 1, count + 1, count])[:, None])]
     for rate, available, group in grids:
         x, k, keep = allocation._series_cut(rate, available, cost, group)
