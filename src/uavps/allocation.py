@@ -160,12 +160,15 @@ def _best_series_capacity(rate, available, service_cost: float, group):
     smallest k, for the searches the arguments broadcast over on leading axes.
 
     The series kernel sees only the entries ``_series_cut`` keeps; the others
-    score -inf. Kept entries keep their bits: the kernel is elementwise.
+    score -inf. Kept entries keep their bits: the kernel is elementwise, and
+    an entry at x = 0 is handed k = 0, as every term past the first is 0 and
+    log1p(0) = 0 either way. At rate 0 the cut keeps every entry, and so
+    needs no term at all.
     """
     x, k, keep = _series_cut(rate, available, service_cost, group)
     logs = np.full(keep.shape, -np.inf)
     logs[keep] = _log_series(np.broadcast_to(x, keep.shape)[keep],
-                             np.broadcast_to(k, keep.shape)[keep])
+                             np.broadcast_to(np.where(x > 0.0, k, 0), keep.shape)[keep])
     return logs.argmax(axis=-1) + 1, logs.max(axis=-1)  # argmax: the first maximum
 
 

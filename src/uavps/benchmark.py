@@ -36,8 +36,8 @@ def complete_info_profit(model: ValuationModel, alpha, capacity: int,
     one table per entry on a trailing axis.
     """
     alpha, k, T = _table_args(alpha, capacity, horizon)
-    return _fill(alpha, k, T, lambda _, r_same, r_less, out: np.add(
-        r_same, alpha * model.expected_excess(r_same - r_less), out=out))[1]
+    return _fill(alpha, k, T, lambda t, r_same, r_less, out: np.add(
+        r_same, alpha * model.expected_excess(r_same - r_less), out=out))
 
 
 def profit_ratio_curve(model: ValuationModel, alpha: float, capacity: int | list[int],

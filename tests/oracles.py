@@ -9,10 +9,12 @@ import itertools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from uavps.allocation import _pooled_decisions
+from uavps.pricing import profit_step, solve_stage_price
 
 
 def compositions(total, caps):
@@ -92,3 +94,45 @@ def exact_log_series(x: float, k: int) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = 60
         return (Decimal(total.numerator) / Decimal(total.denominator)).ln()
+
+
+def column_sweep(alpha, k, T, rule, prices):
+    """The table sweep with one rule call per column and no block test:
+    ``rule(price, r_same, r_less, out)`` fills values[1..m][t], m = min(t, k),
+    from the rows 1..m of ``prices``' column t, and rows past t copy R[t][t]."""
+    values = np.zeros((T + 1, k + 1) + np.shape(alpha)).swapaxes(0, 1)
+    for t in range(1, T + 1):
+        m = min(t, k)
+        rule(prices[1:m + 1, t], values[1:m + 1, t - 1], values[:m, t - 1], values[1:m + 1, t])
+        if m < k:
+            values[m + 1:, t] = values[m, t]
+    return values
+
+
+def posted_pricing_oracle(model, alpha, k, T):
+    """build_pricing with its round-off test in every column: (prices, values).
+
+    Each column's option values are tested for a negative entry; an entry in
+    [-1e-12 * R[j][t-1], 0) is clamped to zero, and ``solve_stage_price``
+    raises on a lower one. The family's stage rule then prices the column.
+    """
+    alpha = np.asarray(alpha, dtype=float) if np.ndim(alpha) else float(alpha)
+    stage = model._posted_stage(alpha)
+
+    def posted(price, r_same, r_less, out):
+        delta = np.subtract(r_same, r_less, out=price)
+        if delta.min(initial=0.0) < 0.0:
+            delta = np.where((delta < 0.0) & (delta >= -1e-12 * r_same), 0.0, delta)
+            solve_stage_price(model, delta)
+        stage(delta, price, r_same, r_less, out)
+
+    prices = np.full((k + 1, T + 1) + np.shape(alpha), np.nan)
+    return prices, column_sweep(alpha, k, T, posted, prices)
+
+
+def scored_schedule_oracle(model, alpha, prices, k, T):
+    """evaluate_schedule as one ``profit_step`` call per column: the sale
+    probabilities and the masks of a column are made in that column."""
+    alpha = np.asarray(alpha, dtype=float) if np.ndim(alpha) else float(alpha)
+    return column_sweep(alpha, k, T, partial(profit_step, model, alpha),
+                        np.asarray(prices, dtype=float))

@@ -394,6 +394,17 @@ def test_cut_keeps_under_five_percent_of_a_fleet_search(monkeypatch):
     assert 0 < cut < 0.05 * _uncut_work(groups.T, avail[:, 0], 2.0)
 
 
+def test_rate_zero_search_sums_no_series_terms(monkeypatch):
+    # Every series argument is 0, so the cut keeps all K entries and each log
+    # is log1p(0) = 0 with no term summed; K (K + 1) / 2 entry-terms took
+    # 0.46 s at K = 20 000, and a search at the 2^22 cap would run for hours.
+    k, work = _term_work(monkeypatch, lambda: capacity_argmax(0.0, 20000.0, 1.0))
+    assert (k, work) == (1, 0)
+    (ks, logs), work = _term_work(monkeypatch, lambda: allocation._best_series_capacity(
+        0.0, np.array([3.0, 20000.0])[:, None], 1.0, 1))
+    assert (ks.tolist(), logs.tolist(), work) == ([1, 1], [0.0, 0.0], 0)
+
+
 def test_continuous_low_regime_example():
     boundary = low_regime_threshold(15, 3)
     assert boundary == pytest.approx(0.2013542, abs=1e-6)

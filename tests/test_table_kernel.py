@@ -13,10 +13,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uavps import pricing
 from uavps.benchmark import complete_info_profit
 from uavps.pricing import (build_pricing, evaluate_schedule, profit_step,
                            schedule_csv_rows, solve_stage_price)
 from uavps.valuations import ParameterError, ValuationModel
+
+from oracles import posted_pricing_oracle, scored_schedule_oracle
 
 EXP1 = ValuationModel.exponential(1.0)
 UNI = ValuationModel.uniform(5.0, 15.0)
@@ -440,3 +443,147 @@ def test_stage_rule_equals_inverse_virtual_value_then_profit_step(column, in_pla
     stage(price if in_place else delta, price, r_same, r_less, out)
     assert _bits(price) == _bits(want_price)
     assert _bits(out) == _bits(want)
+
+
+# -- the block round-off test against the per-column sweep --------------------------
+
+
+alpha_batches = st.one_of(alphas, st.lists(alphas, max_size=4).map(np.array))
+
+
+@settings(max_examples=80, deadline=None)
+@given(models, alpha_batches, st.integers(0, 60), st.integers(0, 300))
+@example(EXP1, 0.2, 30, 300)
+@example(EXP1, np.array([0.2, 0.5]), 60, 300)
+@example(UNI, np.array([]), 60, 300)
+@example(EXP1, 0.5, 60, 0)
+def test_build_pricing_equals_the_per_column_sweep(model, alpha, k, T):
+    if k == 0:  # no table has no capacity
+        with pytest.raises(ParameterError, match="capacity"):
+            build_pricing(model, alpha, k, T)
+        return
+    schedule, table = build_pricing(model, alpha, k, T)
+    prices, values = posted_pricing_oracle(model, alpha, k, T)
+    assert schedule.prices.tobytes() == prices.tobytes()
+    assert table.values.tobytes() == values.tobytes()
+
+
+def _first_negative_column(values):
+    """The first column t whose option values R[j][t-1] - R[j-1][t-1] dip below 0."""
+    return next(t for t in range(1, values.shape[1])
+                if (np.diff(values[:, t - 1], axis=0) < 0.0).any())
+
+
+@pytest.mark.parametrize("alpha, k, T, first", [(0.2, 30, 300, 19), (0.5, 50, 1000, 39)])
+@pytest.mark.parametrize("where", ["every column", "block start", "block end", "inside",
+                                   "one block"])
+def test_build_pricing_equals_the_per_column_sweep_through_roundoff(
+        monkeypatch, alpha, k, T, first, where):
+    # Blocks start at columns 1, 1 + w, 1 + 2w, ...: w = first - 1 starts one
+    # at the first column that reads a negative option value, w = first ends
+    # the first block there.
+    width = {"every column": 1, "block start": first - 1, "block end": first,
+             "inside": 32, "one block": T}[where]
+    prices, values = posted_pricing_oracle(EXP1, alpha, k, T)
+    assert _first_negative_column(values) == first
+    monkeypatch.setattr(pricing, "_BLOCK", width)
+    for batch in (alpha, np.array([alpha, 0.7, alpha])):
+        schedule, table = build_pricing(EXP1, batch, k, T)
+        if np.ndim(batch):
+            prices, values = posted_pricing_oracle(EXP1, batch, k, T)
+        assert schedule.prices.tobytes() == prices.tobytes()
+        assert table.values.tobytes() == values.tobytes()
+
+
+def _posted(model, alpha, k, T):
+    """build_pricing's (prices, values), as ``posted_pricing_oracle`` gives them."""
+    schedule, table = build_pricing(model, alpha, k, T)
+    return schedule.prices, table.values
+
+
+def _outcome(fill, *args):
+    """The bytes of a fill's prices and values, or the text of its ValueError."""
+    try:
+        prices, values = fill(*args)
+    except ValueError as err:
+        return str(err)
+    return prices.tobytes(), values.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(models, alpha_batches, st.integers(1, 40), st.integers(0, 200),
+       st.sampled_from((1e-14, 1e-9)), st.sampled_from((1, 7, 32)))
+@example(EXP1, 0.5, 30, 200, 1e-9, 32)
+@example(UNI, np.array([0.5, 0.9]), 30, 200, 1e-9, 7)
+def test_build_pricing_raises_as_the_per_column_sweep_does(model, alpha, k, T, dip, width):
+    # Each stage rule lowers row j of its output by a relative j * dip, so the
+    # option values of the top rows turn negative once they are small: by
+    # round-off at 1e-14, which counts as zero, and by more at 1e-9, which
+    # raises in the first column that reads such a value.
+    real = ValuationModel._posted_stage
+
+    def dipped(model, alpha):
+        stage = real(model, alpha)
+
+        def rule(delta, price, r_same, r_less, out):
+            stage(delta, price, r_same, r_less, out)
+            rows = np.arange(1, len(out) + 1).reshape((-1,) + (1,) * (out.ndim - 1))
+            out *= 1.0 - dip * rows
+        return rule
+
+    with pytest.MonkeyPatch.context() as patch:  # hypothesis reruns the body
+        patch.setattr(ValuationModel, "_posted_stage", dipped)
+        patch.setattr(pricing, "_BLOCK", width)
+        got = _outcome(_posted, model, alpha, k, T)
+        assert got == _outcome(posted_pricing_oracle, model, alpha, k, T)
+
+
+@pytest.mark.parametrize("dip", [1e-11, 1e-3])
+def test_build_pricing_raises_on_a_real_negative_option_value(monkeypatch, dip):
+    real = ValuationModel._posted_stage
+
+    def dipped(model, alpha):
+        stage = real(model, alpha)
+
+        def rule(delta, price, r_same, r_less, out):
+            stage(delta, price, r_same, r_less, out)
+            np.copyto(out, np.where(r_less > 0, 1.0 - dip, 1.0))
+        return rule
+
+    monkeypatch.setattr(ValuationModel, "_posted_stage", dipped)
+    want = _outcome(posted_pricing_oracle, EXP1, 0.5, 2, 40)
+    assert want.startswith("stage option value must be nonnegative")
+    assert _outcome(_posted, EXP1, 0.5, 2, 40) == want
+
+
+def _scored_prices(model, alpha, k, T, seed, share, junk):
+    """A price matrix for (k, T) whose read cells sell, except in a ``share``
+    of the columns, where some cells hold +inf or, for a bounded law, a price
+    at or past its top; with ``junk``, unread cells may hold NaN or -inf."""
+    rng = np.random.default_rng(seed)
+    lo, hi = model.support()
+    shape = (k + 1, T + 1) + np.shape(alpha)
+    trailing = (1,) * np.ndim(alpha)
+    prices = rng.uniform(lo, hi if math.isfinite(hi) else 5.0, shape)
+    never = [math.inf] + ([hi, 1.2 * hi] if math.isfinite(hi) else [])
+    columns = (rng.random(T + 1) < share).reshape((1, -1) + trailing)
+    cells = (rng.random(shape) < 0.3) & columns
+    prices[cells] = rng.choice(never, int(cells.sum()))
+    if junk:
+        j, t = np.indices((k + 1, T + 1))
+        unread = ((j == 0) | (t < j)).reshape(shape[:2] + trailing)
+        cells = unread & (rng.random(shape) < 0.5)
+        prices[cells] = rng.choice([math.nan, -math.inf], int(cells.sum()))
+    return prices
+
+
+@settings(max_examples=80, deadline=None)
+@given(models, alpha_batches, st.integers(1, 60), st.integers(0, 300),
+       st.integers(0, 2**32 - 1), st.sampled_from((0.0, 0.1, 0.5)), st.booleans())
+@example(UNI, 0.7, 3, 8, 0, 0.5, True)
+@example(UNI, np.array([0.0, 1.0, 0.4]), 60, 300, 1, 0.1, True)
+@example(EXP1, np.array([]), 20, 100, 2, 0.5, True)
+def test_evaluate_schedule_equals_profit_step_per_column(model, alpha, k, T, seed, share, junk):
+    prices = _scored_prices(model, alpha, k, T, seed, share, junk)
+    table = evaluate_schedule(model, alpha, prices, k, T)
+    assert table.values.tobytes() == scored_schedule_oracle(model, alpha, prices, k, T).tobytes()

@@ -26,7 +26,9 @@ The output holds:
 - the traced pair's per-layer metrics;
 - cells per second of ``build_pricing``, ``evaluate_schedule`` and
   ``complete_info_profit`` at (k, T) = (20, 1000) for exponential and uniform
-  valuations, counting the k * T cells of R[1..k][1..T], and of
+  valuations, counting the k * T cells of R[1..k][1..T], of ``build_pricing``
+  at exp(1), alpha 0.2, (k, T) = (30, 300), whose option values dip below 0
+  by round-off, and of
   ``build_pricing`` on a batch of 4 alphas at (k, T) = (10, 15), the shape of
   ``fleet``'s deploy tables, counting 4 k T cells; calls per second of
   ``allocate_discrete`` on a sweep of 3 alphas at (B, c) = (160, 3) and
@@ -51,8 +53,14 @@ The output holds:
   vehicles on ten hotspots; discrete ``simulate`` at k 5, T 20 with 10^5
   trials; and ``benchmark --ratio`` for k 1, 2, 3 up to T 200.
   Each is timed ``LAYER_REPS`` times per side in one process that loads
-  both trees (about two minutes on a 2-CPU host); the file keeps each
-  side's best rate and, beside it, the median and quartiles of all its reps;
+  both trees (about two minutes on a 2-CPU host), the two sides' calls of a
+  rep next to each other; the file keeps each side's best rate, beside it
+  the median and quartiles of all its reps, and under ``paired`` the median
+  of the change/parent rate ratios of the reps paired by index, a
+  distribution-free 95 % interval for it from their order statistics
+  (Kalibera & Jones, ISMM 2013) and a verdict: "faster" when the interval
+  lies above ``LAYER_MARGIN``, "slower" when below its inverse, else
+  "unresolved";
 - ``TIER1_RUNS`` tier-1 runs per tree, alternating which tree goes first,
   each with its own ``tests`` and ``src``: per side, the median wall time and
   median ``test_criterion_02_closed_form_equivalence`` duration, and every
@@ -68,13 +76,16 @@ won at least nine tenths of the pairs and its median is better by more than
 that range, "loss" for the same rule the other way, "no change" when every
 pair tied and "unresolved" otherwise; a median worse than the parent's by
 more than the metric's bound in ``BENCHMARK.json`` is flagged beside it.
-The ``src/`` line counts of both sides and their difference follow.
+The ``src/`` line counts of both sides and their difference follow, then
+each layer's paired ratio, interval and verdict, and the count of each
+verdict.
 
 The second form prints, per workload and metric, the ratio of the change
 medians of the second file to those of the first, and per layer each file's
-own change/parent ratio of best rates, side by side: two files' layer rates
-were timed under different host loads, so their quotient measures the host,
-not the code. It then prints the second file's claim rule and, from files
+own paired ratio, interval and verdict (or, from a file recorded before the
+verdicts, its change/parent ratio of best rates), side by side, with each
+file's count of each verdict: two files' layer rates were timed under
+different host loads, so their quotient measures the host, not the code. It then prints the second file's claim rule and, from files
 that record them, its ``src/`` line counts. The script uses
 the standard library only; numpy is imported only by the processes it starts.
 """
@@ -92,12 +103,18 @@ import sys
 import tarfile
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 from xml.etree import ElementTree
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 LAYER_REPS = 60
+# Coverage of each layer verdict's interval for the median paired ratio, and
+# the least speed ratio, either way, that a verdict resolves. Identical code
+# read up to 2.2 % apart when loaded twice in one process: in an A/A run of 28
+# layers, 3 intervals at 95 % excluded 1 and none excluded 1 +- 3 %.
+LAYER_CONFIDENCE, LAYER_MARGIN = 0.95, 1.03
 TIER1_RUNS = 3
 # The directories a run loads; their tree ids identify what was measured.
 MEASURED = ("src", "perfbench")
@@ -150,6 +167,11 @@ for side, tree in (("parent", sys.argv[1]), ("change", sys.argv[2])):
             lib.benchmark.complete_info_profit, model, alpha, k, T)
         for name in ("build_pricing", "evaluate_schedule", "complete_info_profit"):
             work[f"{name}.{family}"] = k * T, "cells/s"
+    # A table whose option values dip below 0 by round-off, so the sweep
+    # clamps and refills from its first negative column.
+    calls["build_pricing.roundoff_k30_T300", side] = partial(
+        lib.pricing.build_pricing, lib.valuations.ValuationModel.exponential(1.0), 0.2, 30, 300)
+    work["build_pricing.roundoff_k30_T300"] = 30 * 300, "cells/s"
     # The shape of fleet's deploy tables: one sweep over a batch of alphas.
     calls["build_pricing.batch4_k10_T15", side] = partial(
         lib.pricing.build_pricing, lib.valuations.ValuationModel.exponential(1.0),
@@ -394,12 +416,45 @@ def record(args) -> dict:
         layers = json.loads(_python(ROOT, ["-c", LAYER_SNIPPET, str(parent), str(ROOT),
                                        str(LAYER_REPS)], timeout=1200))
         result["tier1"] = _tier1_sides(trees)
-    # The best rep per side, and beside it the spread of all of them.
+    # The best rep per side, beside it the spread of all of them, and the
+    # verdict on the reps paired by index.
     result["layers"] = {name: {"unit": entry["unit"],
                                **{side: max(entry[side]) for side in SIDES},
-                               "reps": {side: _spread(entry[side]) for side in SIDES}}
+                               "reps": {side: _spread(entry[side]) for side in SIDES},
+                               "paired": _paired(entry["parent"], entry["change"])}
                         for name, entry in layers.items()}
     return result
+
+
+def _median_ranks(n: int, confidence: float) -> tuple[int, int] | None:
+    """0-based ranks (lo, hi) of n sorted samples whose interval holds their
+    population median with at least ``confidence``, distribution-free: the
+    count of samples below the median is Binomial(n, 1/2), so the 1-based
+    interval [x_(r), x_(n + 1 - r)] misses it with probability 2 P(B <= r - 1)
+    (Kalibera & Jones, Rigorous Benchmarking in Reasonable Time, ISMM 2013).
+    None when even [x_(1), x_(n)] covers less."""
+    miss, below, r = 1.0 - confidence, 1 / 2 ** n, 1  # below = P(B <= r - 1)
+    if 2 * below > miss:
+        return None
+    while 2 * (below + math.comb(n, r) / 2 ** n) <= miss:
+        below += math.comb(n, r) / 2 ** n
+        r += 1
+    return r - 1, n - r
+
+
+def _paired(parent: list[float], change: list[float]) -> dict:
+    """The median of the change/parent ratios of reps paired by index, the
+    interval around it from ``_median_ranks``, and a verdict: "faster" when
+    the interval lies above ``LAYER_MARGIN``, "slower" when below its
+    inverse, else "unresolved". Every layer is a rate, so a ratio above 1 is
+    faster."""
+    ratios = sorted(c / p for p, c in zip(parent, change))
+    ranks = _median_ranks(len(ratios), LAYER_CONFIDENCE)
+    low, high = (ratios[ranks[0]], ratios[ranks[1]]) if ranks else (0.0, math.inf)
+    verdict = ("faster" if low > LAYER_MARGIN else "slower" if high < 1.0 / LAYER_MARGIN
+               else "unresolved")
+    return {"median": statistics.median(ratios), "low": low, "high": high,
+            "confidence": LAYER_CONFIDENCE, "pairs": len(ratios), "verdict": verdict}
 
 
 def _claim(name: str, stats: dict, runs: dict, bound: float | None) -> str:
@@ -455,17 +510,39 @@ def compare(first: dict, second: dict) -> list[str]:
                 a, b = base["metrics"][name]["change"]["median"], stats["change"]["median"]
                 ratio = f"x{b / a:.4f}" if a else "-"
                 lines.append(f"{workload:10s} {name:16s} {a:12.6g} -> {b:12.6g}  {ratio}")
-    own = [{name: f"x{e['change'] / e['parent']:.4f}" for name, e in f.get("layers", {}).items()}
+    own = [{name: _layer_cell(e) for name, e in f.get("layers", {}).items()}
            for f in (first, second)]
-    lines.append(f"{'layer':10s} {'change/parent':38s} {'A':>12s}    {'B':>12s}")
+    lines.append(f"{'layer':10s} {'change/parent':38s} {'A':>36s}    {'B':>36s}")
     for name in {**own[0], **own[1]}:
         a, b = (ratios.get(name, "-") for ratios in own)
-        lines.append(f"{'layer':10s} {name:38s} {a:>12s}    {b:>12s}")
+        lines.append(f"{'layer':10s} {name:38s} {a:>36s}    {b:>36s}")
     for key in ("wall_s", "criterion_02_s"):
         a, b = (f"x{f['tier1']['change'][key] / f['tier1']['parent'][key]:.4f}"
                 if "tier1" in f else "-" for f in (first, second))
         lines.append(f"{'tier1':10s} {key:38s} {a:>12s}    {b:>12s}")
+    counts = [Counter(e["paired"]["verdict"] for e in f.get("layers", {}).values()
+                      if "paired" in e) for f in (first, second)]
+    lines.append(f"{'layer':10s} {'verdicts':38s} " + "    ".join(
+        f"{', '.join(f'{n} {v}' for v, n in sorted(c.items())) or '-':>36s}" for c in counts))
     return lines + ["claim rule of B:"] + claims(second) + src_delta(second)
+
+
+def _layer_cell(entry: dict) -> str:
+    """A layer's median paired ratio, its interval and verdict; a file
+    recorded before the verdicts gives its ratio of best rates."""
+    paired = entry.get("paired")
+    if paired is None:
+        return f"x{entry['change'] / entry['parent']:.4f} of bests"
+    return (f"x{paired['median']:.4f} [{paired['low']:.3f}, {paired['high']:.3f}] "
+            f"{paired['verdict']}")
+
+
+def layer_verdicts(result: dict) -> list[str]:
+    """Each layer's verdict line, then the count of each verdict."""
+    layers = result.get("layers", {})
+    counts = Counter(e["paired"]["verdict"] for e in layers.values() if "paired" in e)
+    return ([f"{'layer':10s} {name:38s} {_layer_cell(e)}" for name, e in layers.items()]
+            + [f"layer verdicts: " + ", ".join(f"{n} {v}" for v, n in sorted(counts.items()))])
 
 
 def main(argv=None) -> int:
@@ -486,7 +563,7 @@ def main(argv=None) -> int:
         p.error("recording needs --parent, --out and --pairs >= 1")
     result = record(args)
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
-    print("\n".join(claims(result) + src_delta(result)))
+    print("\n".join(claims(result) + src_delta(result) + layer_verdicts(result)))
     return 0
 
 
