@@ -542,7 +542,7 @@ def layer_verdicts(result: dict) -> list[str]:
     layers = result.get("layers", {})
     counts = Counter(e["paired"]["verdict"] for e in layers.values() if "paired" in e)
     return ([f"{'layer':10s} {name:38s} {_layer_cell(e)}" for name, e in layers.items()]
-            + [f"layer verdicts: " + ", ".join(f"{n} {v}" for v, n in sorted(counts.items()))])
+            + ["layer verdicts: " + ", ".join(f"{n} {v}" for v, n in sorted(counts.items()))])
 
 
 def main(argv=None) -> int:
