@@ -198,10 +198,11 @@ def build_pricing(model: ValuationModel, alpha, capacity: int,
     value in [-1e-12 * R[j][t-1], 0) is round-off and counts as zero; a lower
     one raises. The sweep tests for negative option values once per block of
     ``_BLOCK`` columns, not per column, and refills a block that read one
-    from its first such column, clamping there (see ``_fill``): about 7.2
+    from its first such column, clamping there (see ``_fill``): about 7.4
     µs per column at exp(1), alpha 0.5, (k, T) = (20, 1000) on a 2-CPU x86
-    host. A 1-d alpha fills one table per entry in the same sweep, on a
-    trailing axis. The prices are stored time-major as ``_fill`` stores R,
+    host, against 9.1 µs with a test in every column (best of 30 calls). A
+    1-d alpha fills one table per entry in the same sweep, on a trailing
+    axis. The prices are stored time-major as ``_fill`` stores R,
     each column contiguous; ``np.ascontiguousarray`` gives a C-ordered copy.
     """
     def posted(t, price, r_same, r_less, out):
@@ -236,7 +237,9 @@ def evaluate_schedule(model: ValuationModel, alpha, prices: np.ndarray,
     so the sale probabilities 1 - F(p) and the stay factors 1 - alpha (1 -
     F(p)) of the whole matrix are computed once, and a column makes five
     ufunc calls. Only the columns that hold an unsellable price copy the
-    continuation value there.
+    continuation value there. At exp(1), alpha 0.5, (k, T) = (20, 1000) a
+    column takes about 3.3 µs on a 2-CPU x86 host, against 9.9 µs through
+    ``profit_step`` per column (best of 15 calls).
     """
     alpha, k, T = _table_args(alpha, capacity, horizon)
     shape = (k + 1, T + 1) + np.shape(alpha)
