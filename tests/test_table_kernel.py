@@ -538,24 +538,6 @@ def test_build_pricing_raises_as_the_per_column_sweep_does(model, alpha, k, T, d
         assert got == _outcome(posted_pricing_oracle, model, alpha, k, T)
 
 
-@pytest.mark.parametrize("dip", [1e-11, 1e-3])
-def test_build_pricing_raises_on_a_real_negative_option_value(monkeypatch, dip):
-    real = ValuationModel._posted_stage
-
-    def dipped(model, alpha):
-        stage = real(model, alpha)
-
-        def rule(delta, price, r_same, r_less, out):
-            stage(delta, price, r_same, r_less, out)
-            np.copyto(out, np.where(r_less > 0, 1.0 - dip, 1.0))
-        return rule
-
-    monkeypatch.setattr(ValuationModel, "_posted_stage", dipped)
-    want = _outcome(posted_pricing_oracle, EXP1, 0.5, 2, 40)
-    assert want.startswith("stage option value must be nonnegative")
-    assert _outcome(_posted, EXP1, 0.5, 2, 40) == want
-
-
 def _scored_prices(model, alpha, k, T, seed, share, junk):
     """A price matrix for (k, T) whose read cells sell, except in a ``share``
     of the columns, where some cells hold +inf or, for a bounded law, a price

@@ -519,7 +519,7 @@ def compare(first: dict, second: dict) -> list[str]:
     for key in ("wall_s", "criterion_02_s"):
         a, b = (f"x{f['tier1']['change'][key] / f['tier1']['parent'][key]:.4f}"
                 if "tier1" in f else "-" for f in (first, second))
-        lines.append(f"{'tier1':10s} {key:38s} {a:>12s}    {b:>12s}")
+        lines.append(f"{'tier1':10s} {key:38s} {a:>36s}    {b:>36s}")
     counts = [Counter(e["paired"]["verdict"] for e in f.get("layers", {}).values()
                       if "paired" in e) for f in (first, second)]
     lines.append(f"{'layer':10s} {'verdicts':38s} " + "    ".join(
