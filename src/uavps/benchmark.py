@@ -36,7 +36,7 @@ def complete_info_profit(model: ValuationModel, alpha, capacity: int,
     one table per entry on a trailing axis.
     """
     alpha, k, T = _table_args(alpha, capacity, horizon)
-    return _fill(alpha, k, T, lambda t, r_same, r_less, out: np.add(
+    return _fill(alpha, k, T, lambda r_same, r_less, out: np.add(
         r_same, alpha * model.expected_excess(r_same - r_less), out=out))
 
 

@@ -33,11 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 
 import numpy as np
 
-from .valuations import ParameterError, ValuationModel, _check
+from .valuations import ParameterError, ValuationModel, _check, _sale
 
 
 @dataclass(frozen=True)
@@ -114,22 +115,10 @@ def _table_args(alpha, capacity: int, horizon: int):
             _check("count", capacity, "capacity"), _check("size", horizon, "horizon"))
 
 
-# Columns per round-off test of build_pricing's sweep. A block's test is one
-# compare over the option values its columns read, and a block that finds a
-# negative one refills from that column, so a wider block tests less often
-# but refills more. Medians of 21 interleaved calls on a 2-CPU x86 host
-# (numpy 2.4, AVX-512), exp(1), against testing every column: at (alpha, k,
-# T) = (0.5, 20, 1000) 15.96 ms per column test, 13.29, 13.01 and 12.89 ms at
-# widths 16, 32 and 64; at (0.2, 30, 300), which dips in 28 columns, 5.16
-# against 4.87, 4.80 and 5.28 ms; a batch of 3 alphas at (40, 157), the
-# discrete energy split at (B, c) = (160, 3), 3.43 against 3.34, 3.33 and 3.88.
-_BLOCK = 32
-
-
-def _fill(alpha, k: int, T: int, rule, given: tuple = (), refill=None) -> ProfitTable:
+def _fill(alpha, k: int, T: int, rule, given: tuple = ()) -> ProfitTable:
     """The one (j, t) sweep behind every discrete profit table.
 
-    Column t needs only column t-1: with m = min(t, k), ``rule(t, *cols,
+    Column t needs only column t-1: with m = min(t, k), ``rule(*cols,
     r_same, r_less, out)`` maps ``cols``, rows 1..m of column t of each
     array in ``given``, and R[1..m][t-1] and R[0..m-1][t-1] to R[1..m][t],
     which it writes into ``out``, the view values[1..m][t]; rows past t copy
@@ -137,54 +126,24 @@ def _fill(alpha, k: int, T: int, rule, given: tuple = (), refill=None) -> Profit
     arrays must have too; the rules are elementwise, so each table is the one
     its scalar alpha gives, bit for bit.
 
-    With ``refill``, the sweep runs in blocks of ``_BLOCK`` columns and tests
-    each block once for a negative option value R[j][t-1] - R[j-1][t-1]: one
-    unmasked compare R[j] < R[j-1] over the columns the block read, which
-    for finite doubles holds exactly where the difference is negative; rows
-    past t copy R[t][t], so the rows a column does not read differ by 0. A
-    block that read one runs again through ``refill`` from the first column
-    that did, and the blocks after it run through ``refill`` until one reads
-    none: negative values come in runs of columns, and a refill repeats work.
-
     A column holds at most k cells, so its cost is the count of numpy calls,
-    not the arithmetic: each rule's last ufunc writes the column in place,
-    the rules mask and clamp only the columns that need it, and the dead-row
-    copy runs only while t < k. The arguments come checked from
-    ``_table_args``. ``values`` is stored time-major, a C-ordered (T + 1,
-    k + 1[, B]) buffer seen through ``swapaxes(0, 1)``, and ``given`` arrays
-    are such buffers too: each column is one contiguous block, and the
-    full-width columns (t >= k) are the rows of time-major views, iterated
-    with no slicing per column. ``np.ascontiguousarray`` gives a C-ordered
-    copy.
+    not the arithmetic: the sweep tests nothing, each rule's last ufunc
+    writes the column in place, and the dead-row copy runs only while t < k.
+    The arguments come checked from ``_table_args``. ``values`` is stored
+    time-major, a C-ordered (T + 1, k + 1[, B]) buffer seen through
+    ``swapaxes(0, 1)``, and ``given`` arrays are such buffers too: each column
+    is one contiguous block, and the full-width columns (t >= k) are the rows
+    of time-major views, iterated with no slicing per column.
     """
     values = np.zeros((T + 1, k + 1) + np.shape(alpha))
-    width = _BLOCK if refill is not None else max(T, 1)
-    now = rule
-    for a in range(1, T + 1, width):
-        b = min(a + width, T + 1)
-        _sweep(values, given, now, a, b)
-        if refill is not None:
-            dips = np.less(values[a - 1:b - 1, 1:], values[a - 1:b - 1, :-1])
-            if not dips.any():
-                now = rule
-            elif now is rule:  # rare: refill from the first column that read a dip
-                first = a + int(dips.reshape(b - a, -1).any(axis=1).argmax())
-                _sweep(values, given, refill, first, b)
-                now = refill
-    return ProfitTable(alpha=alpha, capacity=k, horizon=T, values=values.swapaxes(0, 1))
-
-
-def _sweep(values: np.ndarray, given: tuple, rule, a: int, b: int) -> None:
-    """Columns a..b-1 of ``_fill``'s sweep over the time-major buffer ``values``."""
-    k = values.shape[1] - 1
-    for t in range(a, min(b, k)):  # t < k: rows past t are dead weight
-        rule(t, *[g[t, 1:t + 1] for g in given], values[t - 1, 1:t + 1],
-             values[t - 1, :t], values[t, 1:t + 1])
+    for t in range(1, min(k, T + 1)):  # t < k: rows past t are dead weight
+        rule(*[g[t, 1:t + 1] for g in given], values[t - 1, 1:t + 1], values[t - 1, :t],
+             values[t, 1:t + 1])
         values[t, t + 1:] = values[t, t]
-    a = max(a, k)
-    for args in zip(range(a, b), *[g[a:b, 1:] for g in given], values[a - 1:b - 1, 1:],
-                    values[a - 1:b - 1, :k], values[a:b, 1:]):
-        rule(*args)
+    for cols in zip(*[g[k:, 1:] for g in given], values[k - 1:-1, 1:], values[k - 1:-1, :k],
+                    values[k:, 1:]):
+        rule(*cols)
+    return ProfitTable(alpha=alpha, capacity=k, horizon=T, values=values.swapaxes(0, 1))
 
 
 def build_pricing(model: ValuationModel, alpha, capacity: int,
@@ -196,29 +155,30 @@ def build_pricing(model: ValuationModel, alpha, capacity: int,
     ``solve_stage_price`` then ``profit_step``, fused, with the same bits.
     Cells with t < j copy R[t][t] and leave the price undefined. An option
     value in [-1e-12 * R[j][t-1], 0) is round-off and counts as zero; a lower
-    one raises. The sweep tests for negative option values once per block of
-    ``_BLOCK`` columns, not per column, and refills a block that read one
-    from its first such column, clamping there (see ``_fill``): about 7.4
-    µs per column at exp(1), alpha 0.5, (k, T) = (20, 1000) on a 2-CPU x86
-    host, against 9.1 µs with a test in every column (best of 30 calls). A
-    1-d alpha fills one table per entry in the same sweep, on a trailing
-    axis. The prices are stored time-major as ``_fill`` stores R,
+    one raises. The rule prices every option value at max(delta, 0), so no
+    column is tested; one compare over the finished table finds the negative
+    ones, and only then does the first column below the allowance reach
+    ``solve_stage_price``, which raises as a sweep testing every column would.
+    About 6.6 µs per column at exp(1), alpha 0.5, (k, T) = (20, 1000) on a
+    2-CPU x86 host, against 8.7 µs with a test in every column (best of 30
+    calls). A 1-d alpha fills one table per entry in the same sweep, on a
+    trailing axis. The prices are stored time-major as ``_fill`` stores R,
     each column contiguous; ``np.ascontiguousarray`` gives a C-ordered copy.
     """
-    def posted(t, price, r_same, r_less, out):
-        stage(np.subtract(r_same, r_less, out=price), price, r_same, r_less, out)
-
-    def clamped(t, price, r_same, r_less, out):
-        delta = np.subtract(r_same, r_less, out=price)
-        if delta.min(initial=0.0) < 0.0:  # clamp round-off, raise on the rest
-            delta = np.where((delta < 0.0) & (delta >= -1e-12 * r_same), 0.0, delta)
-            solve_stage_price(model, delta)  # for its raise; the stage prices it alike
-        stage(delta, price, r_same, r_less, out)
-
     alpha, k, T = _table_args(alpha, capacity, horizon)
     stage = model._posted_stage(alpha)
     prices = np.full((T + 1, k + 1) + np.shape(alpha), np.nan)
-    table = _fill(alpha, k, T, posted, (prices,), clamped)
+    table = _fill(alpha, k, T, lambda price, r_same, r_less, out: stage(
+        np.subtract(r_same, r_less, out=price), price, r_same, r_less, out), (prices,))
+    # Column t reads r[t-1], whose rows past t-1 copy R[t-1][t-1] and differ by
+    # 0; for finite doubles R[j] < R[j-1] holds exactly where R[j] - R[j-1] < 0.
+    r = table.values.swapaxes(0, 1)[:-1]
+    if np.less(r[:, 1:], r[:, :-1]).any():  # rare: a round-off dip, or a raise
+        delta = r[:, 1:] - r[:, :-1]
+        delta[(delta < 0.0) & (delta >= -1e-12 * r[:, 1:])] = 0.0
+        below = np.nonzero(delta < 0.0)[0]  # C order: the first column comes first
+        if below.size:  # the columns before it hold the same bits as a tested sweep's
+            solve_stage_price(model, delta[below[0]])
     return PriceSchedule(capacity=k, horizon=T, prices=prices.swapaxes(0, 1)), table
 
 
@@ -236,10 +196,11 @@ def evaluate_schedule(model: ValuationModel, alpha, prices: np.ndarray,
     ``profit_step``'s formula, with the same bits: ``cdf`` is elementwise,
     so the sale probabilities 1 - F(p) and the stay factors 1 - alpha (1 -
     F(p)) of the whole matrix are computed once, and a column makes five
-    ufunc calls. Only the columns that hold an unsellable price copy the
-    continuation value there. At exp(1), alpha 0.5, (k, T) = (20, 1000) a
-    column takes about 3.3 µs on a 2-CPU x86 host, against 9.9 µs through
-    ``profit_step`` per column (best of 15 calls).
+    ufunc calls and no mask: a zeroed unsellable price keeps the continuation
+    value, save a -0.0 one, which one test of the finished table catches. At
+    exp(1), alpha 0.5, (k, T) = (20, 1000) a column takes about 2.7 µs on a
+    2-CPU x86 host, against 9.1 µs through ``profit_step`` per column (best
+    of 15 calls).
     """
     alpha, k, T = _table_args(alpha, capacity, horizon)
     shape = (k + 1, T + 1) + np.shape(alpha)
@@ -253,23 +214,22 @@ def evaluate_schedule(model: ValuationModel, alpha, prices: np.ndarray,
     if not (read > -np.inf).all():  # NaN fails the comparison too
         raise ParameterError("prices read at 1 <= j <= k, j <= t <= T must be "
                              "numbers above -inf")
-    price = np.ascontiguousarray(prices[:k + 1, :T + 1].swapaxes(0, 1))  # time-major
-    sell = 1.0 - np.asarray(model.cdf(price))
+    given = np.ascontiguousarray(prices[:k + 1, :T + 1].swapaxes(0, 1))  # time-major
+    sell = 1.0 - np.asarray(model.cdf(given))
     unsold = sell <= 0.0
-    flagged = unsold.any(axis=tuple(range(1, unsold.ndim))).tolist()
-    np.copyto(price, 0.0, where=unsold)  # an unsellable price may be inf
+    # An unsellable price may be inf: zero it in a copy, never in the caller's matrix.
+    price = np.where(unsold, 0.0, given) if unsold.any() else given
     stay = 1.0 - alpha * sell
 
-    def rule(t, price, sell, stay, r_same, r_less, out):
-        gain = np.add(price, r_less)
-        gain *= alpha
-        gain *= sell
-        np.multiply(r_same, stay, out=out)
-        out += gain  # addition commutes, bit for bit
-        if flagged[t]:
-            np.copyto(out, r_same, where=unsold[t, 1:len(out) + 1])
-
-    return _fill(alpha, k, T, rule, (price, sell, stay))
+    table = _fill(alpha, k, T, partial(_sale, alpha), (price, sell, stay))
+    # A zeroed unsellable price has sell = 0, stay = 1 and gain = +-0, so out =
+    # r_same unless r_same is -0.0. A -0.0 sum needs two -0.0 terms; r_same *
+    # stay is one at stay = 0, where gain = p + r_less is one only if r_less
+    # is, or by underflow, from a negative profit within 2^-1022 of 0. So a
+    # table with no -0.0 cell is exact; one with one is scored with the masks.
+    if (np.signbit(table.values) & (table.values == 0.0)).any():
+        table = _fill(alpha, k, T, partial(profit_step, model, alpha), (given,))
+    return table
 
 
 # -- continuous-time closed forms (exponential valuations) ------------------

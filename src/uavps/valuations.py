@@ -289,45 +289,55 @@ class ValuationModel:
     def _posted_stage(self, alpha):
         """``build_pricing``'s posted-price stage rule for this family.
 
-        ``stage(delta, price, r_same, r_less, out)`` writes, for option values
-        delta >= 0 (``delta`` may be ``price``), inverse_virtual_value(delta)
-        into ``price`` and ``pricing.profit_step`` at those prices into ``out``
-        with the same bits: the same operations in the same order, less those
-        that return their input here. A stage price is finite, so one that
-        cannot sell gives 0 + r_same, the value profit_step's mask copies in.
+        ``stage(delta, price, r_same, r_less, out)`` writes, for finite option
+        values delta (``delta`` may be ``price``), inverse_virtual_value(max(delta,
+        0)) into ``price`` and ``pricing.profit_step`` at those prices into
+        ``out`` with the same bits, clamping at 0 with no extra call: the same
+        operations in the same order, less those that return their input here.
+        A stage price is finite, so one that cannot sell gives 0 + r_same, the
+        value profit_step's mask copies in.
         """
         if self.kind == EXPONENTIAL:
-            inv, cap, neg_rate = 1.0 / self.rate, 40.0 / self.rate, -self.rate
+            inv, neg_rate = 1.0 / self.rate, -self.rate
 
             def stage(delta, price, r_same, r_less, out):
-                np.add(delta, inv, out=price)  # positive: the lower clamp is a no-op
-                sell = np.minimum(price, cap)  # and so is cdf's max(v, 0)
-                sell *= neg_rate
+                np.add(delta, inv, out=price)
+                # Rounding is monotone and inv a double, so max(fl(delta + inv),
+                # inv) = fl(max(delta, 0) + inv): the clamp, after which the
+                # lower clamp and cdf's max(v, 0) return their input.
+                np.maximum(price, inv, out=price)
+                # No cap at rate * v = 40 as in cdf: expm1 is -1 to the last bit
+                # from about 37.4 up, and rate * v <= k (1 + ln T) + 1 is finite.
+                sell = np.multiply(price, neg_rate)
                 np.expm1(sell, out=sell)
                 sell += 1.0  # 1 - -expm1(x)
-                _sale(alpha, price, sell, r_same, r_less, out)
+                np.subtract(1.0, np.multiply(sell, alpha, out=out), out=out)  # stay
+                _sale(alpha, price, sell, out, r_same, r_less, out)
         else:
             a, b = self.lower, self.upper
             width = b - a
+            lo = min(max(0.5 * b, a), b)  # the price at delta = 0; np.clip on a scalar takes 3 µs
 
             def stage(delta, price, r_same, r_less, out):
                 np.add(delta, b, out=price)
                 price *= 0.5
-                price.clip(a, b, out=price)
+                # 0.5 fl(delta + b) is below 0.5 b <= lo only for delta < 0, so
+                # this clips 0.5 fl(max(delta, 0) + b) to the support [a, b].
+                price.clip(lo, b, out=price)
                 sell = np.subtract(price, a)
                 sell /= width  # in [0, 1] for a price in the support: cdf's clip is a no-op
                 np.subtract(1.0, sell, out=sell)
-                _sale(alpha, price, sell, r_same, r_less, out)
+                np.subtract(1.0, np.multiply(sell, alpha, out=out), out=out)  # stay
+                _sale(alpha, price, sell, out, r_same, r_less, out)
         return stage
 
 
-def _sale(alpha, price, sell, r_same, r_less, out) -> None:
-    """``pricing.profit_step``'s formula at sale probabilities ``sell``, its
-    operand order kept, into ``out``; ``sell`` is scratch."""
+def _sale(alpha, price, sell, stay, r_same, r_less, out) -> None:
+    """``pricing.profit_step``'s formula, its operand order kept, at sale
+    probabilities ``sell`` and stay factors ``stay`` = 1 - alpha sell, which
+    may be ``out``, into ``out``: the stage rules' and evaluate_schedule's."""
     gain = np.add(price, r_less)
     gain *= alpha
     gain *= sell
-    sell *= alpha
-    np.subtract(1.0, sell, out=sell)
-    sell *= r_same
-    np.add(gain, sell, out=out)
+    np.multiply(r_same, stay, out=out)
+    out += gain  # the sum commutes, bit for bit

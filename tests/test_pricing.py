@@ -99,8 +99,10 @@ def test_build_pricing_clamps_only_roundoff(monkeypatch, dip, clamps):
     (UNI, 0.8, 10, 60, False),
     (EXP1, 0.2, 30, 300, True),  # option values of -2.2e-16 here
 ])
-def test_build_pricing_solves_through_the_clamp_only_on_negative_option_values(
+def test_build_pricing_calls_solve_stage_price_only_to_raise(
         monkeypatch, model, alpha, k, T, clamped):
+    # The stage rule clamps round-off itself, so a table with no option value
+    # below the allowance, dipping or not, never reaches solve_stage_price.
     schedule, table = build_pricing(model, alpha, k, T)
     r = table.values
     negative = any((r[1:m + 1, t - 1] - r[:m, t - 1] < 0.0).any()
@@ -114,7 +116,7 @@ def test_build_pricing_solves_through_the_clamp_only_on_negative_option_values(
 
     monkeypatch.setattr(uavps.pricing, "solve_stage_price", counted)
     again = build_pricing(model, alpha, k, T)
-    assert (len(calls) >= 1) == clamped
+    assert calls == []
     assert again[0].prices.tobytes() == schedule.prices.tobytes()
     assert again[1].values.tobytes() == table.values.tobytes()
 

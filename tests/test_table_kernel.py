@@ -13,7 +13,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uavps import pricing
 from uavps.benchmark import complete_info_profit
 from uavps.pricing import (build_pricing, evaluate_schedule, profit_step,
                            schedule_csv_rows, solve_stage_price)
@@ -403,9 +402,12 @@ def test_profit_step_equals_replaced_body_with_one_unsellable_alpha(model, bad):
 @st.composite
 def stage_columns(draw):
     """(model, alpha, r_same, r_less): a column of continuation profits whose
-    option values are random, exactly 0, round-off negatives and, for a
-    bounded support, at or past its top, where the price cannot sell. The
-    alpha is a scalar or a 1-d batch of 0 to 4, the columns' trailing axis."""
+    option values are random, exactly 0, round-off negatives, real negatives
+    and, for a bounded support, at or past its top, where the price cannot
+    sell; for the exponential family, rate * delta from 35 to 60, where
+    expm1 reaches -1, and near k (1 + ln T), the most a table's option value
+    can be, for k and T up to 10^6. The alpha is a scalar or a 1-d batch of
+    0 to 4, the columns' trailing axis."""
     model = draw(models)
     batch = draw(st.one_of(st.none(), st.integers(0, 4)))
     if batch is None:
@@ -416,12 +418,18 @@ def stage_columns(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     r_less = rng.uniform(0.0, 30.0, shape)
     r_same = r_less + rng.uniform(0.0, 5.0, shape)
-    pick = rng.integers(0, 4, shape)
+    pick = rng.integers(0, 6, shape)
     r_same[pick == 1] = r_less[pick == 1]
     r_same[pick == 2] = np.nextafter(r_less[pick == 2], -math.inf)
+    r_same[pick == 3] = r_less[pick == 3] * rng.uniform(0.0, 1.0, shape)[pick == 3]
     if math.isfinite(model.support()[1]):
         top = model.support()[1] * rng.uniform(1.0, 2.0, shape)
-        r_same[pick == 3] = r_less[pick == 3] + top[pick == 3]
+        r_same[pick == 4] = r_less[pick == 4] + top[pick == 4]
+    else:
+        k, T = rng.integers(1, 10**6, shape), rng.integers(1, 10**6, shape)
+        far = np.where(rng.random(shape) < 0.5, rng.uniform(35.0, 60.0, shape),
+                       k * (1.0 + np.log(T)) * rng.uniform(0.9, 1.0, shape))
+        r_same[pick >= 4] = r_less[pick >= 4] + far[pick >= 4] / model.rate
     return model, alpha, r_same, r_less
 
 
@@ -429,12 +437,14 @@ def stage_columns(draw):
 @given(stage_columns(), st.booleans())
 @example((UNI, 0.5, np.array([20.0, 1.0]), np.array([5.0, 0.5])), True)  # delta = upper
 @example((UNI, np.array([]), np.zeros((3, 0)), np.zeros((3, 0))), False)
+@example((UNI, 0.5, np.array([1.0, 2.0]), np.array([3.0, 2.0])), True)  # real negative
+@example((EXP1, 1.0, np.array([37.0, 40.0, 60.0, 1e7]), np.zeros(4)), False)
 def test_stage_rule_equals_inverse_virtual_value_then_profit_step(column, in_place):
     model, alpha, r_same, r_less = column
-    # build_pricing's clamp: a round-off negative option value counts as zero.
+    # The rule clamps every negative option value to zero itself; build_pricing
+    # raises after the sweep on those below its round-off allowance.
     delta = r_same - r_less
-    delta = np.where((delta < 0.0) & (delta >= -1e-12 * r_same), 0.0, delta)
-    want_price = model.inverse_virtual_value(delta)
+    want_price = model.inverse_virtual_value(np.maximum(delta, 0.0))
     want = profit_step(model, alpha, want_price, r_same, r_less)
     stage = model._posted_stage(alpha)
     # build_pricing hands the rule its option values in the price column.
@@ -445,7 +455,7 @@ def test_stage_rule_equals_inverse_virtual_value_then_profit_step(column, in_pla
     assert _bits(out) == _bits(want)
 
 
-# -- the block round-off test against the per-column sweep --------------------------
+# -- the table-end round-off test against the per-column sweep ----------------------
 
 
 alpha_batches = st.one_of(alphas, st.lists(alphas, max_size=4).map(np.array))
@@ -475,18 +485,10 @@ def _first_negative_column(values):
 
 
 @pytest.mark.parametrize("alpha, k, T, first", [(0.2, 30, 300, 19), (0.5, 50, 1000, 39)])
-@pytest.mark.parametrize("where", ["every column", "block start", "block end", "inside",
-                                   "one block"])
-def test_build_pricing_equals_the_per_column_sweep_through_roundoff(
-        monkeypatch, alpha, k, T, first, where):
-    # Blocks start at columns 1, 1 + w, 1 + 2w, ...: w = first - 1 starts one
-    # at the first column that reads a negative option value, w = first ends
-    # the first block there.
-    width = {"every column": 1, "block start": first - 1, "block end": first,
-             "inside": 32, "one block": T}[where]
+def test_build_pricing_equals_the_per_column_sweep_through_roundoff(alpha, k, T, first):
+    # Columns from ``first`` on read option values that dip below 0 by round-off.
     prices, values = posted_pricing_oracle(EXP1, alpha, k, T)
     assert _first_negative_column(values) == first
-    monkeypatch.setattr(pricing, "_BLOCK", width)
     for batch in (alpha, np.array([alpha, 0.7, alpha])):
         schedule, table = build_pricing(EXP1, batch, k, T)
         if np.ndim(batch):
@@ -512,10 +514,10 @@ def _outcome(fill, *args):
 
 @settings(max_examples=40, deadline=None)
 @given(models, alpha_batches, st.integers(1, 40), st.integers(0, 200),
-       st.sampled_from((1e-14, 1e-9)), st.sampled_from((1, 7, 32)))
-@example(EXP1, 0.5, 30, 200, 1e-9, 32)
-@example(UNI, np.array([0.5, 0.9]), 30, 200, 1e-9, 7)
-def test_build_pricing_raises_as_the_per_column_sweep_does(model, alpha, k, T, dip, width):
+       st.sampled_from((1e-14, 1e-9)))
+@example(EXP1, 0.5, 30, 200, 1e-9)
+@example(UNI, np.array([0.5, 0.9]), 30, 200, 1e-9)
+def test_build_pricing_raises_as_the_per_column_sweep_does(model, alpha, k, T, dip):
     # Each stage rule lowers row j of its output by a relative j * dip, so the
     # option values of the top rows turn negative once they are small: by
     # round-off at 1e-14, which counts as zero, and by more at 1e-9, which
@@ -533,20 +535,20 @@ def test_build_pricing_raises_as_the_per_column_sweep_does(model, alpha, k, T, d
 
     with pytest.MonkeyPatch.context() as patch:  # hypothesis reruns the body
         patch.setattr(ValuationModel, "_posted_stage", dipped)
-        patch.setattr(pricing, "_BLOCK", width)
         got = _outcome(_posted, model, alpha, k, T)
         assert got == _outcome(posted_pricing_oracle, model, alpha, k, T)
 
 
-def _scored_prices(model, alpha, k, T, seed, share, junk):
+def _scored_prices(model, alpha, k, T, seed, share, junk, negative=False):
     """A price matrix for (k, T) whose read cells sell, except in a ``share``
     of the columns, where some cells hold +inf or, for a bounded law, a price
-    at or past its top; with ``junk``, unread cells may hold NaN or -inf."""
+    at or past its top; with ``junk``, unread cells may hold NaN or -inf, and
+    with ``negative``, prices reach 5 below the support, some negative."""
     rng = np.random.default_rng(seed)
     lo, hi = model.support()
     shape = (k + 1, T + 1) + np.shape(alpha)
     trailing = (1,) * np.ndim(alpha)
-    prices = rng.uniform(lo, hi if math.isfinite(hi) else 5.0, shape)
+    prices = rng.uniform(lo - 5.0 * negative, hi if math.isfinite(hi) else 5.0, shape)
     never = [math.inf] + ([hi, 1.2 * hi] if math.isfinite(hi) else [])
     columns = (rng.random(T + 1) < share).reshape((1, -1) + trailing)
     cells = (rng.random(shape) < 0.3) & columns
@@ -559,13 +561,53 @@ def _scored_prices(model, alpha, k, T, seed, share, junk):
     return prices
 
 
+edge_alphas = st.sampled_from((0.0, 1.0))
+
+
 @settings(max_examples=80, deadline=None)
-@given(models, alpha_batches, st.integers(1, 60), st.integers(0, 300),
-       st.integers(0, 2**32 - 1), st.sampled_from((0.0, 0.1, 0.5)), st.booleans())
-@example(UNI, 0.7, 3, 8, 0, 0.5, True)
-@example(UNI, np.array([0.0, 1.0, 0.4]), 60, 300, 1, 0.1, True)
-@example(EXP1, np.array([]), 20, 100, 2, 0.5, True)
-def test_evaluate_schedule_equals_profit_step_per_column(model, alpha, k, T, seed, share, junk):
-    prices = _scored_prices(model, alpha, k, T, seed, share, junk)
+@given(models, st.one_of(edge_alphas, alpha_batches,
+                         st.lists(st.one_of(edge_alphas, alphas), max_size=4).map(np.array)),
+       st.integers(1, 60), st.integers(0, 300), st.integers(0, 2**32 - 1),
+       st.sampled_from((0.0, 0.1, 0.5, 1.0)), st.booleans(), st.booleans())
+@example(UNI, 0.7, 3, 8, 0, 0.5, True, False)
+@example(UNI, np.array([0.0, 1.0, 0.4]), 60, 300, 1, 0.1, True, False)
+@example(EXP1, np.array([]), 20, 100, 2, 0.5, True, False)
+@example(EXP1, 1.0, 20, 100, 3, 1.0, False, True)
+@example(UNI, np.array([0.0, 1.0, 0.5]), 30, 200, 4, 1.0, True, True)
+def test_evaluate_schedule_equals_profit_step_per_column(model, alpha, k, T, seed, share, junk,
+                                                         negative):
+    # A share of 1 puts unsellable cells in every column, so the rule's sum
+    # r_same + (+-0) stands in for profit_step's mask throughout; negative
+    # prices and alphas of 0 and 1 give negative profits, zero sale terms and
+    # zero stay factors, none of which may leave a -0.0 cell.
+    prices = _scored_prices(model, alpha, k, T, seed, share, junk, negative)
     table = evaluate_schedule(model, alpha, prices, k, T)
     assert table.values.tobytes() == scored_schedule_oracle(model, alpha, prices, k, T).tobytes()
+    assert not np.signbit(table.values[table.values == 0.0]).any()
+
+
+@pytest.mark.parametrize("alpha", [0.5, np.array([0.5, 1.0])], ids=["scalar", "batch"])
+def test_evaluate_schedule_keeps_a_negative_zero_that_underflow_gives(alpha):
+    # R[1][1] = 0.5 * -1e-323 = -5e-324; at (1, 2) both 0.5 * -5e-324 terms
+    # round to -0.0, so R[1][2] = -0.0, which the unsellable price at (1, 3)
+    # must keep: -0.0 + (+0.0) would give +0.0.
+    prices = np.ones((2, 4) + np.shape(alpha))
+    prices[1, 1], prices[1, 2], prices[1, 3] = -1e-323, -5e-324, math.inf
+    table = evaluate_schedule(EXP1, alpha, prices, 1, 3)
+    want = scored_schedule_oracle(EXP1, alpha, prices, 1, 3)
+    assert table.values.tobytes() == want.tobytes()
+    cell = np.ravel(table.values[1, 3])[0]  # alpha 0.5's
+    assert cell == 0.0 and np.signbit(cell)
+
+
+@pytest.mark.parametrize("layout", ["row-major", "time-major"])
+@pytest.mark.parametrize("T", [0, 1, 5])
+def test_evaluate_schedule_leaves_the_price_matrix_as_given(layout, T):
+    # A time-major matrix, as build_pricing stores its prices, and any (k + 1, 1)
+    # one are read in place, and their unsellable prices were once zeroed in
+    # the caller's matrix itself.
+    prices = np.full((4, T + 1), 8.0) if layout == "row-major" else np.full((T + 1, 4), 8.0).T
+    prices[2:, T] = [16.0, math.inf]  # cannot sell under U(5, 15)
+    before = prices.copy()
+    evaluate_schedule(UNI, 0.5, prices, 3, T)
+    assert prices.tobytes() == before.tobytes()

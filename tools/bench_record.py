@@ -46,7 +46,8 @@ The output holds:
   c 2), planned and checked with ``forking_condition``, RK4
   steps per second of ``continuous_profit_numeric`` at rate 1, k 3, T 1,
   calls per second of two argument-checking paths, ``load_hotspots`` of a
-  ten-hotspot file and ``expected_profit_closed_form`` at k 3, and
+  ten-hotspot file and ``expected_profit_closed_form`` at k 3, each rep
+  timing a batch of 200 calls, and
   calls per second of ``cli.main`` on five fixed command lines, stdout
   captured and ``--out`` a temporary file: ``price`` at exp(1), alpha 0.5,
   k 19, T 420; ``allocate`` on a five-point alpha sweep; ``deploy`` of six
@@ -143,6 +144,12 @@ def plan_and_fork(deployment, spots, fleet):
     return (deployment.optimal_deployment_continuous(spots, fleet, 1.0),
             deployment.forking_condition(spots[0], spots[1], fleet, 1.0))
 
+BATCH = 200
+
+def repeat_call(call):
+    for _ in range(BATCH):
+        call()
+
 def run_cli(cli, argv):
     with contextlib.redirect_stdout(io.StringIO()):
         if cli.main(argv) != 0:
@@ -167,8 +174,8 @@ for side, tree in (("parent", sys.argv[1]), ("change", sys.argv[2])):
             lib.benchmark.complete_info_profit, model, alpha, k, T)
         for name in ("build_pricing", "evaluate_schedule", "complete_info_profit"):
             work[f"{name}.{family}"] = k * T, "cells/s"
-    # A table whose option values dip below 0 by round-off, so the sweep
-    # clamps and refills from its first negative column.
+    # A table whose option values dip below 0 by round-off in 28 columns, so
+    # the stage rule clamps them and the check after the sweep finds the dips.
     calls["build_pricing.roundoff_k30_T300", side] = partial(
         lib.pricing.build_pricing, lib.valuations.ValuationModel.exponential(1.0), 0.2, 30, 300)
     work["build_pricing.roundoff_k30_T300"] = 30 * 300, "cells/s"
@@ -228,10 +235,13 @@ for side, tree in (("parent", sys.argv[1]), ("change", sys.argv[2])):
              partial(plan_and_fork, lib.deployment, rung, rung_fleet)),
             ("continuous_profit_numeric.rate1_k3_T1", 3000, "steps/s",
              partial(lib.pricing.continuous_profit_numeric, model, 1.0, 3, 1.0)),
-            # Calls whose cost is mostly their argument checks.
-            ("load_hotspots.m10", 1, "calls/s", partial(lib.deployment.load_hotspots, ten)),
-            ("expected_profit_closed_form.k3", 1, "calls/s",
-             partial(lib.pricing.expected_profit_closed_form, 1.0, 1.5, 3, 2.0))):
+            # Calls whose cost is mostly their argument checks, a few µs each,
+            # so a rep times a batch of them: one call is too short to pair.
+            ("load_hotspots.m10", BATCH, "calls/s",
+             partial(repeat_call, partial(lib.deployment.load_hotspots, ten))),
+            ("expected_profit_closed_form.k3", BATCH, "calls/s",
+             partial(repeat_call, partial(lib.pricing.expected_profit_closed_form,
+                                          1.0, 1.5, 3, 2.0)))):
         calls[name, side], work[name] = call, (count, unit)
     # The five subcommands through cli.main, stdout captured, --out a temp file.
     cli, exp = importlib.import_module(f"uavps_{side}.cli"), ["--model", "exp", "--lambda", "1"]
