@@ -144,10 +144,8 @@ def plan_and_fork(deployment, spots, fleet):
     return (deployment.optimal_deployment_continuous(spots, fleet, 1.0),
             deployment.forking_condition(spots[0], spots[1], fleet, 1.0))
 
-BATCH = 200
-
 def repeat_call(call):
-    for _ in range(BATCH):
+    for _ in range(batch):
         call()
 
 def run_cli(cli, argv):
@@ -156,6 +154,7 @@ def run_cli(cli, argv):
             raise SystemExit(f"uavps {' '.join(argv)} failed")
 
 k, T, alpha, reps = 20, 1000, 0.5, int(sys.argv[3])
+batch = 200  # calls per rep of the layers too short to time one call at a time
 calls, work = {}, {}
 workdir = tempfile.TemporaryDirectory(prefix="bench-cli-")
 ten = os.path.join(workdir.name, "ten.json")
@@ -237,9 +236,9 @@ for side, tree in (("parent", sys.argv[1]), ("change", sys.argv[2])):
              partial(lib.pricing.continuous_profit_numeric, model, 1.0, 3, 1.0)),
             # Calls whose cost is mostly their argument checks, a few µs each,
             # so a rep times a batch of them: one call is too short to pair.
-            ("load_hotspots.m10", BATCH, "calls/s",
+            ("load_hotspots.m10", batch, "calls/s",
              partial(repeat_call, partial(lib.deployment.load_hotspots, ten))),
-            ("expected_profit_closed_form.k3", BATCH, "calls/s",
+            ("expected_profit_closed_form.k3", batch, "calls/s",
              partial(repeat_call, partial(lib.pricing.expected_profit_closed_form,
                                           1.0, 1.5, 3, 2.0)))):
         calls[name, side], work[name] = call, (count, unit)
