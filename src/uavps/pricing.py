@@ -89,22 +89,19 @@ def profit_step(model: ValuationModel, alpha: float, price, r_same, r_less, out=
     """One application of the profit recursion at a posted price, elementwise.
 
     r_same and r_less are the continuation profits with the same and with one
-    fewer service unit. A price with zero sale probability (bounded support
-    saturation) leaves the continuation value untouched. Only a call that
-    holds such a price pays for the two masks; the others run the formula
-    alone. With ``out``, an array of the broadcast shape, the final addition
-    writes the result there, as a ufunc's ``out`` does, and returns it.
+    fewer service unit. A price with zero sale probability (at or past a
+    bounded support's top, or where F rounds to 1) leaves the continuation
+    value untouched: it is zeroed, then r_same is copied into its cell. With
+    ``out``, an array of the broadcast shape, the final addition writes the
+    result there, as a ufunc's ``out`` does, and returns it. The scoring
+    oracle of ``evaluate_schedule``.
     """
     sell = 1.0 - np.asarray(model.cdf(price))
-    # One reduction: fmin skips NaN, as `sell <= 0` does, and an empty call gives 1.
-    masked = np.fmin.reduce(sell, axis=None, initial=1.0) <= 0.0
-    if masked:
-        unsold = sell <= 0.0
-        price = np.where(unsold, 0.0, price)  # an unsellable price may be inf
-    out = np.add(alpha * (price + r_less) * sell, r_same * (1.0 - alpha * sell), out=out)
-    if masked:
-        out = np.asarray(out)  # a scalar call's sum is a numpy scalar
-        np.copyto(out, r_same, where=unsold)
+    unsold = sell <= 0.0
+    price = np.where(unsold, 0.0, price)  # an unsellable price may be inf
+    out = np.asarray(np.add(alpha * (price + r_less) * sell, r_same * (1.0 - alpha * sell),
+                            out=out))  # a scalar call's sum is a numpy scalar
+    np.copyto(out, r_same, where=unsold)
     return out if out.ndim else float(out)
 
 
@@ -189,18 +186,18 @@ def evaluate_schedule(model: ValuationModel, alpha, prices: np.ndarray,
     Used to score non-optimal policies (perturbed or constant prices) against
     the optimal table. ``prices[j, t]`` is read for j in 1..capacity and
     t in j..horizon; the matrix must cover them, other entries are ignored.
-    A price read may be +inf, one that never sells, but not NaN or -inf,
-    which would spread through the table. A 1-d alpha needs one price matrix
-    per entry, on a trailing axis.
+    A price read is a point of the valuation support or past it, in [0, +inf]:
+    +inf is one that never sells, -0.0 counts as 0, and a negative price or a
+    NaN raises ``ParameterError``. A 1-d alpha needs one price matrix per
+    entry, on a trailing axis.
 
     ``profit_step``'s formula, with the same bits: ``cdf`` is elementwise,
     so the sale probabilities 1 - F(p) and the stay factors 1 - alpha (1 -
     F(p)) of the whole matrix are computed once, and a column makes five
     ufunc calls and no mask: a zeroed unsellable price keeps the continuation
-    value, save a -0.0 one, which one test of the finished table catches. At
-    exp(1), alpha 0.5, (k, T) = (20, 1000) a column takes about 2.7 µs on a
-    2-CPU x86 host, against 9.1 µs through ``profit_step`` per column (best
-    of 15 calls).
+    value. At exp(1), alpha 0.5, (k, T) = (20, 1000) a column takes about
+    2.7 µs on a 2-CPU x86 host, against 9.1 µs through ``profit_step`` per
+    column (best of 15 calls).
     """
     alpha, k, T = _table_args(alpha, capacity, horizon)
     shape = (k + 1, T + 1) + np.shape(alpha)
@@ -211,25 +208,20 @@ def evaluate_schedule(model: ValuationModel, alpha, prices: np.ndarray,
     if prices.ndim != len(shape) or prices[:k + 1, :T + 1].shape != shape:
         raise ParameterError(f"price matrix of shape {prices.shape} does not cover {shape}")
     read = prices[1:k + 1, 1:T + 1][np.arange(T) >= np.arange(k)[:, None]]
-    if not (read > -np.inf).all():  # NaN fails the comparison too
-        raise ParameterError("prices read at 1 <= j <= k, j <= t <= T must be "
-                             "numbers above -inf")
+    if not (read >= 0.0).all():  # NaN fails the comparison too
+        raise ParameterError("prices read at 1 <= j <= k, j <= t <= T must lie in [0, inf]")
     given = np.ascontiguousarray(prices[:k + 1, :T + 1].swapaxes(0, 1))  # time-major
     sell = 1.0 - np.asarray(model.cdf(given))
     unsold = sell <= 0.0
     # An unsellable price may be inf: zero it in a copy, never in the caller's matrix.
     price = np.where(unsold, 0.0, given) if unsold.any() else given
     stay = 1.0 - alpha * sell
-
-    table = _fill(alpha, k, T, partial(_sale, alpha), (price, sell, stay))
-    # A zeroed unsellable price has sell = 0, stay = 1 and gain = +-0, so out =
-    # r_same unless r_same is -0.0. A -0.0 sum needs two -0.0 terms; r_same *
-    # stay is one at stay = 0, where gain = p + r_less is one only if r_less
-    # is, or by underflow, from a negative profit within 2^-1022 of 0. So a
-    # table with no -0.0 cell is exact; one with one is scored with the masks.
-    if (np.signbit(table.values) & (table.values == 0.0)).any():
-        table = _fill(alpha, k, T, partial(profit_step, model, alpha), (given,))
-    return table
+    # No cell is -0.0, by induction over the columns from column 0's +0.0:
+    # with p >= 0, r_less >= +0, sell and stay in [+0, 1], p + r_less and
+    # r_same stay are >= +0, so out = r_same stay + gain is too, whatever the
+    # sign of a zero gain (alpha -0.0). A zeroed unsellable price has sell = 0
+    # and stay = 1, so out = r_same + (+-0) = r_same: profit_step's mask.
+    return _fill(alpha, k, T, partial(_sale, alpha), (price, sell, stay))
 
 
 # -- continuous-time closed forms (exponential valuations) ------------------

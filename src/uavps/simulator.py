@@ -141,16 +141,16 @@ def _run_discrete(model: ValuationModel, alpha: float, price_lookups: list[np.nd
 
     Returns (policies, trials) arrays of profits and served counts.
     ``price_lookups[i][j, t]`` must be finite wherever a sale is possible; row
-    0 is forced unsellable. Arrival and valuation draws are consumed for every
-    trial in every slot, whatever the policies sell, so the draws, and each
-    policy's result, do not depend on which other policies are played
-    alongside (common random numbers).
+    0 is forced unsellable, and a NaN price never sells, as v >= NaN never
+    holds. Arrival and valuation draws are consumed for every trial in every
+    slot, whatever the policies sell, so the draws, and each policy's result,
+    do not depend on which other policies are played alongside (common
+    random numbers).
     """
     # A copy, written below: lookup[t] holds every policy's prices for slot
     # t, contiguous, so one take reads them all; policy i's entries start at offset[i].
     lookup = np.stack([prices.T for prices in price_lookups], axis=1)
     lookup[..., 0] = np.inf  # exhausted capacity never sells
-    lookup[np.isnan(lookup)] = np.inf
     policies = len(price_lookups)
     offset = np.arange(policies)[:, None] * (capacity + 1)
 

@@ -185,8 +185,10 @@ class ValuationModel:
             # rate * v finite for v up to DBL_MAX.
             out = -np.expm1(-self.rate * np.minimum(np.maximum(v, 0.0), 40.0 / self.rate))
         else:
+            # Clipping v first gives exactly 1 past the support, where (v - lower)
+            # / width overflows once v - lower passes DBL_MAX times the width.
             # The array method reaches np.clip's ufunc without its wrappers.
-            out = ((v - self.lower) / (self.upper - self.lower)).clip(0.0, 1.0)
+            out = (v.clip(self.lower, self.upper) - self.lower) / (self.upper - self.lower)
         return out if out.ndim else float(out)
 
     def pdf(self, v):
@@ -325,7 +327,7 @@ class ValuationModel:
                 # this clips 0.5 fl(max(delta, 0) + b) to the support [a, b].
                 price.clip(lo, b, out=price)
                 sell = np.subtract(price, a)
-                sell /= width  # in [0, 1] for a price in the support: cdf's clip is a no-op
+                sell /= width  # the price is in the support: cdf's clip returns it
                 np.subtract(1.0, sell, out=sell)
                 np.subtract(1.0, np.multiply(sell, alpha, out=out), out=out)  # stay
                 _sale(alpha, price, sell, out, r_same, r_less, out)
@@ -335,7 +337,10 @@ class ValuationModel:
 def _sale(alpha, price, sell, stay, r_same, r_less, out) -> None:
     """``pricing.profit_step``'s formula, its operand order kept, at sale
     probabilities ``sell`` and stay factors ``stay`` = 1 - alpha sell, which
-    may be ``out``, into ``out``: the stage rules' and evaluate_schedule's."""
+    may be ``out``, into ``out``: the stage rules' and evaluate_schedule's.
+    Both hand it prices in [0, inf) and continuation profits that are never
+    -0.0, so at a zero sale probability it returns r_same, as profit_step's
+    mask does, and it writes no -0.0."""
     gain = np.add(price, r_less)
     gain *= alpha
     gain *= sell

@@ -97,7 +97,7 @@ def exact_log_series(x: float, k: int) -> Decimal:
 
 
 def column_sweep(alpha, k, T, rule, prices):
-    """The table sweep with one rule call per column and no block test:
+    """The table sweep as a plain loop over t = 1..T, one rule call per column:
     ``rule(price, r_same, r_less, out)`` fills values[1..m][t], m = min(t, k),
     from the rows 1..m of ``prices``' column t, and rows past t copy R[t][t]."""
     values = np.zeros((T + 1, k + 1) + np.shape(alpha)).swapaxes(0, 1)

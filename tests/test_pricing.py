@@ -50,8 +50,12 @@ def test_profit_step_hand_values():
     assert profit_step(EXP1, 0.5, 1.0, 0.0, 0.0) == pytest.approx(
         0.5 * math.exp(-1.0), abs=1e-12)
     assert profit_step(UNI, 0.8, 7.5, 0.0, 0.0) == pytest.approx(4.5, abs=1e-12)
-    # zero sale probability leaves the continuation untouched
+    # zero sale probability leaves the continuation untouched, even where the
+    # formula alone would not: a -0.0 one, and an inf one with one unit less
     assert profit_step(UNI, 0.8, 15.0, 0.33, 0.1) == 0.33
+    assert math.copysign(1.0, profit_step(UNI, 0.8, math.inf, -0.0, 0.0)) == -1.0
+    with np.errstate(invalid="ignore"):  # the formula's inf * 0
+        assert profit_step(UNI, 0.8, 16.0, 0.33, math.inf) == 0.33
 
 
 def test_build_pricing_validation():

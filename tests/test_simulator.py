@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from uavps import simulator
-from uavps.pricing import _log_series, build_pricing, expected_profit_closed_form
+from uavps.pricing import (PriceSchedule, _log_series, build_pricing,
+                           expected_profit_closed_form)
 from uavps.simulator import (RegretReport, simulate_continuous, simulate_discrete,
                              simulate_policy_regret)
 from uavps.valuations import ParameterError, ValuationModel
@@ -119,6 +120,18 @@ def test_discrete_handles_capacity_beyond_horizon():
     report = simulate_discrete(EXP1, 0.7, schedule, 3, 2, 2 * 10**5, seed=8)
     assert report.served_histogram[3] == 0
     assert abs(report.mean_profit - table.final()) <= 3 * report.std_error
+
+
+@pytest.mark.parametrize("cells", [[(1, 3)], [(2, 2), (1, 5), (3, 6)], "all"])
+def test_discrete_replay_reads_a_nan_price_as_one_that_never_sells(workers, cells):
+    # v >= NaN never holds, and the sum skips a price it does not sell at.
+    schedule, _ = build_pricing(EXP1, 0.6, 3, 6)
+    nan, inf = schedule.prices.copy(), schedule.prices.copy()
+    for j, t in (np.argwhere(np.isfinite(nan)) if cells == "all" else cells):
+        nan[j, t], inf[j, t] = math.nan, math.inf
+    reports = [simulate_discrete(EXP1, 0.6, PriceSchedule(3, 6, prices), 3, 6, 3_000, seed=5)
+               for prices in (nan, inf)]
+    assert reports[0] == reports[1]
 
 
 def test_continuous_agrees_with_closed_form():

@@ -132,6 +132,18 @@ def test_evaluate_schedule_prices_that_never_sell(price):
     assert np.all(table.values == 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("upper", [5e-324])
+def test_evaluate_schedule_on_a_narrow_support_scores_prices_past_it(upper):
+    # cdf overflowed at a price of 1.0 above U(0, 5e-324): a RuntimeWarning.
+    model = ValuationModel.uniform(0.0, upper)
+    prices = np.full((3, 6), 1.0)
+    prices[1, 2:] = 0.0
+    table = evaluate_schedule(model, 0.5, prices, 2, 5)
+    assert _same(table.values, given_price_oracle(model, 0.5, prices, 2, 5))
+    assert np.all(table.values == 0.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(models, alphas, capacities, horizons)
 @example(EXP1, 0.0, 30, 200)
@@ -274,14 +286,15 @@ def test_evaluate_schedule_rejects_bad_shapes(capacity, horizon, shape):
 
 
 @pytest.mark.parametrize("cell", [(1, 1), (2, 3), (3, 3), (3, 5), (1, 5)])
-@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, -1.0, -5e-324])
 @pytest.mark.parametrize("alpha", [0.0, 0.5, np.array([0.3, 0.6])], ids=["0", "0.5", "batch"])
 def test_evaluate_schedule_rejects_nan_and_minus_inf_where_it_reads(cell, bad, alpha):
-    # The table came out NaN or -inf, and 0 * -inf warned at alpha 0. In a
-    # batch, one entry's price is enough.
+    # The table came out NaN or -inf, and 0 * -inf warned at alpha 0; a
+    # negative price lies below every support. In a batch, one entry's price
+    # is enough.
     prices = np.ones((4, 6) + np.shape(alpha))
     prices[cell + (-1,) * np.ndim(alpha)] = bad
-    with pytest.raises(ParameterError, match="above -inf"):
+    with pytest.raises(ParameterError, match=r"must lie in \[0, inf\]"):
         evaluate_schedule(EXP1, alpha, prices, 3, 5)
 
 
@@ -539,16 +552,18 @@ def test_build_pricing_raises_as_the_per_column_sweep_does(model, alpha, k, T, d
         assert got == _outcome(posted_pricing_oracle, model, alpha, k, T)
 
 
-def _scored_prices(model, alpha, k, T, seed, share, junk, negative=False):
-    """A price matrix for (k, T) whose read cells sell, except in a ``share``
-    of the columns, where some cells hold +inf or, for a bounded law, a price
-    at or past its top; with ``junk``, unread cells may hold NaN or -inf, and
-    with ``negative``, prices reach 5 below the support, some negative."""
+def _scored_prices(model, alpha, k, T, seed, share, junk):
+    """A price matrix for (k, T) whose read cells sell, save some zeros,
+    except in a ``share`` of the columns, where some cells hold +inf or, for a
+    bounded law, a price at or past its top; with ``junk``, unread cells may
+    hold NaN or -inf."""
     rng = np.random.default_rng(seed)
     lo, hi = model.support()
     shape = (k + 1, T + 1) + np.shape(alpha)
     trailing = (1,) * np.ndim(alpha)
-    prices = rng.uniform(lo - 5.0 * negative, hi if math.isfinite(hi) else 5.0, shape)
+    prices = rng.uniform(lo, hi if math.isfinite(hi) else 5.0, shape)
+    cells = rng.random(shape) < 0.1
+    prices[cells] = rng.choice([0.0, -0.0, 5e-324], int(cells.sum()))
     never = [math.inf] + ([hi, 1.2 * hi] if math.isfinite(hi) else [])
     columns = (rng.random(T + 1) < share).reshape((1, -1) + trailing)
     cells = (rng.random(shape) < 0.3) & columns
@@ -561,43 +576,55 @@ def _scored_prices(model, alpha, k, T, seed, share, junk, negative=False):
     return prices
 
 
-edge_alphas = st.sampled_from((0.0, 1.0))
+edge_alphas = st.sampled_from((0.0, -0.0, 1.0))
 
 
 @settings(max_examples=80, deadline=None)
 @given(models, st.one_of(edge_alphas, alpha_batches,
                          st.lists(st.one_of(edge_alphas, alphas), max_size=4).map(np.array)),
        st.integers(1, 60), st.integers(0, 300), st.integers(0, 2**32 - 1),
-       st.sampled_from((0.0, 0.1, 0.5, 1.0)), st.booleans(), st.booleans())
-@example(UNI, 0.7, 3, 8, 0, 0.5, True, False)
-@example(UNI, np.array([0.0, 1.0, 0.4]), 60, 300, 1, 0.1, True, False)
-@example(EXP1, np.array([]), 20, 100, 2, 0.5, True, False)
-@example(EXP1, 1.0, 20, 100, 3, 1.0, False, True)
-@example(UNI, np.array([0.0, 1.0, 0.5]), 30, 200, 4, 1.0, True, True)
-def test_evaluate_schedule_equals_profit_step_per_column(model, alpha, k, T, seed, share, junk,
-                                                         negative):
+       st.sampled_from((0.0, 0.1, 0.5, 1.0)), st.booleans())
+@example(UNI, 0.7, 3, 8, 0, 0.5, True)
+@example(UNI, np.array([0.0, 1.0, 0.4]), 60, 300, 1, 0.1, True)
+@example(EXP1, np.array([]), 20, 100, 2, 0.5, True)
+@example(EXP1, 1.0, 20, 100, 3, 1.0, False)
+@example(UNI, np.array([0.0, 1.0, 0.5]), 30, 200, 4, 1.0, True)
+@example(ValuationModel.uniform(0.0, 1e-300), np.array([0.0, -0.0, 1.0]), 10, 40, 5, 0.5, True)
+def test_evaluate_schedule_equals_profit_step_per_column(model, alpha, k, T, seed, share, junk):
     # A share of 1 puts unsellable cells in every column, so the rule's sum
-    # r_same + (+-0) stands in for profit_step's mask throughout; negative
-    # prices and alphas of 0 and 1 give negative profits, zero sale terms and
-    # zero stay factors, none of which may leave a -0.0 cell.
-    prices = _scored_prices(model, alpha, k, T, seed, share, junk, negative)
+    # r_same + (+-0) stands in for profit_step's mask throughout; zero
+    # prices, of either sign, and alphas of 0, -0.0 and 1 give zero sale
+    # terms and zero stay factors, none of which may leave a -0.0 cell.
+    prices = _scored_prices(model, alpha, k, T, seed, share, junk)
     table = evaluate_schedule(model, alpha, prices, k, T)
     assert table.values.tobytes() == scored_schedule_oracle(model, alpha, prices, k, T).tobytes()
     assert not np.signbit(table.values[table.values == 0.0]).any()
 
 
 @pytest.mark.parametrize("alpha", [0.5, np.array([0.5, 1.0])], ids=["scalar", "batch"])
-def test_evaluate_schedule_keeps_a_negative_zero_that_underflow_gives(alpha):
+def test_evaluate_schedule_rejects_the_prices_whose_profit_underflowed_to_negative_zero(alpha):
     # R[1][1] = 0.5 * -1e-323 = -5e-324; at (1, 2) both 0.5 * -5e-324 terms
-    # round to -0.0, so R[1][2] = -0.0, which the unsellable price at (1, 3)
-    # must keep: -0.0 + (+0.0) would give +0.0.
+    # rounded to -0.0, and the unsellable price at (1, 3) had to keep that
+    # -0.0: a second scoring pass, needed only by negative prices.
     prices = np.ones((2, 4) + np.shape(alpha))
     prices[1, 1], prices[1, 2], prices[1, 3] = -1e-323, -5e-324, math.inf
-    table = evaluate_schedule(EXP1, alpha, prices, 1, 3)
-    want = scored_schedule_oracle(EXP1, alpha, prices, 1, 3)
-    assert table.values.tobytes() == want.tobytes()
-    cell = np.ravel(table.values[1, 3])[0]  # alpha 0.5's
-    assert cell == 0.0 and np.signbit(cell)
+    with pytest.raises(ParameterError, match=r"\[0, inf\]"):
+        evaluate_schedule(EXP1, alpha, prices, 1, 3)
+
+
+@pytest.mark.parametrize("model", [EXP1, UNI, ValuationModel.uniform(0.0, 10.0)],
+                         ids=["exp", "uniform-5-15", "uniform-0-10"])
+@pytest.mark.parametrize("alpha", [0.0, -0.0, 1.0, np.array([0.0, -0.0, 1.0, 0.5])],
+                         ids=["0", "-0", "1", "batch"])
+def test_evaluate_schedule_scores_negative_zero_prices_as_the_oracle_does(model, alpha):
+    # -0.0 is the price 0: below the support of U(5, 15), its lower end for
+    # U(0, 10) and exp(1), where cdf gives -0.0. An unsellable +inf keeps r_same.
+    rng = np.random.default_rng(11)
+    prices = np.where(rng.random((5, 9) + np.shape(alpha)) < 0.5, -0.0, 12.0)
+    prices[2, 4:] = math.inf
+    table = evaluate_schedule(model, alpha, prices, 4, 8)
+    assert table.values.tobytes() == scored_schedule_oracle(model, alpha, prices, 4, 8).tobytes()
+    assert not np.signbit(table.values[table.values == 0.0]).any()
 
 
 @pytest.mark.parametrize("layout", ["row-major", "time-major"])

@@ -52,13 +52,17 @@ def test_cdf_trivial_points():
 def _cdf_oracle(model, v):
     """ValuationModel.cdf with the exponential branch's np.where guard, which
     ``np.maximum(v, 0.0)`` makes redundant: the oracle for dropping it. Its
-    rate * v overflows to inf past DBL_MAX / rate, which gives the right 1.0."""
+    rate * v overflows to inf past DBL_MAX / rate, which gives the right 1.0,
+    as the uniform quotient does past a narrow support; below a uniform
+    support it gives +0.0, where the quotient may be -0.0."""
     v = np.asarray(v, dtype=float)
     if model.kind == "exponential":
         with np.errstate(over="ignore"):
             out = np.where(v < 0.0, 0.0, -np.expm1(-model.rate * np.maximum(v, 0.0)))
     else:
-        out = np.clip((v - model.lower) / (model.upper - model.lower), 0.0, 1.0)
+        with np.errstate(over="ignore"):
+            out = np.where(v < model.lower, 0.0, np.clip(
+                (v - model.lower) / (model.upper - model.lower), 0.0, 1.0))
     return out if out.ndim else float(out)
 
 
@@ -88,6 +92,20 @@ def test_cdf_equals_its_oracle_bit_for_bit(model, values):
     assert _bits(model.cdf(np.array(values))) == _bits(_cdf_oracle(model, np.array(values)))
     for v in values[:5]:
         assert _bits(model.cdf(v)) == _bits(_cdf_oracle(model, v))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lower, upper", [(1.0, 1.0 + 2**-52), (0.0, 5e-324), (0.0, 1e-300),
+                                          (0.0, 10.0)])
+def test_uniform_cdf_stays_exact_past_a_narrow_support(lower, upper):
+    # (v - lower) / width overflowed once v - lower passed DBL_MAX times the
+    # width: at 1e300 for a width of 2^-52, at 1.0 for 5e-324. Under lower = 0
+    # it was -0.0 at v = -5e-324.
+    model = ValuationModel.uniform(lower, upper)
+    v = np.array([-1e300, -5e-324, lower, upper, 2.0 * upper + 1.0, 1e300, math.inf])
+    assert _bits(model.cdf(v)) == _bits(np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]))
+    assert _bits(model.cdf(v)) == _bits(_cdf_oracle(model, v))
+    assert model.cdf(1e300) == 1.0
 
 
 def _inverse_virtual_value_oracle(model, target):
