@@ -13,7 +13,7 @@ phi(p) = delta where delta = R[j][t-1] - R[j-1][t-1] is the option value of
 keeping a unit. Column t needs only column t-1, so one kernel sweeps t and
 runs a stage rule once per column, over all j: posted prices, a given price
 matrix, or the full-information threshold of ``uavps.benchmark``. When t < j
-the extra capacity is dead weight: R[j][t] = R[t][t] and no price is defined.
+the surplus is dead weight: R[j][t] = R[t][t], and the state is quoted p[t][t].
 
 Continuous relaxation: buyers arrive as a Poisson stream with rate a'. For
 exponential valuations the expected profit and price have closed forms built
@@ -115,32 +115,34 @@ def _table_args(alpha, capacity: int, horizon: int):
 def _fill(alpha, k: int, T: int, rule, given: tuple = ()) -> ProfitTable:
     """The one (j, t) sweep behind every discrete profit table.
 
-    Column t needs only column t-1: with m = min(t, k), ``rule(*cols,
-    r_same, r_less, out)`` maps ``cols``, rows 1..m of column t of each
-    array in ``given``, and R[1..m][t-1] and R[0..m-1][t-1] to R[1..m][t],
-    which it writes into ``out``, the view values[1..m][t]; rows past t copy
-    R[t][t]. A 1-d alpha adds a trailing batch axis, which the ``given``
-    arrays must have too; the rules are elementwise, so each table is the one
-    its scalar alpha gives, bit for bit.
+    Column t needs only column t-1: ``rule(*cols, r_same, r_less, out)`` maps
+    ``cols``, rows 1..k of column t of each ``given`` array, and R[1..k][t-1]
+    and R[0..k-1][t-1] to R[1..k][t], written into ``out``, the view
+    values[1..k][t]. The rules are elementwise, so dead capacity needs no case:
+    by induction over t, a row j > t reads R[j][t-1] = R[j-1][t-1] =
+    R[t-1][t-1], row t's inputs, and gets R[t][t] if the ``given`` arrays
+    repeat row t's entry past it (``_quoted``). A 1-d alpha adds a trailing
+    batch axis, which ``given`` has too; each table is the one its scalar alpha
+    gives, bit for bit.
 
     A column holds at most k cells, so its cost is the count of numpy calls,
-    not the arithmetic: the sweep tests nothing, each rule's last ufunc
-    writes the column in place, and the dead-row copy runs only while t < k.
-    The arguments come checked from ``_table_args``. ``values`` is stored
-    time-major, a C-ordered (T + 1, k + 1[, B]) buffer seen through
-    ``swapaxes(0, 1)``, and ``given`` arrays are such buffers too: each column
-    is one contiguous block, and the full-width columns (t >= k) are the rows
-    of time-major views, iterated with no slicing per column.
+    not the arithmetic: the sweep tests nothing and each rule's last ufunc
+    writes the column in place. The arguments come checked from
+    ``_table_args``. ``values`` is a C-ordered time-major (T + 1, k + 1[, B])
+    buffer seen through ``swapaxes(0, 1)``, and ``given`` arrays are such
+    buffers too: each column is a row, one contiguous block.
     """
     values = np.zeros((T + 1, k + 1) + np.shape(alpha))
-    for t in range(1, min(k, T + 1)):  # t < k: rows past t are dead weight
-        rule(*[g[t, 1:t + 1] for g in given], values[t - 1, 1:t + 1], values[t - 1, :t],
-             values[t, 1:t + 1])
-        values[t, t + 1:] = values[t, t]
-    for cols in zip(*[g[k:, 1:] for g in given], values[k - 1:-1, 1:], values[k - 1:-1, :k],
-                    values[k:, 1:]):
+    for cols in zip(*[g[1:, 1:] for g in given], values[:-1, 1:], values[:-1, :k],
+                    values[1:, 1:]):
         rule(*cols)
     return ProfitTable(alpha=alpha, capacity=k, horizon=T, values=values.swapaxes(0, 1))
+
+
+def _quoted(prices: np.ndarray, k: int, T: int) -> np.ndarray:
+    """The price quoted in state (j, t), prices[min(j, t), t], in a time-major copy."""
+    t = np.arange(T + 1)[:, None]
+    return prices[np.minimum(np.arange(k + 1), t), t]
 
 
 def build_pricing(model: ValuationModel, alpha, capacity: int,
@@ -150,7 +152,7 @@ def build_pricing(model: ValuationModel, alpha, capacity: int,
     One column sweep, each column's stage prices solved at once by the
     family's stage rule, chosen once per call (``ValuationModel._posted_stage``):
     ``solve_stage_price`` then ``profit_step``, fused, with the same bits.
-    Cells with t < j copy R[t][t] and leave the price undefined. An option
+    Cells with t < j get R[t][t] from the sweep and a NaN price. An option
     value in [-1e-12 * R[j][t-1], 0) is round-off and counts as zero; a lower
     one raises. The rule prices every option value at max(delta, 0), so no
     column is tested; one compare over the finished table finds the negative
@@ -167,7 +169,8 @@ def build_pricing(model: ValuationModel, alpha, capacity: int,
     prices = np.full((T + 1, k + 1) + np.shape(alpha), np.nan)
     table = _fill(alpha, k, T, lambda price, r_same, r_less, out: stage(
         np.subtract(r_same, r_less, out=price), price, r_same, r_less, out), (prices,))
-    # Column t reads r[t-1], whose rows past t-1 copy R[t-1][t-1] and differ by
+    prices[np.arange(k + 1) > np.arange(T + 1)[:, None]] = np.nan
+    # Column t reads r[t-1], whose rows past t-1 hold R[t-1][t-1] and differ by
     # 0; for finite doubles R[j] < R[j-1] holds exactly where R[j] - R[j-1] < 0.
     r = table.values.swapaxes(0, 1)[:-1]
     if np.less(r[:, 1:], r[:, :-1]).any():  # rare: a round-off dip, or a raise
@@ -193,11 +196,11 @@ def evaluate_schedule(model: ValuationModel, alpha, prices: np.ndarray,
 
     ``profit_step``'s formula, with the same bits: ``cdf`` is elementwise,
     so the sale probabilities 1 - F(p) and the stay factors 1 - alpha (1 -
-    F(p)) of the whole matrix are computed once, and a column makes five
-    ufunc calls and no mask: a zeroed unsellable price keeps the continuation
-    value. At exp(1), alpha 0.5, (k, T) = (20, 1000) a column takes about
-    2.7 µs on a 2-CPU x86 host, against 9.1 µs through ``profit_step`` per
-    column (best of 15 calls).
+    F(p)) of the quoted prices (``_quoted``) are computed once, and a column
+    makes five ufunc calls and no mask: a zeroed unsellable price keeps the
+    continuation value. At exp(1), alpha 0.5, (k, T) = (20, 1000) a column
+    takes about 2.7 µs on a 2-CPU x86 host, against 9.1 µs through
+    ``profit_step`` per column (best of 15 calls).
     """
     alpha, k, T = _table_args(alpha, capacity, horizon)
     shape = (k + 1, T + 1) + np.shape(alpha)
@@ -207,21 +210,19 @@ def evaluate_schedule(model: ValuationModel, alpha, prices: np.ndarray,
     prices = prices.astype(float, copy=False)
     if prices.ndim != len(shape) or prices[:k + 1, :T + 1].shape != shape:
         raise ParameterError(f"price matrix of shape {prices.shape} does not cover {shape}")
-    read = prices[1:k + 1, 1:T + 1][np.arange(T) >= np.arange(k)[:, None]]
-    if not (read >= 0.0).all():  # NaN fails the comparison too
+    given = _quoted(prices, k, T)
+    if not (given[1:, 1:] >= 0.0).all():  # the read cells; NaN fails the comparison too
         raise ParameterError("prices read at 1 <= j <= k, j <= t <= T must lie in [0, inf]")
-    given = np.ascontiguousarray(prices[:k + 1, :T + 1].swapaxes(0, 1))  # time-major
     sell = 1.0 - np.asarray(model.cdf(given))
-    unsold = sell <= 0.0
-    # An unsellable price may be inf: zero it in a copy, never in the caller's matrix.
-    price = np.where(unsold, 0.0, given) if unsold.any() else given
+    # An unsellable price may be inf: zero it in the gather, a copy of the caller's matrix.
+    given[sell <= 0.0] = 0.0
     stay = 1.0 - alpha * sell
     # No cell is -0.0, by induction over the columns from column 0's +0.0:
     # with p >= 0, r_less >= +0, sell and stay in [+0, 1], p + r_less and
     # r_same stay are >= +0, so out = r_same stay + gain is too, whatever the
     # sign of a zero gain (alpha -0.0). A zeroed unsellable price has sell = 0
     # and stay = 1, so out = r_same + (+-0) = r_same: profit_step's mask.
-    return _fill(alpha, k, T, partial(_sale, alpha), (price, sell, stay))
+    return _fill(alpha, k, T, partial(_sale, alpha), (given, sell, stay))
 
 
 # -- continuous-time closed forms (exponential valuations) ------------------

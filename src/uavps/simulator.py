@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pricing import PriceSchedule, _closed_form_args, _closed_form_price, build_pricing
+from .pricing import PriceSchedule, _closed_form_args, _closed_form_price, _quoted, build_pricing
 from .valuations import ParameterError, ValuationModel, _check
 
 GENERATOR_ID = "numpy-pcg64"
@@ -140,16 +140,16 @@ def _run_discrete(model: ValuationModel, alpha: float, price_lookups: list[np.nd
     """Play the slot-by-slot process under each price policy on one draw stream.
 
     Returns (policies, trials) arrays of profits and served counts.
-    ``price_lookups[i][j, t]`` must be finite wherever a sale is possible; row
-    0 is forced unsellable, and a NaN price never sells, as v >= NaN never
-    holds. Arrival and valuation draws are consumed for every trial in every
-    slot, whatever the policies sell, so the draws, and each policy's result,
-    do not depend on which other policies are played alongside (common
-    random numbers).
+    ``price_lookups[i][j, t]`` must be finite wherever a sale is possible. A
+    state with j > t is quoted p[t][t], its surplus units dead; row 0 is forced
+    unsellable, and a NaN price never sells, as v >= NaN never holds. Arrival
+    and valuation draws are consumed for every trial in every slot, whatever
+    the policies sell, so the draws, and each policy's result, do not depend
+    on which other policies are played alongside (common random numbers).
     """
-    # A copy, written below: lookup[t] holds every policy's prices for slot
-    # t, contiguous, so one take reads them all; policy i's entries start at offset[i].
-    lookup = np.stack([prices.T for prices in price_lookups], axis=1)
+    # lookup[t] holds every policy's quoted prices for slot t, contiguous, so
+    # one take reads them all; policy i's entries start at offset[i].
+    lookup = np.stack([_quoted(prices, capacity, horizon) for prices in price_lookups], axis=1)
     lookup[..., 0] = np.inf  # exhausted capacity never sells
     policies = len(price_lookups)
     offset = np.arange(policies)[:, None] * (capacity + 1)
@@ -170,8 +170,7 @@ def _run_discrete(model: ValuationModel, alpha: float, price_lookups: list[np.nd
                 skip(size - n)
                 v = model._quantile(rng.random(n))
                 skip(size - n)
-                jj = np.minimum(left, offset + t)  # spare units beyond the time left are dead
-                price = lookup[t].take(jj)
+                price = lookup[t].take(left)
                 sale = arrive & (v >= price)  # no finite v meets row 0's +inf
                 np.add(gain, price, out=gain, where=sale)
                 left -= sale

@@ -122,6 +122,17 @@ def test_discrete_handles_capacity_beyond_horizon():
     assert abs(report.mean_profit - table.final()) <= 3 * report.std_error
 
 
+def test_discrete_replay_quotes_a_dead_state_the_price_of_its_live_units(workers):
+    # A state with j > t is quoted p[t][t]: a price of 0 in a t < j cell, which
+    # every buyer meets, would move the report if it were read.
+    schedule, _ = build_pricing(EXP1, 0.7, 4, 9)
+    j, t = np.indices(schedule.prices.shape)
+    zeros = np.where(t < j, 0.0, schedule.prices)
+    reports = [simulate_discrete(EXP1, 0.7, PriceSchedule(4, 9, prices), 4, 9, 3_000, seed=6)
+               for prices in (schedule.prices, zeros)]
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("cells", [[(1, 3)], [(2, 2), (1, 5), (3, 6)], "all"])
 def test_discrete_replay_reads_a_nan_price_as_one_that_never_sells(workers, cells):
     # v >= NaN never holds, and the sum skips a price it does not sell at.

@@ -525,16 +525,16 @@ def _outcome(fill, *args):
     return prices.tobytes(), values.tobytes()
 
 
-@settings(max_examples=40, deadline=None)
-@given(models, alpha_batches, st.integers(1, 40), st.integers(0, 200),
-       st.sampled_from((1e-14, 1e-9)))
-@example(EXP1, 0.5, 30, 200, 1e-9)
-@example(UNI, np.array([0.5, 0.9]), 30, 200, 1e-9)
-def test_build_pricing_raises_as_the_per_column_sweep_does(model, alpha, k, T, dip):
-    # Each stage rule lowers row j of its output by a relative j * dip, so the
-    # option values of the top rows turn negative once they are small: by
-    # round-off at 1e-14, which counts as zero, and by more at 1e-9, which
-    # raises in the first column that reads such a value.
+def _dipped(dip):
+    """``ValuationModel._posted_stage`` whose rules lower row j of their output
+    by a relative j * dip, so the option values of the top rows turn negative
+    once they are small: by round-off at 1e-14, which counts as zero, and by
+    more at 1e-9, which raises in the first column that reads such a value.
+
+    Rows with equal inputs keep equal outputs, as an elementwise rule's do: j
+    is capped at the first row of the trailing run of equal r_same, where row
+    t and the dead rows past it all read R[t-1][t-1]. The sweep computes those
+    dead rows, and the per-column oracle copies row t into them."""
     real = ValuationModel._posted_stage
 
     def dipped(model, alpha):
@@ -542,21 +542,43 @@ def test_build_pricing_raises_as_the_per_column_sweep_does(model, alpha, k, T, d
 
         def rule(delta, price, r_same, r_less, out):
             stage(delta, price, r_same, r_less, out)
+            run = np.logical_and.accumulate(r_same[::-1] == r_same[-1], axis=0)
             rows = np.arange(1, len(out) + 1).reshape((-1,) + (1,) * (out.ndim - 1))
-            out *= 1.0 - dip * rows
+            out *= 1.0 - dip * np.minimum(rows, len(out) + 1 - run.sum(axis=0))
         return rule
+    return dipped
 
+
+@settings(max_examples=40, deadline=None)
+@given(models, alpha_batches, st.integers(1, 40), st.integers(0, 200),
+       st.sampled_from((1e-14, 1e-9)))
+@example(EXP1, 0.5, 30, 200, 1e-9)
+@example(UNI, np.array([0.5, 0.9]), 30, 200, 1e-9)
+def test_build_pricing_raises_as_the_per_column_sweep_does(model, alpha, k, T, dip):
     with pytest.MonkeyPatch.context() as patch:  # hypothesis reruns the body
-        patch.setattr(ValuationModel, "_posted_stage", dipped)
+        patch.setattr(ValuationModel, "_posted_stage", _dipped(dip))
         got = _outcome(_posted, model, alpha, k, T)
         assert got == _outcome(posted_pricing_oracle, model, alpha, k, T)
+
+
+@pytest.mark.parametrize("dip", [1e-9, 1e-14])
+@pytest.mark.parametrize("model, alpha", [(EXP1, 0.5), (UNI, np.array([0.5, 0.9]))],
+                         ids=["exp", "uniform-batch"])
+def test_dipped_stage_rules_raise_at_1e_9_and_not_at_1e_14(monkeypatch, model, alpha, dip):
+    # The examples above, which the equality alone would pass if neither raised.
+    monkeypatch.setattr(ValuationModel, "_posted_stage", _dipped(dip))
+    if dip > 1e-12:
+        with pytest.raises(ValueError, match="nonnegative"):
+            build_pricing(model, alpha, 30, 200)
+    else:
+        build_pricing(model, alpha, 30, 200)
 
 
 def _scored_prices(model, alpha, k, T, seed, share, junk):
     """A price matrix for (k, T) whose read cells sell, save some zeros,
     except in a ``share`` of the columns, where some cells hold +inf or, for a
     bounded law, a price at or past its top; with ``junk``, unread cells may
-    hold NaN or -inf."""
+    hold NaN, -inf or 0.0, a price every buyer meets."""
     rng = np.random.default_rng(seed)
     lo, hi = model.support()
     shape = (k + 1, T + 1) + np.shape(alpha)
@@ -572,7 +594,7 @@ def _scored_prices(model, alpha, k, T, seed, share, junk):
         j, t = np.indices((k + 1, T + 1))
         unread = ((j == 0) | (t < j)).reshape(shape[:2] + trailing)
         cells = unread & (rng.random(shape) < 0.5)
-        prices[cells] = rng.choice([math.nan, -math.inf], int(cells.sum()))
+        prices[cells] = rng.choice([math.nan, -math.inf, 0.0], int(cells.sum()))
     return prices
 
 
@@ -630,9 +652,9 @@ def test_evaluate_schedule_scores_negative_zero_prices_as_the_oracle_does(model,
 @pytest.mark.parametrize("layout", ["row-major", "time-major"])
 @pytest.mark.parametrize("T", [0, 1, 5])
 def test_evaluate_schedule_leaves_the_price_matrix_as_given(layout, T):
-    # A time-major matrix, as build_pricing stores its prices, and any (k + 1, 1)
-    # one are read in place, and their unsellable prices were once zeroed in
-    # the caller's matrix itself.
+    # Unsellable prices were once zeroed in the caller's matrix itself, when a
+    # time-major one, as build_pricing stores its prices, or any (k + 1, 1) one
+    # was read in place.
     prices = np.full((4, T + 1), 8.0) if layout == "row-major" else np.full((T + 1, 4), 8.0).T
     prices[2:, T] = [16.0, math.inf]  # cannot sell under U(5, 15)
     before = prices.copy()

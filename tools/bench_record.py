@@ -27,9 +27,10 @@ The output holds:
 - cells per second of ``build_pricing``, ``evaluate_schedule`` and
   ``complete_info_profit`` at (k, T) = (20, 1000) for exponential and uniform
   valuations, counting the k * T cells of R[1..k][1..T], of ``build_pricing``
-  at exp(1), alpha 0.2, (k, T) = (30, 300), whose option values dip below 0
-  by round-off, and of
-  ``build_pricing`` on a batch of 4 alphas at (k, T) = (10, 15), the shape of
+  and ``complete_info_profit`` at exp(1), alpha 0.5, (k, T) = (55, 60), where
+  most columns hold cells with t < j, of ``build_pricing`` at exp(1), alpha
+  0.2, (k, T) = (30, 300), whose option values dip below 0 by round-off, and
+  of ``build_pricing`` on a batch of 4 alphas at (k, T) = (10, 15), the shape of
   ``fleet``'s deploy tables, counting 4 k T cells; calls per second of
   ``allocate_discrete`` on a sweep of 3 alphas at (B, c) = (160, 3) and
   plans per second of ``optimal_deployment`` for 14 vehicles on ten
@@ -178,6 +179,13 @@ for side, tree in (("parent", sys.argv[1]), ("change", sys.argv[2])):
     calls["build_pricing.roundoff_k30_T300", side] = partial(
         lib.pricing.build_pricing, lib.valuations.ValuationModel.exponential(1.0), 0.2, 30, 300)
     work["build_pricing.roundoff_k30_T300"] = 30 * 300, "cells/s"
+    # The shape where the sweep computes the most dead cells, R[j][t] with
+    # t < j: k close to T, at the size of single_uav's largest tables.
+    for name, fill in (("build_pricing", lib.pricing.build_pricing),
+                       ("complete_info_profit", lib.benchmark.complete_info_profit)):
+        calls[f"{name}.exp_k55_T60", side] = partial(
+            fill, lib.valuations.ValuationModel.exponential(1.0), alpha, 55, 60)
+        work[f"{name}.exp_k55_T60"] = 55 * 60, "cells/s"
     # The shape of fleet's deploy tables: one sweep over a batch of alphas.
     calls["build_pricing.batch4_k10_T15", side] = partial(
         lib.pricing.build_pricing, lib.valuations.ValuationModel.exponential(1.0),
