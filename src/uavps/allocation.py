@@ -84,7 +84,7 @@ def allocate_discrete(model: ValuationModel, alpha, budget: int,
     # Each alpha is a hotspot with the whole budget and a group of one, which
     # reads every R[k][B - ck] from one table at (B // (1 + c), B - c).
     alphas = np.ravel(alpha)
-    decisions = [row[0] for row in _pooled_decisions(
+    decisions = [AllocationDecision(*row[0]) for row in _pooled_decisions(
         model, alphas, [budget] * alphas.size, service_cost, (1,))]
     return decisions if np.ndim(alpha) else decisions[0]
 
@@ -98,15 +98,16 @@ _POOL_EPS = 1e-9
 
 def _pooled_decisions(model: ValuationModel, alphas: Sequence[float],
                       availables: Sequence[float], service_cost: float,
-                      groups: Sequence[int]) -> list[list[AllocationDecision]]:
-    """Best (k, T) per hotspot (alpha, avail) and group size, from one sweep.
+                      groups: Sequence[int]) -> list[list[tuple[int, int, float]]]:
+    """Best (k, T, profit) per hotspot (alpha, avail) and group size, from one sweep.
 
     A group of n vehicles with ``avail`` energy each funds k in 1..floor(avail
     / (1 + c / n)) with T = floor(avail - c k / n) slots. R[j][t] depends only
     on rows <= j and columns <= t, so a table sized for the largest hotspot
     and group holds every group's table in its top-left corner, bit for bit.
-    Ties go to the smallest k; a group that cannot fund one user gets a
-    zero-profit decision with k = 0.
+    Ties go to the smallest k; a group that cannot fund one user gets
+    (0, 0, 0.0). The triples are plain tuples: a caller builds an
+    ``AllocationDecision`` only for the entries it returns.
     """
     avail = np.array(availables, dtype=float).reshape(-1, 1, 1)
     _check("search index", avail.max(initial=0.0), "energy left at a hotspot")  # int casts
@@ -114,7 +115,7 @@ def _pooled_decisions(model: ValuationModel, alphas: Sequence[float],
     k_top = np.floor(avail / (1.0 + service_cost / n) + _POOL_EPS).astype(int)
     k = np.arange(1, k_top.max(initial=0) + 1)
     if not k.size:
-        return [[AllocationDecision(k_star=0, t_star=0, profit=0.0)] * n.size] * avail.size
+        return [[(0, 0, 0.0)] * n.size] * avail.size
     # Both bounds grow with n and avail, so the largest ones size the table;
     # hover falls as k grows, so no hover index passes the table either.
     hover = np.floor(avail - service_cost * k / n + _POOL_EPS).astype(int)
@@ -127,8 +128,7 @@ def _pooled_decisions(model: ValuationModel, alphas: Sequence[float],
     values = table.values.reshape(table.values.shape[:2] + (-1,))
     column = np.cumsum(funded).reshape(-1, 1, 1) - 1
     profits = np.where(live, values[k, np.maximum(hover, 0), column], -np.inf)
-    return [[AllocationDecision(k_star=b + 1, t_star=h[b], profit=p[b]) if p[b] > -math.inf
-             else AllocationDecision(k_star=0, t_star=0, profit=0.0)
+    return [[(b + 1, h[b], p[b]) if p[b] > -math.inf else (0, 0, 0.0)
              for b, h, p in zip(*row)]  # argmax takes the first maximum: the smallest k
             for row in zip(profits.argmax(axis=2).tolist(), hover.tolist(), profits.tolist())]
 

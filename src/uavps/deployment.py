@@ -11,19 +11,22 @@ The fleet profit is separable over hotspots, so the planner is the
 resource-allocation dynamic program over hotspots (Ibaraki & Katoh,
 *Resource Allocation Problems*, 1988) in the dominance-list form of
 Nemhauser & Ullmann (*Management Science* 15(9), 1969): one forward pass of
-O(M * N^2 * F) entry updates, F the longest list of prefixes kept for one
-count of vehicles placed (1 unless prefix sums nearly tie), instead of the
-C(N + M - 1, M - 1) compositions of the fleet. It takes the per-(hotspot,
-group size) decisions as input and serves both the discrete and the
-continuous profits. The discrete planner fills the tables of all
-hotspots in one batched sweep, padded to the largest hotspot's size, and
-the continuous one runs every (hotspot, group) search in one call of
-``allocation``'s capacity search, which bounds each group's capacity itself.
-A plan's total is the left-to-right float sum of its served hotspots'
-profits, and exact ties go to the lexicographically greatest profile; the
-planner reproduces enumeration bit for bit, profile, decisions and total
-alike. A group serves one hotspot: a lone vehicle never gains by splitting
-its energy along a multi-hotspot route.
+O(M * N^2 * F) float additions and comparisons, F the longest list of
+prefixes kept for one count of vehicles placed (1 unless prefix sums nearly
+tie), instead of the C(N + M - 1, M - 1) compositions of the fleet. A prefix
+is an entry of (sum, vehicles placed, parent index), kept in rank order, so
+no prefix's counts are stored or copied; the profile is read back through
+the parent indices. The planner takes one row of float profits per hotspot
+and serves both the discrete and the continuous profits. The discrete
+planner fills the tables of all hotspots in one batched sweep, padded to the
+largest hotspot's size, and the continuous one runs every (hotspot, group)
+search in one call of ``allocation``'s capacity search, which bounds each
+group's capacity itself; each builds an ``AllocationDecision`` only for the
+hotspots its plan serves. A plan's total is the left-to-right float sum of
+its served hotspots' profits, and exact ties go to the lexicographically
+greatest profile; the planner reproduces enumeration bit for bit, profile,
+decisions and total alike. A group serves one hotspot: a lone vehicle never
+gains by splitting its energy along a multi-hotspot route.
 
 ``forking_condition`` evaluates the sufficient condition under which a fleet
 splits across the two best hotspots instead of all pooling on the first best
@@ -118,65 +121,104 @@ class ForkingCheck(NamedTuple):
 # -- fleet-wide planning ------------------------------------------------------
 
 
-def _plan_fleet(options: list[list[AllocationDecision] | None],
-                count: int) -> DeploymentPlan:
+def _plan_fleet(rows: list[list[float] | None], count: int) -> tuple[tuple[int, ...], float]:
     """Exact best profile for a fleet whose profit is separable over hotspots.
 
-    ``options[i][n - 1]`` is hotspot i's decision with n vehicles; None pins
-    hotspot i to zero. A profile's total is the left-to-right float sum of
+    ``rows[i][n - 1]`` is hotspot i's profit with n vehicles, n = 1..count, a
+    float above -inf; None pins hotspot i to zero. Returns the profile's
+    counts and its total. A profile's total is the left-to-right float sum of
     its served hotspots' profits, and the profile returned is the
     lexicographically greatest one whose total is the maximum, exactly the
     result of scoring every composition in order with a ``>=`` comparison.
 
-    One forward pass keeps, per count of vehicles placed, a short list of
-    (counts, prefix sum) entries in decreasing counts order with strictly
-    rising sums. An entry drops out when a greater profile's prefix matches
-    or beats its sum: rounded addition is monotone, so under every
-    completion that profile ends at least as high and ranks first. It
-    also drops out when it is too far below its state's top sum to ever tie
-    it (see ``margin`` below). Keeping the greatest prefix sum alone would
-    break the tie rule, since two prefix sums an ulp apart can reach the
-    same total once later profits absorb the gap. With F the longest list
-    kept, the pass costs O(M * N^2 * F).
+    One forward pass over the hotspots keeps the prefixes still in play as
+    entries (prefix sum, vehicles placed u, parent index), in decreasing
+    lexicographic order of the prefix's counts; an entry's index is its rank.
+    Prefixes of one length compare as their parents do, and then by their
+    own count, so walking the parents in rank order and each parent's
+    counts n from the largest down yields the next step's entries already
+    in rank order: no sort, and no counts stored. Each entry points back to
+    its parent, and the profile is read back through those pointers.
+
+    The list of w vehicles placed gets one candidate per parent, with n = w -
+    u, so its candidates too arrive in decreasing lexicographic order. A
+    candidate is kept only if its sum beats the running max of that list:
+    an earlier candidate whose prefix sum matches or beats it ends at least
+    as high under every completion, as rounded addition is monotone, and is
+    the greater profile, so it wins every tie. An entry also drops out when
+    it is too far below its list's top sum to ever tie it (see ``margin``
+    below). Keeping the greatest prefix sum alone would break the tie rule,
+    since two prefix sums an ulp apart can reach the same total once later
+    profits absorb the gap. The last served hotspot seats the rest of the
+    fleet, so that step scores only the list of ``count``, whose last kept
+    candidate is the greatest profile with the top total. With F the longest
+    list kept, the pass makes O(M * N^2 * F) float additions and
+    comparisons, each O(1): no entry copies a profile of up to M counts.
     """
     # cap bounds every prefix sum: |fl(s + p)| <= fl(|s| + max |p|), as
     # rounding is monotone, so no prefix sum outgrows this left fold.
     cap = 0.0
-    for row in options:
+    for row in rows:
         if row is not None:
-            cap += max(abs(d.profit) for d in row)
+            cap += max(map(abs, row))
     # A sum of magnitude at most cap rounds by at most ulp(cap) / 2, so adding
     # one profit to two prefix sums a gap g apart leaves them at least
-    # g - ulp(cap) apart, and adding nothing leaves g. With `left` hotspots to
-    # come, an entry more than left * ulp(cap) below its list's top sum ends
-    # strictly below the top under any completion the two share, so it can
-    # neither win nor tie. left * ulp(cap) is exact (or inf, which prunes nothing), so
-    # the rounded test `top - s > margin` holds only when the exact gap
-    # exceeds margin. The last hotspot takes margin 0, as 0 * inf is NaN.
+    # g - ulp(cap) apart, and adding nothing leaves g. With at most `left` =
+    # last - i profits still to add (no row past `last` adds one), an entry
+    # more than left * ulp(cap) below its list's top sum ends strictly below
+    # the top under any completion the two share, so it can neither win nor
+    # tie. left * ulp(cap) is exact (or inf, which prunes nothing), so the
+    # rounded test `top - s > margin` holds only when the exact gap exceeds
+    # margin.
     ulp = math.ulp(cap)
-    lists = [[((), 0.0)]] + [[] for _ in range(count)]
-    for i, row in enumerate(options):
-        left = len(options) - 1 - i
-        margin = left * ulp if left else 0.0
-        grown = [[(counts + (0,), s) for counts, s in entries] for entries in lists]
-        if row is not None:
-            for u, entries in enumerate(lists):
-                for n, decision in enumerate(row[:count - u], start=1):
-                    grown[u + n] += [(counts + (n,), s + decision.profit)
-                                     for counts, s in entries]
-        lists = []
-        for entries in grown:
-            entries.sort(reverse=True)
-            kept = []
-            for entry in entries:
-                if not kept or entry[1] > kept[-1][1]:
-                    kept.append(entry)
-            lists.append([e for e in kept if not kept[-1][1] - e[1] > margin])
+    last = max(i for i, row in enumerate(rows) if row is not None)
+    entries = [(0.0, 0, 0)]
+    steps = [entries]
+    for i, row in enumerate(rows[:last]):
+        margin = (last - i) * ulp
+        reverse = row[::-1] if row is not None else []
+        top = [-math.inf] * (count + 1)
+        kept = []
+        for parent, (s, u, _) in enumerate(entries):
+            for w, p in zip(range(count, u, -1), reverse[u:]):  # n = w - u from count - u down
+                v = s + p
+                if v > top[w]:
+                    top[w] = v
+                    kept.append((v, w, parent))
+            if s > top[u]:  # n = 0
+                top[u] = s
+                kept.append((s, u, parent))
+        entries = [e for e in kept if not top[e[1]] - e[0] > margin]
+        steps.append(entries)
 
-    counts, total = lists[count][-1]
-    per = tuple(options[i][n - 1] if n else None for i, n in enumerate(counts))
+    # Row `last` seats the rest of the fleet: the last strict rise of the
+    # list of count is the greatest profile with the top total.
+    row, total = rows[last], -math.inf
+    for parent, (s, u, _) in enumerate(entries):
+        n = count - u
+        v = s + row[n - 1] if n else s
+        if v > total:
+            total, pick, taken = v, parent, n
+    counts = [0] * len(rows)
+    counts[last] = taken
+    for i in range(last, 0, -1):
+        _, w, grand = steps[i][pick]
+        counts[i - 1] = w - steps[i - 1][grand][1]
+        pick = grand
+    return tuple(counts), total
+
+
+def _plan(rows: dict[int, list[tuple[int, float, float]]], size: int,
+          count: int) -> DeploymentPlan:
+    """The plan over ``size`` hotspots, ``rows[i][n - 1]`` being hotspot i's
+    (k, T, profit) with n vehicles; a hotspot with no row gets none. Only the
+    served hotspots' decisions are built."""
+    counts, total = _plan_fleet([[d[2] for d in rows[i]] if i in rows else None
+                                 for i in range(size)], count)
     return DeploymentPlan(profile=DeploymentProfile(counts),
-                          per_hotspot=per, total_profit=total)
+                          per_hotspot=tuple(AllocationDecision(*rows[i][n - 1]) if n else None
+                                            for i, n in enumerate(counts)),
+                          total_profit=total)
 
 
 def _reachable(hotspots: list[Hotspot], fleet: FleetConfig):
@@ -204,7 +246,7 @@ def optimal_deployment(hotspots: list[Hotspot], fleet: FleetConfig) -> Deploymen
     reach, alphas, avails = _reachable(hotspots, fleet)
     rows = dict(zip(reach, _pooled_decisions(fleet.valuation, alphas, avails,
                                              fleet.service_cost, range(1, fleet.count + 1))))
-    return _plan_fleet([rows.get(i) for i in range(len(hotspots))], fleet.count)
+    return _plan(rows, len(hotspots), fleet.count)
 
 
 def best_single_hotspot(hotspots: list[Hotspot], fleet: FleetConfig) -> BestHotspot:
@@ -216,9 +258,9 @@ def best_single_hotspot(hotspots: list[Hotspot], fleet: FleetConfig) -> BestHots
     reach, alphas, avails = _reachable(hotspots, fleet)
     rows = _pooled_decisions(fleet.valuation, alphas, avails, fleet.service_cost, (1,))
     decisions = {i: row[0] for i, row in zip(reach, rows)}
-    ranking = sorted(decisions, key=lambda i: (-decisions[i].profit, i))
+    ranking = sorted(decisions, key=lambda i: (-decisions[i][2], i))
     best = ranking[0]
-    return BestHotspot(index=best, decision=decisions[best], ranking=ranking)
+    return BestHotspot(index=best, decision=AllocationDecision(*decisions[best]), ranking=ranking)
 
 
 # -- continuous relaxation: pooling and forking ------------------------------
@@ -291,10 +333,10 @@ def optimal_deployment_continuous(hotspots: list[Hotspot], fleet: FleetConfig,
     groups = np.arange(1, count + 1)[:, None]  # searches on axes (hotspot, n)
     avail, rate = np.array(avails)[:, None, None], np.array(alphas)[:, None, None]
     ks, logs = _best_series_capacity(rate, avail, cost, groups)
-    rows = {i: [AllocationDecision(k_star=k, t_star=a - cost * k / n, profit=log_series / lam)
+    rows = {i: [(k, a - cost * k / n, log_series / lam)
                 for n, k, log_series in zip(range(1, count + 1), row_k, row_log)]
             for i, a, row_k, row_log in zip(reach, avails, ks.tolist(), logs.tolist())}
-    return _plan_fleet([rows.get(i) for i in range(len(hotspots))], count)
+    return _plan(rows, len(hotspots), count)
 
 
 # -- file ingestion ------------------------------------------------------------

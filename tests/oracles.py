@@ -47,7 +47,7 @@ def route_oracle(hotspots, pairwise, fleet):
         key = (idx, round(budget, 9))
         if key not in cache:  # no budget funds no unit: a zero-profit decision
             cache[key] = _pooled_decisions(fleet.valuation, (hotspots[idx].alpha,), (budget,),
-                                           fleet.service_cost, (1,))[0][0].profit
+                                           fleet.service_cost, (1,))[0][0][2]
         return cache[key]
 
     best = ((), (), 0.0)
@@ -69,6 +69,45 @@ def route_oracle(hotspots, pairwise, fleet):
                     if profit > best[2]:
                         best = (route, budgets, profit)
     return best
+
+
+def dominance_planner(rows, count):
+    """(counts, total) of the best fleet profile from the dominance-list pass
+    of Nemhauser & Ullmann (1969) that keeps every prefix's counts.
+
+    ``rows[i][n - 1]`` is hotspot i's profit with n vehicles; None pins
+    hotspot i to zero. One forward pass keeps, per count of vehicles placed, a
+    short list of (counts, prefix sum) entries in decreasing counts order with
+    strictly rising sums, and drops an entry too far below its list's top sum
+    to ever tie it: the left-to-right float sum and the tie rule (the
+    lexicographically greatest profile) of scoring every composition.
+    """
+    cap = 0.0
+    for row in rows:
+        if row is not None:
+            cap += max(abs(p) for p in row)
+    # Adding one profit to two prefix sums a gap g apart leaves them at least
+    # g - ulp(cap) apart, so with `left` hotspots to come an entry more than
+    # left * ulp(cap) below its list's top can neither win nor tie.
+    ulp = math.ulp(cap)
+    lists = [[((), 0.0)]] + [[] for _ in range(count)]
+    for i, row in enumerate(rows):
+        left = len(rows) - 1 - i
+        margin = left * ulp if left else 0.0
+        grown = [[(counts + (0,), s) for counts, s in entries] for entries in lists]
+        if row is not None:
+            for u, entries in enumerate(lists):
+                for n, profit in enumerate(row[:count - u], start=1):
+                    grown[u + n] += [(counts + (n,), s + profit) for counts, s in entries]
+        lists = []
+        for entries in grown:
+            entries.sort(reverse=True)
+            kept = []
+            for entry in entries:
+                if not kept or entry[1] > kept[-1][1]:
+                    kept.append(entry)
+            lists.append([e for e in kept if not kept[-1][1] - e[1] > margin])
+    return lists[count][-1]
 
 
 def check_regularity(model):

@@ -23,7 +23,7 @@ from uavps.deployment import (DeploymentPlan, DeploymentProfile, FleetConfig,
 from uavps.pricing import _log_series, build_pricing
 from uavps.valuations import ValuationModel
 
-from oracles import compositions, route_oracle
+from oracles import compositions, dominance_planner, route_oracle
 
 EXP1 = ValuationModel.exponential(1.0)
 
@@ -176,6 +176,16 @@ def _enumerated(options, count):
     return best_counts, best_total
 
 
+def _planned(options, count):
+    """The plan ``_plan_fleet`` makes of per-group decisions, from their profit rows."""
+    counts, total = _plan_fleet([None if row is None else [d.profit for d in row]
+                                 for row in options], count)
+    return DeploymentPlan(profile=DeploymentProfile(counts),
+                          per_hotspot=tuple(options[i][n - 1] if n else None
+                                            for i, n in enumerate(counts)),
+                          total_profit=total)
+
+
 def _assert_matches_enumeration(plan, options, count):
     counts, total = _enumerated(options, count)
     assert plan.profile.counts == counts
@@ -268,7 +278,7 @@ def test_planner_exact_ties_and_infinite_totals(case):
     options = [None if r is None else
                [AllocationDecision(k_star=n, t_star=float(n), profit=p)
                 for n, p in enumerate(r, start=1)] for r in rows]
-    _assert_matches_enumeration(_plan_fleet(options, count), options, count)
+    _assert_matches_enumeration(_planned(options, count), options, count)
 
 
 # -- planner vs the three-pass planner it replaced ---------------------------------
@@ -410,10 +420,37 @@ def test_planner_equals_three_pass_oracle(case):
     options = [None if r is None else
                [AllocationDecision(k_star=n, t_star=float(n), profit=p)
                 for n, p in enumerate(r, start=1)] for r in rows]
-    plan, oracle = _plan_fleet(options, count), _plan_fleet_oracle(options, count)
+    plan, oracle = _planned(options, count), _plan_fleet_oracle(options, count)
     assert plan.profile == oracle.profile
     assert plan.per_hotspot == oracle.per_hotspot
     assert plan.total_profit == oracle.total_profit
+
+
+@st.composite
+def _saturating_rows(draw):
+    """Up to 10 hotspots and 40 vehicles, profits from a few pool values. A
+    row may rise to some group size and hold its profit past it, as pooled
+    profits do once extra vehicles fund no more capacity."""
+    count = draw(st.integers(1, 40))
+    pool = draw(st.lists(st.sampled_from(_PROFITS + _NEAR_ULPS), min_size=1, max_size=4))
+    plain = st.lists(st.sampled_from(pool), min_size=count, max_size=count)
+    saturated = st.builds(lambda row, top: row[:top] + [row[top - 1]] * (count - top),
+                          plain.map(sorted), st.integers(1, count))
+    rows = draw(st.lists(st.one_of(st.none(), plain, saturated), min_size=1, max_size=10))
+    if all(r is None for r in rows):
+        rows[0] = [0.0] * count
+    return count, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_saturating_rows())
+@example(_GAP_CLOSES_OVER_TWO_ADDITIONS)
+def test_planner_equals_dominance_list_oracle(case):
+    count, rows = case
+    counts, total = _plan_fleet(rows, count)
+    oracle_counts, oracle_total = dominance_planner(rows, count)
+    assert counts == oracle_counts
+    assert _DOUBLE.pack(total) == _DOUBLE.pack(oracle_total)
 
 
 def _own_table_decision(model, alpha, avail, cost, n):
@@ -449,12 +486,32 @@ def test_one_pricing_table_per_fleet_plan(monkeypatch):
             assert dec == _own_table_decision(model, h.alpha, 20.0 - h.distance,
                                               3.0, n)
     reach = (spots[0], spots[2])
-    rows = _pooled_decisions(model, [h.alpha for h in reach],
-                             [20.0 - h.distance for h in reach], 3.0, range(1, 6))
+    rows = [[AllocationDecision(*d) for d in row]
+            for row in _pooled_decisions(model, [h.alpha for h in reach],
+                                         [20.0 - h.distance for h in reach], 3.0, range(1, 6))]
     for h, row in zip(reach, rows):
         avail = 20.0 - h.distance
         assert row == [_own_table_decision(model, h.alpha, avail, 3.0, n)
                        for n in range(1, 6)]
+
+
+def test_plans_build_a_decision_per_served_hotspot_only(monkeypatch):
+    # fleet's largest rung: 10 hotspots and 14 vehicles, 140 (hotspot, group)
+    # entries per plan, of which at most 10 are returned.
+    built = []
+    init = AllocationDecision.__init__
+    monkeypatch.setattr(AllocationDecision, "__init__",
+                        lambda self, *args, **kwargs: built.append(args or kwargs)
+                        or init(self, *args, **kwargs))
+    spots = [Hotspot(round(0.9 - 0.05 * i, 2), 0.75 * i) for i in range(10)]
+    fleet = FleetConfig(14, 15.0, 1.0, EXP1)
+    for plan in (lambda: optimal_deployment(spots, fleet),
+                 lambda: optimal_deployment_continuous(spots, fleet, 1.0)):
+        built.clear()
+        assert plan().profile.served() == len(built) <= len(spots)
+    built.clear()
+    best_single_hotspot(spots, fleet)
+    assert len(built) == 1
 
 
 def test_plan_serialization():
@@ -656,11 +713,21 @@ _SEARCH_FLEETS = [
 @pytest.mark.parametrize("spots, fleet", _SEARCH_FLEETS,
                          ids=["unreachable", "busy-200", "busy-600"])
 def test_continuous_options_equal_one_search_per_group(monkeypatch, spots, fleet):
-    seen = []
-    plan_fleet = uavps.deployment._plan_fleet
-    monkeypatch.setattr(uavps.deployment, "_plan_fleet", lambda options, count:
-                        seen.append(options) or plan_fleet(options, count))
+    profits, searches = [], []
+    plan_fleet, search = uavps.deployment._plan_fleet, uavps.deployment._best_series_capacity
+    monkeypatch.setattr(uavps.deployment, "_plan_fleet", lambda rows, count:
+                        profits.append(rows) or plan_fleet(rows, count))
+    monkeypatch.setattr(uavps.deployment, "_best_series_capacity", lambda *args:
+                        searches.append(search(*args)) or searches[-1])
     optimal_deployment_continuous(spots, fleet, 0.7)
+    # Each reachable hotspot's decisions: the planner's profit row, with the
+    # capacities of the one search call.
+    ks = iter(searches[0][0].tolist())
+    seen = [[None if row is None else
+             [AllocationDecision(k_star=k, t_star=fleet.initial_budget - h.distance
+                                 - fleet.service_cost * k / n, profit=p)
+              for n, k, p in zip(range(1, fleet.count + 1), next(ks), row)]
+             for h, row in zip(spots, profits[0])]]
     assert seen[0] == _continuous_options(spots, fleet, 0.7)
     for h, row in zip(spots, seen[0]):
         avail = fleet.initial_budget - h.distance

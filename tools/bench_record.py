@@ -35,7 +35,9 @@ The output holds:
   ``allocate_discrete`` on a sweep of 3 alphas at (B, c) = (160, 3) and
   plans per second of ``optimal_deployment`` for 14 vehicles on ten
   hotspots at B0 15, c 1, ``fleet``'s largest rung, both read off batched
-  tables; trials per
+  tables, and for 200 vehicles on ten hotspots (alpha 0.2 + 0.05 i,
+  distance 1 + i, B0 50, c 1), where the planner's pass is most of a plan;
+  trials per
   second of ``simulate_discrete`` and ``simulate_policy_regret`` at
   (k, T) = (5, 20) with 10^5 trials, and of ``simulate_continuous`` at rate
   0.5, k 3, T 1 with 10^6 trials and at rate 2, k 20, T 5 with 10^5; calls
@@ -202,6 +204,13 @@ for side, tree in (("parent", sys.argv[1]), ("change", sys.argv[2])):
         lib.deployment.optimal_deployment, rung, lib.deployment.FleetConfig(14, 15.0, 1.0, exp1))
     work["allocate_discrete.sweep3_B160_c3"] = 1, "calls/s"
     work["optimal_deployment.m10_n14"] = 1, "plans/s"
+    # The discrete planner at a fleet size where its forward pass, not the
+    # table sweep, is most of a plan.
+    calls["optimal_deployment.m10_n200", side] = partial(
+        lib.deployment.optimal_deployment,
+        [lib.deployment.Hotspot(alpha=0.2 + 0.05 * i, distance=1.0 + i) for i in range(10)],
+        lib.deployment.FleetConfig(200, 50.0, 1.0, exp1))
+    work["optimal_deployment.m10_n200"] = 1, "plans/s"
     # verify's largest criterion-1 table, its low-load 10^6 replay and its
     # k = 20 replay; a regret trial plays two policies on one draw stream.
     sim, model = lib.simulator, lib.valuations.ValuationModel.exponential(1.0)
