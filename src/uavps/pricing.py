@@ -396,11 +396,11 @@ def continuous_profit_numeric(model: ValuationModel, arrival_rate: float,
     the result at step/2 is returned and must agree with the full-step result
     to 1e-6, otherwise the step is too coarse for the requested horizon.
 
-    The stack is a list of Python floats, each stage gain one scalar libm
-    call (``ValuationModel._stage_gain``), and one sweep up j runs all four
-    RK4 stages. At the small k the oracles use, numpy's per-call overhead on
-    length-k arrays costs more than the arithmetic; past k of about 35 the
-    scalar sweep is the slower one.
+    The stack is a list of Python floats updated in place, each stage gain
+    one call of the family's closure (``ValuationModel._ode_gain``), and one
+    sweep up j runs all four RK4 stages. At the small k the oracles use,
+    numpy's per-call overhead on length-k arrays costs more than the
+    arithmetic; past k of about 60 the scalar sweep is the slower one.
     """
     rate, k = _check("positive finite", arrival_rate, "arrival rate"), _check(
         "count", capacity, "capacity")
@@ -410,7 +410,7 @@ def continuous_profit_numeric(model: ValuationModel, arrival_rate: float,
         return 0.0
     if not (step / 2.0 > 0.0 and math.isfinite(horizon / (step / 2.0))):
         raise ParameterError(f"horizon / step must be a finite step count, got {horizon} / {step}")
-    gain = model._stage_gain
+    gain = model._ode_gain(rate)
 
     def integrate(h: float) -> float:
         n = max(1, math.ceil(horizon / h))
@@ -421,18 +421,16 @@ def continuous_profit_numeric(model: ValuationModel, arrival_rate: float,
             # Stage s of R_j reads stage s - 1 of R_j and R_{j-1} only, so one
             # sweep up j runs all four stages; p1..p4 hold R_{j-1}'s inputs.
             p1 = p2 = p3 = p4 = 0.0
-            nxt = []
-            for x in r:
-                d1 = rate * gain(x - p1)
+            for i, x in enumerate(r):
+                d1 = gain(x - p1)
                 s2 = x + half * d1
-                d2 = rate * gain(s2 - p2)
+                d2 = gain(s2 - p2)
                 s3 = x + half * d2
-                d3 = rate * gain(s3 - p3)
+                d3 = gain(s3 - p3)
                 s4 = x + dt * d3
-                d4 = rate * gain(s4 - p4)
-                nxt.append(x + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4))
+                d4 = gain(s4 - p4)
+                r[i] = x + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
                 p1, p2, p3, p4 = x, s2, s3, s4
-            r = nxt
         return r[-1]
 
     coarse = integrate(step)

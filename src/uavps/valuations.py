@@ -199,8 +199,12 @@ class ValuationModel:
             out = np.where(v < 0.0, 0.0, self.rate * np.exp(
                 -self.rate * np.minimum(np.maximum(v, 0.0), 746.0 / self.rate)))
         else:
+            width = self.upper - self.lower
+            density = 1.0 / width  # inf, with no warning, for a width below 1 / DBL_MAX
+            if not math.isfinite(density):
+                raise ParameterError(f"uniform density is not finite at support width {width}")
             inside = (v >= self.lower) & (v <= self.upper)
-            out = np.where(inside, 1.0 / (self.upper - self.lower), 0.0)
+            out = np.where(inside, density, 0.0)
         return out if out.ndim else float(out)
 
     # -- virtual value -----------------------------------------------------
@@ -275,18 +279,26 @@ class ValuationModel:
         out = np.array(out).reshape(t.shape)
         return out if out.ndim else float(out)
 
-    def _stage_gain(self, delta: float) -> float:
-        """(p - delta) * (1 - F(p)) at p = inverse_virtual_value(delta), for one float.
-
-        Same clamps as the vector handles: the lower support bound, and for the
-        uniform family the upper bound, where the sale probability is zero.
-        """
+    def _ode_gain(self, arrival_rate: float):
+        """``gain(delta)``: arrival_rate * (p - delta) * (1 - F(p)) at p =
+        inverse_virtual_value(delta), for one float, with the vector handles'
+        clamps, each a compare, which keeps -0.0 and NaN as max() and min() do:
+        the stage rule of ``pricing.continuous_profit_numeric``."""
         if self.kind == EXPONENTIAL:
-            p = max(delta + 1.0 / self.rate, 0.0)
-            return (p - delta) * (1.0 + math.expm1(-self.rate * p))
-        a, b = self.lower, self.upper
-        p = min(max(0.5 * (delta + b), a), b)
-        return (p - delta) * (1.0 - (p - a) / (b - a))
+            inv, neg_rate, expm1 = 1.0 / self.rate, -self.rate, math.expm1
+
+            def gain(delta):
+                p = delta + inv
+                p = 0.0 if p < 0.0 else p
+                return arrival_rate * ((p - delta) * (1.0 + expm1(neg_rate * p)))
+        else:
+            a, b, width = self.lower, self.upper, self.upper - self.lower
+
+            def gain(delta):
+                p = 0.5 * (delta + b)
+                p = a if p < a else b if p > b else p
+                return arrival_rate * ((p - delta) * (1.0 - (p - a) / width))
+        return gain
 
     def _posted_stage(self, alpha):
         """``build_pricing``'s posted-price stage rule for this family.

@@ -175,3 +175,53 @@ def scored_schedule_oracle(model, alpha, prices, k, T):
     alpha = np.asarray(alpha, dtype=float) if np.ndim(alpha) else float(alpha)
     return column_sweep(alpha, k, T, partial(profit_step, model, alpha),
                         np.asarray(prices, dtype=float))
+
+
+def scalar_stage_gain(model, delta):
+    """(p - delta) * (1 - F(p)) at p = inverse_virtual_value(delta), for one
+    float: the former ``ValuationModel._stage_gain``, clamps through max() and
+    min() and every constant read off the model per call."""
+    if model.kind == "exponential":
+        p = max(delta + 1.0 / model.rate, 0.0)
+        return (p - delta) * (1.0 + math.expm1(-model.rate * p))
+    a, b = model.lower, model.upper
+    p = min(max(0.5 * (delta + b), a), b)
+    return (p - delta) * (1.0 - (p - a) / (b - a))
+
+
+def scalar_rk4_oracle(model, arrival_rate, capacity, horizon, step=1e-3):
+    """continuous_profit_numeric as it was before its per-family gain closure:
+    one ``scalar_stage_gain`` call per unit and stage, each scaled by the
+    arrival rate, and a new stack list per step; the same steps, Richardson
+    check and error text."""
+    if horizon == 0:
+        return 0.0
+
+    def integrate(h):
+        n = max(1, math.ceil(horizon / h))
+        dt = horizon / n
+        half, sixth = 0.5 * dt, dt / 6.0
+        r = [0.0] * capacity
+        for _ in range(n):
+            p1 = p2 = p3 = p4 = 0.0
+            nxt = []
+            for x in r:
+                d1 = arrival_rate * scalar_stage_gain(model, x - p1)
+                s2 = x + half * d1
+                d2 = arrival_rate * scalar_stage_gain(model, s2 - p2)
+                s3 = x + half * d2
+                d3 = arrival_rate * scalar_stage_gain(model, s3 - p3)
+                s4 = x + dt * d3
+                d4 = arrival_rate * scalar_stage_gain(model, s4 - p4)
+                nxt.append(x + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4))
+                p1, p2, p3, p4 = x, s2, s3, s4
+            r = nxt
+        return r[-1]
+
+    coarse = integrate(step)
+    fine = integrate(step / 2.0)
+    if not abs(coarse - fine) < 1e-6 * max(1.0, abs(fine)):
+        raise ValueError(
+            f"step {step} too coarse: halving moved the result by {abs(coarse - fine):.3g}"
+        )
+    return fine

@@ -111,6 +111,8 @@ RUNTIME_FAILURES = {("pricing.py", "solve_stage_price"),
     lambda: ValuationModel.uniform(math.inf, math.inf),
     lambda: ValuationModel.from_dict(json.loads('{"kind": "exponential", "rate": 1e400}')),
     lambda: ValuationModel.from_dict(json.loads('{"kind": "uniform", "lower": 0, "upper": 1e400}')),
+    # A support narrower than 1 / DBL_MAX: the density 1 / width was inf.
+    lambda: ValuationModel.uniform(0.0, 5e-324).pdf(0.0),
     # Text is not a number, though float() would parse it.
     lambda: ValuationModel.exponential("1.5"),
     lambda: ValuationModel.uniform("5", 15.0),

@@ -18,7 +18,7 @@ from uavps.pricing import (_closed_form_price, _log_series, _series_log, build_p
                            solve_stage_price)
 from uavps.valuations import ParameterError, ValuationModel
 
-from oracles import exact_log_series
+from oracles import exact_log_series, scalar_rk4_oracle
 
 EXP1 = ValuationModel.exponential(1.0)
 UNI = ValuationModel.uniform(5.0, 15.0)
@@ -705,6 +705,36 @@ def test_continuous_numeric_against_numpy_integrator_at_k25():
     for model, rate in ((EXP1, 2.0), (UNI, 1.5)):
         assert continuous_profit_numeric(model, rate, 25, 2.0, 1e-2) == pytest.approx(
             _numeric_oracle(model, rate, 25, 2.0, 1e-2), rel=1e-12, abs=0.0)
+
+
+def _value_or_error(integrator, *args):
+    try:
+        return integrator(*args)
+    except ValueError as error:
+        return type(error), str(error)
+
+
+# Supports from width 1e-4 up, some with lower > upper / 2, where every delta
+# near 0 prices at the lower bound; arrival rates up to 1e3, where a coarse
+# step overshoots past both clamps and the Richardson check raises.
+_RK4_MODELS = st.one_of(
+    st.floats(-2.0, 2.0).map(lambda e: ValuationModel.exponential(10.0 ** e)),
+    st.tuples(st.floats(0.0, 20.0), st.floats(-4.0, 1.3)).map(
+        lambda lw: ValuationModel.uniform(lw[0], lw[0] + 10.0 ** lw[1])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_RK4_MODELS, st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e), st.integers(1, 40),
+       st.floats(0.0, 3.0), st.sampled_from((1e-1, 5e-2, 2e-2, 1e-2)))
+@example(ValuationModel.exponential(1.0), 8.0, 1, 3.0, 1e-1)  # raises
+@example(ValuationModel.exponential(1.0), 1e3, 5, 1.0, 1e-2)  # raises
+@example(ValuationModel.uniform(5.0, 6.0), 2.0, 3, 2.0, 1e-2)  # lower clamp
+@example(ValuationModel.uniform(0.0, 1e-4), 1e3, 2, 1.0, 1e-1)  # both clamps; raises
+@example(ValuationModel.uniform(5.0, 15.0), 0.5, 40, 3.0, 1e-2)
+def test_continuous_numeric_equals_scalar_rk4_oracle(model, rate, k, T, step):
+    got = _value_or_error(continuous_profit_numeric, model, rate, k, T, step)
+    assert got == _value_or_error(scalar_rk4_oracle, model, rate, k, T, step)
+    assert type(got) in (float, tuple)
 
 
 def test_discrete_converges_to_continuous():

@@ -11,7 +11,7 @@ from scipy import stats
 
 from uavps.valuations import ParameterError, ValuationModel
 
-from oracles import check_regularity
+from oracles import check_regularity, scalar_stage_gain
 
 EXP1 = ValuationModel.exponential(1.0)
 UNI = ValuationModel.uniform(5.0, 15.0)
@@ -162,6 +162,13 @@ def test_cdf_exponential_against_empirical():
     rng = np.random.default_rng(101)
     draws = model.sample(rng.random(10**6))
     assert abs(np.mean(draws <= 0.5) - exact) < 2e-3
+
+
+def test_uniform_density_on_a_narrow_support():
+    # 1 / width overflowed to inf, with no warning, below a width of 1 / DBL_MAX.
+    assert ValuationModel.uniform(0.0, 1e-300).pdf(0.0) == 1.0 / 1e-300
+    with pytest.raises(ParameterError, match="support width 5e-324"):
+        ValuationModel.uniform(0.0, 5e-324).pdf(0.0)
 
 
 def test_virtual_value_closed_forms():
@@ -344,14 +351,30 @@ def test_stage_gain_matches_vector_handles(model):
         [c + 1.0 for c in clamps], [0.0]))
     p = np.asarray(model.inverse_virtual_value(deltas))
     expected = (p - deltas) * (1.0 - np.asarray(model.cdf(p)))
+    gain = model._ode_gain(1.0)
     for delta, price, want in zip(deltas.tolist(), p.tolist(), expected.tolist()):
-        got = model._stage_gain(delta)
+        got = gain(delta)
         assert type(got) is float
         assert abs(got - want) <= 2 * math.ulp(want) + 2.3e-16 * abs(price - delta), delta
     if model.kind == "uniform":  # the upper clamp sells nothing
-        assert model._stage_gain(hi) == 0.0 and model._stage_gain(hi + 1.0) == 0.0
+        assert gain(hi) == 0.0 and gain(hi + 1.0) == 0.0
     else:  # below the lower clamp the price is 0 and always sells
-        assert model._stage_gain(clamps[0] - 1.0) == -(clamps[0] - 1.0)
+        assert gain(clamps[0] - 1.0) == -(clamps[0] - 1.0)
+
+
+@pytest.mark.parametrize("model", MODELS + [ValuationModel.uniform(0.0, 1e-4),
+                                            ValuationModel.exponential(1e3)], ids=str)
+def test_ode_gain_equals_the_former_stage_gain_bit_for_bit(model):
+    # The closure clamps by compares where the former method called max() and
+    # min(): the same value at -0.0, NaN, each clamp and one ulp either side.
+    lo, hi = model.support()
+    clamps = [-1.0 / model.rate] if model.kind == "exponential" else [2.0 * lo - hi, hi]
+    deltas = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0]
+    for c in clamps:
+        deltas += [c, math.nextafter(c, -math.inf), math.nextafter(c, math.inf)]
+    gain = model._ode_gain(1.0)
+    for delta in deltas:
+        assert _bits(gain(delta)) == _bits(scalar_stage_gain(model, delta)), delta
 
 
 def test_serialization_round_trip():

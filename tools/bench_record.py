@@ -47,7 +47,8 @@ The output holds:
   10 vehicles on ten hotspots, calls per second of ``fleet``'s largest
   continuous rung (3 hotspots at rates 80, 65 and 50, 6 vehicles, B0 200,
   c 2), planned and checked with ``forking_condition``, RK4
-  steps per second of ``continuous_profit_numeric`` at rate 1, k 3, T 1,
+  steps per second of ``continuous_profit_numeric`` at exp(1), rate 1, k 3,
+  T 1, at U(5, 15), rate 2, k 3, T 5 and at exp(1), rate 2, k 20, T 5,
   calls per second of two argument-checking paths, ``load_hotspots`` of a
   ten-hotspot file and ``expected_profit_closed_form`` at k 3, each rep
   timing a batch of 200 calls, and
@@ -69,7 +70,9 @@ The output holds:
   each with its own ``tests`` and ``src``: per side, the median wall time and
   median ``test_criterion_02_closed_form_equivalence`` duration, and every
   run's wall time, pass, fail and skip counts, failing tests and criterion-2
-  duration;
+  duration; then ``CRITERION_2_PAIRS`` alternating pairs of criterion 2 run
+  alone, each side's durations and the paired verdict on their reciprocals,
+  as for a layer;
 - per side, the line count of the package's modules, ``src/uavps/*.py``.
 
 A recording ends by printing the claim rule per workload and end-to-end
@@ -81,8 +84,8 @@ that range, "loss" for the same rule the other way, "no change" when every
 pair tied and "unresolved" otherwise; a median worse than the parent's by
 more than the metric's bound in ``BENCHMARK.json`` is flagged beside it.
 The ``src/`` line counts of both sides and their difference follow, then
-each layer's paired ratio, interval and verdict, and the count of each
-verdict.
+each side's tier-1 medians and criterion 2's paired verdict, then each
+layer's paired ratio, interval and verdict, and the count of each verdict.
 
 The second form prints, per workload and metric, the ratio of the change
 medians of the second file to those of the first, and per layer each file's
@@ -120,6 +123,9 @@ LAYER_REPS = 60
 # layers, 3 intervals at 95 % excluded 1 and none excluded 1 +- 3 %.
 LAYER_CONFIDENCE, LAYER_MARGIN = 0.95, 1.03
 TIER1_RUNS = 3
+# Alternating pairs of criterion 2 run alone; 6 is the fewest whose order-
+# statistic interval for the median ratio reaches 95 % (its min and max).
+CRITERION_2_PAIRS = 6
 # The directories a run loads; their tree ids identify what was measured.
 MEASURED = ("src", "perfbench")
 CRITERION_2 = "test_criterion_02_closed_form_equivalence"
@@ -251,6 +257,12 @@ for side, tree in (("parent", sys.argv[1]), ("change", sys.argv[2])):
              partial(plan_and_fork, lib.deployment, rung, rung_fleet)),
             ("continuous_profit_numeric.rate1_k3_T1", 3000, "steps/s",
              partial(lib.pricing.continuous_profit_numeric, model, 1.0, 3, 1.0)),
+            # Each family's gain at T 5, and the exponential one at k 20.
+            ("continuous_profit_numeric.uniform_rate2_k3_T5", 15000, "steps/s",
+             partial(lib.pricing.continuous_profit_numeric,
+                     lib.valuations.ValuationModel.uniform(5.0, 15.0), 2.0, 3, 5.0)),
+            ("continuous_profit_numeric.exp_rate2_k20_T5", 15000, "steps/s",
+             partial(lib.pricing.continuous_profit_numeric, model, 2.0, 20, 5.0)),
             # Calls whose cost is mostly their argument checks, a few µs each,
             # so a rep times a batch of them: one call is too short to pair.
             ("load_hotspots.m10", batch, "calls/s",
@@ -340,13 +352,15 @@ def _bench(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> di
             "metrics": {name: m["value"] for name, m in last["metrics"].items()}}
 
 
-def _tier1(tree: Path) -> dict:
-    """One run of the tree's tier-1 suite, read back from its JUnit report."""
+def _tier1(tree: Path, *tests: str) -> dict:
+    """One run of the tree's tier-1 suite, or of the given test ids only, read
+    back from its JUnit report."""
     with tempfile.TemporaryDirectory(prefix="bench-tier1-") as tmp:
         report = Path(tmp) / "tier1.xml"
         start = time.perf_counter()
         subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                        f"--junitxml={report}"], cwd=tree, capture_output=True, timeout=3600)
+                        f"--junitxml={report}", *tests], cwd=tree, capture_output=True,
+                       timeout=3600)
         wall = time.perf_counter() - start
         if not report.exists():
             raise RuntimeError(f"tier-1 in {tree} wrote no report")
@@ -363,7 +377,9 @@ def _tier1(tree: Path) -> dict:
 
 def _tier1_sides(trees: dict) -> dict:
     """``TIER1_RUNS`` alternating tier-1 runs per side: each side's medians of
-    the wall time and of criterion 2's duration, and its runs."""
+    the wall time and of criterion 2's duration, and its runs; then
+    ``CRITERION_2_PAIRS`` alternating pairs of criterion 2 run alone, with each
+    side's durations and the paired verdict on them."""
     runs = {side: [] for side in SIDES}
     for i in range(TIER1_RUNS):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
@@ -374,6 +390,15 @@ def _tier1_sides(trees: dict) -> dict:
         for key in ("wall_s", "criterion_02_s"):
             values = [r[key] for r in runs[side] if r[key] is not None]
             out[side][key] = statistics.median(values) if values else None
+    # Criterion 2 alone, its durations as rates so that the paired verdict
+    # reads "faster" for a shorter run.
+    alone = {side: [] for side in SIDES}
+    for i in range(CRITERION_2_PAIRS):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            alone[side].append(_tier1(trees[side], f"tests/test_acceptance.py::{CRITERION_2}")
+                               ["criterion_02_s"])
+    out["criterion_02_alone"] = {**alone, "paired": _paired(
+        *([1.0 / s for s in alone[side]] for side in SIDES))}
     return out
 
 
@@ -546,6 +571,9 @@ def compare(first: dict, second: dict) -> list[str]:
         a, b = (f"x{f['tier1']['change'][key] / f['tier1']['parent'][key]:.4f}"
                 if "tier1" in f else "-" for f in (first, second))
         lines.append(f"{'tier1':10s} {key:38s} {a:>36s}    {b:>36s}")
+    a, b = (_layer_cell(f["tier1"]["criterion_02_alone"]) if "criterion_02_alone"
+            in f.get("tier1", {}) else "-" for f in (first, second))
+    lines.append(f"{'tier1':10s} {'criterion_02 alone, paired':38s} {a:>36s}    {b:>36s}")
     counts = [Counter(e["paired"]["verdict"] for e in f.get("layers", {}).values()
                       if "paired" in e) for f in (first, second)]
     lines.append(f"{'layer':10s} {'verdicts':38s} " + "    ".join(
@@ -561,6 +589,16 @@ def _layer_cell(entry: dict) -> str:
         return f"x{entry['change'] / entry['parent']:.4f} of bests"
     return (f"x{paired['median']:.4f} [{paired['low']:.3f}, {paired['high']:.3f}] "
             f"{paired['verdict']}")
+
+
+def tier1_lines(result: dict) -> list[str]:
+    """Each side's tier-1 medians, then criterion 2 alone: its paired ratio of
+    parent to change durations, the interval and the verdict."""
+    tier1 = result["tier1"]
+    lines = [f"{'tier1':10s} {key:38s} median {tier1['parent'][key]:.4g} -> "
+             f"{tier1['change'][key]:.4g} s" for key in ("wall_s", "criterion_02_s")]
+    return lines + [f"{'tier1':10s} {'criterion_02 alone, paired':38s} "
+                    f"{_layer_cell(tier1['criterion_02_alone'])}"]
 
 
 def layer_verdicts(result: dict) -> list[str]:
@@ -589,7 +627,8 @@ def main(argv=None) -> int:
         p.error("recording needs --parent, --out and --pairs >= 1")
     result = record(args)
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
-    print("\n".join(claims(result) + src_delta(result) + layer_verdicts(result)))
+    print("\n".join(claims(result) + src_delta(result) + tier1_lines(result)
+                    + layer_verdicts(result)))
     return 0
 
 
