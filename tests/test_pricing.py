@@ -726,7 +726,7 @@ _RK4_MODELS = st.one_of(
 @settings(max_examples=80, deadline=None)
 @given(_RK4_MODELS, st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e), st.integers(1, 40),
        st.floats(0.0, 3.0), st.sampled_from((1e-1, 5e-2, 2e-2, 1e-2)))
-@example(ValuationModel.exponential(1.0), 8.0, 1, 3.0, 1e-1)  # raises
+@example(ValuationModel.exponential(1.0), 8.0, 1, 40.0, 40.0)  # raises
 @example(ValuationModel.exponential(1.0), 1e3, 5, 1.0, 1e-2)  # raises
 @example(ValuationModel.uniform(5.0, 6.0), 2.0, 3, 2.0, 1e-2)  # lower clamp
 @example(ValuationModel.uniform(0.0, 1e-4), 1e3, 2, 1.0, 1e-1)  # both clamps; raises
